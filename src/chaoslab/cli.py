@@ -163,7 +163,13 @@ def cmd_diagnose(args) -> int:
         law_dir = Path(require(config, "law-dir"))
         p = parse_floats(str(require(config, "p")))
         rho = Distribution(StateSpace.of_size(len(p)), p)
-        family = lambda n: law_from_json((law_dir / f"{n}.json").read_text())
+
+        def family(n):
+            path = law_dir / f"{n}.json"
+            try:
+                return law_from_json(path.read_text())
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"cannot read law file {path}: {exc}") from exc
     else:
         raise ConfigError(f"unknown family {family_name!r}")
 

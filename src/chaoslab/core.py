@@ -3,19 +3,25 @@
 A symmetric law on S^n is constant on permutation orbits of ordered states,
 so it can be stored as one mass per occupancy vector (type class).  This
 compresses k^n ordered states down to C(n+k-1, k-1) classes, which is what
-makes exact computations feasible for n in the hundreds.  A dense ordered
-representation is kept around purely as a small-n oracle.
+makes exact computations feasible for n in the hundreds.
 
-Combinatorial quantities (multinomial class sizes, falling factorials) are
-exact big integers throughout; probability masses are doubles.
+A SymmetricLaw holds two read-only arrays: `occ`, the (S, k) occupancy
+vectors of its support in canonical enumeration order, and `p`, their
+positive masses.  Product laws, marginals and log-likelihoods are numpy
+operations over these arrays.  Class sizes are doubles: products of
+binomial coefficients from a cached Pascal triangle, exact below 2**53,
+with a log-factorial fallback where they overflow.  Sums that feed gaps and
+likelihoods use math.fsum.  A dense ordered representation and the exact
+big-integer `class_size` are kept as small-n oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +33,11 @@ NEG_CLAMP = -1e-15
 
 # Dense ordered laws are permitted only while the flat index fits in 24 bits.
 DENSE_INDEX_BITS = 24
+
+# Largest n served by the Pascal table: C(1030, 515) exceeds the largest
+# double, so beyond it the bulk of the class sizes overflow anyway and all
+# rows take the log-factorial path.
+PASCAL_ROWS = 1029
 
 Occupancy = tuple  # tuple[int, ...] of per-state counts, summing to n
 
@@ -101,21 +112,35 @@ class EmpiricalLaw:
             raise InvalidArgumentError("empirical-law masses do not sum to 1")
 
 
-def _compositions(n: int, k: int) -> Iterator[Occupancy]:
-    # Canonical enumeration order: first coordinate descending, recursively.
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+@functools.lru_cache(maxsize=16)
+def occupancy_array(k: int, n: int) -> np.ndarray:
+    """All occupancy vectors of n particles over k states, one per row.
+
+    Canonical order: first coordinate descending, then recursively the
+    rest.  The result is cached and read-only.
+    """
+    # Each pass appends one coordinate: a row with r particles left expands
+    # to r + 1 rows taking r, r - 1, ..., 0 of them; the last coordinate
+    # takes whatever is left.
+    first = np.arange(n, -1, -1, dtype=np.int64)
+    cols, left = [first], n - first
+    for _ in range(k - 2):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        starts = np.cumsum(counts) - counts
+        taken = left[parent] - (np.arange(len(parent)) - starts[parent])
+        cols = [c[parent] for c in cols] + [taken]
+        left = left[parent] - taken
+    occ = np.stack(cols + [left], axis=1) if k > 1 else np.array([[n]], dtype=np.int64)
+    occ.flags.writeable = False
+    return occ
 
 
 def enumerate_occupancies(space: StateSpace, n: int) -> list:
     """All occupancy vectors of n particles over the space, in canonical order."""
     if n < 1:
         raise InvalidArgumentError(f"particle count must be >= 1, got {n}")
-    return list(_compositions(n, space.k))
+    return [tuple(m) for m in occupancy_array(space.k, n).tolist()]
 
 
 def occupancy_sort_key(m: Occupancy):
@@ -133,6 +158,55 @@ def class_size(m: Occupancy) -> int:
     for mi in m:
         size //= math.factorial(mi)
     return size
+
+
+def _build_pascal(rows: int) -> np.ndarray:
+    table = np.zeros((rows + 1, rows + 1))
+    table[:, 0] = 1.0
+    for a in range(1, rows + 1):
+        table[a, 1:a + 1] = table[a - 1, 1:a + 1] + table[a - 1, :a]
+    table.flags.writeable = False
+    return table
+
+
+# One Pascal table serves every n up to its size; it is rebuilt only when a
+# larger n asks, so a grid of n values holds one table, not one per n.
+_pascal = _build_pascal(0)
+
+
+def _binomials(n: int) -> np.ndarray:
+    global _pascal
+    if len(_pascal) <= n:
+        _pascal = _build_pascal(n)
+    return _pascal
+
+
+def _class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
+    """n! / prod(m_i!) per row as doubles, inf where it may overflow.
+
+    The multinomial is the product over i >= 1 of C(m_0 + ... + m_i, m_i),
+    each binomial from Pascal's triangle, exact below 2**53.
+    """
+    if n > PASCAL_ROWS:
+        return np.full(len(occ), np.inf)
+    binom = _binomials(n)
+    partial = np.cumsum(occ, axis=1)
+    sizes = np.ones(len(occ))
+    with np.errstate(over="ignore"):
+        for i in range(1, occ.shape[1]):
+            sizes *= binom[partial[:, i], occ[:, i]]
+    return sizes
+
+
+def _log_class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
+    """Natural log of the class sizes, via log-factorials where they overflow."""
+    sizes = _class_sizes(occ, n)
+    logs = np.log(sizes)
+    big = np.isinf(sizes)
+    if big.any():
+        lf = np.array([math.lgamma(a + 1) for a in range(n + 1)])
+        logs[big] = lf[n] - lf[occ[big]].sum(axis=1)
+    return logs
 
 
 def occupancy_of(space: StateSpace, s: Sequence) -> Occupancy:
@@ -181,7 +255,13 @@ class OrderedLaw:
 
 
 class SymmetricLaw:
-    """A symmetric law on S^n stored as mass per occupancy class."""
+    """A symmetric law on S^n stored as mass per occupancy class.
+
+    `occ` is the (S, k) int array of support classes in canonical
+    enumeration order and `p` the matching positive masses; both are
+    read-only.  `classes`, `items()` and `mass()` are dict views built on
+    first use.
+    """
 
     def __init__(self, space: StateSpace, n: int, classes: dict):
         if n < 1:
@@ -198,9 +278,33 @@ class SymmetricLaw:
                 clean[m] = mass
         if abs(math.fsum(clean.values()) - 1.0) > MASS_TOL:
             raise InvalidArgumentError("class masses do not sum to 1")
-        self.space = space
-        self.n = n
-        self.classes = dict(sorted(clean.items(), key=lambda kv: occupancy_sort_key(kv[0])))
+        order = sorted(clean, key=occupancy_sort_key)
+        self._set(space, n, np.array(order, dtype=np.int64),
+                  np.array([clean[m] for m in order]))
+
+    def _set(self, space, n, occ, p):
+        occ.flags.writeable = False
+        p.flags.writeable = False
+        self.space, self.n, self.occ, self.p = space, n, occ, p
+
+    @classmethod
+    def from_arrays(cls, space: StateSpace, n: int, occ: np.ndarray, p: np.ndarray):
+        """A law from distinct classes already in canonical order.
+
+        Classes with zero mass are dropped; the masses must sum to 1.
+        """
+        keep = p > 0.0
+        if not keep.all():
+            occ, p = occ[keep], p[keep]
+        if abs(float(np.sum(p)) - 1.0) > MASS_TOL:
+            raise InvalidArgumentError("class masses do not sum to 1")
+        law = cls.__new__(cls)
+        law._set(space, n, occ, p)
+        return law
+
+    @functools.cached_property
+    def classes(self) -> dict:
+        return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
 
     def mass(self, m: Occupancy) -> float:
         return self.classes.get(tuple(m), 0.0)
@@ -227,30 +331,46 @@ class SymmetricLaw:
         return SymmetricLaw(space, n, out)
 
 
-def _multinomial_times_powers(m: Occupancy, p: Sequence) -> float:
-    for pi, mi in zip(p, m):
-        if mi and pi == 0.0:
-            return 0.0
-    cs = class_size(m)
-    try:
-        mass = float(cs)
-    except OverflowError:
-        log_mass = math.lgamma(sum(m) + 1) - math.fsum(math.lgamma(mi + 1) for mi in m)
-        log_mass += math.fsum(mi * math.log(pi) for pi, mi in zip(p, m) if mi)
-        return math.exp(log_mass)
-    for pi, mi in zip(p, m):
-        mass *= pi**mi
-    return mass
-
-
 def product_law(p: Distribution, n: int) -> SymmetricLaw:
-    """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p)."""
+    """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p).
+
+    Class size times prod p_i^m_i in doubles; rows where the class size
+    overflows or a power underflows are redone in log space, and then the
+    whole law is renormalised.
+    """
     if n < 1:
         raise InvalidArgumentError("particle count must be >= 1")
-    classes = {
-        m: _multinomial_times_powers(m, p.p) for m in enumerate_occupancies(p.space, n)
-    }
-    return SymmetricLaw(p.space, n, classes)
+    occ = occupancy_array(p.space.k, n)
+    q = p.as_array()
+    sizes = _class_sizes(occ, n)
+    powers = np.prod(q ** occ, axis=1)
+    possible = ~(occ[:, q == 0.0] > 0).any(axis=1)
+    with np.errstate(invalid="ignore"):  # inf * 0 on impossible rows
+        mass = np.where(possible, sizes * powers, 0.0)
+    # Factors are <= 1, so a product of powers above the smallest normal
+    # double never passed through a subnormal on the way.
+    lost = possible & (np.isinf(sizes) | (powers < np.finfo(float).tiny))
+    if lost.any():
+        sub = occ[lost]
+        with np.errstate(divide="ignore"):
+            log_q = np.where(q > 0.0, np.log(q), 0.0)
+        mass[lost] = np.exp(_log_class_sizes(sub, n) + sub @ log_q)
+        mass /= math.fsum(mass.tolist())
+    return SymmetricLaw.from_arrays(p.space, n, occ, mass)
+
+
+def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> SymmetricLaw:
+    """The uniform law on the ordered states of the given classes.
+
+    `occ` holds distinct classes in canonical order; each gets mass
+    proportional to its class size.
+    """
+    sizes = _class_sizes(occ, n)
+    # Rescale in log space when a size, or only their sum, would overflow.
+    if not sizes.max() <= np.finfo(float).max / len(sizes):
+        logs = _log_class_sizes(occ, n)
+        sizes = np.exp(logs - logs.max())
+    return SymmetricLaw.from_arrays(space, n, occ, sizes / math.fsum(sizes.tolist()))
 
 
 def symmetrize(dense: OrderedLaw) -> SymmetricLaw:
@@ -284,33 +404,27 @@ def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
     """Law of the first j coordinates, again in occupancy form.
 
     An ordered j-tuple with counts c has probability
-        sum_m mass(m) * prod_i (m_i)_(c_i) / (n)_j
-    with falling factorials computed exactly.
+        sum_m mass(m) * prod_i (m_i)_(c_i) / (n)_j,
+    the chance of drawing that tuple without replacement from the class;
+    each weight is a product of draw probabilities (m_i - t) / (n - g) <= 1.
     """
     n = law.n
     if not 1 <= j <= n:
         raise InvalidArgumentError(f"marginal order {j} out of range 1..{n}")
     if j == n:
         return law
-    denom = math.perm(n, j)
-    items = list(law.items())
-    classes = {}
-    for c in enumerate_occupancies(law.space, j):
-        terms = []
-        for m, mass in items:
-            w = 1
-            for mi, ci in zip(m, c):
-                if ci > mi:
-                    w = 0
-                    break
-                if ci:
-                    w *= math.perm(mi, ci)
-            if w:
-                terms.append(mass * (w / denom))
-        ordered_prob = math.fsum(terms)
-        if ordered_prob > 0.0:
-            classes[c] = ordered_prob * class_size(c)
-    return SymmetricLaw(law.space, j, classes)
+    counts = law.occ.T.astype(float)
+    cls = occupancy_array(law.space.k, j)
+    ordered = np.empty(len(cls))
+    for row, c in enumerate(cls.tolist()):
+        w = law.p
+        drawn = 0
+        for i, ci in enumerate(c):
+            for t in range(ci):
+                w = w * ((counts[i] - t) / (n - drawn))
+                drawn += 1
+        ordered[row] = math.fsum(w.tolist())
+    return SymmetricLaw.from_arrays(law.space, j, cls, ordered * _class_sizes(cls, j))
 
 
 def tv_distance(a, b) -> float:
@@ -337,18 +451,8 @@ def specific_loglik(law: SymmetricLaw) -> float:
 
     In class form this is (1/n) * sum_m mass(m) log(mass(m) / class_size(m)).
     """
-    terms = []
-    for m, mass in law.items():
-        if mass > 0.0:
-            terms.append(mass * (math.log(mass) - _log_class_size(m)))
-    return math.fsum(terms) / law.n
-
-
-def _log_class_size(m: Occupancy) -> float:
-    cs = class_size(m)
-    if cs.bit_length() < 1000:
-        return math.log(cs)
-    return math.lgamma(sum(m) + 1) - math.fsum(math.lgamma(mi + 1) for mi in m)
+    terms = law.p * (np.log(law.p) - _log_class_sizes(law.occ, law.n))
+    return math.fsum(terms.tolist()) / law.n
 
 
 def empirical_distribution(space: StateSpace, m: Occupancy) -> Distribution:
@@ -368,12 +472,8 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
     """Expected TV distance between the empirical measure and p under the law."""
     if law.space != p.space:
         raise InvalidArgumentError("law and target on different spaces")
-    n = law.n
-    terms = [
-        mass * 0.5 * math.fsum(abs(mi / n - pi) for mi, pi in zip(m, p.p))
-        for m, mass in law.items()
-    ]
-    return math.fsum(terms)
+    dist = 0.5 * np.abs(law.occ / law.n - p.as_array()).sum(axis=1)
+    return math.fsum((law.p * dist).tolist())
 
 
 # JSON wire format for symmetric laws:

@@ -10,7 +10,7 @@ Gibbs one-particle law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,15 +19,16 @@ from .core import (
     Distribution,
     StateSpace,
     SymmetricLaw,
-    class_size,
-    enumerate_occupancies,
+    _uniform_on_classes,
     marginal,
     mean_empirical_tv,
+    occupancy_array,
     product_law,
     specific_loglik,
     tv_distance,
 )
 from .errors import (
+    ChaoslabError,
     DegenerateModelError,
     EmptyEnsembleError,
     InfeasibleEnergyError,
@@ -40,6 +41,8 @@ SLOPE_CUTOFF = -0.2
 # quantities; treating them as data would poison the log-log slope fit.
 ZERO_GAP = 1e-14
 SLOPE_ZERO = 1e-9
+# Largest |mean energy - E| accepted from the fitted Gibbs law.
+GIBBS_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,9 @@ class EnergyModel:
         object.__setattr__(self, "H", H)
         if len(H) != self.space.k:
             raise InvalidArgumentError("energy vector length != k")
+        # The exact window test in _in_window reads these as decimals.
+        if not all(math.isfinite(x) for x in H + (self.E, self.delta)):
+            raise InvalidArgumentError("energies, E and delta must be finite")
         if self.delta <= 0:
             raise InvalidArgumentError("window width delta must be positive")
 
@@ -119,15 +125,11 @@ def functional_gap(law, rho, phi1: Sequence, phi2: Sequence) -> float:
     k = law.space.k
     joint = np.zeros((k, k))
     for m, mass in pair.items():
-        per_point = mass / class_size(m)
-        support = [i for i, mi in enumerate(m) if mi]
-        if len(support) == 1:
-            u = support[0]
-            joint[u, u] += per_point
-        else:
-            u, v = support
-            joint[u, v] += per_point
-            joint[v, u] += per_point
+        # The class {u, v} holds the ordered pairs (u, v) and (v, u); for
+        # u == v both halves land on the one point (u, u).
+        u, v = [i for i, mi in enumerate(m) for _ in range(mi)]
+        joint[u, v] += mass / 2
+        joint[v, u] += mass / 2
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
     lhs = float(phi1 @ joint @ phi2)
@@ -174,6 +176,8 @@ def chaos_verdict(
     for n in grid:
         try:
             law = family(n)
+        except ChaoslabError as exc:
+            raise type(exc)(f"law family failed at n={n}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"law family failed at n={n}") from exc
         kg = None
@@ -193,30 +197,47 @@ def chaos_verdict(
     return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope, tol=tol)
 
 
-def mean_occupancy_energy(model: EnergyModel, m) -> float:
-    n = sum(m)
-    return math.fsum(mi * h for mi, h in zip(m, model.H)) / n
+def _in_window(model: EnergyModel, occ: np.ndarray, n: int) -> np.ndarray:
+    """Rows of `occ` whose mean energy lies in the open window, decided exactly.
+
+    H, E and delta are read as the decimals they print as; over a common
+    denominator D the test lo < occ.H / n < hi becomes the integer test
+    n*lo*D < occ.(H*D) < n*hi*D.
+    """
+    # Imported here: fractions pulls in decimal, which every other command
+    # would pay for at start-up.
+    from fractions import Fraction
+
+    H = [Fraction(str(h)) for h in model.H]
+    half = Fraction(str(model.delta)) / 2
+    lo, hi = Fraction(str(model.E)) - half, Fraction(str(model.E)) + half
+    D = math.lcm(*(x.denominator for x in H + [lo, hi]))
+    weights = [int(h * D) for h in H]
+    lo_n, hi_n = int(lo * D) * n, int(hi * D) * n
+    bound = n * max(abs(x) for x in weights + [lo_n, hi_n, 1])
+    if bound < 2**62:
+        energy = occ @ np.array(weights, dtype=np.int64)
+    else:
+        energy = occ.astype(object) @ np.array(weights, dtype=object)
+    return (lo_n < energy) & (energy < hi_n)
 
 
 def microcanonical(model: EnergyModel, n: int) -> SymmetricLaw:
     """Uniform law on ordered states with mean energy in the open window.
 
     Class mass is proportional to class size on qualifying occupancies, so
-    every ordered state in the support is exactly equiprobable.
+    every ordered state in the support is equiprobable.
     """
-    lo = model.E - model.delta / 2.0
-    hi = model.E + model.delta / 2.0
-    sizes = {}
-    for m in enumerate_occupancies(model.space, n):
-        if lo < mean_occupancy_energy(model, m) < hi:
-            sizes[m] = class_size(m)
-    if not sizes:
+    occ = occupancy_array(model.space.k, n)
+    inside = _in_window(model, occ, n)
+    if not inside.any():
+        lo = model.E - model.delta / 2.0
+        hi = model.E + model.delta / 2.0
         raise EmptyEnsembleError(
             f"no state of n={n} particles has mean energy in "
             f"({lo:g}, {hi:g}) for E={model.E:g}, delta={model.delta:g}"
         )
-    total = sum(sizes.values())
-    return SymmetricLaw(model.space, n, {m: cs / total for m, cs in sizes.items()})
+    return _uniform_on_classes(model.space, n, occ[inside])
 
 
 def _gibbs_weights(H: np.ndarray, beta: float) -> np.ndarray:
@@ -257,7 +278,12 @@ def fit_gibbs(model: EnergyModel):
         else:
             hi = beta
     gamma = Distribution(model.space, tuple(_gibbs_weights(H, beta)))
-    assert abs(float(gamma.as_array() @ H) - model.E) < 1e-10
+    residual = float(gamma.as_array() @ H) - model.E
+    if not abs(residual) < GIBBS_RESIDUAL_TOL:
+        raise InfeasibleEnergyError(
+            f"Gibbs fit misses mean energy {model.E:g}: residual {residual:.3g} "
+            f"at beta={beta:.17g}"
+        )
     return beta, gamma
 
 

@@ -55,3 +55,90 @@ def ordered_probs_of_law(law: SymmetricLaw) -> dict:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Dict and big-integer oracles for the array-backed operations: per-class
+# loops returning {occupancy: mass} dicts in canonical enumeration order.
+# Window membership in oracle_microcanonical is decided in exact rationals.
+
+
+def oracle_compositions(n, k):
+    # Canonical enumeration order: first coordinate descending, recursively.
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in oracle_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def oracle_product_law(p, n):
+    from chaoslab.core import class_size
+
+    out = {}
+    for m in oracle_compositions(n, len(p)):
+        mass = float(class_size(m))
+        for pi, mi in zip(p, m):
+            mass *= pi**mi
+        if mass > 0.0:
+            out[m] = mass
+    return out
+
+
+def oracle_marginal(classes, n, k, j):
+    from chaoslab.core import class_size
+
+    denom = math.perm(n, j)
+    out = {}
+    for c in oracle_compositions(j, k):
+        terms = []
+        for m, mass in classes.items():
+            w = 1
+            for mi, ci in zip(m, c):
+                if ci > mi:
+                    w = 0
+                    break
+                w *= math.perm(mi, ci)
+            if w:
+                terms.append(mass * (w / denom))
+        ordered_prob = math.fsum(terms)
+        if ordered_prob > 0.0:
+            out[c] = ordered_prob * class_size(c)
+    return out
+
+
+def oracle_specific_loglik(classes, n):
+    from chaoslab.core import class_size
+
+    terms = [mass * (math.log(mass) - math.log(class_size(m))) for m, mass in classes.items()]
+    return math.fsum(terms) / n
+
+
+def oracle_mean_empirical_tv(classes, n, p):
+    return math.fsum(
+        mass * 0.5 * math.fsum(abs(mi / n - pi) for mi, pi in zip(m, p))
+        for m, mass in classes.items()
+    )
+
+
+def oracle_tv_distance(a, b):
+    return 0.5 * math.fsum(abs(a.get(m, 0.0) - b.get(m, 0.0)) for m in set(a) | set(b))
+
+
+def oracle_microcanonical(H, E, delta, n):
+    """Class masses of the microcanonical law, or None for an empty window."""
+    from fractions import Fraction
+
+    from chaoslab.core import class_size
+
+    H = [Fraction(str(h)) for h in H]
+    half = Fraction(str(delta)) / 2
+    lo, hi = Fraction(str(E)) - half, Fraction(str(E)) + half
+    sizes = {}
+    for m in oracle_compositions(n, len(H)):
+        if lo < sum(mi * h for mi, h in zip(m, H)) / n < hi:
+            sizes[m] = class_size(m)
+    if not sizes:
+        return None
+    total = sum(sizes.values())
+    return {m: cs / total for m, cs in sizes.items()}

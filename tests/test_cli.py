@@ -212,3 +212,28 @@ class TestMicrocanonicalCommand:
         rc = main(["microcanonical", "--H", "0,1", "--E", "-3", "--delta", "0.1",
                    "--grid", "4,8,16", "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestFamilyErrors:
+    def test_empty_microcanonical_family_is_config_error(self, tmp_path, capsys):
+        rc = main(["diagnose", "--family", "microcanonical", "--H", "0,1,2", "--E", "0.05",
+                   "--delta", "0.01", "--grid", "3,4,5", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "n=3" in capsys.readouterr().err
+
+    def test_missing_custom_law_file_is_config_error(self, tmp_path, capsys):
+        rc = main(["diagnose", "--family", "custom", "--p", "0.5,0.5",
+                   "--law-dir", str(tmp_path / "absent"), "--grid", "3,4,5",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "n=3" in capsys.readouterr().err
+
+    def test_gibbs_fit_miss_is_config_error(self, tmp_path, monkeypatch):
+        import chaoslab.diagnostics as diagnostics
+
+        true_mean = diagnostics._gibbs_mean_energy
+        monkeypatch.setattr(diagnostics, "_gibbs_mean_energy",
+                            lambda H, beta: true_mean(H, beta) + 0.01)
+        rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+                   "--grid", "4,8,16", "--out", str(tmp_path)])
+        assert rc == 2

@@ -182,6 +182,13 @@ class TestMicrocanonical:
         with pytest.raises(EmptyEnsembleError, match="n=4"):
             microcanonical(model, 4)
 
+    @pytest.mark.parametrize("H, E, delta", [((0, 1), math.nan, 0.1),
+                                             ((0, math.inf), 0.5, 0.1),
+                                             ((0, 1), 0.5, math.inf)])
+    def test_non_finite_model_rejected(self, H, E, delta):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            EnergyModel(S2, H, E, delta)
+
     def test_uniform_per_ordered_point(self):
         model = EnergyModel(S3, (0, 1, 2), 0.8, 0.2)
         law = microcanonical(model, 12)
@@ -218,6 +225,15 @@ class TestFitGibbs:
             fit_gibbs(EnergyModel(S2, (0, 1), 1.5, 0.1))
         with pytest.raises(DegenerateModelError):
             fit_gibbs(EnergyModel(S2, (1, 1), 1.0, 0.1))
+
+    def test_postcondition_raises_with_residual(self, monkeypatch):
+        import chaoslab.diagnostics as diagnostics
+
+        true_mean = diagnostics._gibbs_mean_energy
+        monkeypatch.setattr(diagnostics, "_gibbs_mean_energy",
+                            lambda H, beta: true_mean(H, beta) + 0.01)
+        with pytest.raises(InfeasibleEnergyError, match="residual -0.01"):
+            fit_gibbs(EnergyModel(S3, (0, 1, 2), 0.8, 0.2))
 
 
 class TestMicrocanonicalLimit:
