@@ -4,12 +4,10 @@ __version__ = "0.1.0"
 
 from .core import (
     Distribution,
-    EmpiricalLaw,
     OrderedLaw,
     StateSpace,
     SymmetricLaw,
     class_size,
-    empirical_pushforward,
     enumerate_occupancies,
     law_from_json,
     law_to_json,
@@ -34,13 +32,9 @@ from .diagnostics import (
 )
 from .kernels import (
     ExchangeableKernel,
-    InducedKernel,
-    PairRule,
-    SumConservingRule,
     check_equivariance,
     counterexample_kernel,
     identity_kernel,
-    induced_transition,
     kac_collision_kernel,
     make_kernel,
     map_kernel,
@@ -49,11 +43,11 @@ from .kernels import (
     symmetrized_class_kernel,
 )
 from .meanfield import (
-    LimitMap,
+    PairRule,
+    SumConservingRule,
     continuity_probe,
     kac_limit_evolve,
     kac_limit_rhs,
-    make_limit_map,
     pushforward,
 )
 from .montecarlo import (

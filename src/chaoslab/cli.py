@@ -47,7 +47,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .kernels import kac_collision_kernel, make_kernel, propagate, symmetrized_class_kernel
-from .meanfield import kac_limit_evolve, make_limit_map, continuity_probe
+from .meanfield import kac_limit_evolve, continuity_probe
 from .montecarlo import ParticleState, iid_state, replica_rng, simulate_kac
 
 FMT = "%.17g"
@@ -221,8 +221,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_theorem_probe(args) -> int:
-    allowed = {"name", "kernel", "p", "grid", "tol", "seed", "out", "expect",
-               "replicas"}
+    allowed = {"name", "kernel", "p", "grid", "seed", "out", "replicas"}
     config = load_config(args, allowed)
     kernel_name = require(config, "kernel")
     p = parse_floats(str(require(config, "p")))
@@ -231,8 +230,6 @@ def cmd_theorem_probe(args) -> int:
     name = config.get("name", "theorem-probe")
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
-    limit = make_limit_map(kernel_name, space)
-    fp = limit.evaluate(rho)
     replicas = int(config.get("replicas", 4000))
 
     def damped_family(n):
@@ -249,8 +246,11 @@ def cmd_theorem_probe(args) -> int:
 
     lines = ["n,row_gap,product_gap,damped_gap,shell_gap"]
     row_gaps = []
+    fp = None
     for n in grid:
         kernel = make_kernel(kernel_name, space, n)
+        if fp is None:
+            fp = kernel.limit(rho)
         kw = {} if seed is None else {"seed": int(seed), "replicas": replicas}
         rows = symmetrized_class_kernel(kernel, **kw)
         row_law = SymmetricLaw(kernel.target, n, rows[quota_occupancy(rho, n)])
@@ -262,7 +262,8 @@ def cmd_theorem_probe(args) -> int:
         row_gaps.append(gap_row)
         lines.append(f"{n},{fmt(gap_row)},{fmt(gaps[0])},{fmt(gaps[1])},{fmt(gaps[2])}")
 
-    probe = continuity_probe(limit, rho, radius=0.1, samples=64,
+    # Every kernel of one spec carries the same limit; take the last one's.
+    probe = continuity_probe(kernel.limit, rho, radius=0.1, samples=64,
                              seed=int(seed) if seed is not None else 0)
     meta = {
         "config": {k: config[k] for k in sorted(config) if k != "out"},
@@ -279,14 +280,15 @@ def cmd_theorem_probe(args) -> int:
 
 
 def cmd_kac(args) -> int:
-    allowed = {"name", "p", "n", "replicas", "lam", "t", "seed", "out", "expect",
-               "grid", "tol"}
+    allowed = {"name", "p", "n", "replicas", "lam", "t", "seed", "out"}
     config = load_config(args, allowed)
     p = parse_floats(str(require(config, "p")))
     n = int(require(config, "n"))
     lam = float(config.get("lam", 1.0))
     t = float(config.get("t", 1.0))
     replicas = int(config.get("replicas", 200))
+    if replicas < 1:
+        raise ConfigError(f"need replicas >= 1, got {replicas}")
     name = config.get("name", "kac")
     space = StateSpace.of_size(len(p))
     p0 = Distribution(space, p)
@@ -296,8 +298,14 @@ def cmd_kac(args) -> int:
     lines = [header]
     lines.append("ode,0," + ",".join(fmt(x) for x in ode.p))
 
-    if n <= 12:
-        kernel = kac_collision_kernel(space, lam, t, n)
+    # The exact row appears exactly when the kernel has a class matrix at
+    # this n; asking for it first keeps product_law off the large-n path.
+    kernel = kac_collision_kernel(space, lam, t, n)
+    try:
+        symmetrized_class_kernel(kernel)
+    except CapacityError:
+        pass
+    else:
         one = marginal(propagate(product_law(p0, n), kernel), 1)
         exact_p = Distribution(space, tuple(one.mass(tuple(
             1 if j == i else 0 for j in range(space.k))) for i in range(space.k)))
@@ -357,14 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="JSON config file")
     shared.add_argument("--out", help="output directory (default .)")
     shared.add_argument("--seed", type=int, help="master RNG seed")
-    shared.add_argument("--grid", help="comma-separated increasing n values")
-    shared.add_argument("--tol", type=float, help="chaos verdict tolerance")
-    shared.add_argument("--expect", choices=["chaotic", "not-chaotic", "inconclusive"])
     shared.add_argument("--name", help="experiment name (output file stem)")
+    gridded = argparse.ArgumentParser(add_help=False)
+    gridded.add_argument("--grid", help="comma-separated increasing n values")
+    judged = argparse.ArgumentParser(add_help=False)
+    judged.add_argument("--tol", type=float, help="chaos verdict tolerance")
+    judged.add_argument("--expect", choices=["chaotic", "not-chaotic", "inconclusive"])
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("diagnose", parents=[shared])
+    d = sub.add_parser("diagnose", parents=[shared, gridded, judged])
     d.add_argument("--family", choices=["product", "mixture", "microcanonical", "custom"])
     d.add_argument("--p", help="comma-separated probabilities")
     d.add_argument("--H", help="comma-separated per-state energies")
@@ -373,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--law-dir", dest="law_dir", help="directory of <n>.json laws")
     d.set_defaults(func=cmd_diagnose)
 
-    c = sub.add_parser("counterexample", parents=[shared])
+    c = sub.add_parser("counterexample", parents=[shared, gridded, judged])
     c.add_argument("--p", help="product-branch input law")
     c.set_defaults(func=cmd_counterexample)
 
-    tp = sub.add_parser("theorem-probe", parents=[shared])
+    tp = sub.add_parser("theorem-probe", parents=[shared, gridded])
     tp.add_argument("--kernel", help="kernel registry name")
     tp.add_argument("--p", help="target one-particle law")
     tp.add_argument("--replicas", type=int, help="samples per row on the MC path")
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     kc.add_argument("--t", type=float, help="time horizon")
     kc.set_defaults(func=cmd_kac)
 
-    mc = sub.add_parser("microcanonical", parents=[shared])
+    mc = sub.add_parser("microcanonical", parents=[shared, gridded, judged])
     mc.add_argument("--H", help="comma-separated per-state energies")
     mc.add_argument("--E", type=float, help="target mean energy")
     mc.add_argument("--delta", type=float, help="energy window width")

@@ -79,6 +79,8 @@ class Distribution:
         p = tuple(float(x) for x in self.p)
         if len(p) != self.space.k:
             raise InvalidArgumentError("probability vector length != k")
+        if not all(math.isfinite(x) for x in p):
+            raise InvalidArgumentError("non-finite probability entry")
         if any(x < NEG_CLAMP for x in p):
             raise InvalidArgumentError("negative probability entry")
         p = tuple(0.0 if x < 0.0 else x for x in p)
@@ -98,18 +100,6 @@ class Distribution:
         p = [0.0] * space.k
         p[i] = 1.0
         return Distribution(space, tuple(p))
-
-
-@dataclass(frozen=True)
-class EmpiricalLaw:
-    """A finitely supported law on P(S): atoms are (Distribution, mass)."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        total = math.fsum(mass for _, mass in self.atoms)
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidArgumentError("empirical-law masses do not sum to 1")
 
 
 @functools.lru_cache(maxsize=16)
@@ -453,19 +443,6 @@ def specific_loglik(law: SymmetricLaw) -> float:
     """
     terms = law.p * (np.log(law.p) - _log_class_sizes(law.occ, law.n))
     return math.fsum(terms.tolist()) / law.n
-
-
-def empirical_distribution(space: StateSpace, m: Occupancy) -> Distribution:
-    n = sum(m)
-    return Distribution(space, tuple(mi / n for mi in m))
-
-
-def empirical_pushforward(law: SymmetricLaw) -> EmpiricalLaw:
-    """Pushforward of the law under the empirical-measure map s -> eps_n(s)."""
-    atoms = tuple(
-        (empirical_distribution(law.space, m), mass) for m, mass in law.items()
-    )
-    return EmpiricalLaw(atoms)
 
 
 def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:

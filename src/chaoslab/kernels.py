@@ -2,9 +2,15 @@
 
 A kernel K_n from S^n to T^n with K_n(pi.s, pi.A) = K_n(s, A) has a
 symmetrized class form: one row per source occupancy, each row a law over
-target occupancies.  That class matrix doubles as the induced transition
-on empirical measures, and mixing a symmetric input law against it is the
-exact propagation step.
+target occupancies.  In occupancy form an empirical measure is its class
+m <-> m/n, so that class matrix is also the induced transition on
+empirical measures, and mixing a symmetric input law against it
+(`propagate`) is the exact propagation step.
+
+Each constructor here is the one spec of its dynamics: next to the
+n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
+the kernel must propagate chaos toward.  `make_kernel` is the only parser
+of the kernel names.
 """
 
 from __future__ import annotations
@@ -12,72 +18,33 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
 
 from .core import (
     Distribution,
-    EmpiricalLaw,
     Occupancy,
     StateSpace,
     SymmetricLaw,
-    empirical_distribution,
     enumerate_occupancies,
     occupancy_of,
-    occupancy_sort_key,
 )
 from .errors import CapacityError, EquivarianceError, InvalidArgumentError
+from .meanfield import (
+    PairRule,
+    SumConservingRule,
+    check_rate_and_time,
+    kac_limit_evolve,
+    pushforward,
+)
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
-DEFAULT_N_EXACT = 12
+# Largest n for which the dense Kac class matrix exponential is built.
+KAC_EXACT_MAX_N = 12
 DEFAULT_SAMPLE_REPLICAS = 4000
-
-
-class PairRule:
-    """A symmetric stochastic map on pairs of states.
-
-    `outcomes(u, w)` lists ((a, b), prob) for the post-collision ordered pair.
-    Symmetry requirement: the unordered outcome law must not depend on the
-    order of (u, w).
-    """
-
-    def outcomes(self, u: int, w: int):
-        raise NotImplementedError
-
-    def sample(self, u: int, w: int, rng) -> tuple:
-        outs = self.outcomes(u, w)
-        r = rng.random()
-        acc = 0.0
-        for (a, b), pr in outs:
-            acc += pr
-            if r < acc:
-                return a, b
-        return outs[-1][0]
-
-
-class SumConservingRule(PairRule):
-    """Resample uniformly among ordered pairs with the same label sum.
-
-    A discrete caricature of an energy-conserving collision: the pair
-    (u, w) becomes any (a, b) with a + b = u + w, all equally likely.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self._table = {}
-        for total in range(2 * k - 1):
-            admissible = [
-                (a, total - a)
-                for a in range(max(0, total - k + 1), min(k - 1, total) + 1)
-            ]
-            pr = 1.0 / len(admissible)
-            self._table[total] = [(ab, pr) for ab in admissible]
-
-    def outcomes(self, u: int, w: int):
-        return self._table[u + w]
 
 
 class ExchangeableKernel:
@@ -87,6 +54,9 @@ class ExchangeableKernel:
       ordered_law(s) -> dict ordered-tuple -> prob   (exact, small spaces)
       sample(s, rng) -> ordered tuple                (Monte Carlo)
       class matrix: occupancy -> law over occupancies (exact symmetrized form)
+
+    `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
+    kernel propagates chaos toward.
     """
 
     def __init__(
@@ -99,6 +69,7 @@ class ExchangeableKernel:
         sampler: Optional[Callable] = None,
         class_rows_builder: Optional[Callable] = None,
         validate: bool = True,
+        limit: Optional[Callable[[Distribution], Distribution]] = None,
     ):
         if n < 1:
             raise InvalidArgumentError("particle count must be >= 1")
@@ -108,6 +79,7 @@ class ExchangeableKernel:
         self.name = name
         self.ordered_law = ordered_law
         self.sampler = sampler
+        self.limit = limit
         self._class_rows_builder = class_rows_builder
         self._class_rows = None
         if validate and ordered_law is not None:
@@ -141,29 +113,6 @@ class EquivarianceReport:
     max_violation: float
     mode: str
     checks: int
-
-
-@dataclass
-class InducedKernel:
-    """Transition on empirical measures, one row per source occupancy."""
-
-    source: StateSpace
-    target: StateSpace
-    n: int
-    rows: dict
-
-    def apply(self, emp: EmpiricalLaw) -> EmpiricalLaw:
-        out: dict = {}
-        for atom, mass in emp.atoms:
-            m = tuple(int(round(q * self.n)) for q in atom.p)
-            for m2, pr in self.rows[m].items():
-                out[m2] = out.get(m2, 0.0) + mass * pr
-        atoms = tuple(
-            (empirical_distribution(self.target, m2), w)
-            for m2, w in sorted(out.items(), key=lambda kv: occupancy_sort_key(kv[0]))
-            if w > 0.0
-        )
-        return EmpiricalLaw(atoms)
 
 
 def class_representative(m: Occupancy) -> tuple:
@@ -290,18 +239,10 @@ def symmetrized_class_kernel(
         return kernel.class_rows()
     except CapacityError:
         if kernel.sampler is not None and seed is not None:
+            if replicas < 1:
+                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}")
             return _rows_from_sampler(kernel, seed, replicas)
         raise
-
-
-def induced_transition(kernel: ExchangeableKernel, **kwargs) -> InducedKernel:
-    """The transition on empirical measures induced via uniform orbit draws.
-
-    Averaging K_n(s, eps^{-1}(.)) over the uniform law on an occupancy's
-    orbit gives back the symmetrized class row, again by equivariance.
-    """
-    rows = symmetrized_class_kernel(kernel, **kwargs)
-    return InducedKernel(kernel.source, kernel.target, kernel.n, rows)
 
 
 def propagate(law: SymmetricLaw, kernel: ExchangeableKernel, **kwargs) -> SymmetricLaw:
@@ -322,7 +263,8 @@ def map_kernel(
     """Deterministic kernel applying a state map coordinatewise.
 
     `f` maps source state indices to target state indices (callable or
-    sequence).  The class row is the occupancy pushforward.
+    sequence).  The class row is the occupancy pushforward and the limit
+    the one-particle pushforward.
     """
     target = target or source
     fmap = [int(f(s)) if callable(f) else int(f[s]) for s in range(source.k)]
@@ -354,6 +296,7 @@ def map_kernel(
         sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
+        limit=lambda p: pushforward(p, fmap, target),
     )
 
 
@@ -369,13 +312,17 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
     Sends the all-zero state to itself and every other state to all-ones;
     depends on s only through a symmetric predicate, so it is equivariant.
     Propagates product laws to chaotic outputs but destroys chaoticity of
-    other delta_0-chaotic inputs.  Time-homogeneous: t is ignored.
+    other delta_0-chaotic inputs.  Its limit sends delta_0 to itself and
+    every other law to delta_1, so it is discontinuous at delta_0.
+    Time-homogeneous: t is ignored.
     """
     if n < 1:
         raise InvalidArgumentError("particle count must be >= 1")
     space = StateSpace.of_size(2)
     zeros = (0,) * n
     ones = (1,) * n
+    delta0 = Distribution.point_mass(space, 0)
+    delta1 = Distribution.point_mass(space, 1)
 
     def ordered_law(s):
         return {zeros if tuple(s) == zeros else ones: 1.0}
@@ -398,6 +345,7 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
         sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
+        limit=lambda p: delta0 if p.p[0] == 1.0 else delta1,
     )
 
 
@@ -433,18 +381,17 @@ def kac_collision_kernel(
     t: float,
     n: int,
     pair_rule: Optional[PairRule] = None,
-    n_exact: int = DEFAULT_N_EXACT,
 ) -> ExchangeableKernel:
     """Kac-style random pairwise collision chain over time t.
 
     Uniformized continuous-time chain: with per-pair rate lam/n (total rate
     lam*(n-1)/2) a uniform unordered pair of particles collides and is
     resampled by the pair rule.  The exact class matrix is the matrix
-    exponential of the class-level generator, offered for n <= n_exact;
-    larger n is Monte Carlo only.
+    exponential of the class-level generator, offered for
+    n <= KAC_EXACT_MAX_N; larger n is Monte Carlo only.  The limit is the
+    collision ODE of the same pair rule run for time t.
     """
-    if lam <= 0 or t < 0:
-        raise InvalidArgumentError("need lam > 0 and t >= 0")
+    check_rate_and_time(lam, t)
     if n < 2:
         raise InvalidArgumentError("collisions need at least two particles")
     rule = pair_rule or SumConservingRule(space.k)
@@ -461,9 +408,9 @@ def kac_collision_kernel(
         return tuple(state)
 
     def build_rows():
-        if n > n_exact:
+        if n > KAC_EXACT_MAX_N:
             raise CapacityError(
-                f"exact Kac class matrix limited to n <= {n_exact}, got n={n}"
+                f"exact Kac class matrix limited to n <= {KAC_EXACT_MAX_N}, got n={n}"
             )
         occupancies = enumerate_occupancies(space, n)
         index = {m: i for i, m in enumerate(occupancies)}
@@ -483,6 +430,7 @@ def kac_collision_kernel(
         sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
+        limit=lambda p: kac_limit_evolve(p, lam, t, rule=rule),
     )
 
 
@@ -494,22 +442,38 @@ def orbit_sample(zeta: Occupancy, seed) -> tuple:
     return tuple(state)
 
 
+def _spec_values(name: str, text: str, convert) -> list:
+    try:
+        return [convert(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(f"malformed kernel spec {name!r}") from None
+
+
 def make_kernel(name: str, space: StateSpace, n: int) -> ExchangeableKernel:
-    """Kernel registry: identity, map:<i,j,...>, counterexample, kac:<lam>,<t>."""
+    """Kernel registry: identity, map:<i,j,...>, counterexample, kac:<lam>,<t>.
+
+    The only parser of these names; any malformed name raises
+    InvalidArgumentError.  A map's target is the source space when every
+    image fits in it, else the space of size max(image) + 1.
+    """
+    kind, _, spec = name.partition(":")
     if name == "identity":
         return identity_kernel(space, n)
     if name == "counterexample":
         if space.k != 2:
             raise InvalidArgumentError("counterexample kernel lives on a 2-state space")
         return counterexample_kernel(n)
-    if name.startswith("map:"):
-        fmap = [int(x) for x in name[len("map:") :].split(",")]
+    if kind == "map":
+        fmap = _spec_values(name, spec, int)
         if len(fmap) != space.k:
             raise InvalidArgumentError("map spec length != k")
         target_k = max(fmap) + 1
         target = space if target_k <= space.k else StateSpace.of_size(target_k)
-        return map_kernel(fmap, n, space, target if target_k != space.k else space)
-    if name.startswith("kac:"):
-        lam_s, t_s = name[len("kac:") :].split(",")
-        return kac_collision_kernel(space, float(lam_s), float(t_s), n)
+        return map_kernel(fmap, n, space, target)
+    if kind == "kac":
+        values = _spec_values(name, spec, float)
+        if len(values) != 2:
+            raise InvalidArgumentError(f"kac spec needs kac:<lam>,<t>, got {name!r}")
+        lam, t = values
+        return kac_collision_kernel(space, lam, t, n)
     raise InvalidArgumentError(f"unknown kernel name {name!r}")

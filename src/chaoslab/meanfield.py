@@ -1,9 +1,12 @@
 """One-particle limit maps for the bundled particle dynamics.
 
-Deterministic coordinatewise maps push a one-particle law forward exactly;
-the Kac collision chain gets a Boltzmann-type quadratic ODE whose collision
-kernel is the expected one-particle marginal of the pair rule.  The ODE
-form is validated against particle simulation, not assumed.
+Each kernel constructor in `kernels` sets `kernel.limit` from the maps
+here: a deterministic coordinatewise map pushes a one-particle law forward
+exactly, and the Kac collision chain gets a Boltzmann-type quadratic ODE
+whose collision kernel is the expected one-particle marginal of its pair
+rule.  The pair rules live here because both the n-particle chain and the
+ODE are derived from them.  The ODE form is validated against particle
+simulation, not assumed.
 """
 
 from __future__ import annotations
@@ -16,20 +19,59 @@ import numpy as np
 
 from .core import Distribution, StateSpace, tv_distance
 from .errors import IntegrationError, InvalidArgumentError
-from .kernels import PairRule, SumConservingRule
 
 DEFAULT_DT = 1e-3
 SIMPLEX_DRIFT_LIMIT = 1e-6
 
 
-@dataclass(frozen=True)
-class LimitMap:
-    """A map P(S) -> P(T) evaluated pointwise on distributions."""
+class PairRule:
+    """A symmetric stochastic map on pairs of states.
 
-    kind: str
-    source: StateSpace
-    target: StateSpace
-    evaluate: Callable[[Distribution], Distribution]
+    `outcomes(u, w)` lists ((a, b), prob) for the post-collision ordered pair.
+    Symmetry requirement: the unordered outcome law must not depend on the
+    order of (u, w).
+    """
+
+    def outcomes(self, u: int, w: int):
+        raise NotImplementedError
+
+    def sample(self, u: int, w: int, rng) -> tuple:
+        outs = self.outcomes(u, w)
+        r = rng.random()
+        acc = 0.0
+        for (a, b), pr in outs:
+            acc += pr
+            if r < acc:
+                return a, b
+        return outs[-1][0]
+
+
+class SumConservingRule(PairRule):
+    """Resample uniformly among ordered pairs with the same label sum.
+
+    A discrete caricature of an energy-conserving collision: the pair
+    (u, w) becomes any (a, b) with a + b = u + w, all equally likely.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._table = {}
+        for total in range(2 * k - 1):
+            admissible = [
+                (a, total - a)
+                for a in range(max(0, total - k + 1), min(k - 1, total) + 1)
+            ]
+            pr = 1.0 / len(admissible)
+            self._table[total] = [(ab, pr) for ab in admissible]
+
+    def outcomes(self, u: int, w: int):
+        return self._table[u + w]
+
+
+def check_rate_and_time(lam: float, t: float) -> None:
+    """Reject a collision rate or time horizon that is not finite and in range."""
+    if not (0 < lam < math.inf and 0 <= t < math.inf):
+        raise InvalidArgumentError(f"need finite lam > 0 and t >= 0, got lam={lam}, t={t}")
 
 
 def pushforward(p: Distribution, f, target: Optional[StateSpace] = None) -> Distribution:
@@ -79,8 +121,9 @@ def kac_limit_evolve(
     Tiny negative drift (< 1e-12) is clamped and renormalized; anything
     leaving the simplex further than 1e-6 aborts with advice to shrink dt.
     """
-    if dt <= 0 or t < 0:
-        raise InvalidArgumentError("need dt > 0 and t >= 0")
+    check_rate_and_time(lam, t)
+    if not dt > 0:
+        raise InvalidArgumentError("need dt > 0")
     if t == 0:
         return p0
     kappa = collision_marginal_tensor(p0.space.k, rule)
@@ -111,9 +154,13 @@ class ContinuityReport:
 
 
 def continuity_probe(
-    F: LimitMap, p: Distribution, radius: float, samples: int, seed
+    F: Callable[[Distribution], Distribution],
+    p: Distribution,
+    radius: float,
+    samples: int,
+    seed,
 ) -> ContinuityReport:
-    """Empirical local modulus of continuity of F at p.
+    """Empirical local modulus of continuity of a limit map F at p.
 
     Samples laws q with tv(p, q) <= radius and reports the largest
     tv(F(p), F(q)) observed.
@@ -122,7 +169,7 @@ def continuity_probe(
         raise InvalidArgumentError("radius must lie in (0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = p.space.k
-    fp = F.evaluate(p)
+    fp = F(p)
     modulus = 0.0
     for _ in range(samples):
         r = Distribution(p.space, tuple(rng.dirichlet(np.ones(k))))
@@ -133,41 +180,5 @@ def continuity_probe(
         q = Distribution(
             p.space, tuple((1 - alpha) * np.asarray(p.p) + alpha * r.as_array())
         )
-        modulus = max(modulus, tv_distance(F.evaluate(q), fp))
+        modulus = max(modulus, tv_distance(F(q), fp))
     return ContinuityReport(radius=radius, modulus=modulus, samples=samples)
-
-
-def make_limit_map(name: str, space: StateSpace) -> LimitMap:
-    """Limit-map registry mirroring the kernel names."""
-    if name == "identity":
-        return LimitMap("identity", space, space, lambda p: p)
-    if name.startswith("pushforward:") or name.startswith("map:"):
-        spec = name.split(":", 1)[1]
-        fmap = [int(x) for x in spec.split(",")]
-        if len(fmap) != space.k:
-            raise InvalidArgumentError("map spec length != k")
-        target_k = max(fmap) + 1
-        target = space if target_k <= space.k else StateSpace.of_size(target_k)
-        return LimitMap(
-            f"pushforward:{spec}",
-            space,
-            target,
-            lambda p: pushforward(p, fmap, target),
-        )
-    if name.startswith("kac:"):
-        lam_s, t_s = name[len("kac:") :].split(",")
-        lam, t = float(lam_s), float(t_s)
-        return LimitMap(
-            name, space, space, lambda p: kac_limit_evolve(p, lam, t)
-        )
-    if name == "counterexample":
-        if space.k != 2:
-            raise InvalidArgumentError("counterexample limit map lives on k=2")
-        delta0 = Distribution(space, (1.0, 0.0))
-        delta1 = Distribution(space, (0.0, 1.0))
-
-        def evaluate(p: Distribution) -> Distribution:
-            return delta0 if p.p[0] == 1.0 else delta1
-
-        return LimitMap("counterexample", space, space, evaluate)
-    raise InvalidArgumentError(f"unknown limit map {name!r}")

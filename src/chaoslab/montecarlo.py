@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Distribution, StateSpace
 from .errors import InvalidArgumentError
-from .kernels import PairRule, SumConservingRule
+from .meanfield import PairRule, SumConservingRule, check_rate_and_time
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def simulate_kac(
     n = start.n
     if n < 2:
         raise InvalidArgumentError("collisions need at least two particles")
-    if lam <= 0 or t < 0:
-        raise InvalidArgumentError("need lam > 0 and t >= 0")
+    check_rate_and_time(lam, t)
     rng = _as_rng(seed)
     rule = pair_rule or SumConservingRule(len(start.counts))
     counts = list(start.counts)

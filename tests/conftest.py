@@ -1,15 +1,20 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from chaoslab import (
     Distribution,
     OrderedLaw,
     StateSpace,
+    SumConservingRule,
     SymmetricLaw,
     enumerate_occupancies,
+    symmetrize,
+    to_dense,
 )
 
 
@@ -50,6 +55,50 @@ def ordered_probs_of_law(law: SymmetricLaw) -> dict:
         if mass:
             out[s] = mass / class_size(m)
     return out
+
+
+def flat_index(s, k):
+    """OrderedLaw's flat index: the first coordinate is most significant."""
+    idx = 0
+    for si in s:
+        idx = idx * k + si
+    return idx
+
+
+def ordered_law_matrix(kernel) -> np.ndarray:
+    """Dense transition matrix over ordered states from a kernel's ordered_law."""
+    k, kt, n = kernel.source.k, kernel.target.k, kernel.n
+    M = np.zeros((k**n, kt**n))
+    for i, s in enumerate(itertools.product(range(k), repeat=n)):
+        for t, pr in kernel.ordered_law(s).items():
+            M[i, flat_index(t, kt)] += pr
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def dense_kac_matrix(k, n, lam, t) -> np.ndarray:
+    """Ordered-state oracle for the Kac chain with SumConservingRule(k).
+
+    Each ordered pair i < j of particles collides at rate lam/n and is
+    resampled by the pair rule; the transition matrix over time t is
+    expm(t * Q) of that generator on all k^n ordered states.
+    """
+    rule = SumConservingRule(k)
+    rate = lam / n
+    Q = np.zeros((k**n, k**n))
+    for idx, s in enumerate(itertools.product(range(k), repeat=n)):
+        for i, j in itertools.combinations(range(n), 2):
+            for (a, b), pr in rule.outcomes(s[i], s[j]):
+                s2 = list(s)
+                s2[i], s2[j] = a, b
+                Q[idx, flat_index(s2, k)] += rate * pr
+            Q[idx, idx] -= rate
+    return expm(t * Q)
+
+
+def propagate_dense(law: SymmetricLaw, target: StateSpace, M: np.ndarray) -> SymmetricLaw:
+    """Oracle for propagate: expand the law, step it with an ordered matrix, symmetrize."""
+    return symmetrize(OrderedLaw(target, law.n, to_dense(law).probs @ M))
 
 
 @pytest.fixture

@@ -83,6 +83,12 @@ class TestDiagnose:
         assert (tmp_path / "cliwins.csv").exists()
         assert not (tmp_path / "fromfile.csv").exists()
 
+    def test_non_finite_probability_is_config_error(self, tmp_path):
+        rc = main(["diagnose", "--family", "product", "--p", "nan,1",
+                   "--grid", "4,8", "--out", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "diagnose.meta.json").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": "mixture", "grid": "4,8,16",
@@ -158,6 +164,20 @@ class TestTheoremProbe:
         _, meta = read_run(tmp_path, "theorem-probe")
         assert meta["discontinuity_flag"] is True
 
+    @pytest.mark.parametrize("spec", ["kac:1", "kac:x,1", "kac:1,1,1", "kac:1,nan",
+                                      "map:a,b", "map:-1,0", "pushforward:1,0", "bogus"])
+    def test_malformed_kernel_is_config_error(self, tmp_path, capsys, spec):
+        rc = main(["theorem-probe", "--kernel", spec, "--p", "0.5,0.5",
+                   "--grid", "4,8", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    def test_sampled_rows_need_replicas(self, tmp_path):
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.5",
+                   "--grid", "14", "--seed", "1", "--replicas", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_capacity_exit_code(self, tmp_path):
         # exact Kac rows stop at n = 12 and no seed means no MC fallback
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.5",
@@ -183,6 +203,21 @@ class TestKacCommand:
     def test_seed_required(self, tmp_path):
         assert main(["kac", "--p", "0.5,0.5", "--n", "8",
                      "--out", str(tmp_path)]) == 2
+
+    def test_exact_row_only_with_class_matrix(self, tmp_path):
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "13", "--replicas", "4",
+                   "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        csv, _ = read_run(tmp_path, "kac")
+        assert [line.split(",")[0] for line in csv.splitlines()[1:]] == ["ode", "mc"]
+
+    @pytest.mark.parametrize("option", [["--t", "nan"], ["--t", "inf"], ["--lam", "nan"],
+                                        ["--replicas", "0"]])
+    def test_bad_inputs_are_config_errors(self, tmp_path, capsys, option):
+        rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1",
+                   "--out", str(tmp_path)] + option)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
 
     def test_seeded_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -237,3 +272,31 @@ class TestFamilyErrors:
         rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
                    "--grid", "4,8,16", "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestIgnoredOptionsRejected:
+    """--grid, --tol and --expect exist only on the subcommands that read them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--grid", "4,8"],
+        ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--tol", "0.1"],
+        ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--expect", "chaotic"],
+        ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5", "--grid", "4",
+         "--tol", "0.1"],
+        ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5", "--grid", "4",
+         "--expect", "chaotic"],
+    ])
+    def test_flag_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, doc", [
+        ("kac", {"p": "0.5,0.5", "n": 8, "seed": 1, "tol": 0.1}),
+        ("theorem-probe", {"kernel": "identity", "p": "0.5,0.5", "grid": "4",
+                           "expect": "chaotic"}),
+    ])
+    def test_config_key_is_config_error(self, tmp_path, command, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -12,7 +12,6 @@ from chaoslab import (
     StateSpace,
     SymmetricLaw,
     class_size,
-    empirical_pushforward,
     enumerate_occupancies,
     law_from_json,
     law_to_json,
@@ -226,20 +225,6 @@ class TestSpecificLoglik:
             )
 
 
-class TestEmpiricalPushforward:
-    def test_point_class(self):
-        emp = empirical_pushforward(SymmetricLaw(S2, 3, {(2, 1): 1.0}))
-        assert len(emp.atoms) == 1
-        atom, mass = emp.atoms[0]
-        assert mass == 1.0
-        assert atom.p == (2 / 3, 1 / 3)
-
-    def test_binomial_atoms(self):
-        emp = empirical_pushforward(product_law(HALF, 2))
-        masses = {atom.p: mass for atom, mass in emp.atoms}
-        assert masses == {(1.0, 0.0): 0.25, (0.5, 0.5): 0.5, (0.0, 1.0): 0.25}
-
-
 class TestMeanEmpiricalTv:
     def test_binomial_exact(self):
         assert mean_empirical_tv(product_law(HALF, 4), HALF) == pytest.approx(
@@ -254,6 +239,14 @@ class TestMeanEmpiricalTv:
         point = Distribution(S2, (1.0, 0.0))
         for n in (1, 5, 17):
             assert mean_empirical_tv(product_law(point, n), point) == 0.0
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("p", [(math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf),
+                                   (1.0, 0.2), (-0.1, 1.1)])
+    def test_rejects_bad_entries(self, p):
+        with pytest.raises(InvalidArgumentError):
+            Distribution(S2, p)
 
 
 class TestMassConservation:

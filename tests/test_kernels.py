@@ -6,15 +6,15 @@ import pytest
 
 from chaoslab import (
     Distribution,
+    PairRule,
     StateSpace,
     SymmetricLaw,
     check_equivariance,
     counterexample_kernel,
-    empirical_pushforward,
     enumerate_occupancies,
     identity_kernel,
-    induced_transition,
     kac_collision_kernel,
+    kac_limit_evolve,
     make_kernel,
     map_kernel,
     marginal,
@@ -29,7 +29,12 @@ from chaoslab import (
 from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentError
 from chaoslab.kernels import ExchangeableKernel, SumConservingRule, _kac_event_matrix
 
-from conftest import random_symmetric_law
+from conftest import (
+    dense_kac_matrix,
+    ordered_law_matrix,
+    propagate_dense,
+    random_symmetric_law,
+)
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -143,20 +148,22 @@ class TestSymmetrizedClassKernel:
 
 
 class TestInducedTransition:
+    """The class rows are the induced transition on empirical measures m/n."""
+
     def test_identity(self):
-        induced = induced_transition(identity_kernel(S2, 3))
+        rows = symmetrized_class_kernel(identity_kernel(S2, 3))
         for m in enumerate_occupancies(S2, 3):
-            assert induced.rows[m] == {m: 1.0}
+            assert rows[m] == {m: 1.0}
 
     def test_counterexample(self):
-        induced = induced_transition(counterexample_kernel(3))
-        assert induced.rows[(3, 0)] == {(3, 0): 1.0}
-        assert induced.rows[(1, 2)] == {(0, 3): 1.0}
+        rows = symmetrized_class_kernel(counterexample_kernel(3))
+        assert rows[(3, 0)] == {(3, 0): 1.0}
+        assert rows[(1, 2)] == {(0, 3): 1.0}
 
     def test_kac_rows_stochastic(self):
         for n in (4, 8, 12):
-            induced = induced_transition(kac_collision_kernel(S3, 1.0, 0.7, n))
-            for m, row in induced.rows.items():
+            rows = symmetrized_class_kernel(kac_collision_kernel(S3, 1.0, 0.7, n))
+            for m, row in rows.items():
                 assert abs(math.fsum(row.values()) - 1.0) < 1e-12
                 assert all(pr >= 0.0 for pr in row.values())
 
@@ -271,10 +278,10 @@ class TestKacKernel:
             symmetrized_class_kernel(kernel)
 
     def test_invalid_rates(self):
-        with pytest.raises(InvalidArgumentError):
-            kac_collision_kernel(S3, -1.0, 1.0, 4)
-        with pytest.raises(InvalidArgumentError):
-            kac_collision_kernel(S3, 1.0, -0.1, 4)
+        for lam, t in [(-1.0, 1.0), (1.0, -0.1), (math.nan, 1.0), (math.inf, 1.0),
+                       (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(InvalidArgumentError):
+                kac_collision_kernel(S3, lam, t, 4)
 
 
 class TestOrbitSample:
@@ -303,27 +310,24 @@ class TestOrbitSample:
 
 
 class TestCommutingDiagram:
+    """symmetrize(ordered kernel applied to to_dense(law)) == propagate(law, K)."""
+
     def kernels_for(self, space, n):
-        out = [identity_kernel(space, n)]
         fmap = list(range(1, space.k)) + [0]
-        out.append(map_kernel(fmap, n, space))
-        out.append(kac_collision_kernel(space, 1.0, 1.0, n))
+        out = [identity_kernel(space, n), map_kernel(fmap, n, space)]
         if space.k == 2:
             out.append(counterexample_kernel(n))
+        out = [(kernel, ordered_law_matrix(kernel)) for kernel in out]
+        out.append((kac_collision_kernel(space, 1.0, 1.0, n),
+                    dense_kac_matrix(space.k, n, 1.0, 1.0)))
         return out
 
     def test_pushforward_commutes(self, rng):
         for _ in range(8):
-            law = random_symmetric_law(rng, max_n=8)
-            for kernel in self.kernels_for(law.space, law.n):
-                via_law = empirical_pushforward(propagate(law, kernel))
-                via_induced = induced_transition(kernel).apply(
-                    empirical_pushforward(law)
-                )
-                a = {tuple(round(q * law.n) for q in atom.p): w for atom, w in via_law.atoms}
-                b = {tuple(round(q * law.n) for q in atom.p): w for atom, w in via_induced.atoms}
-                assert set(a) == set(b)
-                assert all(abs(a[m] - b[m]) < 1e-12 for m in a)
+            law = random_symmetric_law(rng, max_n=6)
+            for kernel, M in self.kernels_for(law.space, law.n):
+                want = propagate_dense(law, kernel.target, M)
+                assert tv_distance(propagate(law, kernel), want) < 1e-12
 
 
 class TestRegistry:
@@ -336,3 +340,43 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(InvalidArgumentError):
             make_kernel("bogus", S2, 3)
+
+    @pytest.mark.parametrize("name", ["kac:1", "kac:x,1", "kac:1,1,1", "kac:1,nan",
+                                      "map:a,b", "map:-1,0", "map:0", "map:",
+                                      "pushforward:1,0", "identity:1"])
+    def test_malformed(self, name):
+        with pytest.raises(InvalidArgumentError):
+            make_kernel(name, S2, 3)
+
+    @pytest.mark.parametrize("name, k", [("map:0,0", 2), ("map:0,2", 3)])
+    def test_map_limit_lives_on_kernel_target(self, name, k):
+        kernel = make_kernel(name, S2, 3)
+        assert kernel.target.k == k
+        assert kernel.limit(Distribution(S2, (0.6, 0.4))).space == kernel.target
+
+
+class SwapRule(PairRule):
+    """Colliding particles exchange states: the one-particle law never moves."""
+
+    def outcomes(self, u, w):
+        return [((w, u), 1.0)]
+
+
+class TestLimit:
+    P3 = Distribution(S3, (0.6, 0.3, 0.1))
+
+    def test_map_limit_is_pushforward(self):
+        kernel = make_kernel("map:1,1,0", S3, 4)
+        assert kernel.limit(self.P3).p == pushforward(self.P3, [1, 1, 0]).p
+
+    def test_counterexample_limit(self):
+        limit = counterexample_kernel(4).limit
+        assert limit(Distribution(S2, (1.0, 0.0))).p == (1.0, 0.0)
+        assert limit(Distribution(S2, (0.999, 0.001))).p == (0.0, 1.0)
+
+    def test_kac_limit_uses_the_kernels_pair_rule(self):
+        default = kac_collision_kernel(S3, 1.0, 1.0, 4).limit(self.P3)
+        assert default.p == kac_limit_evolve(self.P3, 1.0, 1.0).p
+        assert tv_distance(default, self.P3) > 0.01
+        swapped = kac_collision_kernel(S3, 1.0, 1.0, 4, pair_rule=SwapRule()).limit(self.P3)
+        assert tv_distance(swapped, self.P3) < 1e-12

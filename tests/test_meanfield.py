@@ -9,7 +9,7 @@ from chaoslab import (
     continuity_probe,
     kac_limit_evolve,
     kac_limit_rhs,
-    make_limit_map,
+    make_kernel,
     pushforward,
     tv_distance,
 )
@@ -79,22 +79,29 @@ class TestKacLimitEvolve:
         with pytest.raises(InvalidArgumentError):
             kac_limit_evolve(p0, 1.0, 1.0, dt=0.0)
 
+    def test_bad_rate_or_time(self):
+        p0 = Distribution(S3, (0.6, 0.3, 0.1))
+        for lam, t in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0),
+                       (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(InvalidArgumentError):
+                kac_limit_evolve(p0, lam, t)
+
 
 class TestContinuityProbe:
     def test_identity_is_isometry(self):
-        F = make_limit_map("identity", S3)
+        F = make_kernel("identity", S3, 2).limit
         p = Distribution(S3, (0.5, 0.3, 0.2))
         report = continuity_probe(F, p, radius=0.1, samples=100, seed=4)
         assert report.modulus <= 0.1 + 1e-12
 
     def test_constant_map(self):
-        F = make_limit_map("map:1,1,1", S3)
+        F = make_kernel("map:1,1,1", S3, 2).limit
         p = Distribution(S3, (0.5, 0.3, 0.2))
         report = continuity_probe(F, p, radius=0.5, samples=50, seed=4)
         assert report.modulus < 1e-15
 
     def test_kac_modulus_shrinks_with_radius(self):
-        F = make_limit_map("kac:1,1", S3)
+        F = make_kernel("kac:1,1", S3, 2).limit
         p = Distribution(S3, (0.5, 0.3, 0.2))
         big = continuity_probe(F, p, radius=0.3, samples=40, seed=9)
         small = continuity_probe(F, p, radius=0.05, samples=40, seed=9)
@@ -102,22 +109,13 @@ class TestContinuityProbe:
         assert big.modulus < 1.0
 
     def test_counterexample_discontinuous_at_delta0(self):
-        F = make_limit_map("counterexample", S2)
+        F = make_kernel("counterexample", S2, 2).limit
         delta0 = Distribution(S2, (1.0, 0.0))
         report = continuity_probe(F, delta0, radius=0.01, samples=20, seed=2)
         assert report.modulus == 1.0
 
     def test_bad_radius(self):
-        F = make_limit_map("identity", S2)
+        F = make_kernel("identity", S2, 2).limit
         with pytest.raises(InvalidArgumentError):
             continuity_probe(F, Distribution(S2, (0.5, 0.5)), 0.0, 10, 1)
 
-
-class TestRegistry:
-    def test_pushforward_name(self):
-        F = make_limit_map("pushforward:1,0", S2)
-        assert F.evaluate(Distribution(S2, (0.3, 0.7))).p == (0.7, 0.3)
-
-    def test_unknown(self):
-        with pytest.raises(InvalidArgumentError):
-            make_limit_map("nope", S2)

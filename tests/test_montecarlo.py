@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,11 @@ class TestSimulateKac:
             simulate_kac(ParticleState((1, 0)), 1.0, 1.0, seed=0)
         with pytest.raises(InvalidArgumentError):
             simulate_kac(ParticleState((2, 2)), -1.0, 1.0, seed=0)
+
+    def test_non_finite_rate_or_time(self):
+        for lam, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+            with pytest.raises(InvalidArgumentError):
+                simulate_kac(ParticleState((2, 2)), lam, t, seed=0)
 
 
 class TestPairMarginalUstat:
