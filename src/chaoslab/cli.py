@@ -5,8 +5,9 @@ Each run writes <out>/<name>.csv plus <out>/<name>.meta.json (config echo,
 verdicts, version).  Runs are deterministic given their config and seed;
 rerunning must produce byte-identical files.
 
-Exit codes: 0 success / expectation met, 2 config error, 3 expectation
-mismatch, 4 capacity error.
+Exit codes: 0 success / expectation met, 2 config error or a run that
+cannot be carried out as configured (the limit ODE too stiff for its fixed
+step), 3 expectation mismatch, 4 capacity error.
 """
 
 from __future__ import annotations
@@ -40,13 +41,18 @@ from .diagnostics import (
 )
 from .errors import (
     CapacityError,
+    ChaoslabError,
     ConfigError,
-    DegenerateModelError,
-    EmptyEnsembleError,
-    InfeasibleEnergyError,
-    InvalidArgumentError,
+    EquivarianceError,
+    IntegrationError,
 )
-from .kernels import kac_collision_kernel, make_kernel, propagate, symmetrized_class_kernel
+from .kernels import (
+    DEFAULT_SAMPLE_REPLICAS,
+    kac_collision_kernel,
+    make_kernel,
+    propagate,
+    symmetrized_class_kernel,
+)
 from .meanfield import kac_limit_evolve, continuity_probe
 from .montecarlo import ParticleState, iid_state, replica_rng, simulate_kac
 
@@ -230,7 +236,11 @@ def cmd_theorem_probe(args) -> int:
     name = config.get("name", "theorem-probe")
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
-    replicas = int(config.get("replicas", 4000))
+    replicas = int(config.get("replicas", DEFAULT_SAMPLE_REPLICAS))
+    if replicas < 1:
+        raise ConfigError(f"need replicas >= 1, got {replicas}")
+    if config.get("replicas") is not None and seed is None:
+        raise ConfigError("replicas sets the Monte Carlo rows, which need a seed")
 
     def damped_family(n):
         # p-chaotic, not product: vanishing contamination by a fixed class.
@@ -244,13 +254,18 @@ def cmd_theorem_probe(args) -> int:
         # All mass on the quota class: a microcanonical-style concentration.
         return SymmetricLaw.point_class(space, quota_occupancy(rho, n))
 
+    # Every kernel of one spec carries the same limit map.  The probe
+    # evaluates it once on the stack [rho, q_1, ...], whose row 0 is the
+    # limit law fp.
+    first = make_kernel(kernel_name, space, grid[0])
+    probe = continuity_probe(first.limit, rho, radius=0.1, samples=64,
+                             seed=int(seed) if seed is not None else 0)
+    fp = Distribution(first.target, tuple(probe.image[0]))
+
     lines = ["n,row_gap,product_gap,damped_gap,shell_gap"]
     row_gaps = []
-    fp = None
     for n in grid:
-        kernel = make_kernel(kernel_name, space, n)
-        if fp is None:
-            fp = kernel.limit(rho)
+        kernel = first if n == grid[0] else make_kernel(kernel_name, space, n)
         kw = {} if seed is None else {"seed": int(seed), "replicas": replicas}
         rows = symmetrized_class_kernel(kernel, **kw)
         row_law = SymmetricLaw(kernel.target, n, rows[quota_occupancy(rho, n)])
@@ -262,9 +277,6 @@ def cmd_theorem_probe(args) -> int:
         row_gaps.append(gap_row)
         lines.append(f"{n},{fmt(gap_row)},{fmt(gaps[0])},{fmt(gaps[1])},{fmt(gaps[2])}")
 
-    # Every kernel of one spec carries the same limit; take the last one's.
-    probe = continuity_probe(kernel.limit, rho, radius=0.1, samples=64,
-                             seed=int(seed) if seed is not None else 0)
     meta = {
         "config": {k: config[k] for k in sorted(config) if k != "out"},
         "version": __version__,
@@ -415,18 +427,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        InvalidArgumentError,
-        InfeasibleEnergyError,
-        DegenerateModelError,
-        EmptyEnsembleError,
-    ) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
+    except (IntegrationError, EquivarianceError) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 2
+    except ChaoslabError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ class EquivarianceError(ChaoslabError, RuntimeError):
 
 
 class IntegrationError(ChaoslabError, RuntimeError):
-    """The ODE integrator left the probability simplex; reduce the step size."""
+    """The ODE integrator left the probability simplex: its step is too stiff."""
 
 
 class ConfigError(ChaoslabError, ValueError):

@@ -9,8 +9,9 @@ empirical measures, and mixing a symmetric input law against it
 
 Each constructor here is the one spec of its dynamics: next to the
 n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
-the kernel must propagate chaos toward.  `make_kernel` is the only parser
-of the kernel names.
+the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
+source laws, one per row, and returns the (B, k_target) stack of their
+images.  `make_kernel` is the only parser of the kernel names.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import (
-    Distribution,
     Occupancy,
     StateSpace,
     SymmetricLaw,
@@ -56,7 +56,10 @@ class ExchangeableKernel:
       class matrix: occupancy -> law over occupancies (exact symmetrized form)
 
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
-    kernel propagates chaos toward.
+    kernel propagates chaos toward, applied row by row to a (B, S.k) stack
+    of laws and returning a (B, T.k) stack.
+
+    Monte Carlo class rows are built once per (seed, replicas) and kept.
     """
 
     def __init__(
@@ -69,7 +72,7 @@ class ExchangeableKernel:
         sampler: Optional[Callable] = None,
         class_rows_builder: Optional[Callable] = None,
         validate: bool = True,
-        limit: Optional[Callable[[Distribution], Distribution]] = None,
+        limit: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if n < 1:
             raise InvalidArgumentError("particle count must be >= 1")
@@ -82,6 +85,7 @@ class ExchangeableKernel:
         self.limit = limit
         self._class_rows_builder = class_rows_builder
         self._class_rows = None
+        self._sampled_rows: dict = {}
         if validate and ordered_law is not None:
             if source.k**n <= EXHAUSTIVE_STATE_LIMIT:
                 report = check_equivariance(self, mode="exhaustive")
@@ -233,7 +237,8 @@ def symmetrized_class_kernel(
 
     By equivariance the row for a class does not depend on the chosen
     representative.  Falls back to seeded Monte Carlo estimation when no
-    exact backend exists.
+    exact backend exists; the sampled rows are kept on the kernel, so a
+    second call with the same seed and replicas does not resample.
     """
     try:
         return kernel.class_rows()
@@ -241,7 +246,10 @@ def symmetrized_class_kernel(
         if kernel.sampler is not None and seed is not None:
             if replicas < 1:
                 raise InvalidArgumentError(f"need replicas >= 1, got {replicas}")
-            return _rows_from_sampler(kernel, seed, replicas)
+            key = (seed, replicas)
+            if key not in kernel._sampled_rows:
+                kernel._sampled_rows[key] = _rows_from_sampler(kernel, seed, replicas)
+            return kernel._sampled_rows[key]
         raise
 
 
@@ -321,8 +329,6 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
     space = StateSpace.of_size(2)
     zeros = (0,) * n
     ones = (1,) * n
-    delta0 = Distribution.point_mass(space, 0)
-    delta1 = Distribution.point_mass(space, 1)
 
     def ordered_law(s):
         return {zeros if tuple(s) == zeros else ones: 1.0}
@@ -345,7 +351,7 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
         sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
-        limit=lambda p: delta0 if p.p[0] == 1.0 else delta1,
+        limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
     )
 
 

@@ -7,6 +7,12 @@ whose collision kernel is the expected one-particle marginal of its pair
 rule.  The pair rules live here because both the n-particle chain and the
 ODE are derived from them.  The ODE form is validated against particle
 simulation, not assumed.
+
+A limit map takes a (B, k) stack of one-particle laws, one per row, and
+returns the (B, k_target) stack of their images, so that a caller with many
+laws (`continuity_probe`) evaluates it, and integrates the ODE, once.
+`pushforward` and `kac_limit_evolve` also take a single Distribution, the
+B = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, StateSpace, tv_distance
+from .core import MASS_TOL, NEG_CLAMP, Distribution, StateSpace
 from .errors import IntegrationError, InvalidArgumentError
 
 DEFAULT_DT = 1e-3
@@ -74,14 +80,36 @@ def check_rate_and_time(lam: float, t: float) -> None:
         raise InvalidArgumentError(f"need finite lam > 0 and t >= 0, got lam={lam}, t={t}")
 
 
-def pushforward(p: Distribution, f, target: Optional[StateSpace] = None) -> Distribution:
-    """Image law of p under a state map: q(t) = sum over f(s) = t of p(s)."""
-    target = target or p.space
-    fmap = [int(f(s)) if callable(f) else int(f[s]) for s in range(p.space.k)]
-    q = [0.0] * target.k
-    for s, mass in enumerate(p.p):
-        q[fmap[s]] += mass
-    return Distribution(target, tuple(q))
+def _as_stack(p) -> tuple:
+    """A Distribution as a one-row (1, k) stack, or a (B, k) stack as an array.
+
+    Returns the array and whether the input was already a stack.  Stack rows
+    are held to a Distribution's rules: finite, no entry below NEG_CLAMP,
+    mass within MASS_TOL of 1.
+    """
+    if isinstance(p, Distribution):
+        return p.as_array()[None, :], False
+    P = np.asarray(p, dtype=float)
+    if not (P.ndim == 2 and P.size and np.isfinite(P).all() and P.min() >= NEG_CLAMP
+            and np.abs(P.sum(axis=1) - 1.0).max() <= MASS_TOL):
+        raise InvalidArgumentError("need a Distribution or a nonempty (B, k) stack of laws")
+    return P, True
+
+
+def pushforward(p, f, target: Optional[StateSpace] = None):
+    """Image law of p under a state map: q(t) = sum over f(s) = t of p(s).
+
+    p is a Distribution, whose image is a Distribution on `target` (default
+    p's space), or a (B, k) stack of laws, whose image is the (B, target.k)
+    stack of the row images (target.k defaults to k).
+    """
+    P, stacked = _as_stack(p)
+    k = P.shape[1]
+    fmap = [int(f(s)) if callable(f) else int(f[s]) for s in range(k)]
+    Q = np.zeros((P.shape[0], target.k if target else k))
+    for s, t in enumerate(fmap):
+        Q[:, t] += P[:, s]
+    return Q if stacked else Distribution(target or p.space, tuple(Q[0]))
 
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:
@@ -102,48 +130,73 @@ def kac_limit_rhs(p: Distribution, lam: float, rule: Optional[PairRule] = None) 
     Q(p)(v) = sum_{u,w} p(u) p(w) kappa(v | u, w); the output sums to zero.
     """
     kappa = collision_marginal_tensor(p.space.k, rule)
-    return _rhs_from_tensor(p.as_array(), lam, kappa)
+    return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
 
 
-def _rhs_from_tensor(p: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray:
-    return lam * (np.einsum("vuw,u,w->v", kappa, p, p) - p)
+def _rhs_from_tensor(P: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray:
+    # One einsum over the stack: each row is summed in the same order as a
+    # lone row would be, so a row's result does not depend on its stack.
+    out = np.einsum("vuw,bu,bw->bv", kappa, P, P)
+    out -= P
+    out *= lam
+    return out
 
 
 def kac_limit_evolve(
-    p0: Distribution,
+    p0,
     lam: float,
     t: float,
     dt: float = DEFAULT_DT,
     rule: Optional[PairRule] = None,
-) -> Distribution:
+):
     """Integrate the collision limit equation with classic RK4.
 
-    Tiny negative drift (< 1e-12) is clamped and renormalized; anything
-    leaving the simplex further than 1e-6 aborts with advice to shrink dt.
+    p0 is a Distribution, evolved into a Distribution, or a (B, k) stack of
+    laws, evolved together in one loop into the (B, k) stack at time t; each
+    row gets the same arithmetic as it would alone.  After every step each row
+    has its tiny negative entries clamped and is renormalized; a row that
+    leaves the simplex by more than SIMPLEX_DRIFT_LIMIT, or turns NaN,
+    raises IntegrationError naming the stiffness lam*dt of the step.
     """
     check_rate_and_time(lam, t)
     if not dt > 0:
         raise InvalidArgumentError("need dt > 0")
+    P, stacked = _as_stack(p0)
     if t == 0:
         return p0
-    kappa = collision_marginal_tensor(p0.space.k, rule)
+    kappa = collision_marginal_tensor(P.shape[1], rule)
     steps = max(1, int(math.ceil(t / dt)))
     h = t / steps
-    p = p0.as_array()
     for _ in range(steps):
-        k1 = _rhs_from_tensor(p, lam, kappa)
-        k2 = _rhs_from_tensor(p + 0.5 * h * k1, lam, kappa)
-        k3 = _rhs_from_tensor(p + 0.5 * h * k2, lam, kappa)
-        k4 = _rhs_from_tensor(p + h * k3, lam, kappa)
-        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        drift = max(-p.min(initial=0.0), abs(p.sum() - 1.0))
-        if drift > SIMPLEX_DRIFT_LIMIT:
-            raise IntegrationError(
-                f"state left the simplex by {drift:g}; reduce dt below {dt:g}"
-            )
-        p = np.where(p < 0.0, 0.0, p)
-        p = p / p.sum()
-    return Distribution(p0.space, tuple(p))
+        k1 = _rhs_from_tensor(P, lam, kappa)
+        k2 = _rhs_from_tensor(P + 0.5 * h * k1, lam, kappa)
+        k3 = _rhs_from_tensor(P + 0.5 * h * k2, lam, kappa)
+        k4 = _rhs_from_tensor(P + h * k3, lam, kappa)
+        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # The ufunc reductions skip the ndarray-method wrappers, which
+        # cost as much as the arithmetic on a few-row stack.
+        total = np.add.reduce(P, axis=1, keepdims=True)
+        lowest = np.minimum.reduce(P, axis=None)
+        # Written so that a NaN anywhere fails the test.
+        if not (lowest >= -SIMPLEX_DRIFT_LIMIT
+                and np.minimum.reduce(total, axis=None) >= 1.0 - SIMPLEX_DRIFT_LIMIT
+                and np.maximum.reduce(total, axis=None) <= 1.0 + SIMPLEX_DRIFT_LIMIT):
+            raise _left_simplex(P, total, lam * h, stacked)
+        if lowest < 0.0:
+            P = np.where(P < 0.0, 0.0, P)
+            total = np.add.reduce(P, axis=1, keepdims=True)
+        P /= total
+    return P if stacked else Distribution(p0.space, tuple(P[0]))
+
+
+def _left_simplex(P, total, stiffness, stacked) -> IntegrationError:
+    drift = np.maximum(-np.minimum(P.min(axis=1), 0.0), np.abs(total[:, 0] - 1.0))
+    row = int(np.argmax(drift))  # the first NaN, if any
+    where = f" in row {row}" if stacked else ""
+    return IntegrationError(
+        f"state left the simplex by {drift[row]:g}{where}: the limit ODE is too "
+        f"stiff for its fixed RK4 step (lam*dt = {stiffness:g})"
+    )
 
 
 @dataclass
@@ -151,10 +204,11 @@ class ContinuityReport:
     radius: float
     modulus: float
     samples: int
+    image: np.ndarray  # F of the probed stack [p, q_1, ...]; row 0 is F(p)
 
 
 def continuity_probe(
-    F: Callable[[Distribution], Distribution],
+    F: Callable[[np.ndarray], np.ndarray],
     p: Distribution,
     radius: float,
     samples: int,
@@ -162,23 +216,23 @@ def continuity_probe(
 ) -> ContinuityReport:
     """Empirical local modulus of continuity of a limit map F at p.
 
-    Samples laws q with tv(p, q) <= radius and reports the largest
+    Draws up to `samples` laws q with tv(p, q) <= radius, evaluates the
+    stack map F once on [p, q_1, ..., q_m] and reports the largest
     tv(F(p), F(q)) observed.
     """
     if not 0 < radius <= 1:
         raise InvalidArgumentError("radius must lie in (0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    k = p.space.k
-    fp = F(p)
-    modulus = 0.0
+    base = p.as_array()
+    stack = [base]
     for _ in range(samples):
-        r = Distribution(p.space, tuple(rng.dirichlet(np.ones(k))))
-        gap = tv_distance(r, p)
+        r = rng.dirichlet(np.ones(p.space.k))
+        gap = 0.5 * math.fsum(np.abs(r - base))
         if gap == 0.0:
             continue
         alpha = rng.random() * min(1.0, radius / gap)
-        q = Distribution(
-            p.space, tuple((1 - alpha) * np.asarray(p.p) + alpha * r.as_array())
-        )
-        modulus = max(modulus, tv_distance(F(q), fp))
-    return ContinuityReport(radius=radius, modulus=modulus, samples=samples)
+        stack.append((1 - alpha) * base + alpha * r)
+    image = F(np.stack(stack))
+    modulus = max((0.5 * math.fsum(np.abs(row - image[0])) for row in image[1:]),
+                  default=0.0)
+    return ContinuityReport(radius=radius, modulus=modulus, samples=samples, image=image)

@@ -178,6 +178,24 @@ class TestTheoremProbe:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("replicas", ["0", "3"])
+    def test_replicas_without_seed_is_config_error(self, tmp_path, capsys, replicas):
+        # Only the Monte Carlo rows read --replicas, and they need --seed.
+        rc = main(["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5",
+                   "--grid", "4", "--replicas", replicas, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "theorem-probe.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"kernel": "identity", "p": "0.5,0.5", "grid": "4", "replicas": 3},
+        {"kernel": "identity", "p": "0.5,0.5", "grid": "4", "replicas": 0, "seed": 1},
+    ])
+    def test_replicas_config_key_is_checked(self, tmp_path, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["theorem-probe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
     def test_capacity_exit_code(self, tmp_path):
         # exact Kac rows stop at n = 12 and no seed means no MC fallback
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.5",
@@ -218,6 +236,16 @@ class TestKacCommand:
                    "--out", str(tmp_path)] + option)
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error")
+
+    def test_stiff_limit_ode_is_an_error_exit(self, tmp_path, capsys):
+        # lam*dt = 100 throws the fixed-step RK4 off the simplex in one step.
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--lam", "100000",
+                   "--t", "1", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: state left the simplex")
+        assert "lam*dt = 100" in err and "reduce dt" not in err
+        assert err.count("\n") == 1
 
     def test_seeded_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -27,7 +27,12 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentError
-from chaoslab.kernels import ExchangeableKernel, SumConservingRule, _kac_event_matrix
+from chaoslab.kernels import (
+    KAC_EXACT_MAX_N,
+    ExchangeableKernel,
+    SumConservingRule,
+    _kac_event_matrix,
+)
 
 from conftest import (
     dense_kac_matrix,
@@ -145,6 +150,20 @@ class TestSymmetrizedClassKernel:
             for m2, pr in exact[m].items():
                 sigma = math.sqrt(pr * (1 - pr) / 20000)
                 assert abs(rows[m].get(m2, 0.0) - pr) < 4 * sigma + 1e-9
+
+    def test_sampled_rows_built_once_per_seed(self):
+        kernel = kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1)
+        sampler, draws = kernel.sampler, []
+        kernel.sampler = lambda s, rng: draws.append(1) or sampler(s, rng)
+        law = product_law(Distribution(S3, (0.5, 0.3, 0.2)), kernel.n)
+        first = propagate(law, kernel, seed=3, replicas=5)
+        built = len(draws)
+        assert built == 5 * len(enumerate_occupancies(S3, kernel.n))
+        again = propagate(law, kernel, seed=3, replicas=5)
+        assert len(draws) == built
+        assert again.items() == first.items()
+        propagate(law, kernel, seed=4, replicas=5)
+        assert len(draws) == 2 * built
 
 
 class TestInducedTransition:
@@ -352,7 +371,7 @@ class TestRegistry:
     def test_map_limit_lives_on_kernel_target(self, name, k):
         kernel = make_kernel(name, S2, 3)
         assert kernel.target.k == k
-        assert kernel.limit(Distribution(S2, (0.6, 0.4))).space == kernel.target
+        assert kernel.limit(np.array([[0.6, 0.4], [0.1, 0.9]])).shape == (2, kernel.target.k)
 
 
 class SwapRule(PairRule):
@@ -363,20 +382,26 @@ class SwapRule(PairRule):
 
 
 class TestLimit:
+    """Limits map a (B, k) stack of laws to the (B, k_target) stack of images."""
+
     P3 = Distribution(S3, (0.6, 0.3, 0.1))
+    Q3 = Distribution(S3, (0.2, 0.2, 0.6))
+    STACK = np.array([P3.p, Q3.p])
 
     def test_map_limit_is_pushforward(self):
-        kernel = make_kernel("map:1,1,0", S3, 4)
-        assert kernel.limit(self.P3).p == pushforward(self.P3, [1, 1, 0]).p
+        out = make_kernel("map:1,1,0", S3, 4).limit(self.STACK)
+        assert tuple(out[0]) == pushforward(self.P3, [1, 1, 0]).p
+        assert tuple(out[1]) == pushforward(self.Q3, [1, 1, 0]).p
 
     def test_counterexample_limit(self):
         limit = counterexample_kernel(4).limit
-        assert limit(Distribution(S2, (1.0, 0.0))).p == (1.0, 0.0)
-        assert limit(Distribution(S2, (0.999, 0.001))).p == (0.0, 1.0)
+        out = limit(np.array([[1.0, 0.0], [0.999, 0.001], [0.0, 1.0]]))
+        assert out.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
 
     def test_kac_limit_uses_the_kernels_pair_rule(self):
-        default = kac_collision_kernel(S3, 1.0, 1.0, 4).limit(self.P3)
-        assert default.p == kac_limit_evolve(self.P3, 1.0, 1.0).p
-        assert tv_distance(default, self.P3) > 0.01
-        swapped = kac_collision_kernel(S3, 1.0, 1.0, 4, pair_rule=SwapRule()).limit(self.P3)
-        assert tv_distance(swapped, self.P3) < 1e-12
+        default = kac_collision_kernel(S3, 1.0, 1.0, 4).limit(self.STACK)
+        assert tuple(default[0]) == kac_limit_evolve(self.P3, 1.0, 1.0).p
+        assert tuple(default[1]) == kac_limit_evolve(self.Q3, 1.0, 1.0).p
+        assert 0.5 * np.abs(default - self.STACK).sum(axis=1).min() > 0.01
+        swapped = kac_collision_kernel(S3, 1.0, 1.0, 4, pair_rule=SwapRule()).limit(self.STACK)
+        assert 0.5 * np.abs(swapped - self.STACK).sum(axis=1).max() < 1e-12

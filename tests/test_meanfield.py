@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chaoslab.kernels
 from chaoslab import (
     Distribution,
     StateSpace,
@@ -13,8 +16,12 @@ from chaoslab import (
     pushforward,
     tv_distance,
 )
-from chaoslab.errors import InvalidArgumentError
+from chaoslab.cli import main
+from chaoslab.errors import IntegrationError, InvalidArgumentError
 
+from conftest import oracle_continuity_probe
+
+S1 = StateSpace.of_size(1)
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
 
@@ -31,6 +38,13 @@ class TestPushforward:
     def test_swap(self):
         p = Distribution(S2, (0.3, 0.7))
         assert pushforward(p, [1, 0]).p == (0.7, 0.3)
+
+    def test_stack_rows_are_row_images(self):
+        P = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        out = pushforward(P, [2, 0, 2])
+        assert out.tolist() == [list(pushforward(Distribution(S3, tuple(row)), [2, 0, 2]).p)
+                                for row in P]
+        assert pushforward(P, [0, 3, 1], StateSpace.of_size(4)).shape == (2, 4)
 
 
 class TestKacLimitRhs:
@@ -86,6 +100,58 @@ class TestKacLimitEvolve:
             with pytest.raises(InvalidArgumentError):
                 kac_limit_evolve(p0, lam, t)
 
+    def test_stiff_step_names_lam_dt(self):
+        p0 = Distribution(S3, (0.6, 0.3, 0.1))
+        with pytest.raises(IntegrationError, match=r"lam\*dt = 100\)$"):
+            kac_limit_evolve(p0, 1e5, 1.0)
+
+    def test_stiff_stack_names_the_row(self):
+        # Point masses are fixed points, so only row 1 moves, and drifts.
+        P = np.array([[1.0, 0.0, 0.0], [0.6, 0.3, 0.1], [0.0, 0.0, 1.0]])
+        with pytest.raises(IntegrationError, match="in row 1:"):
+            kac_limit_evolve(P, 1e5, 1.0)
+
+    @pytest.mark.parametrize("P", [[0.6, 0.3, 0.1], np.zeros((0, 3)), [[0.5, 0.5, 0.5]],
+                                   [[1.1, -0.1, 0.0]], [[np.nan, 0.5, 0.5]]])
+    def test_not_a_stack_of_laws(self, P):
+        for t in (0.0, 1.0):
+            with pytest.raises(InvalidArgumentError):
+                kac_limit_evolve(np.asarray(P), 1.0, t)
+        with pytest.raises(InvalidArgumentError):
+            pushforward(np.asarray(P), [0, 0, 0])
+
+
+@st.composite
+def law_stacks(draw):
+    """A (B, k) stack of random laws with a point mass and a law with a zero."""
+    k = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.dirichlet(np.ones(k), size=rows)
+    point, zero = rng.permutation(rows)[:2] if rows > 1 else (0, None)
+    P[point] = np.eye(k)[draw(st.integers(0, k - 1))]
+    if zero is not None:
+        P[zero, rng.integers(k)] = 0.0
+        P[zero] /= P[zero].sum()
+    return P
+
+
+class TestStackedEvolve:
+    """A stack integrates as its rows would one at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=law_stacks(), lam=st.floats(0.25, 4.0), t=st.sampled_from([0.0, 0.07, 0.5]))
+    def test_matches_per_row_oracle(self, P, lam, t):
+        space = StateSpace.of_size(P.shape[1])
+        out = kac_limit_evolve(P, lam, t, dt=1e-2)
+        assert out.shape == P.shape
+        for row, got in zip(P, out):
+            alone = kac_limit_evolve(Distribution(space, tuple(row)), lam, t, dt=1e-2)
+            assert np.abs(got - alone.as_array()).max() <= 1e-15
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
+        labels = np.arange(P.shape[1])
+        assert np.abs(out @ labels - P @ labels).max() <= 1e-9
+
 
 class TestContinuityProbe:
     def test_identity_is_isometry(self):
@@ -119,3 +185,53 @@ class TestContinuityProbe:
         with pytest.raises(InvalidArgumentError):
             continuity_probe(F, Distribution(S2, (0.5, 0.5)), 0.0, 10, 1)
 
+
+class TestBatchedProbe:
+    """One evaluation of F on [p, q_1, ...] against the per-sample oracle."""
+
+    P3 = Distribution(S3, (0.5, 0.3, 0.2))
+
+    @pytest.mark.parametrize("name, p, radius, samples", [
+        ("identity", P3, 0.1, 64),
+        ("map:1,1,1", P3, 0.5, 64),
+        ("counterexample", Distribution(S2, (1.0, 0.0)), 0.01, 64),
+        ("counterexample", Distribution(S2, (0.9, 0.1)), 0.3, 64),
+        ("kac:1,1", P3, 0.1, 16),
+        ("identity", Distribution(S1, (1.0,)), 0.1, 8),  # every draw is p: all skipped
+    ])
+    def test_matches_per_sample_oracle(self, name, p, radius, samples):
+        F = make_kernel(name, p.space, 2).limit
+        stacks = []
+
+        def recording(P):
+            stacks.append(P.copy())
+            return F(P)
+
+        report = continuity_probe(recording, p, radius, samples, seed=7)
+        qs, modulus = oracle_continuity_probe(F, p, radius, samples, seed=7)
+        assert len(stacks) == 1
+        assert np.array_equal(stacks[0], np.array([p.as_array()] + qs))
+        assert abs(report.modulus - modulus) <= 1e-15
+        assert np.array_equal(report.image[0], F(p.as_array()[None, :])[0])
+
+    def test_one_integrator_call_for_the_stack(self, monkeypatch):
+        shapes = []
+        evolve = chaoslab.kernels.kac_limit_evolve
+
+        def counting(p0, *args, **kwargs):
+            shapes.append(np.shape(p0))
+            return evolve(p0, *args, **kwargs)
+
+        monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve", counting)
+        F = make_kernel("kac:1,1", S3, 2).limit
+        continuity_probe(F, self.P3, radius=0.1, samples=64, seed=0)
+        assert shapes == [(65, 3)]
+
+    def test_theorem_probe_integrates_once(self, monkeypatch, tmp_path):
+        calls = []
+        evolve = chaoslab.kernels.kac_limit_evolve
+        monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve",
+                            lambda *a, **kw: calls.append(1) or evolve(*a, **kw))
+        assert main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                     "--grid", "4,6", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
