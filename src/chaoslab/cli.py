@@ -133,6 +133,15 @@ def require(config: dict, key: str):
     return config[key]
 
 
+def has_exact_rows(kernel) -> bool:
+    """Whether the kernel has exact class rows at its n (they are kept on it)."""
+    try:
+        symmetrized_class_kernel(kernel)
+    except CapacityError:
+        return False
+    return True
+
+
 def check_expectation(config: dict, verdicts) -> int:
     expect = config.get("expect")
     if expect is None:
@@ -241,6 +250,10 @@ def cmd_theorem_probe(args) -> int:
         raise ConfigError(f"need replicas >= 1, got {replicas}")
     if config.get("replicas") is not None and seed is None:
         raise ConfigError("replicas sets the Monte Carlo rows, which need a seed")
+    kernels = [make_kernel(kernel_name, space, n) for n in grid]
+    if config.get("replicas") is not None and all(map(has_exact_rows, kernels)):
+        raise ConfigError("replicas sets the Monte Carlo rows, and every n of the "
+                          "grid has exact rows")
 
     def damped_family(n):
         # p-chaotic, not product: vanishing contamination by a fixed class.
@@ -257,7 +270,7 @@ def cmd_theorem_probe(args) -> int:
     # Every kernel of one spec carries the same limit map.  The probe
     # evaluates it once on the stack [rho, q_1, ...], whose row 0 is the
     # limit law fp.
-    first = make_kernel(kernel_name, space, grid[0])
+    first = kernels[0]
     probe = continuity_probe(first.limit, rho, radius=0.1, samples=64,
                              seed=int(seed) if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
@@ -265,7 +278,7 @@ def cmd_theorem_probe(args) -> int:
     lines = ["n,row_gap,product_gap,damped_gap,shell_gap"]
     row_gaps = []
     for n in grid:
-        kernel = first if n == grid[0] else make_kernel(kernel_name, space, n)
+        kernel = kernels.pop(0)  # so that each n's rows are freed after it
         kw = {} if seed is None else {"seed": int(seed), "replicas": replicas}
         rows = symmetrized_class_kernel(kernel, **kw)
         row_law = SymmetricLaw(kernel.target, n, rows[quota_occupancy(rho, n)])
@@ -301,6 +314,7 @@ def cmd_kac(args) -> int:
     replicas = int(config.get("replicas", 200))
     if replicas < 1:
         raise ConfigError(f"need replicas >= 1, got {replicas}")
+    seed = int(require(config, "seed"))
     name = config.get("name", "kac")
     space = StateSpace.of_size(len(p))
     p0 = Distribution(space, p)
@@ -313,18 +327,13 @@ def cmd_kac(args) -> int:
     # The exact row appears exactly when the kernel has a class matrix at
     # this n; asking for it first keeps product_law off the large-n path.
     kernel = kac_collision_kernel(space, lam, t, n)
-    try:
-        symmetrized_class_kernel(kernel)
-    except CapacityError:
-        pass
-    else:
+    if has_exact_rows(kernel):
         one = marginal(propagate(product_law(p0, n), kernel), 1)
         exact_p = Distribution(space, tuple(one.mass(tuple(
             1 if j == i else 0 for j in range(space.k))) for i in range(space.k)))
         lines.append(f"exact,{fmt(tv_distance(exact_p, ode))}," +
                      ",".join(fmt(x) for x in exact_p.p))
 
-    seed = int(require(config, "seed"))
     totals = np.zeros(space.k)
     for r in range(replicas):
         rng = replica_rng(seed, r)

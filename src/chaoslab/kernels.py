@@ -12,12 +12,17 @@ n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
 the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
 source laws, one per row, and returns the (B, k_target) stack of their
 images.  `make_kernel` is the only parser of the kernel names.
+
+A kernel has up to three backends: `ordered_law`, the exact law of K_n(s, .)
+on ordered states (small spaces); a class-level `sampler`, which draws a
+target occupancy from a source occupancy (Monte Carlo); and exact class
+rows.  The Kac kernel's sampler is `montecarlo.simulate_kac` with the
+kernel's own pair rule, the same simulator the `kac` subcommand runs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +44,7 @@ from .meanfield import (
     kac_limit_evolve,
     pushforward,
 )
+from .montecarlo import ParticleState, simulate_kac
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
@@ -51,9 +57,12 @@ class ExchangeableKernel:
     """A Markov transition from S^n to T^n commuting with permutations.
 
     Backends, any of which may be absent:
-      ordered_law(s) -> dict ordered-tuple -> prob   (exact, small spaces)
-      sample(s, rng) -> ordered tuple                (Monte Carlo)
+      ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
+      sampler(m, rng) -> target occupancy             (Monte Carlo)
       class matrix: occupancy -> law over occupancies (exact symmetrized form)
+
+    A sampler works on occupancy classes, so it is permutation-equivariant
+    by construction; only `ordered_law` is checked.
 
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
     kernel propagates chaos toward, applied row by row to a (B, S.k) stack
@@ -88,7 +97,7 @@ class ExchangeableKernel:
         self._sampled_rows: dict = {}
         if validate and ordered_law is not None:
             if source.k**n <= EXHAUSTIVE_STATE_LIMIT:
-                report = check_equivariance(self, mode="exhaustive")
+                report = check_equivariance(self)
                 if not report.passed:
                     raise EquivarianceError(
                         f"kernel {name!r} violates permutation equivariance "
@@ -115,7 +124,6 @@ class ExchangeableKernel:
 class EquivarianceReport:
     passed: bool
     max_violation: float
-    mode: str
     checks: int
 
 
@@ -133,73 +141,29 @@ def _swap(s: tuple, i: int) -> tuple:
     return tuple(out)
 
 
-def check_equivariance(
-    kernel: ExchangeableKernel,
-    mode: str = "exhaustive",
-    seed: Optional[int] = None,
-    samples: int = DEFAULT_SAMPLE_REPLICAS,
-    trials: int = 5,
-) -> EquivarianceReport:
-    """Verify K_n(pi.s, pi.A) = K_n(s, A).
+def check_equivariance(kernel: ExchangeableKernel) -> EquivarianceReport:
+    """Verify K_n(pi.s, pi.A) = K_n(s, A) for the exact ordered law.
 
-    Exhaustive mode checks every state against every adjacent transposition
-    exactly; sampled mode compares Monte Carlo outcome frequencies from s
-    and pi.s (pulled back through pi) within a 4-sigma binomial band.
+    Checks every state against every adjacent transposition exactly.
     """
     n, k = kernel.n, kernel.source.k
-    if mode == "exhaustive":
-        if kernel.ordered_law is None:
-            raise CapacityError("exhaustive equivariance check needs an exact backend")
-        if k**n > EXHAUSTIVE_STATE_LIMIT:
-            raise CapacityError(
-                f"exhaustive equivariance check limited to {EXHAUSTIVE_STATE_LIMIT} states"
-            )
-        worst = 0.0
-        checks = 0
-        for s in itertools.product(range(k), repeat=n):
-            law_s = kernel.ordered_law(s)
-            for i in range(n - 1):
-                law_sp = kernel.ordered_law(_swap(s, i))
-                for t in set(law_s) | {_swap(t, i) for t in law_sp}:
-                    diff = abs(law_s.get(t, 0.0) - law_sp.get(_swap(t, i), 0.0))
-                    worst = max(worst, diff)
-                    checks += 1
-        return EquivarianceReport(worst <= EQUIVARIANCE_TOL, worst, "exhaustive", checks)
-
-    if mode == "sampled":
-        if kernel.sampler is None:
-            raise InvalidArgumentError("sampled equivariance check needs a sampler")
-        if seed is None:
-            raise InvalidArgumentError("sampled equivariance check needs a seed")
-        rng = np.random.default_rng(seed)
-        passed = True
-        worst = 0.0
-        checks = 0
-        for _ in range(trials):
-            s = tuple(int(x) for x in rng.integers(0, k, size=n))
-            perm = rng.permutation(n)
-            inv = np.argsort(perm)
-            s_perm = tuple(s[perm[i]] for i in range(n))
-            freq1: dict = {}
-            freq2: dict = {}
-            for _ in range(samples):
-                y = kernel.sampler(s, rng)
-                freq1[y] = freq1.get(y, 0) + 1
-                yp = kernel.sampler(s_perm, rng)
-                y_back = tuple(yp[inv[i]] for i in range(n))
-                freq2[y_back] = freq2.get(y_back, 0) + 1
-            for t in set(freq1) | set(freq2):
-                f1 = freq1.get(t, 0) / samples
-                f2 = freq2.get(t, 0) / samples
-                pooled = 0.5 * (f1 + f2)
-                band = 4.0 * math.sqrt(max(pooled * (1 - pooled), 1e-12) * 2 / samples)
-                worst = max(worst, abs(f1 - f2))
+    if kernel.ordered_law is None:
+        raise CapacityError("exhaustive equivariance check needs an exact backend")
+    if k**n > EXHAUSTIVE_STATE_LIMIT:
+        raise CapacityError(
+            f"exhaustive equivariance check limited to {EXHAUSTIVE_STATE_LIMIT} states"
+        )
+    worst = 0.0
+    checks = 0
+    for s in itertools.product(range(k), repeat=n):
+        law_s = kernel.ordered_law(s)
+        for i in range(n - 1):
+            law_sp = kernel.ordered_law(_swap(s, i))
+            for t in set(law_s) | {_swap(t, i) for t in law_sp}:
+                diff = abs(law_s.get(t, 0.0) - law_sp.get(_swap(t, i), 0.0))
+                worst = max(worst, diff)
                 checks += 1
-                if abs(f1 - f2) > band:
-                    passed = False
-        return EquivarianceReport(passed, worst, "sampled", checks)
-
-    raise InvalidArgumentError(f"unknown equivariance mode {mode!r}")
+    return EquivarianceReport(worst <= EQUIVARIANCE_TOL, worst, checks)
 
 
 def _rows_from_ordered_law(kernel: ExchangeableKernel) -> dict:
@@ -219,10 +183,9 @@ def _rows_from_sampler(kernel: ExchangeableKernel, seed: int, replicas: int) -> 
     rows = {}
     for idx, m in enumerate(enumerate_occupancies(kernel.source, kernel.n)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        rep = class_representative(m)
         counts: dict = {}
         for _ in range(replicas):
-            c2 = occupancy_of(kernel.target, kernel.sampler(rep, rng))
+            c2 = kernel.sampler(m, rng)
             counts[c2] = counts.get(c2, 0) + 1
         rows[m] = {c2: cnt / replicas for c2, cnt in counts.items()}
     return rows
@@ -282,9 +245,6 @@ def map_kernel(
     def ordered_law(s):
         return {tuple(fmap[si] for si in s): 1.0}
 
-    def sampler(s, rng):
-        return tuple(fmap[si] for si in s)
-
     def build_rows():
         rows = {}
         for m in enumerate_occupancies(source, n):
@@ -301,7 +261,6 @@ def map_kernel(
         n,
         name=f"map:{spec}",
         ordered_law=ordered_law,
-        sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
         limit=lambda p: pushforward(p, fmap, target),
@@ -333,9 +292,6 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
     def ordered_law(s):
         return {zeros if tuple(s) == zeros else ones: 1.0}
 
-    def sampler(s, rng):
-        return zeros if tuple(s) == zeros else ones
-
     def build_rows():
         rows = {}
         for m in enumerate_occupancies(space, n):
@@ -348,7 +304,6 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
         n,
         name="counterexample",
         ordered_law=ordered_law,
-        sampler=sampler,
         class_rows_builder=build_rows,
         validate=False,
         limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
@@ -394,8 +349,9 @@ def kac_collision_kernel(
     lam*(n-1)/2) a uniform unordered pair of particles collides and is
     resampled by the pair rule.  The exact class matrix is the matrix
     exponential of the class-level generator, offered for
-    n <= KAC_EXACT_MAX_N; larger n is Monte Carlo only.  The limit is the
-    collision ODE of the same pair rule run for time t.
+    n <= KAC_EXACT_MAX_N; larger n is Monte Carlo only, through
+    `simulate_kac` with the same pair rule.  The limit is the collision ODE
+    of that pair rule run for time t.
     """
     check_rate_and_time(lam, t)
     if n < 2:
@@ -403,15 +359,8 @@ def kac_collision_kernel(
     rule = pair_rule or SumConservingRule(space.k)
     total_rate = lam * (n - 1) / 2.0
 
-    def sampler(s, rng):
-        state = list(s)
-        for _ in range(rng.poisson(t * total_rate)):
-            i = int(rng.integers(n))
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            state[i], state[j] = rule.sample(state[i], state[j], rng)
-        return tuple(state)
+    def sampler(m, rng):
+        return simulate_kac(ParticleState(m), lam, t, rng, rule).counts
 
     def build_rows():
         if n > KAC_EXACT_MAX_N:

@@ -41,9 +41,9 @@ class PairRule:
     def outcomes(self, u: int, w: int):
         raise NotImplementedError
 
-    def sample(self, u: int, w: int, rng) -> tuple:
+    def sample(self, u: int, w: int, r: float) -> tuple:
+        """The outcome at the uniform draw r in [0, 1)."""
         outs = self.outcomes(u, w)
-        r = rng.random()
         acc = 0.0
         for (a, b), pr in outs:
             acc += pr

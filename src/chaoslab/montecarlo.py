@@ -2,9 +2,11 @@
 
 All bundled dynamics depend on particle values only, so simulation runs at
 the occupancy level: O(k) work per collision event, which keeps n in the
-millions feasible.  Replicas draw their RNG streams from a splittable
-(master seed, replica index) scheme, so reductions are reproducible and
-order-independent.
+millions feasible.  `simulate_kac` is the one simulator of the Kac chain:
+the `kac` subcommand runs it per replica, and the Kac kernel's sampled
+class rows run it per class and replica.  Replicas draw their RNG streams
+from a splittable (master seed, replica index) scheme, so reductions are
+reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import numpy as np
 from .core import Distribution, StateSpace
 from .errors import InvalidArgumentError
 from .meanfield import PairRule, SumConservingRule, check_rate_and_time
+
+# Most collision events whose draws simulate_kac makes in one set of vector calls.
+EVENT_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,14 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def _draw_value(counts, total, rng) -> int:
-    r = int(rng.integers(total))
-    for v, c in enumerate(counts):
-        r -= c
-        if r < 0:
-            return v
-    raise AssertionError("count bookkeeping out of sync")
+def _value_at(counts, r: int) -> int:
+    """The value of particle r when particles are listed value by value."""
+    v = 0
+    r -= counts[0]
+    while r >= 0:
+        v += 1
+        r -= counts[v]
+    return v
 
 
 def simulate_kac(
@@ -80,9 +86,12 @@ def simulate_kac(
 ) -> ParticleState:
     """Run the Kac collision chain for time t from an occupancy state.
 
-    Event count is Poisson(t * lam * (n-1) / 2); each event draws an
-    unordered pair of distinct particles uniformly (two draws without
-    replacement from the counts) and applies the pair rule.
+    Event count is Poisson(t * lam * (n-1) / 2); each event picks an
+    unordered pair of distinct particles uniformly (particle i of n, then
+    particle j of the other n - 1, read off the counts) and applies the
+    pair rule at a uniform draw.  The draws are made in blocks of at most
+    EVENT_BLOCK events, three vector calls per block, so memory stays
+    bounded for any n * t.
     """
     n = start.n
     if n < 2:
@@ -91,14 +100,20 @@ def simulate_kac(
     rng = _as_rng(seed)
     rule = pair_rule or SumConservingRule(len(start.counts))
     counts = list(start.counts)
-    for _ in range(rng.poisson(t * lam * (n - 1) / 2.0)):
-        u = _draw_value(counts, n, rng)
-        counts[u] -= 1
-        w = _draw_value(counts, n - 1, rng)
-        counts[w] -= 1
-        a, b = rule.sample(u, w, rng)
-        counts[a] += 1
-        counts[b] += 1
+    events = int(rng.poisson(t * lam * (n - 1) / 2.0))
+    while events:
+        block = min(events, EVENT_BLOCK)
+        events -= block
+        firsts = rng.integers(n, size=block).tolist()
+        seconds = rng.integers(n - 1, size=block).tolist()
+        for i, j, r in zip(firsts, seconds, rng.random(block).tolist()):
+            u = _value_at(counts, i)
+            counts[u] -= 1
+            w = _value_at(counts, j)
+            counts[w] -= 1
+            a, b = rule.sample(u, w, r)
+            counts[a] += 1
+            counts[b] += 1
     return ParticleState(tuple(counts))
 
 

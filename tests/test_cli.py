@@ -196,6 +196,32 @@ class TestTheoremProbe:
         cfg.write_text(json.dumps(doc))
         assert main(["theorem-probe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("options", [
+        ["--kernel", "identity", "--p", "0.5,0.5", "--grid", "4"],
+        ["--kernel", "kac:1,1", "--p", "0.5,0.3,0.2", "--grid", "6,8"],
+    ])
+    def test_replicas_without_sampled_rows_is_config_error(self, tmp_path, capsys, options):
+        # Every n of these grids has exact rows, which never read --replicas.
+        rc = main(["theorem-probe", *options, "--seed", "1", "--replicas", "7",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_replicas_config_key_without_sampled_rows(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kernel": "kac:1,1", "p": "0.5,0.3,0.2",
+                                   "grid": "6,8", "seed": 1, "replicas": 7}))
+        out = tmp_path / "out"
+        assert main(["theorem-probe", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_replicas_with_a_sampled_n(self, tmp_path):
+        rc = main(["theorem-probe", "--kernel", "kac:1,0.25", "--p", "0.5,0.3,0.2",
+                   "--grid", "4,6,13", "--seed", "1", "--replicas", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+
     def test_capacity_exit_code(self, tmp_path):
         # exact Kac rows stop at n = 12 and no seed means no MC fallback
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.5",
@@ -221,6 +247,16 @@ class TestKacCommand:
     def test_seed_required(self, tmp_path):
         assert main(["kac", "--p", "0.5,0.5", "--n", "8",
                      "--out", str(tmp_path)]) == 2
+
+    def test_seed_read_before_any_work(self, tmp_path, monkeypatch, capsys):
+        import chaoslab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "kac_limit_evolve", lambda *a, **kw: calls.append(1))
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "12", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "missing required option 'seed'" in capsys.readouterr().err
+        assert calls == []
 
     def test_exact_row_only_with_class_matrix(self, tmp_path):
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "13", "--replicas", "4",

@@ -57,8 +57,10 @@ def noisy_relabel_kernel(n, flip=0.3):
             out[t] = pr
         return out
 
-    def sampler(s, rng):
-        return tuple(1 - si if rng.random() < flip else si for si in s)
+    def sampler(m, rng):
+        # Each state's particles flip independently: m_0 -> m_0 - x_0 + x_1.
+        x0, x1 = (int(rng.binomial(c, flip)) for c in m)
+        return (m[0] - x0 + x1, m[1] - x1 + x0)
 
     return ExchangeableKernel(S2, S2, n, "noisy", ordered_law=ordered_law, sampler=sampler)
 
@@ -76,19 +78,19 @@ def broken_kernel(n):
 
 class TestCheckEquivariance:
     def test_map_kernel_exact_zero(self):
-        report = check_equivariance(map_kernel([1, 0], 4, S2), "exhaustive")
+        report = check_equivariance(map_kernel([1, 0], 4, S2))
         assert report.passed and report.max_violation == 0.0
 
     def test_counterexample_passes(self):
-        report = check_equivariance(counterexample_kernel(4), "exhaustive")
+        report = check_equivariance(counterexample_kernel(4))
         assert report.passed and report.max_violation == 0.0
 
     def test_noisy_kernel_passes(self):
-        report = check_equivariance(noisy_relabel_kernel(3), "exhaustive")
+        report = check_equivariance(noisy_relabel_kernel(3))
         assert report.passed and report.max_violation < 1e-12
 
     def test_broken_kernel_fails(self):
-        report = check_equivariance(broken_kernel(2), "exhaustive")
+        report = check_equivariance(broken_kernel(2))
         assert not report.passed
         assert report.max_violation >= 0.5
 
@@ -98,18 +100,6 @@ class TestCheckEquivariance:
                 S2, S2, 2, "broken",
                 ordered_law=lambda s: {(1,) + tuple(s[1:]): 1.0},
             )
-
-    def test_sampled_mode(self):
-        good = check_equivariance(noisy_relabel_kernel(4), "sampled", seed=11)
-        assert good.passed
-        bad = broken_kernel(4)
-        bad.sampler = lambda s, rng: (1,) + tuple(s[1:])
-        report = check_equivariance(bad, "sampled", seed=11)
-        assert not report.passed
-
-    def test_sampled_needs_seed(self):
-        with pytest.raises(InvalidArgumentError):
-            check_equivariance(noisy_relabel_kernel(3), "sampled")
 
 
 class TestSymmetrizedClassKernel:
@@ -154,7 +144,7 @@ class TestSymmetrizedClassKernel:
     def test_sampled_rows_built_once_per_seed(self):
         kernel = kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1)
         sampler, draws = kernel.sampler, []
-        kernel.sampler = lambda s, rng: draws.append(1) or sampler(s, rng)
+        kernel.sampler = lambda m, rng: draws.append(1) or sampler(m, rng)
         law = product_law(Distribution(S3, (0.5, 0.3, 0.2)), kernel.n)
         first = propagate(law, kernel, seed=3, replicas=5)
         built = len(draws)
@@ -164,6 +154,28 @@ class TestSymmetrizedClassKernel:
         assert again.items() == first.items()
         propagate(law, kernel, seed=4, replicas=5)
         assert len(draws) == 2 * built
+
+    def test_kac_sampled_rows_close_to_exact(self):
+        n, replicas = 5, 3000
+        kernel = kac_collision_kernel(S3, 1.0, 0.5, n)
+        exact = symmetrized_class_kernel(kernel)
+        kernel_mc = ExchangeableKernel(
+            S3, S3, n, "kac-mc", sampler=kernel.sampler, validate=False
+        )
+        rows = symmetrized_class_kernel(kernel_mc, seed=9, replicas=replicas)
+        assert set(rows) == set(exact)
+        for m in exact:
+            for m2 in set(exact[m]) | set(rows[m]):
+                pr = exact[m].get(m2, 0.0)
+                sigma = math.sqrt(pr * (1 - pr) / replicas)
+                assert abs(rows[m].get(m2, 0.0) - pr) < 4 * sigma + 1e-9
+
+    def test_kac_sampler_uses_the_kernels_pair_rule(self):
+        # Swapping colliders never changes an occupancy; the default
+        # sum-conserving rule would.
+        kernel = kac_collision_kernel(S3, 1.0, 1.0, KAC_EXACT_MAX_N + 1, pair_rule=SwapRule())
+        rows = symmetrized_class_kernel(kernel, seed=2, replicas=3)
+        assert rows == {m: {m: 1.0} for m in enumerate_occupancies(S3, kernel.n)}
 
 
 class TestInducedTransition:

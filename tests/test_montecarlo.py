@@ -21,6 +21,7 @@ from chaoslab import (
     to_dense,
 )
 from chaoslab.errors import InvalidArgumentError
+from chaoslab.meanfield import SumConservingRule
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -62,6 +63,58 @@ class TestSimulateKac:
         for lam, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(InvalidArgumentError):
                 simulate_kac(ParticleState((2, 2)), lam, t, seed=0)
+
+
+class TestEventBlocks:
+    """simulate_kac draws its randomness in blocks of at most EVENT_BLOCK events."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_blocks(self, monkeypatch):
+        import chaoslab.montecarlo as montecarlo
+
+        monkeypatch.setattr(montecarlo, "EVENT_BLOCK", 2)
+
+    def test_conserves_count_and_label_sum(self):
+        start = ParticleState((3, 4, 5))
+        total = sum(v * c for v, c in enumerate(start.counts))
+        for seed in range(20):
+            end = simulate_kac(start, 2.0, 1.5, seed=seed)
+            assert end.n == start.n
+            assert sum(v * c for v, c in enumerate(end.counts)) == total
+
+    def test_seed_reproducibility(self):
+        start = ParticleState((10, 5, 5))
+        a = simulate_kac(start, 1.0, 2.0, seed=42)
+        assert a.counts == simulate_kac(start, 1.0, 2.0, seed=42).counts
+
+    def test_every_event_collides(self):
+        # The event count is the stream's first draw; every event calls the rule.
+        class CountingRule(SumConservingRule):
+            calls = 0
+
+            def sample(self, u, w, r):
+                CountingRule.calls += 1
+                return super().sample(u, w, r)
+
+        start = ParticleState((6, 3, 3))
+        for seed in range(5):
+            CountingRule.calls = 0
+            simulate_kac(start, 1.0, 1.0, seed, CountingRule(3))
+            events = np.random.default_rng(seed).poisson(1.0 * 1.0 * 11 / 2.0)
+            assert CountingRule.calls == events > 2
+
+    def test_zero_events(self):
+        start = ParticleState((4, 2, 2))
+        assert simulate_kac(start, 1.0, 0.0, seed=0).counts == start.counts
+
+    def test_two_particles(self):
+        # Labels 0 and 2 sum to 2: each collision leaves (0, 2), (1, 1) or (2, 0).
+        seen = set()
+        for seed in range(30):
+            end = simulate_kac(ParticleState((1, 0, 1)), 1.0, 5.0, seed=seed)
+            assert end.n == 2 and end.counts[1] + 2 * end.counts[2] == 2
+            seen.add(end.counts)
+        assert seen == {(1, 0, 1), (0, 2, 0)}
 
 
 class TestPairMarginalUstat:
