@@ -30,11 +30,9 @@ from .core import (
     tv_distance,
 )
 from .diagnostics import (
-    ChaosReport,
     EnergyModel,
     chaos_verdict,
     entropy_convergence,
-    fit_gibbs,
     microcanonical,
     microcanonical_limit,
     pair_gap,
@@ -51,12 +49,16 @@ from .kernels import (
     kac_collision_kernel,
     make_kernel,
     propagate,
-    symmetrized_class_kernel,
 )
 from .meanfield import kac_limit_evolve, continuity_probe
-from .montecarlo import ParticleState, iid_state, replica_rng, simulate_kac
+from .montecarlo import iid_state, replica_rng, simulate_kac
 
 FMT = "%.17g"
+# Numeric options by type: argparse converts the flags, load_config the
+# config-file values (through to_number).  LEAST holds lower bounds.
+NUMERIC = {"seed": int, "n": int, "replicas": int, "tol": float, "lam": float,
+           "t": float, "E": float, "delta": float}
+LEAST = {"seed": 0, "replicas": 1}
 
 
 def fmt(x: float) -> str:
@@ -102,11 +104,27 @@ def near_product_mixture(n: int) -> SymmetricLaw:
     return SymmetricLaw(space, n, {(n, 0): 0.5, (n - 1, 1): 0.5})
 
 
-def write_outputs(outdir: str, name: str, csv_text: str, meta: dict) -> None:
-    out = Path(outdir)
+def write_outputs(config: dict, name: str, csv_text: str, meta: dict) -> None:
+    """Write <out>/<name>.csv and <out>/<name>.meta.json; the config's "name"
+    overrides `name`, and the meta gains the config echo and the version."""
+    out, name = Path(config.get("out", ".")), config.get("name", name)
+    meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
+            "version": __version__, **meta}
     out.mkdir(parents=True, exist_ok=True)
     (out / f"{name}.csv").write_text(csv_text)
     (out / f"{name}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def to_number(key: str, value, kind):
+    """value as kind (int or float), or ConfigError; an int must be integral."""
+    try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def load_config(args: argparse.Namespace, allowed: set) -> dict:
@@ -124,6 +142,11 @@ def load_config(args: argparse.Namespace, allowed: set) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             config[key] = value
+    for key, kind in NUMERIC.items():
+        if config.get(key) is not None:
+            config[key] = to_number(key, config[key], kind)
+            if key in LEAST and config[key] < LEAST[key]:
+                raise ConfigError(f"{key} must be >= {LEAST[key]}, got {config[key]}")
     return config
 
 
@@ -133,10 +156,16 @@ def require(config: dict, key: str):
     return config[key]
 
 
+def energy_model(config: dict) -> EnergyModel:
+    H = parse_floats(str(require(config, "H")))
+    return EnergyModel(StateSpace.of_size(len(H)), H, require(config, "E"),
+                       require(config, "delta"))
+
+
 def has_exact_rows(kernel) -> bool:
-    """Whether the kernel has exact class rows at its n (they are kept on it)."""
+    """Whether the kernel has an exact class matrix at its n (it is kept on it)."""
     try:
-        symmetrized_class_kernel(kernel)
+        kernel.class_matrix()
     except CapacityError:
         return False
     return True
@@ -156,8 +185,7 @@ def cmd_diagnose(args) -> int:
     config = load_config(args, allowed)
     family_name = require(config, "family")
     grid = parse_grid(str(require(config, "grid")))
-    tol = float(config.get("tol", 1e-3))
-    name = config.get("name", "diagnose")
+    tol = config.get("tol", 1e-3)
 
     if family_name == "product":
         p = parse_floats(str(require(config, "p")))
@@ -168,10 +196,7 @@ def cmd_diagnose(args) -> int:
         rho = Distribution(StateSpace.of_size(2), (0.5, 0.5))
         family = mixture_family
     elif family_name == "microcanonical":
-        H = parse_floats(str(require(config, "H")))
-        space = StateSpace.of_size(len(H))
-        model = EnergyModel(space, H, float(require(config, "E")),
-                            float(require(config, "delta")))
+        model = energy_model(config)
         _, rho = microcanonical_limit(model)
         family = lambda n: microcanonical(model, n)
     elif family_name == "custom":
@@ -189,9 +214,7 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"unknown family {family_name!r}")
 
     report = chaos_verdict(family, rho, grid, tol=tol)
-    meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
-            "version": __version__, **report.meta()}
-    write_outputs(config.get("out", "."), name, report.to_csv(), meta)
+    write_outputs(config, "diagnose", report.to_csv(), report.meta())
     return check_expectation(config, report.verdict)
 
 
@@ -203,8 +226,7 @@ def cmd_counterexample(args) -> int:
     grid = parse_grid(str(config.get("grid", "4,8,16,32,64,128")))
     if any(n < 2 for n in grid):
         raise ConfigError("counterexample needs n >= 2 throughout the grid")
-    tol = float(config.get("tol", 1e-3))
-    name = config.get("name", "counterexample")
+    tol = config.get("tol", 1e-3)
     p = parse_floats(str(config.get("p", "0.9,0.1")))
     space = StateSpace.of_size(2)
     rho_in = Distribution(space, p)
@@ -222,13 +244,8 @@ def cmd_counterexample(args) -> int:
     lines = ["n,product_pair_gap,mixture_pair_gap"]
     for rp, rm in zip(rep_prod.rows, rep_mix.rows):
         lines.append(f"{rp.n},{fmt(rp.pair_gap)},{fmt(rm.pair_gap)}")
-    meta = {
-        "config": {k: config[k] for k in sorted(config) if k != "out"},
-        "version": __version__,
-        "product_verdict": rep_prod.verdict,
-        "mixture_verdict": rep_mix.verdict,
-    }
-    write_outputs(config.get("out", "."), name, "\n".join(lines) + "\n", meta)
+    meta = {"product_verdict": rep_prod.verdict, "mixture_verdict": rep_mix.verdict}
+    write_outputs(config, "counterexample", "\n".join(lines) + "\n", meta)
     both_expected = rep_prod.verdict == "chaotic" and rep_mix.verdict == "not-chaotic"
     if config.get("expect") is not None:
         return 0 if (config["expect"] == "chaotic") == both_expected else 3
@@ -242,12 +259,9 @@ def cmd_theorem_probe(args) -> int:
     p = parse_floats(str(require(config, "p")))
     grid = parse_grid(str(require(config, "grid")))
     seed = config.get("seed")
-    name = config.get("name", "theorem-probe")
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
-    replicas = int(config.get("replicas", DEFAULT_SAMPLE_REPLICAS))
-    if replicas < 1:
-        raise ConfigError(f"need replicas >= 1, got {replicas}")
+    replicas = config.get("replicas", DEFAULT_SAMPLE_REPLICAS)
     if config.get("replicas") is not None and seed is None:
         raise ConfigError("replicas sets the Monte Carlo rows, which need a seed")
     kernels = [make_kernel(kernel_name, space, n) for n in grid]
@@ -255,44 +269,33 @@ def cmd_theorem_probe(args) -> int:
         raise ConfigError("replicas sets the Monte Carlo rows, and every n of the "
                           "grid has exact rows")
 
-    def damped_family(n):
-        # p-chaotic, not product: vanishing contamination by a fixed class.
-        other = quota_occupancy(Distribution(space, tuple(reversed(rho.p))), n)
-        return SymmetricLaw.mixture(
-            [(product_law(rho, n), 1.0 - 1.0 / n),
-             (SymmetricLaw.point_class(space, other), 1.0 / n)]
-        )
-
-    def shell_family(n):
-        # All mass on the quota class: a microcanonical-style concentration.
-        return SymmetricLaw.point_class(space, quota_occupancy(rho, n))
-
+    flipped = Distribution(space, tuple(reversed(rho.p)))
     # Every kernel of one spec carries the same limit map.  The probe
     # evaluates it once on the stack [rho, q_1, ...], whose row 0 is the
     # limit law fp.
     first = kernels[0]
     probe = continuity_probe(first.limit, rho, radius=0.1, samples=64,
-                             seed=int(seed) if seed is not None else 0)
+                             seed=seed if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
 
     lines = ["n,row_gap,product_gap,damped_gap,shell_gap"]
     row_gaps = []
     for n in grid:
         kernel = kernels.pop(0)  # so that each n's rows are freed after it
-        kw = {} if seed is None else {"seed": int(seed), "replicas": replicas}
-        rows = symmetrized_class_kernel(kernel, **kw)
-        row_law = SymmetricLaw(kernel.target, n, rows[quota_occupancy(rho, n)])
-        gap_row = pair_gap(row_law, fp)
-        gaps = [
-            pair_gap(propagate(fam(n), kernel, **kw), fp)
-            for fam in (lambda m: product_law(rho, m), damped_family, shell_family)
-        ]
+        kw = {} if seed is None else {"seed": seed, "replicas": replicas}
+        # The shell law, all mass on the quota class (a microcanonical-style
+        # concentration), propagates to the quota row itself.  The damped law
+        # is p-chaotic, not product: vanishing contamination by a fixed class.
+        shell = SymmetricLaw.point_class(space, quota_occupancy(rho, n))
+        product = product_law(rho, n)
+        other = SymmetricLaw.point_class(space, quota_occupancy(flipped, n))
+        damped = SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
+        gap_row, gap_product, gap_damped = (pair_gap(propagate(law, kernel, **kw), fp)
+                                            for law in (shell, product, damped))
         row_gaps.append(gap_row)
-        lines.append(f"{n},{fmt(gap_row)},{fmt(gaps[0])},{fmt(gaps[1])},{fmt(gaps[2])}")
+        lines.append(f"{n},{fmt(gap_row)},{fmt(gap_product)},{fmt(gap_damped)},{fmt(gap_row)}")
 
     meta = {
-        "config": {k: config[k] for k in sorted(config) if k != "out"},
-        "version": __version__,
         "limit": list(fp.p),
         "final_row_gap": row_gaps[-1],
         "row_gap_decreasing": all(b < a for a, b in zip(row_gaps, row_gaps[1:])),
@@ -300,7 +303,7 @@ def cmd_theorem_probe(args) -> int:
         "continuity_radius": probe.radius,
         "discontinuity_flag": probe.modulus > 5 * probe.radius,
     }
-    write_outputs(config.get("out", "."), name, "\n".join(lines) + "\n", meta)
+    write_outputs(config, "theorem-probe", "\n".join(lines) + "\n", meta)
     return 0
 
 
@@ -308,14 +311,11 @@ def cmd_kac(args) -> int:
     allowed = {"name", "p", "n", "replicas", "lam", "t", "seed", "out"}
     config = load_config(args, allowed)
     p = parse_floats(str(require(config, "p")))
-    n = int(require(config, "n"))
-    lam = float(config.get("lam", 1.0))
-    t = float(config.get("t", 1.0))
-    replicas = int(config.get("replicas", 200))
-    if replicas < 1:
-        raise ConfigError(f"need replicas >= 1, got {replicas}")
-    seed = int(require(config, "seed"))
-    name = config.get("name", "kac")
+    n = require(config, "n")
+    lam = config.get("lam", 1.0)
+    t = config.get("t", 1.0)
+    replicas = config.get("replicas", 200)
+    seed = require(config, "seed")
     space = StateSpace.of_size(len(p))
     p0 = Distribution(space, p)
     ode = kac_limit_evolve(p0, lam, t)
@@ -328,9 +328,8 @@ def cmd_kac(args) -> int:
     # this n; asking for it first keeps product_law off the large-n path.
     kernel = kac_collision_kernel(space, lam, t, n)
     if has_exact_rows(kernel):
-        one = marginal(propagate(product_law(p0, n), kernel), 1)
-        exact_p = Distribution(space, tuple(one.mass(tuple(
-            1 if j == i else 0 for j in range(space.k))) for i in range(space.k)))
+        # The classes of one particle are the states, in rank order.
+        exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
         lines.append(f"exact,{fmt(tv_distance(exact_p, ode))}," +
                      ",".join(fmt(x) for x in exact_p.p))
 
@@ -343,22 +342,16 @@ def cmd_kac(args) -> int:
     lines.append(f"mc,{fmt(tv_distance(mc_p, ode))}," +
                  ",".join(fmt(x) for x in mc_p.p))
 
-    meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
-            "version": __version__, "ode": list(ode.p)}
-    write_outputs(config.get("out", "."), name, "\n".join(lines) + "\n", meta)
+    write_outputs(config, "kac", "\n".join(lines) + "\n", {"ode": list(ode.p)})
     return 0
 
 
 def cmd_microcanonical(args) -> int:
     allowed = {"name", "H", "E", "delta", "grid", "tol", "out", "expect", "seed"}
     config = load_config(args, allowed)
-    H = parse_floats(str(require(config, "H")))
-    space = StateSpace.of_size(len(H))
-    model = EnergyModel(space, H, float(require(config, "E")),
-                        float(require(config, "delta")))
+    model = energy_model(config)
     grid = parse_grid(str(require(config, "grid")))
-    tol = float(config.get("tol", 1e-3))
-    name = config.get("name", "microcanonical")
+    tol = config.get("tol", 1e-3)
     beta, gamma = microcanonical_limit(model)
     family = lambda n: microcanonical(model, n)
     report = chaos_verdict(family, gamma, grid, tol=tol)
@@ -368,14 +361,12 @@ def cmd_microcanonical(args) -> int:
         lines.append(f"{row.n},{fmt(row.pair_gap)},{fmt(row.concentration_gap)},"
                      f"{fmt(row.specific_loglik)},{fmt(dev)}")
     meta = {
-        "config": {k: config[k] for k in sorted(config) if k != "out"},
-        "version": __version__,
         "beta": beta,
         "gamma": list(gamma.p),
         "verdict": report.verdict,
         "slope": report.slope,
     }
-    write_outputs(config.get("out", "."), name, "\n".join(lines) + "\n", meta)
+    write_outputs(config, "microcanonical", "\n".join(lines) + "\n", meta)
     return check_expectation(config, report.verdict)
 
 

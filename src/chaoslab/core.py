@@ -7,10 +7,13 @@ makes exact computations feasible for n in the hundreds.
 
 A SymmetricLaw holds two read-only arrays: `occ`, the (S, k) occupancy
 vectors of its support in canonical enumeration order, and `p`, their
-positive masses.  Product laws, marginals and log-likelihoods are numpy
-operations over these arrays.  Class sizes are doubles: products of
-binomial coefficients from a cached Pascal triangle, exact below 2**53,
-with a log-factorial fallback where they overflow.  Sums that feed gaps and
+positive masses.  `class_index` gives an occupancy its rank, its row in
+`occupancy_array(k, n)`; `SymmetricLaw.vector()` scatters a law's masses
+into the full rank-indexed vector that kernels act on.  Product laws,
+marginals and log-likelihoods are numpy operations over these arrays.
+Class sizes are doubles: products of binomial coefficients from a cached
+Pascal triangle, exact below 2**53, with a log-factorial fallback where
+they overflow.  Sums that feed gaps and
 likelihoods use math.fsum.  A dense ordered representation and the exact
 big-integer `class_size` are kept as small-n oracles.
 """
@@ -133,9 +136,23 @@ def enumerate_occupancies(space: StateSpace, n: int) -> list:
     return [tuple(m) for m in occupancy_array(space.k, n).tolist()]
 
 
-def occupancy_sort_key(m: Occupancy):
-    """Sort key reproducing the enumeration order of enumerate_occupancies."""
-    return tuple(-x for x in m)
+def class_index(occ, n: int) -> np.ndarray:
+    """Rank of each occupancy: its row in occupancy_array(k, n), as int64.
+
+    Combinatorial number system: the classes before m agree with m up to a
+    state i and hold more particles in it; with r particles in the states
+    after i there are C(r + d - 1, d) of those, d = k - 1 - i.
+    """
+    occ = np.asarray(occ, dtype=np.int64)
+    k = occ.shape[-1]
+    after = n - np.cumsum(occ, axis=-1)
+    rank = np.zeros(occ.shape[:-1], dtype=np.int64)
+    for i in range(k - 1):
+        binom = np.ones_like(rank)
+        for j in range(1, k - i):  # C(r + j - 1, j), exact in integers
+            binom = binom * (after[..., i] + j - 1) // j
+        rank += binom
+    return rank
 
 
 def class_size(m: Occupancy) -> int:
@@ -268,9 +285,9 @@ class SymmetricLaw:
                 clean[m] = mass
         if abs(math.fsum(clean.values()) - 1.0) > MASS_TOL:
             raise InvalidArgumentError("class masses do not sum to 1")
-        order = sorted(clean, key=occupancy_sort_key)
-        self._set(space, n, np.array(order, dtype=np.int64),
-                  np.array([clean[m] for m in order]))
+        rank = dict(zip(clean, class_index(list(clean), n).tolist()))
+        order = sorted(clean, key=rank.get)
+        self._set(space, n, np.array(order, dtype=np.int64), np.array([clean[m] for m in order]))
 
     def _set(self, space, n, occ, p):
         occ.flags.writeable = False
@@ -292,6 +309,12 @@ class SymmetricLaw:
         law._set(space, n, occ, p)
         return law
 
+    def vector(self) -> np.ndarray:
+        """The masses over every class of occupancy_array(k, n), by rank."""
+        out = np.zeros(math.comb(self.n + self.space.k - 1, self.space.k - 1))
+        out[class_index(self.occ, self.n)] = self.p
+        return out
+
     @functools.cached_property
     def classes(self) -> dict:
         return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
@@ -310,15 +333,11 @@ class SymmetricLaw:
     def mixture(components) -> "SymmetricLaw":
         """Convex combination of symmetric laws on the same space and n."""
         components = list(components)
-        space = components[0][0].space
-        n = components[0][0].n
-        out: dict = {}
-        for law, weight in components:
-            if law.space != space or law.n != n:
-                raise InvalidArgumentError("mixture components live on different spaces")
-            for m, mass in law.items():
-                out[m] = out.get(m, 0.0) + weight * mass
-        return SymmetricLaw(space, n, out)
+        space, n = components[0][0].space, components[0][0].n
+        if any(law.space != space or law.n != n for law, _ in components):
+            raise InvalidArgumentError("mixture components live on different spaces")
+        masses = sum(weight * law.vector() for law, weight in components)
+        return SymmetricLaw.from_arrays(space, n, occupancy_array(space.k, n), masses)
 
 
 def product_law(p: Distribution, n: int) -> SymmetricLaw:
@@ -431,8 +450,7 @@ def tv_distance(a, b) -> float:
     if isinstance(a, SymmetricLaw) and isinstance(b, SymmetricLaw):
         if a.space != b.space or a.n != b.n:
             raise InvalidArgumentError("laws on different spaces or particle counts")
-        keys = set(a.classes) | set(b.classes)
-        return 0.5 * math.fsum(abs(a.mass(m) - b.mass(m)) for m in keys)
+        return 0.5 * math.fsum(np.abs(a.vector() - b.vector()).tolist())
     raise InvalidArgumentError("tv_distance needs two objects of the same kind")
 
 

@@ -167,11 +167,13 @@ def chaos_verdict(
 
     `family` maps n to a symmetric law on S^n; `rho` is the candidate
     one-particle limit.  The verdict combines the final pair gap with the
-    fitted log-log decay slope.
+    fitted log-log decay slope; `tol` must be finite and > 0.
     """
     grid = [int(n) for n in grid]
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidArgumentError("grid must be strictly increasing with length >= 3")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     rows = []
     for n in grid:
         try:
@@ -180,6 +182,8 @@ def chaos_verdict(
             raise type(exc)(f"law family failed at n={n}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"law family failed at n={n}") from exc
+        if law.n != n:
+            raise InvalidArgumentError(f"law family gave a law of n={law.n} at n={n}")
         kg = None
         if marginal_order is not None:
             kg = k_gap(law, rho, marginal_order)

@@ -5,7 +5,7 @@ symmetrized class form: one row per source occupancy, each row a law over
 target occupancies.  In occupancy form an empirical measure is its class
 m <-> m/n, so that class matrix is also the induced transition on
 empirical measures, and mixing a symmetric input law against it
-(`propagate`) is the exact propagation step.
+(`propagate`, one `np.bincount`) is the exact propagation step.
 
 Each constructor here is the one spec of its dynamics: next to the
 n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
@@ -13,16 +13,17 @@ the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
 source laws, one per row, and returns the (B, k_target) stack of their
 images.  `make_kernel` is the only parser of the kernel names.
 
-A kernel has up to three backends: `ordered_law`, the exact law of K_n(s, .)
-on ordered states (small spaces); a class-level `sampler`, which draws a
-target occupancy from a source occupancy (Monte Carlo); and exact class
-rows.  The Kac kernel's sampler is `montecarlo.simulate_kac` with the
-kernel's own pair rule, the same simulator the `kac` subcommand runs.
+A kernel is computed in one form, `class_matrix()`: its nonzero entries
+(src, dst, prob) over class ranks (`core.class_index`).  The constructor
+builds it, or it is compiled from `ordered_law` (the exact law of K_n(s, .)
+on ordered states, small spaces) or estimated from a seeded class-level
+`sampler` (for Kac, `montecarlo.simulate_kac` with its own pair rule).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,7 +34,9 @@ from .core import (
     Occupancy,
     StateSpace,
     SymmetricLaw,
+    class_index,
     enumerate_occupancies,
+    occupancy_array,
     occupancy_of,
 )
 from .errors import CapacityError, EquivarianceError, InvalidArgumentError
@@ -56,10 +59,10 @@ DEFAULT_SAMPLE_REPLICAS = 4000
 class ExchangeableKernel:
     """A Markov transition from S^n to T^n commuting with permutations.
 
-    Backends, any of which may be absent:
+    Ways to build its `class_matrix()`, any of which may be absent:
+      matrix_builder() -> (src, dst, prob)            (exact)
       ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
       sampler(m, rng) -> target occupancy             (Monte Carlo)
-      class matrix: occupancy -> law over occupancies (exact symmetrized form)
 
     A sampler works on occupancy classes, so it is permutation-equivariant
     by construction; only `ordered_law` is checked.
@@ -67,8 +70,6 @@ class ExchangeableKernel:
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
     kernel propagates chaos toward, applied row by row to a (B, S.k) stack
     of laws and returning a (B, T.k) stack.
-
-    Monte Carlo class rows are built once per (seed, replicas) and kept.
     """
 
     def __init__(
@@ -79,7 +80,7 @@ class ExchangeableKernel:
         name: str,
         ordered_law: Optional[Callable] = None,
         sampler: Optional[Callable] = None,
-        class_rows_builder: Optional[Callable] = None,
+        matrix_builder: Optional[Callable] = None,
         validate: bool = True,
         limit: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
@@ -92,9 +93,11 @@ class ExchangeableKernel:
         self.ordered_law = ordered_law
         self.sampler = sampler
         self.limit = limit
-        self._class_rows_builder = class_rows_builder
-        self._class_rows = None
-        self._sampled_rows: dict = {}
+        if matrix_builder is None and ordered_law is not None:
+            matrix_builder = lambda: _compiled(self, [
+                _ordered_row(self, m) for m in enumerate_occupancies(source, n)])
+        self._matrix_builder = matrix_builder
+        self._matrices: dict = {}
         if validate and ordered_law is not None:
             if source.k**n <= EXHAUSTIVE_STATE_LIMIT:
                 report = check_equivariance(self)
@@ -104,20 +107,26 @@ class ExchangeableKernel:
                         f"(max violation {report.max_violation:g})"
                     )
 
-    def class_rows(self) -> dict:
-        if self._class_rows is None:
-            if self._class_rows_builder is not None:
-                self._class_rows = self._class_rows_builder()
-            elif self.ordered_law is not None:
-                self._class_rows = _rows_from_ordered_law(self)
-            elif self.sampler is not None:
-                raise CapacityError(
-                    f"kernel {self.name!r} has no exact class form; use "
-                    "symmetrized_class_kernel with a seed for sampled estimation"
-                )
-            else:
-                raise CapacityError(f"kernel {self.name!r} has no usable backend")
-        return self._class_rows
+    def class_matrix(self, seed: Optional[int] = None,
+                     replicas: int = DEFAULT_SAMPLE_REPLICAS) -> tuple:
+        """Nonzero entries (src, dst, prob), src and dst class ranks, in
+        source-rank order; built once and kept.  Exact where the kernel has an
+        exact form, else estimated from `replicas` seeded draws per source class."""
+        key = None
+        try:
+            if key not in self._matrices:
+                if self._matrix_builder is None:
+                    raise CapacityError(f"kernel {self.name!r} has no exact class form")
+                self._matrices[key] = self._matrix_builder()
+        except CapacityError:
+            if self.sampler is None or seed is None:
+                raise
+            if replicas < 1:
+                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}") from None
+            key = (seed, replicas)
+            if key not in self._matrices:
+                self._matrices[key] = _sampled_matrix(self, seed, replicas)
+        return self._matrices[key]
 
 
 @dataclass
@@ -166,66 +175,55 @@ def check_equivariance(kernel: ExchangeableKernel) -> EquivarianceReport:
     return EquivarianceReport(worst <= EQUIVARIANCE_TOL, worst, checks)
 
 
-def _rows_from_ordered_law(kernel: ExchangeableKernel) -> dict:
-    rows = {}
-    for m in enumerate_occupancies(kernel.source, kernel.n):
-        law = kernel.ordered_law(class_representative(m))
-        row: dict = {}
-        for t, pr in law.items():
-            if pr > 0.0:
-                c2 = occupancy_of(kernel.target, t)
-                row[c2] = row.get(c2, 0.0) + pr
-        rows[m] = row
-    return rows
+def _compiled(kernel: ExchangeableKernel, rows: list) -> tuple:
+    """Class matrix entries from rows[rank], a {target occupancy: weight} dict per class."""
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    dst = class_index([m2 for row in rows for m2 in row], kernel.n)
+    return src, dst, np.array([w for row in rows for w in row.values()], dtype=float)
 
 
-def _rows_from_sampler(kernel: ExchangeableKernel, seed: int, replicas: int) -> dict:
-    rows = {}
+def _ordered_row(kernel: ExchangeableKernel, m: Occupancy) -> Counter:
+    """Row of class m: its representative's ordered law, merged onto target classes."""
+    row: Counter = Counter()
+    for t, pr in kernel.ordered_law(class_representative(m)).items():
+        if pr > 0.0:
+            row[occupancy_of(kernel.target, t)] += pr
+    return row
+
+
+def _sampled_matrix(kernel: ExchangeableKernel, seed: int, replicas: int) -> tuple:
+    """Monte Carlo class matrix: each source class's draw counts / replicas,
+    drawn from the stream SeedSequence(seed, spawn_key=(rank,))."""
+    rows = []
     for idx, m in enumerate(enumerate_occupancies(kernel.source, kernel.n)):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        counts: dict = {}
-        for _ in range(replicas):
-            c2 = kernel.sampler(m, rng)
-            counts[c2] = counts.get(c2, 0) + 1
-        rows[m] = {c2: cnt / replicas for c2, cnt in counts.items()}
+        rows.append(Counter(kernel.sampler(m, rng) for _ in range(replicas)))
+    src, dst, counts = _compiled(kernel, rows)
+    return src, dst, counts / replicas
+
+
+def symmetrized_class_kernel(kernel: ExchangeableKernel, seed: Optional[int] = None,
+                             replicas: int = DEFAULT_SAMPLE_REPLICAS) -> dict:
+    """`kernel.class_matrix(seed, replicas)` as a dict of rows,
+    {source occupancy: {target occupancy: prob}}."""
+    src, dst, prob = kernel.class_matrix(seed, replicas)
+    sources = enumerate_occupancies(kernel.source, kernel.n)
+    targets = enumerate_occupancies(kernel.target, kernel.n)
+    rows: dict = {m: {} for m in sources}
+    for i, j, pr in zip(src.tolist(), dst.tolist(), prob.tolist()):
+        rows[sources[i]][targets[j]] = pr
     return rows
-
-
-def symmetrized_class_kernel(
-    kernel: ExchangeableKernel,
-    seed: Optional[int] = None,
-    replicas: int = DEFAULT_SAMPLE_REPLICAS,
-) -> dict:
-    """The symmetrization of K_n(s, .) as a stochastic matrix over classes.
-
-    By equivariance the row for a class does not depend on the chosen
-    representative.  Falls back to seeded Monte Carlo estimation when no
-    exact backend exists; the sampled rows are kept on the kernel, so a
-    second call with the same seed and replicas does not resample.
-    """
-    try:
-        return kernel.class_rows()
-    except CapacityError:
-        if kernel.sampler is not None and seed is not None:
-            if replicas < 1:
-                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}")
-            key = (seed, replicas)
-            if key not in kernel._sampled_rows:
-                kernel._sampled_rows[key] = _rows_from_sampler(kernel, seed, replicas)
-            return kernel._sampled_rows[key]
-        raise
 
 
 def propagate(law: SymmetricLaw, kernel: ExchangeableKernel, **kwargs) -> SymmetricLaw:
-    """Mix a symmetric law through the kernel: the output law on T^n."""
+    """Mix a symmetric law through the kernel: the output law on T^n.  The
+    bincount adds each target class's terms in source-rank order."""
     if law.space != kernel.source or law.n != kernel.n:
         raise InvalidArgumentError("law and kernel dimensions do not match")
-    rows = symmetrized_class_kernel(kernel, **kwargs)
-    out: dict = {}
-    for m, mass in law.items():
-        for m2, pr in rows[m].items():
-            out[m2] = out.get(m2, 0.0) + mass * pr
-    return SymmetricLaw(kernel.target, kernel.n, out)
+    src, dst, prob = kernel.class_matrix(**kwargs)
+    occ = occupancy_array(kernel.target.k, kernel.n)
+    mass = np.bincount(dst, weights=law.vector()[src] * prob, minlength=len(occ))
+    return SymmetricLaw.from_arrays(kernel.target, kernel.n, occ, mass)
 
 
 def map_kernel(
@@ -245,14 +243,11 @@ def map_kernel(
     def ordered_law(s):
         return {tuple(fmap[si] for si in s): 1.0}
 
-    def build_rows():
-        rows = {}
-        for m in enumerate_occupancies(source, n):
-            m2 = [0] * target.k
-            for s, count in enumerate(m):
-                m2[fmap[s]] += count
-            rows[m] = {tuple(m2): 1.0}
-        return rows
+    def build_matrix():
+        onto = np.zeros((source.k, target.k), dtype=np.int64)
+        onto[np.arange(source.k), fmap] = 1
+        image = class_index(occupancy_array(source.k, n) @ onto, n)
+        return np.arange(len(image)), image, np.ones(len(image))
 
     spec = ",".join(str(t) for t in fmap)
     return ExchangeableKernel(
@@ -261,7 +256,7 @@ def map_kernel(
         n,
         name=f"map:{spec}",
         ordered_law=ordered_law,
-        class_rows_builder=build_rows,
+        matrix_builder=build_matrix,
         validate=False,
         limit=lambda p: pushforward(p, fmap, target),
     )
@@ -292,11 +287,11 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
     def ordered_law(s):
         return {zeros if tuple(s) == zeros else ones: 1.0}
 
-    def build_rows():
-        rows = {}
-        for m in enumerate_occupancies(space, n):
-            rows[m] = {(n, 0): 1.0} if m == (n, 0) else {(0, n): 1.0}
-        return rows
+    def build_matrix():
+        # Rank 0 is the class (n, 0) and rank n the class (0, n).
+        image = np.full(n + 1, n)
+        image[0] = 0
+        return np.arange(n + 1), image, np.ones(n + 1)
 
     return ExchangeableKernel(
         space,
@@ -304,35 +299,31 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
         n,
         name="counterexample",
         ordered_law=ordered_law,
-        class_rows_builder=build_rows,
+        matrix_builder=build_matrix,
         validate=False,
         limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
     )
 
 
-def _kac_event_matrix(space, n, rule, occupancies, index):
-    """One-collision transition matrix on occupancy classes."""
-    k = space.k
+def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
+    """One-collision transition matrix on the occupancy classes, by rank.
+
+    Vectorised over the classes: each colliding pair (u, w) and outcome
+    (a, b) of the rule moves every class that holds the pair at once.
+    """
+    occ = occupancy_array(k, n)
     pairs_total = n * (n - 1) / 2.0
-    P = np.zeros((len(occupancies), len(occupancies)))
-    for i, m in enumerate(occupancies):
-        for u in range(k):
-            if not m[u]:
-                continue
-            for w in range(u, k):
-                if u == w:
-                    weight = m[u] * (m[u] - 1) / 2.0 / pairs_total
-                else:
-                    weight = m[u] * m[w] / pairs_total
-                if weight == 0.0:
-                    continue
-                for (a, b), pr in rule.outcomes(u, w):
-                    m2 = list(m)
-                    m2[u] -= 1
-                    m2[w] -= 1
-                    m2[a] += 1
-                    m2[b] += 1
-                    P[i, index[tuple(m2)]] += weight * pr
+    P = np.zeros((len(occ), len(occ)))
+    for u in range(k):
+        for w in range(u, k):
+            if u == w:
+                weight = occ[:, u] * (occ[:, u] - 1) / 2.0 / pairs_total
+            else:
+                weight = occ[:, u] * occ[:, w] / pairs_total
+            rows = np.flatnonzero(weight)
+            for (a, b), pr in rule.outcomes(u, w):
+                move = np.bincount([a, b], minlength=k) - np.bincount([u, w], minlength=k)
+                P[rows, class_index(occ[rows] + move, n)] += weight[rows] * pr
     return P
 
 
@@ -362,20 +353,15 @@ def kac_collision_kernel(
     def sampler(m, rng):
         return simulate_kac(ParticleState(m), lam, t, rng, rule).counts
 
-    def build_rows():
+    def build_matrix():
         if n > KAC_EXACT_MAX_N:
             raise CapacityError(
                 f"exact Kac class matrix limited to n <= {KAC_EXACT_MAX_N}, got n={n}"
             )
-        occupancies = enumerate_occupancies(space, n)
-        index = {m: i for i, m in enumerate(occupancies)}
-        P = _kac_event_matrix(space, n, rule, occupancies, index)
-        M = expm(t * total_rate * (P - np.eye(len(occupancies))))
-        rows = {}
-        for i, m in enumerate(occupancies):
-            row = {m2: float(M[i, j]) for j, m2 in enumerate(occupancies) if M[i, j] > 1e-300}
-            rows[m] = {m2: v for m2, v in row.items() if v > 0.0}
-        return rows
+        P = _kac_event_matrix(space.k, n, rule)
+        M = expm(t * total_rate * (P - np.eye(len(P))))
+        src, dst = np.nonzero(M > 1e-300)
+        return src, dst, M[src, dst]
 
     return ExchangeableKernel(
         space,
@@ -383,7 +369,7 @@ def kac_collision_kernel(
         n,
         name=f"kac:{lam:g},{t:g}",
         sampler=sampler,
-        class_rows_builder=build_rows,
+        matrix_builder=build_matrix,
         validate=False,
         limit=lambda p: kac_limit_evolve(p, lam, t, rule=rule),
     )

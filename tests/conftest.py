@@ -174,6 +174,24 @@ def oracle_tv_distance(a, b):
     return 0.5 * math.fsum(abs(a.get(m, 0.0) - b.get(m, 0.0)) for m in set(a) | set(b))
 
 
+def oracle_propagate(classes, rows):
+    """propagate as a dict merge: each source class in order adds mass * prob
+    to every target class of its row, zeros dropped."""
+    out = {}
+    for m, mass in classes.items():
+        for m2, pr in rows[m].items():
+            out[m2] = out.get(m2, 0.0) + mass * pr
+    return {m: x for m, x in out.items() if x > 0.0}
+
+
+def oracle_mixture(components):
+    out = {}
+    for classes, weight in components:
+        for m, mass in classes.items():
+            out[m] = out.get(m, 0.0) + weight * mass
+    return {m: x for m, x in out.items() if x > 0.0}
+
+
 def oracle_microcanonical(H, E, delta, n):
     """Class masses of the microcanonical law, or None for an empty window."""
     from fractions import Fraction

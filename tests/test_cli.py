@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chaoslab.cli import main, parse_grid, quota_occupancy
-from chaoslab.core import Distribution, StateSpace
+from chaoslab.core import Distribution, StateSpace, law_to_json, product_law
 from chaoslab.errors import ConfigError
 
 S2 = StateSpace.of_size(2)
@@ -336,6 +336,66 @@ class TestFamilyErrors:
         rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
                    "--grid", "4,8,16", "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestNumericOptions:
+    """Seeds and numeric config values are checked once, in load_config."""
+
+    @pytest.mark.parametrize("argv", [
+        ["kac", "--p", "0.5,0.5", "--n", "10", "--seed", "-1", "--replicas", "2"],
+        ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5", "--grid", "4,8",
+         "--seed", "-2"],
+    ])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be >= 0")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, options, doc", [
+        ("kac", ["--p", "0.5,0.5", "--n", "10"], {"seed": 1.5}),
+        ("kac", ["--p", "0.5,0.5", "--seed", "1"], {"n": "ten"}),
+        ("theorem-probe", ["--kernel", "kac:1,1", "--p", "0.5,0.5", "--grid", "14",
+                           "--seed", "1"], {"replicas": "abc"}),
+        ("diagnose", ["--family", "product", "--p", "0.5,0.5", "--grid", "4,8,16"],
+         {"tol": "abc"}),
+    ])
+    def test_config_value_of_the_wrong_type(self, tmp_path, capsys, command, options, doc):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, *options, "--config", str(cfg), "--out", str(out)]) == 2
+        key = next(iter(doc))
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+        assert not out.exists()
+
+    def test_integral_config_values_run_as_given(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": "0.5,0.5", "n": "10", "seed": 3.0, "replicas": 2}))
+        assert main(["kac", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, meta = read_run(tmp_path, "kac")
+        assert meta["config"]["n"] == 10 and meta["config"]["seed"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--family", "product", "--p", "0.5,0.5", "--grid", "4,8,16"],
+        ["counterexample"],
+    ])
+    def test_nan_tol(self, tmp_path, capsys, argv):
+        assert main(argv + ["--tol", "nan", "--out", str(tmp_path)]) == 2
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_custom_law_of_the_wrong_n(self, tmp_path, capsys):
+        law_dir = tmp_path / "laws"
+        law_dir.mkdir()
+        rho = Distribution(S2, (0.7, 0.3))
+        for n, law_n in [(4, 4), (8, 20), (16, 16)]:
+            (law_dir / f"{n}.json").write_text(law_to_json(product_law(rho, law_n)))
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
+                   "--p", "0.7,0.3", "--grid", "4,8,16", "--out", str(out)])
+        assert rc == 2
+        assert "n=20 at n=8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIgnoredOptionsRejected:

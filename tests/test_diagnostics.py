@@ -136,6 +136,16 @@ class TestChaosVerdict:
         with pytest.raises(InvalidArgumentError):
             chaos_verdict(mixture_law, HALF, [4, 8, 8])
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.1])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InvalidArgumentError, match="tol"):
+            chaos_verdict(mixture_law, HALF, [4, 8, 16], tol=tol)
+
+    def test_law_of_the_wrong_n(self):
+        family = lambda n: product_law(HALF, 20 if n == 8 else n)
+        with pytest.raises(InvalidArgumentError, match="n=20 at n=8"):
+            chaos_verdict(family, HALF, [4, 8, 16])
+
     def test_generator_failure_has_context(self):
         def bad(n):
             raise ValueError("boom")

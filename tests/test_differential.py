@@ -1,5 +1,6 @@
-"""Array-backed core and diagnostics against the dict/big-integer oracles in
-conftest, and closed-form pins at n where no oracle can enumerate."""
+"""Array-backed core, diagnostics and kernels against the dict/big-integer
+oracles in conftest, and closed-form pins at n where no oracle can
+enumerate."""
 
 import math
 
@@ -11,17 +12,24 @@ from hypothesis import strategies as st
 from chaoslab import (
     Distribution,
     EnergyModel,
+    ExchangeableKernel,
     StateSpace,
     SymmetricLaw,
+    counterexample_kernel,
+    identity_kernel,
+    kac_collision_kernel,
+    map_kernel,
     marginal,
     mean_empirical_tv,
     microcanonical,
     pair_gap,
     product_law,
+    propagate,
     specific_loglik,
+    symmetrized_class_kernel,
     tv_distance,
 )
-from chaoslab.core import occupancy_array
+from chaoslab.core import class_index, occupancy_array
 from chaoslab.errors import EmptyEnsembleError
 
 from conftest import (
@@ -29,7 +37,9 @@ from conftest import (
     oracle_marginal,
     oracle_mean_empirical_tv,
     oracle_microcanonical,
+    oracle_mixture,
     oracle_product_law,
+    oracle_propagate,
     oracle_specific_loglik,
     oracle_tv_distance,
 )
@@ -110,6 +120,62 @@ def test_tv_distance(shape, seed, sparse):
     rng = np.random.default_rng(seed)
     a, b = random_law(rng, k, n, sparse), random_law(rng, k, n, True)
     assert abs(tv_distance(a, b) - oracle_tv_distance(a.classes, b.classes)) < TOL
+
+
+def test_class_index_ranks_every_class():
+    for k in range(1, 6):
+        for n in range(1, 41):
+            occ = occupancy_array(k, n)
+            assert np.array_equal(class_index(occ, n), np.arange(len(occ)))
+
+
+def canonical(classes: dict, n: int, k: int) -> list:
+    """The keys of `classes` in canonical enumeration order."""
+    return [m for m in oracle_compositions(n, k) if m in classes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_mixture(shape, seed, sparse):
+    k, n = shape
+    rng = np.random.default_rng(seed)
+    a, b, w = random_law(rng, k, n, sparse), random_law(rng, k, n, True), rng.random()
+    got = SymmetricLaw.mixture([(a, w), (b, 1 - w)]).classes
+    want = oracle_mixture([(a.classes, w), (b.classes, 1 - w)])
+    assert got == want
+    assert list(got) == canonical(want, n, k)
+
+
+KERNEL_KINDS = ["identity", "map", "counterexample", "kac", "sampled"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(2, 3), n=st.integers(2, 7),
+       seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_propagate_is_the_dict_merge(kind, k, n, seed, sparse):
+    """propagate == the dict merge over symmetrized_class_kernel's rows, bit for bit."""
+    rng = np.random.default_rng(seed)
+    k = 2 if kind == "counterexample" else k
+    space = StateSpace.of_size(k)
+    law = random_law(rng, k, n, sparse)
+    kw = {}
+    if kind == "identity":
+        kernel = identity_kernel(space, n)
+    elif kind == "map":
+        fmap = rng.integers(0, k + 1, size=k).tolist()
+        kernel = map_kernel(fmap, n, space, StateSpace.of_size(max(k, max(fmap) + 1)))
+    elif kind == "counterexample":
+        kernel = counterexample_kernel(n)
+    else:
+        kernel = kac_collision_kernel(space, float(rng.uniform(0.2, 2)),
+                                      float(rng.uniform(0.1, 1.5)), n)
+        if kind == "sampled":
+            kernel = ExchangeableKernel(space, space, n, "kac-mc", sampler=kernel.sampler)
+            kw = {"seed": seed, "replicas": int(rng.integers(1, 6))}
+    got = propagate(law, kernel, **kw).classes
+    want = oracle_propagate(law.classes, symmetrized_class_kernel(kernel, **kw))
+    assert got == want
+    assert list(got) == canonical(want, n, kernel.target.k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,6 +274,13 @@ def big_product():
 
 def test_big_n_class_count():
     assert len(occupancy_array(3, BIG_N)) == math.comb(BIG_N + 2, 2)
+
+
+def test_big_n_class_index():
+    last = math.comb(BIG_N + 2, 2) - 1
+    assert class_index((0, 0, BIG_N), BIG_N) == last
+    ranks = class_index(occupancy_array(3, BIG_N), BIG_N)
+    assert ranks[-1] == last and np.array_equal(ranks, np.arange(last + 1))
 
 
 @pytest.mark.parametrize("m", [(1280, 0, 0), (640, 640, 0), (400, 500, 380), (1, 2, 1277)])

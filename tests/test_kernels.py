@@ -284,7 +284,7 @@ class TestKacKernel:
     def test_single_event_split(self):
         occs = enumerate_occupancies(S3, 2)
         index = {m: i for i, m in enumerate(occs)}
-        P = _kac_event_matrix(S3, 2, SumConservingRule(3), occs, index)
+        P = _kac_event_matrix(3, 2, SumConservingRule(3))
         i = index[(1, 0, 1)]
         row = {occs[j]: P[i, j] for j in range(len(occs)) if P[i, j] > 0}
         assert row[(1, 0, 1)] == pytest.approx(2 / 3)
