@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from .core import (
 from .diagnostics import (
     EnergyModel,
     chaos_verdict,
-    entropy_convergence,
     microcanonical,
     microcanonical_limit,
     pair_gap,
@@ -278,22 +278,22 @@ def cmd_theorem_probe(args) -> int:
                              seed=seed if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
 
-    lines = ["n,row_gap,product_gap,damped_gap,shell_gap"]
+    lines = ["n,row_gap,product_gap,damped_gap"]
     row_gaps = []
     for n in grid:
         kernel = kernels.pop(0)  # so that each n's rows are freed after it
         kw = {} if seed is None else {"seed": seed, "replicas": replicas}
-        # The shell law, all mass on the quota class (a microcanonical-style
-        # concentration), propagates to the quota row itself.  The damped law
-        # is p-chaotic, not product: vanishing contamination by a fixed class.
-        shell = SymmetricLaw.point_class(space, quota_occupancy(rho, n))
+        # The quota row is the propagated point law on the quota class.  The
+        # damped law is p-chaotic, not product: vanishing contamination by a
+        # fixed class.
+        quota = SymmetricLaw.point_class(space, quota_occupancy(rho, n))
         product = product_law(rho, n)
         other = SymmetricLaw.point_class(space, quota_occupancy(flipped, n))
         damped = SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
         gap_row, gap_product, gap_damped = (pair_gap(propagate(law, kernel, **kw), fp)
-                                            for law in (shell, product, damped))
+                                            for law in (quota, product, damped))
         row_gaps.append(gap_row)
-        lines.append(f"{n},{fmt(gap_row)},{fmt(gap_product)},{fmt(gap_damped)},{fmt(gap_row)}")
+        lines.append(f"{n},{fmt(gap_row)},{fmt(gap_product)},{fmt(gap_damped)}")
 
     meta = {
         "limit": list(fp.p),
@@ -353,13 +353,12 @@ def cmd_microcanonical(args) -> int:
     grid = parse_grid(str(require(config, "grid")))
     tol = config.get("tol", 1e-3)
     beta, gamma = microcanonical_limit(model)
-    family = lambda n: microcanonical(model, n)
-    report = chaos_verdict(family, gamma, grid, tol=tol)
-    entropy = entropy_convergence(family, gamma, grid)
+    report = chaos_verdict(lambda n: microcanonical(model, n), gamma, grid, tol=tol)
+    limit = math.fsum(g * math.log(g) for g in gamma.p if g > 0.0)
     lines = ["n,pair_gap,concentration_gap,specific_loglik,entropy_dev"]
-    for row, (_, _, dev) in zip(report.rows, entropy):
+    for row in report.rows:
         lines.append(f"{row.n},{fmt(row.pair_gap)},{fmt(row.concentration_gap)},"
-                     f"{fmt(row.specific_loglik)},{fmt(dev)}")
+                     f"{fmt(row.specific_loglik)},{fmt(abs(row.specific_loglik - limit))}")
     meta = {
         "beta": beta,
         "gamma": list(gamma.p),

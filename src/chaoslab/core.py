@@ -279,8 +279,8 @@ class SymmetricLaw:
             if len(m) != space.k or any(x < 0 for x in m) or sum(m) != n:
                 raise InvalidArgumentError(f"bad occupancy key {m} for n={n}, k={space.k}")
             mass = float(mass)
-            if mass < NEG_CLAMP:
-                raise InvalidArgumentError(f"negative class mass {mass} at {m}")
+            if not (math.isfinite(mass) and mass >= NEG_CLAMP):
+                raise InvalidArgumentError(f"negative or non-finite class mass {mass} at {m}")
             if mass > 0.0:
                 clean[m] = mass
         if abs(math.fsum(clean.values()) - 1.0) > MASS_TOL:
@@ -490,5 +490,8 @@ def law_from_json(text: str) -> SymmetricLaw:
 
     doc = json.loads(text)
     space = StateSpace(tuple(doc["labels"]))
-    classes = {tuple(row["m"]): float(row["mass"]) for row in doc["classes"]}
+    rows = [(tuple(row["m"]), float(row["mass"])) for row in doc["classes"]]
+    classes = dict(rows)
+    if len(classes) != len(rows):
+        raise InvalidArgumentError("a class is listed more than once")
     return SymmetricLaw(space, int(doc["n"]), classes)

@@ -3,8 +3,9 @@
 The equivalent finite-space criteria measured here: decay of the
 two-particle (and k-particle) marginal gap against a product law,
 concentration of the empirical measure, and the specific log-likelihood
-limit.  Also builds microcanonical ensembles and fits the matching
-Gibbs one-particle law.
+limit.  `chaos_verdict` computes each of the per-n numbers once, into one
+`ReportRow` per grid point, and the CLI reads them from there.  Also builds
+microcanonical ensembles and fits the matching Gibbs one-particle law.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class EnergyModel:
 class ReportRow:
     n: int
     pair_gap: float
-    k_gap: Optional[float]
     concentration_gap: float
     specific_loglik: float
 
@@ -83,16 +83,13 @@ class ChaosReport:
     slope: Optional[float]
     tol: float
 
-    CSV_HEADER = "n,pair_gap,k_gap,concentration_gap,specific_loglik"
+    CSV_HEADER = "n,pair_gap,concentration_gap,specific_loglik"
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
-            kg = "" if r.k_gap is None else f"{r.k_gap:.17g}"
-            lines.append(
-                f"{r.n},{r.pair_gap:.17g},{kg},"
-                f"{r.concentration_gap:.17g},{r.specific_loglik:.17g}"
-            )
+            lines.append(f"{r.n},{r.pair_gap:.17g},{r.concentration_gap:.17g},"
+                         f"{r.specific_loglik:.17g}")
         return "\n".join(lines) + "\n"
 
     def meta(self) -> dict:
@@ -161,13 +158,14 @@ def chaos_verdict(
     rho: Distribution,
     grid: Sequence,
     tol: float = DEFAULT_TOL,
-    marginal_order: Optional[int] = None,
 ) -> ChaosReport:
     """Evaluate the chaos criteria for a law family over an n-grid.
 
-    `family` maps n to a symmetric law on S^n; `rho` is the candidate
-    one-particle limit.  The verdict combines the final pair gap with the
-    fitted log-log decay slope; `tol` must be finite and > 0.
+    `family` maps n to a symmetric law on S^n and is called once per n;
+    `rho` is the candidate one-particle limit.  Each row holds that law's
+    pair gap, concentration gap and specific log-likelihood.  The verdict
+    combines the final pair gap with the fitted log-log decay slope; `tol`
+    must be finite and > 0.
     """
     grid = [int(n) for n in grid]
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -184,14 +182,10 @@ def chaos_verdict(
             raise RuntimeError(f"law family failed at n={n}") from exc
         if law.n != n:
             raise InvalidArgumentError(f"law family gave a law of n={law.n} at n={n}")
-        kg = None
-        if marginal_order is not None:
-            kg = k_gap(law, rho, marginal_order)
         rows.append(
             ReportRow(
                 n=n,
                 pair_gap=pair_gap(law, rho),
-                k_gap=kg,
                 concentration_gap=mean_empirical_tv(law, rho),
                 specific_loglik=specific_loglik(law),
             )

@@ -16,8 +16,9 @@ images.  `make_kernel` is the only parser of the kernel names.
 A kernel is computed in one form, `class_matrix()`: its nonzero entries
 (src, dst, prob) over class ranks (`core.class_index`).  The constructor
 builds it, or it is compiled from `ordered_law` (the exact law of K_n(s, .)
-on ordered states, small spaces) or estimated from a seeded class-level
-`sampler` (for Kac, `montecarlo.simulate_kac` with its own pair rule).
+on ordered states, small spaces; checked for equivariance first) or
+estimated from a seeded class-level `sampler` (for Kac,
+`montecarlo.simulate_kac` with its own pair rule).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class ExchangeableKernel:
       sampler(m, rng) -> target occupancy             (Monte Carlo)
 
     A sampler works on occupancy classes, so it is permutation-equivariant
-    by construction; only `ordered_law` is checked.
+    by construction; only `ordered_law` is checked, as it is compiled.
 
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
     kernel propagates chaos toward, applied row by row to a (B, S.k) stack
@@ -81,7 +82,6 @@ class ExchangeableKernel:
         ordered_law: Optional[Callable] = None,
         sampler: Optional[Callable] = None,
         matrix_builder: Optional[Callable] = None,
-        validate: bool = True,
         limit: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         if n < 1:
@@ -94,18 +94,9 @@ class ExchangeableKernel:
         self.sampler = sampler
         self.limit = limit
         if matrix_builder is None and ordered_law is not None:
-            matrix_builder = lambda: _compiled(self, [
-                _ordered_row(self, m) for m in enumerate_occupancies(source, n)])
+            matrix_builder = lambda: _compiled_ordered_law(self)
         self._matrix_builder = matrix_builder
         self._matrices: dict = {}
-        if validate and ordered_law is not None:
-            if source.k**n <= EXHAUSTIVE_STATE_LIMIT:
-                report = check_equivariance(self)
-                if not report.passed:
-                    raise EquivarianceError(
-                        f"kernel {name!r} violates permutation equivariance "
-                        f"(max violation {report.max_violation:g})"
-                    )
 
     def class_matrix(self, seed: Optional[int] = None,
                      replicas: int = DEFAULT_SAMPLE_REPLICAS) -> tuple:
@@ -182,13 +173,24 @@ def _compiled(kernel: ExchangeableKernel, rows: list) -> tuple:
     return src, dst, np.array([w for row in rows for w in row.values()], dtype=float)
 
 
-def _ordered_row(kernel: ExchangeableKernel, m: Occupancy) -> Counter:
-    """Row of class m: its representative's ordered law, merged onto target classes."""
-    row: Counter = Counter()
-    for t, pr in kernel.ordered_law(class_representative(m)).items():
-        if pr > 0.0:
-            row[occupancy_of(kernel.target, t)] += pr
-    return row
+def _compiled_ordered_law(kernel: ExchangeableKernel) -> tuple:
+    """Class matrix of `kernel.ordered_law`, after the exhaustive equivariance
+    check where the space is small enough for it: the row of class m is its
+    representative's ordered law, merged onto target classes."""
+    if kernel.source.k**kernel.n <= EXHAUSTIVE_STATE_LIMIT:
+        report = check_equivariance(kernel)
+        if not report.passed:
+            raise EquivarianceError(
+                f"kernel {kernel.name!r} violates permutation equivariance "
+                f"(max violation {report.max_violation:g})"
+            )
+    rows = []
+    for m in enumerate_occupancies(kernel.source, kernel.n):
+        rows.append(Counter())
+        for t, pr in kernel.ordered_law(class_representative(m)).items():
+            if pr > 0.0:
+                rows[-1][occupancy_of(kernel.target, t)] += pr
+    return _compiled(kernel, rows)
 
 
 def _sampled_matrix(kernel: ExchangeableKernel, seed: int, replicas: int) -> tuple:
@@ -257,7 +259,6 @@ def map_kernel(
         name=f"map:{spec}",
         ordered_law=ordered_law,
         matrix_builder=build_matrix,
-        validate=False,
         limit=lambda p: pushforward(p, fmap, target),
     )
 
@@ -300,7 +301,6 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
         name="counterexample",
         ordered_law=ordered_law,
         matrix_builder=build_matrix,
-        validate=False,
         limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
     )
 
@@ -309,21 +309,25 @@ def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
     """One-collision transition matrix on the occupancy classes, by rank.
 
     Vectorised over the classes: each colliding pair (u, w) and outcome
-    (a, b) of the rule moves every class that holds the pair at once.
+    (a, b) of the rule moves every class that holds the pair at once; one
+    `np.add.at`, which adds in array order, sums the entries outcome by outcome.
     """
     occ = occupancy_array(k, n)
     pairs_total = n * (n - 1) / 2.0
-    P = np.zeros((len(occ), len(occ)))
+    moves = []
     for u in range(k):
         for w in range(u, k):
             if u == w:
                 weight = occ[:, u] * (occ[:, u] - 1) / 2.0 / pairs_total
             else:
                 weight = occ[:, u] * occ[:, w] / pairs_total
-            rows = np.flatnonzero(weight)
+            held = np.flatnonzero(weight)
             for (a, b), pr in rule.outcomes(u, w):
                 move = np.bincount([a, b], minlength=k) - np.bincount([u, w], minlength=k)
-                P[rows, class_index(occ[rows] + move, n)] += weight[rows] * pr
+                moves.append((held, occ[held] + move, weight[held] * pr))
+    rows, moved, probs = (np.concatenate(part) for part in zip(*moves))
+    P = np.zeros((len(occ), len(occ)))
+    np.add.at(P, (rows, class_index(moved, n)), probs)
     return P
 
 
@@ -370,7 +374,6 @@ def kac_collision_kernel(
         name=f"kac:{lam:g},{t:g}",
         sampler=sampler,
         matrix_builder=build_matrix,
-        validate=False,
         limit=lambda p: kac_limit_evolve(p, lam, t, rule=rule),
     )
 

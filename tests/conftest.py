@@ -184,6 +184,35 @@ def oracle_propagate(classes, rows):
     return {m: x for m, x in out.items() if x > 0.0}
 
 
+def oracle_kac_event_matrix(k, n, rule):
+    """One-collision class matrix by a per-class loop over a dict index.
+
+    Each entry adds its terms in (u, w, outcome) order, the order the
+    vectorised builder adds them in, so the two agree bit for bit.
+    """
+    classes = list(oracle_compositions(n, k))
+    index = {m: i for i, m in enumerate(classes)}
+    pairs_total = n * (n - 1) / 2.0
+    P = np.zeros((len(classes), len(classes)))
+    for i, m in enumerate(classes):
+        for u in range(k):
+            for w in range(u, k):
+                if u == w:
+                    weight = m[u] * (m[u] - 1) / 2.0 / pairs_total
+                else:
+                    weight = m[u] * m[w] / pairs_total
+                if weight == 0.0:
+                    continue
+                for (a, b), pr in rule.outcomes(u, w):
+                    m2 = list(m)
+                    m2[u] -= 1
+                    m2[w] -= 1
+                    m2[a] += 1
+                    m2[b] += 1
+                    P[i, index[tuple(m2)]] += weight * pr
+    return P
+
+
 def oracle_mixture(components):
     out = {}
     for classes, weight in components:

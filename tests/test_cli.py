@@ -2,8 +2,15 @@ import json
 
 import pytest
 
+import chaoslab.cli
 from chaoslab.cli import main, parse_grid, quota_occupancy
 from chaoslab.core import Distribution, StateSpace, law_to_json, product_law
+from chaoslab.diagnostics import (
+    EnergyModel,
+    entropy_convergence,
+    microcanonical,
+    microcanonical_limit,
+)
 from chaoslab.errors import ConfigError
 
 S2 = StateSpace.of_size(2)
@@ -41,7 +48,7 @@ class TestDiagnose:
         assert rc == 0
         csv, meta = read_run(tmp_path, "diagnose")
         lines = csv.strip().split("\n")
-        assert lines[0] == "n,pair_gap,k_gap,concentration_gap,specific_loglik"
+        assert lines[0] == "n,pair_gap,concentration_gap,specific_loglik"
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) < 1e-13
         assert meta["verdict"] == "chaotic"
@@ -136,7 +143,7 @@ class TestTheoremProbe:
                    "--grid", "4,8,16", "--out", str(tmp_path)])
         assert rc == 0
         csv, meta = read_run(tmp_path, "theorem-probe")
-        assert csv.splitlines()[0] == "n,row_gap,product_gap,damped_gap,shell_gap"
+        assert csv.splitlines()[0] == "n,row_gap,product_gap,damped_gap"
         assert meta["discontinuity_flag"] is False
         assert meta["limit"] == [0.4, 0.6]
         # deterministic relabeling: the row gap is the quota class's own
@@ -307,6 +314,30 @@ class TestMicrocanonicalCommand:
         # entropy maximizes at the upper edge 0.9, below the uniform mean 1.0
         assert meta["beta"] > 0.0
 
+    def test_entropy_dev_from_the_report_rows(self, tmp_path):
+        rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+                   "--grid", "20,40,80,160", "--out", str(tmp_path)])
+        assert rc == 0
+        csv, _ = read_run(tmp_path, "microcanonical")
+        devs = [line.split(",")[4] for line in csv.strip().split("\n")[1:]]
+        model = EnergyModel(S3, (0.0, 1.0, 2.0), 0.8, 0.2)
+        _, gamma = microcanonical_limit(model)
+        rows = entropy_convergence(lambda n: microcanonical(model, n), gamma, [20, 40, 80, 160])
+        assert devs == ["%.17g" % dev for _, _, dev in rows]
+        devs = [float(d) for d in devs]
+        assert all(b < a for a, b in zip(devs, devs[1:]))
+        assert devs[-1] < 0.05
+
+    def test_builds_each_law_once(self, tmp_path, monkeypatch):
+        built = []
+        original = chaoslab.cli.microcanonical
+        monkeypatch.setattr(chaoslab.cli, "microcanonical",
+                            lambda model, n: built.append(n) or original(model, n))
+        rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+                   "--grid", "20,40,80", "--tol", "0.05", "--out", str(tmp_path)])
+        assert rc == 0
+        assert built == [20, 40, 80]
+
     def test_empty_window_is_config_error(self, tmp_path):
         rc = main(["microcanonical", "--H", "0,1", "--E", "-3", "--delta", "0.1",
                    "--grid", "4,8,16", "--out", str(tmp_path)])
@@ -383,6 +414,25 @@ class TestNumericOptions:
         assert main(argv + ["--tol", "nan", "--out", str(tmp_path)]) == 2
         assert "tol must be finite and > 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows", [
+        # [n, 0] listed twice: the file's masses sum to 1.5.
+        '{"m":[%(n)d,0],"mass":0.5},{"m":[%(n)d,0],"mass":0.5},{"m":[0,%(n)d],"mass":0.5}',
+        # A NaN mass.
+        '{"m":[%(n)d,0],"mass":NaN},{"m":[0,%(n)d],"mass":1.0}',
+    ], ids=["repeated-class", "nan-mass"])
+    def test_malformed_custom_law_file(self, tmp_path, capsys, rows):
+        law_dir = tmp_path / "laws"
+        law_dir.mkdir()
+        for n in (4, 5, 6):
+            (law_dir / f"{n}.json").write_text(
+                '{"labels":["0","1"],"n":%d,"classes":[%s]}' % (n, rows % {"n": n}))
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
+                   "--p", "0.5,0.5", "--grid", "4,5,6", "--out", str(out)])
+        assert rc == 2
+        assert "4.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_law_of_the_wrong_n(self, tmp_path, capsys):
         law_dir = tmp_path / "laws"

@@ -275,6 +275,19 @@ class TestJsonFormat:
         assert text.startswith('{"labels":["0","1"],"n":2,"classes":[')
         assert '"m":[2,0]' in text
 
+    def test_repeated_class_rejected(self):
+        text = ('{"labels":["0","1"],"n":4,"classes":[{"m":[4,0],"mass":0.5},'
+                '{"m":[4,0],"mass":0.5},{"m":[0,4],"mass":0.5}]}')
+        with pytest.raises(InvalidArgumentError, match="more than once"):
+            law_from_json(text)
+
+    @pytest.mark.parametrize("mass", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_mass_rejected(self, mass):
+        text = ('{"labels":["0","1"],"n":4,"classes":[{"m":[4,0],"mass":%s},'
+                '{"m":[0,4],"mass":1.0}]}' % mass)
+        with pytest.raises(InvalidArgumentError):
+            law_from_json(text)
+
     def test_lexicographic_class_order(self, rng):
         import json
 

@@ -14,6 +14,7 @@ from chaoslab import (
     EnergyModel,
     ExchangeableKernel,
     StateSpace,
+    SumConservingRule,
     SymmetricLaw,
     counterexample_kernel,
     identity_kernel,
@@ -31,9 +32,11 @@ from chaoslab import (
 )
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.errors import EmptyEnsembleError
+from chaoslab.kernels import _kac_event_matrix
 
 from conftest import (
     oracle_compositions,
+    oracle_kac_event_matrix,
     oracle_marginal,
     oracle_mean_empirical_tv,
     oracle_microcanonical,
@@ -144,6 +147,14 @@ def test_mixture(shape, seed, sparse):
     want = oracle_mixture([(a.classes, w), (b.classes, 1 - w)])
     assert got == want
     assert list(got) == canonical(want, n, k)
+
+
+@pytest.mark.parametrize("k, max_n", [(2, 12), (3, 12), (4, 8)])
+def test_kac_event_matrix_is_the_class_loop(k, max_n):
+    """The vectorised one-collision matrix == the per-class loop, bit for bit."""
+    for n in range(2, max_n + 1):
+        rule = SumConservingRule(k)
+        assert np.array_equal(_kac_event_matrix(k, n, rule), oracle_kac_event_matrix(k, n, rule))
 
 
 KERNEL_KINDS = ["identity", "map", "counterexample", "kac", "sampled"]

@@ -71,9 +71,7 @@ def broken_kernel(n):
     def ordered_law(s):
         return {(1,) + tuple(s[1:]): 1.0}
 
-    return ExchangeableKernel(
-        S2, S2, n, "broken", ordered_law=ordered_law, validate=False
-    )
+    return ExchangeableKernel(S2, S2, n, "broken", ordered_law=ordered_law)
 
 
 class TestCheckEquivariance:
@@ -95,11 +93,11 @@ class TestCheckEquivariance:
         assert report.max_violation >= 0.5
 
     def test_constructor_rejects_broken(self):
+        kernel = broken_kernel(2)
         with pytest.raises(EquivarianceError):
-            ExchangeableKernel(
-                S2, S2, 2, "broken",
-                ordered_law=lambda s: {(1,) + tuple(s[1:]): 1.0},
-            )
+            kernel.class_matrix()
+        with pytest.raises(EquivarianceError):
+            propagate(product_law(Distribution(S2, (0.5, 0.5)), 2), kernel)
 
 
 class TestSymmetrizedClassKernel:
@@ -132,9 +130,7 @@ class TestSymmetrizedClassKernel:
     def test_sampled_estimation_close_to_exact(self):
         kernel = noisy_relabel_kernel(3)
         exact = symmetrized_class_kernel(kernel)
-        kernel_mc = ExchangeableKernel(
-            S2, S2, 3, "noisy-mc", sampler=kernel.sampler, validate=False
-        )
+        kernel_mc = ExchangeableKernel(S2, S2, 3, "noisy-mc", sampler=kernel.sampler)
         rows = symmetrized_class_kernel(kernel_mc, seed=5, replicas=20000)
         for m in exact:
             for m2, pr in exact[m].items():
@@ -159,9 +155,7 @@ class TestSymmetrizedClassKernel:
         n, replicas = 5, 3000
         kernel = kac_collision_kernel(S3, 1.0, 0.5, n)
         exact = symmetrized_class_kernel(kernel)
-        kernel_mc = ExchangeableKernel(
-            S3, S3, n, "kac-mc", sampler=kernel.sampler, validate=False
-        )
+        kernel_mc = ExchangeableKernel(S3, S3, n, "kac-mc", sampler=kernel.sampler)
         rows = symmetrized_class_kernel(kernel_mc, seed=9, replicas=replicas)
         assert set(rows) == set(exact)
         for m in exact:
