@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -43,6 +44,24 @@ DENSE_INDEX_BITS = 24
 PASCAL_ROWS = 1029
 
 Occupancy = tuple  # tuple[int, ...] of per-state counts, summing to n
+
+
+def as_int(x) -> int:
+    """x as an int: Python and numpy integers and integral floats pass;
+    a bool or any other value raises InvalidArgumentError, so a count is
+    never silently truncated."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, (bool, np.bool_)):
+        if isinstance(x, numbers.Integral):
+            return int(x)
+        if isinstance(x, numbers.Real) and float(x).is_integer():
+            return int(x)
+    raise InvalidArgumentError(f"expected an integer, got {x!r}")
+
+
+def as_rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -275,7 +294,7 @@ class SymmetricLaw:
             raise InvalidArgumentError("particle count must be >= 1")
         clean = {}
         for m, mass in classes.items():
-            m = tuple(int(x) for x in m)
+            m = tuple(as_int(x) for x in m)
             if len(m) != space.k or any(x < 0 for x in m) or sum(m) != n:
                 raise InvalidArgumentError(f"bad occupancy key {m} for n={n}, k={space.k}")
             mass = float(mass)
@@ -494,4 +513,4 @@ def law_from_json(text: str) -> SymmetricLaw:
     classes = dict(rows)
     if len(classes) != len(rows):
         raise InvalidArgumentError("a class is listed more than once")
-    return SymmetricLaw(space, int(doc["n"]), classes)
+    return SymmetricLaw(space, as_int(doc["n"]), classes)

@@ -35,6 +35,7 @@ from .core import (
     Occupancy,
     StateSpace,
     SymmetricLaw,
+    as_rng,
     class_index,
     enumerate_occupancies,
     occupancy_array,
@@ -43,8 +44,8 @@ from .core import (
 from .errors import CapacityError, EquivarianceError, InvalidArgumentError
 from .meanfield import (
     PairRule,
-    SumConservingRule,
     check_rate_and_time,
+    default_rule,
     kac_limit_evolve,
     pushforward,
 )
@@ -313,6 +314,7 @@ def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
     `np.add.at`, which adds in array order, sums the entries outcome by outcome.
     """
     occ = occupancy_array(k, n)
+    outcomes = rule.compiled(k).outcomes
     pairs_total = n * (n - 1) / 2.0
     moves = []
     for u in range(k):
@@ -322,7 +324,7 @@ def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
             else:
                 weight = occ[:, u] * occ[:, w] / pairs_total
             held = np.flatnonzero(weight)
-            for (a, b), pr in rule.outcomes(u, w):
+            for (a, b), pr in outcomes[u][w]:
                 move = np.bincount([a, b], minlength=k) - np.bincount([u, w], minlength=k)
                 moves.append((held, occ[held] + move, weight[held] * pr))
     rows, moved, probs = (np.concatenate(part) for part in zip(*moves))
@@ -351,7 +353,7 @@ def kac_collision_kernel(
     check_rate_and_time(lam, t)
     if n < 2:
         raise InvalidArgumentError("collisions need at least two particles")
-    rule = pair_rule or SumConservingRule(space.k)
+    rule = pair_rule or default_rule(space.k)
     total_rate = lam * (n - 1) / 2.0
 
     def sampler(m, rng):
@@ -380,7 +382,7 @@ def kac_collision_kernel(
 
 def orbit_sample(zeta: Occupancy, seed) -> tuple:
     """A uniformly random ordered state with occupancy zeta."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     state = list(class_representative(zeta))
     rng.shuffle(state)
     return tuple(state)

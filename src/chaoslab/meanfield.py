@@ -17,13 +17,14 @@ B = 1 case of the same code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import MASS_TOL, NEG_CLAMP, Distribution, StateSpace
+from .core import MASS_TOL, NEG_CLAMP, Distribution, StateSpace, as_int, as_rng
 from .errors import IntegrationError, InvalidArgumentError
 
 DEFAULT_DT = 1e-3
@@ -35,21 +36,60 @@ class PairRule:
 
     `outcomes(u, w)` lists ((a, b), prob) for the post-collision ordered pair.
     Symmetry requirement: the unordered outcome law must not depend on the
-    order of (u, w).
+    order of (u, w).  The chain and its limit read the rule through
+    `compiled(k)`, which checks it on k states and is built once per k.
     """
 
     def outcomes(self, u: int, w: int):
         raise NotImplementedError
 
-    def sample(self, u: int, w: int, r: float) -> tuple:
-        """The outcome at the uniform draw r in [0, 1)."""
-        outs = self.outcomes(u, w)
-        acc = 0.0
-        for (a, b), pr in outs:
-            acc += pr
-            if r < acc:
-                return a, b
-        return outs[-1][0]
+    def compiled(self, k: int) -> "CompiledRule":
+        """The rule on k states, checked and compiled on first use, then kept."""
+        tables = vars(self).setdefault("_compiled", {})
+        if k not in tables:
+            tables[k] = _compile(self, k)
+        return tables[k]
+
+
+class CompiledRule(NamedTuple):
+    """A pair rule on k states whose outcome lists passed the check: labels
+    in range(k), probabilities finite and >= 0, and each list nonempty with
+    a running sum within MASS_TOL of 1.
+
+    outcomes[u][w] is the ((a, b), prob) list of `outcomes(u, w)`, in order.
+    draws[u][w] is (cum, outs): cum the running sums of those probabilities,
+    added one by one in order, and outs the pairs (a, b) with the last one
+    repeated.  outs[bisect_right(cum, r)] is then the outcome at the uniform
+    draw r: the first whose running sum exceeds r, or the last if none does.
+    """
+
+    outcomes: list
+    draws: list
+
+
+def _compile(rule: PairRule, k: int) -> CompiledRule:
+    outcomes = [[None] * k for _ in range(k)]
+    draws = [[None] * k for _ in range(k)]
+    for u in range(k):
+        for w in range(k):
+            checked, cum, acc = [], [], 0.0
+            for (a, b), pr in rule.outcomes(u, w):
+                a, b, pr = as_int(a), as_int(b), float(pr)
+                if not (0 <= a < k and 0 <= b < k and math.isfinite(pr) and pr >= 0.0):
+                    raise InvalidArgumentError(
+                        f"pair rule sends ({u}, {w}) to ({a}, {b}) with probability "
+                        f"{pr}: need labels in range({k}) and a finite probability >= 0"
+                    )
+                checked.append(((a, b), pr))
+                acc += pr
+                cum.append(acc)
+            if not checked or abs(acc - 1.0) > MASS_TOL:
+                raise InvalidArgumentError(
+                    f"pair rule outcomes of ({u}, {w}) have total probability {acc}, not 1"
+                )
+            outcomes[u][w] = checked
+            draws[u][w] = (cum, [ab for ab, _ in checked] + [checked[-1][0]])
+    return CompiledRule(outcomes, draws)
 
 
 class SumConservingRule(PairRule):
@@ -72,6 +112,13 @@ class SumConservingRule(PairRule):
 
     def outcomes(self, u: int, w: int):
         return self._table[u + w]
+
+
+@functools.lru_cache(maxsize=16)
+def default_rule(k: int) -> SumConservingRule:
+    """The one SumConservingRule(k) that callers without a rule share, so its
+    compiled table is built once per k."""
+    return SumConservingRule(k)
 
 
 def check_rate_and_time(lam: float, t: float) -> None:
@@ -114,11 +161,11 @@ def pushforward(p, f, target: Optional[StateSpace] = None):
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:
     """kappa[v, u, w]: chance a uniformly chosen output slot lands on v."""
-    rule = rule or SumConservingRule(k)
+    outcomes = (rule or default_rule(k)).compiled(k).outcomes
     kappa = np.zeros((k, k, k))
     for u in range(k):
         for w in range(k):
-            for (a, b), pr in rule.outcomes(u, w):
+            for (a, b), pr in outcomes[u][w]:
                 kappa[a, u, w] += 0.5 * pr
                 kappa[b, u, w] += 0.5 * pr
     return kappa
@@ -222,7 +269,7 @@ def continuity_probe(
     """
     if not 0 < radius <= 1:
         raise InvalidArgumentError("radius must lie in (0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     base = p.as_array()
     stack = [base]
     for _ in range(samples):

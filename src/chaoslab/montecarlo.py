@@ -4,22 +4,26 @@ All bundled dynamics depend on particle values only, so simulation runs at
 the occupancy level: O(k) work per collision event, which keeps n in the
 millions feasible.  `simulate_kac` is the one simulator of the Kac chain:
 the `kac` subcommand runs it per replica, and the Kac kernel's sampled
-class rows run it per class and replica.  Replicas draw their RNG streams
-from a splittable (master seed, replica index) scheme, so reductions are
-reproducible and order-independent.
+class rows run it per class and replica.  Its event loop is inline Python:
+it walks the counts to find each colliding particle's value and looks the
+outcome up in the pair rule's compiled table (`PairRule.compiled`), one
+bisection per event.  Replicas draw their RNG streams from a splittable
+(master seed, replica index) scheme, so reductions are reproducible and
+order-independent.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, StateSpace
+from .core import Distribution, StateSpace, as_int, as_rng
 from .errors import InvalidArgumentError
-from .meanfield import PairRule, SumConservingRule, check_rate_and_time
+from .meanfield import PairRule, check_rate_and_time, default_rule
 
 # Most collision events whose draws simulate_kac makes in one set of vector calls.
 EVENT_BLOCK = 2**16
@@ -32,7 +36,7 @@ class ParticleState:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(x) for x in self.counts)
+        counts = tuple(as_int(x) for x in self.counts)
         if any(c < 0 for c in counts):
             raise InvalidArgumentError("negative particle count")
         object.__setattr__(self, "counts", counts)
@@ -63,20 +67,6 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def _value_at(counts, r: int) -> int:
-    """The value of particle r when particles are listed value by value."""
-    v = 0
-    r -= counts[0]
-    while r >= 0:
-        v += 1
-        r -= counts[v]
-    return v
-
-
 def simulate_kac(
     start: ParticleState,
     lam: float,
@@ -88,17 +78,19 @@ def simulate_kac(
 
     Event count is Poisson(t * lam * (n-1) / 2); each event picks an
     unordered pair of distinct particles uniformly (particle i of n, then
-    particle j of the other n - 1, read off the counts) and applies the
-    pair rule at a uniform draw.  The draws are made in blocks of at most
-    EVENT_BLOCK events, three vector calls per block, so memory stays
-    bounded for any n * t.
+    particle j of the other n - 1, each found by walking the counts value
+    by value) and applies the pair rule at a uniform draw r, read from the
+    rule's compiled table (default SumConservingRule(k)).  The draws are
+    made in blocks of at most EVENT_BLOCK events, three vector calls per
+    block, so memory stays bounded for any n * t.
     """
     n = start.n
     if n < 2:
         raise InvalidArgumentError("collisions need at least two particles")
     check_rate_and_time(lam, t)
-    rng = _as_rng(seed)
-    rule = pair_rule or SumConservingRule(len(start.counts))
+    rng = as_rng(seed)
+    k = len(start.counts)
+    draws = (pair_rule or default_rule(k)).compiled(k).draws
     counts = list(start.counts)
     events = int(rng.poisson(t * lam * (n - 1) / 2.0))
     while events:
@@ -107,11 +99,20 @@ def simulate_kac(
         firsts = rng.integers(n, size=block).tolist()
         seconds = rng.integers(n - 1, size=block).tolist()
         for i, j, r in zip(firsts, seconds, rng.random(block).tolist()):
-            u = _value_at(counts, i)
+            u = 0
+            i -= counts[0]
+            while i >= 0:
+                u += 1
+                i -= counts[u]
             counts[u] -= 1
-            w = _value_at(counts, j)
+            w = 0
+            j -= counts[0]
+            while j >= 0:
+                w += 1
+                j -= counts[w]
             counts[w] -= 1
-            a, b = rule.sample(u, w, r)
+            cum, outs = draws[u][w]
+            a, b = outs[bisect_right(cum, r)]
             counts[a] += 1
             counts[b] += 1
     return ParticleState(tuple(counts))

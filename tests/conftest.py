@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from chaoslab import (
     Distribution,
     OrderedLaw,
+    PairRule,
     StateSpace,
     SumConservingRule,
     SymmetricLaw,
@@ -16,6 +17,13 @@ from chaoslab import (
     symmetrize,
     to_dense,
 )
+
+
+class SwapRule(PairRule):
+    """Colliding particles exchange states: the one-particle law never moves."""
+
+    def outcomes(self, u, w):
+        return [((w, u), 1.0)]
 
 
 def random_distribution(space, rng):
@@ -261,3 +269,45 @@ def oracle_continuity_probe(F, p, radius, samples, seed):
         qs.append(q)
         modulus = max(modulus, 0.5 * math.fsum(np.abs(F(q[None, :])[0] - fp)))
     return qs, modulus
+
+
+def oracle_simulate_kac(start, lam, t, rng, rule):
+    """The Kac event loop before the compiled outcome table: the same draws,
+    a walk over the counts per particle lookup and a linear scan of
+    `rule.outcomes(u, w)` per event, falling back to the last outcome when
+    the draw is not below the running sum.  Returns the end counts."""
+    from chaoslab import montecarlo
+
+    def value_at(counts, r):
+        v = 0
+        r -= counts[0]
+        while r >= 0:
+            v += 1
+            r -= counts[v]
+        return v
+
+    def scan(outs, r):
+        acc = 0.0
+        for ab, pr in outs:
+            acc += pr
+            if r < acc:
+                return ab
+        return outs[-1][0]
+
+    n = sum(start.counts)
+    counts = list(start.counts)
+    events = int(rng.poisson(t * lam * (n - 1) / 2.0))
+    while events:
+        block = min(events, montecarlo.EVENT_BLOCK)
+        events -= block
+        firsts = rng.integers(n, size=block).tolist()
+        seconds = rng.integers(n - 1, size=block).tolist()
+        for i, j, r in zip(firsts, seconds, rng.random(block).tolist()):
+            u = value_at(counts, i)
+            counts[u] -= 1
+            w = value_at(counts, j)
+            counts[w] -= 1
+            a, b = scan(rule.outcomes(u, w), r)
+            counts[a] += 1
+            counts[b] += 1
+    return tuple(counts)

@@ -420,7 +420,11 @@ class TestNumericOptions:
         '{"m":[%(n)d,0],"mass":0.5},{"m":[%(n)d,0],"mass":0.5},{"m":[0,%(n)d],"mass":0.5}',
         # A NaN mass.
         '{"m":[%(n)d,0],"mass":NaN},{"m":[0,%(n)d],"mass":1.0}',
-    ], ids=["repeated-class", "nan-mass"])
+        # Counts that int() would truncate to the class (n, 0).
+        '{"m":[%(n)d.5,-0.5],"mass":1.0}',
+        # A boolean count.
+        '{"m":[%(n)d,false],"mass":1.0}',
+    ], ids=["repeated-class", "nan-mass", "fractional-count", "boolean-count"])
     def test_malformed_custom_law_file(self, tmp_path, capsys, rows):
         law_dir = tmp_path / "laws"
         law_dir.mkdir()

@@ -288,6 +288,19 @@ class TestJsonFormat:
         with pytest.raises(InvalidArgumentError):
             law_from_json(text)
 
+    # int() used to truncate these: the first was read as the class (4, 0).
+    @pytest.mark.parametrize("n, m", [("4", "4.5,-0.5"), ("4", "true,3"), ("4.5", "4,0")])
+    def test_non_integral_count_rejected(self, n, m):
+        text = '{"labels":["0","1"],"n":%s,"classes":[{"m":[%s],"mass":1.0}]}' % (n, m)
+        with pytest.raises(InvalidArgumentError, match="expected an integer"):
+            law_from_json(text)
+
+    def test_integral_counts_accepted(self):
+        text = '{"labels":["0","1"],"n":4.0,"classes":[{"m":[3.0,1],"mass":1.0}]}'
+        assert law_from_json(text).classes == {(3, 1): 1.0}
+        law = SymmetricLaw(S2, 4, {(np.int64(3), np.int32(1)): 1.0})
+        assert law.classes == {(3, 1): 1.0}
+
     def test_lexicographic_class_order(self, rng):
         import json
 

@@ -3,6 +3,7 @@ oracles in conftest, and closed-form pins at n where no oracle can
 enumerate."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chaoslab import (
     Distribution,
     EnergyModel,
     ExchangeableKernel,
+    ParticleState,
     StateSpace,
     SumConservingRule,
     SymmetricLaw,
@@ -26,15 +28,18 @@ from chaoslab import (
     pair_gap,
     product_law,
     propagate,
+    simulate_kac,
     specific_loglik,
     symmetrized_class_kernel,
     tv_distance,
 )
+from chaoslab import montecarlo
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.errors import EmptyEnsembleError
 from chaoslab.kernels import _kac_event_matrix
 
 from conftest import (
+    SwapRule,
     oracle_compositions,
     oracle_kac_event_matrix,
     oracle_marginal,
@@ -43,6 +48,7 @@ from conftest import (
     oracle_mixture,
     oracle_product_law,
     oracle_propagate,
+    oracle_simulate_kac,
     oracle_specific_loglik,
     oracle_tv_distance,
 )
@@ -155,6 +161,54 @@ def test_kac_event_matrix_is_the_class_loop(k, max_n):
     for n in range(2, max_n + 1):
         rule = SumConservingRule(k)
         assert np.array_equal(_kac_event_matrix(k, n, rule), oracle_kac_event_matrix(k, n, rule))
+
+
+class ZeroFirstRule(SumConservingRule):
+    """SumConservingRule behind an outcome (0, 0) of probability 0."""
+
+    def outcomes(self, u, w):
+        return [((0, 0), 0.0)] + super().outcomes(u, w)
+
+
+class ShortRule(SumConservingRule):
+    """Keep the pair with probability 1/2, else send it to (k-1, k-1); the
+    probabilities sum to 1 - 1e-12, so a draw above that takes the fallback."""
+
+    def outcomes(self, u, w):
+        return [((u, w), 0.5), ((self.k - 1, self.k - 1), 0.5 - 1e-12)]
+
+
+class EdgeDraws(np.random.Generator):
+    """A Generator whose uniform draws land on table edges: multiples of 1/4,
+    which the running sums of these rules hit exactly, and the largest double
+    below 1.  The stream advances as a plain Generator's does."""
+
+    def random(self, size=None):
+        r = super().random(size)
+        return np.where(r < 0.8, np.floor(r * 4) / 4, 1 - 2.0**-53)
+
+
+RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
+         "zero-first": ZeroFirstRule, "short": ShortRule}
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 5), data=st.data(), lam=st.floats(0.01, 3.0), t=st.floats(0.0, 1.0),
+       rule=st.sampled_from(sorted(RULES)), block=st.sampled_from([2, montecarlo.EVENT_BLOCK]),
+       edges=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_simulate_kac_is_the_scan_loop(k, data, lam, t, rule, block, edges, seed):
+    """The compiled-table loop == the per-event walk and linear scan: same end
+    counts, and the generator left in the same state."""
+    counts = data.draw(st.lists(st.integers(0, 40 // k), min_size=k, max_size=k)
+                       .filter(lambda c: sum(c) >= 2))
+    rule = RULES[rule](k)
+    make = EdgeDraws if edges else np.random.Generator
+    got_rng, want_rng = make(np.random.PCG64(seed)), make(np.random.PCG64(seed))
+    with mock.patch.object(montecarlo, "EVENT_BLOCK", block):
+        got = simulate_kac(ParticleState(tuple(counts)), lam, t, got_rng, rule)
+        want = oracle_simulate_kac(ParticleState(tuple(counts)), lam, t, want_rng, rule)
+    assert got.counts == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 KERNEL_KINDS = ["identity", "map", "counterexample", "kac", "sampled"]

@@ -6,8 +6,8 @@ import pytest
 
 from chaoslab import (
     Distribution,
-    PairRule,
     StateSpace,
+    SumConservingRule,
     SymmetricLaw,
     check_equivariance,
     counterexample_kernel,
@@ -30,11 +30,11 @@ from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentErr
 from chaoslab.kernels import (
     KAC_EXACT_MAX_N,
     ExchangeableKernel,
-    SumConservingRule,
     _kac_event_matrix,
 )
 
 from conftest import (
+    SwapRule,
     dense_kac_matrix,
     ordered_law_matrix,
     propagate_dense,
@@ -378,13 +378,6 @@ class TestRegistry:
         kernel = make_kernel(name, S2, 3)
         assert kernel.target.k == k
         assert kernel.limit(np.array([[0.6, 0.4], [0.1, 0.9]])).shape == (2, kernel.target.k)
-
-
-class SwapRule(PairRule):
-    """Colliding particles exchange states: the one-particle law never moves."""
-
-    def outcomes(self, u, w):
-        return [((w, u), 1.0)]
 
 
 class TestLimit:

@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 import chaoslab.kernels
 from chaoslab import (
     Distribution,
+    PairRule,
+    ParticleState,
     StateSpace,
     continuity_probe,
     kac_limit_evolve,
     kac_limit_rhs,
     make_kernel,
     pushforward,
+    simulate_kac,
     tv_distance,
 )
 from chaoslab.cli import main
 from chaoslab.errors import IntegrationError, InvalidArgumentError
+from chaoslab.kernels import _kac_event_matrix
+from chaoslab.meanfield import collision_marginal_tensor
 
 from conftest import oracle_continuity_probe
 
@@ -45,6 +50,52 @@ class TestPushforward:
         assert out.tolist() == [list(pushforward(Distribution(S3, tuple(row)), [2, 0, 2]).p)
                                 for row in P]
         assert pushforward(P, [0, 3, 1], StateSpace.of_size(4)).shape == (2, 4)
+
+
+class ListedRule(PairRule):
+    """The same outcome list for every pair."""
+
+    def __init__(self, outs):
+        self.outs = outs
+
+    def outcomes(self, u, w):
+        return self.outs
+
+
+class TestPairRuleCheck:
+    """A rule is checked on k states when it is compiled, wherever it is read."""
+
+    READERS = {
+        "simulate_kac": lambda rule: simulate_kac(ParticleState((5, 5, 0)), 1, 1, 0, rule),
+        "tensor": lambda rule: collision_marginal_tensor(3, rule),
+        "event matrix": lambda rule: _kac_event_matrix(3, 4, rule),
+    }
+
+    # Label -1 used to move a particle into the last state: simulate_kac
+    # ended in (3, 5, 2) and the tensor wrapped the -1 the same way.
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_label_outside_the_space(self, reader):
+        with pytest.raises(InvalidArgumentError, match="range"):
+            self.READERS[reader](ListedRule([((-1, 0), 1.0)]))
+
+    # Mass 0.5 used to fall back silently to the last outcome.
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_mass_not_one(self, reader):
+        with pytest.raises(InvalidArgumentError, match="total probability"):
+            self.READERS[reader](ListedRule([((0, 0), 0.25), ((1, 1), 0.25)]))
+
+    @pytest.mark.parametrize("outs", [
+        [], [((0, 3), 1.0)], [((0, 0), math.nan)], [((0, 0), 1.5), ((1, 1), -0.5)],
+        [((True, 0), 1.0)], [((0.5, 0), 1.0)],
+    ], ids=["empty", "label-k", "nan", "negative", "bool-label", "fractional-label"])
+    def test_malformed_outcomes(self, outs):
+        with pytest.raises(InvalidArgumentError):
+            ListedRule(outs).compiled(3)
+
+    def test_compiled_once_per_k(self):
+        rule = ListedRule([((0, 0), 1.0)])
+        assert rule.compiled(3) is rule.compiled(3)
+        assert rule.compiled(2) is not rule.compiled(3)
 
 
 class TestKacLimitRhs:

@@ -21,7 +21,7 @@ from chaoslab import (
     to_dense,
 )
 from chaoslab.errors import InvalidArgumentError
-from chaoslab.meanfield import SumConservingRule
+from chaoslab.meanfield import PairRule, SumConservingRule, default_rule
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -64,6 +64,28 @@ class TestSimulateKac:
             with pytest.raises(InvalidArgumentError):
                 simulate_kac(ParticleState((2, 2)), lam, t, seed=0)
 
+    def test_default_rule_is_compiled_once(self, monkeypatch):
+        calls = []
+        outcomes = SumConservingRule.outcomes
+
+        def counted(rule, u, w):
+            calls.append((u, w))
+            return outcomes(rule, u, w)
+
+        monkeypatch.setattr(SumConservingRule, "outcomes", counted)
+        default_rule.cache_clear()
+        for seed in range(1000):
+            simulate_kac(ParticleState((3, 2, 2)), 1.0, 0.5, seed)
+        assert 0 < len(calls) <= 3 * 3
+
+    @pytest.mark.parametrize("counts", [(2.7, 1.2), (True, 3), (2.0, "1")])
+    def test_counts_are_not_truncated(self, counts):
+        with pytest.raises(InvalidArgumentError):
+            ParticleState(counts)
+
+    def test_integral_counts_are_ints(self):
+        assert ParticleState((np.int64(2), 1.0)).counts == (2, 1)
+
 
 class TestEventBlocks:
     """simulate_kac draws its randomness in blocks of at most EVENT_BLOCK events."""
@@ -88,20 +110,28 @@ class TestEventBlocks:
         assert a.counts == simulate_kac(start, 1.0, 2.0, seed=42).counts
 
     def test_every_event_collides(self):
-        # The event count is the stream's first draw; every event calls the rule.
-        class CountingRule(SumConservingRule):
-            calls = 0
+        # The event count is the stream's first draw, and every event draws
+        # its (i, j, r) and applies the rule: the generator ends where one that
+        # drew the count and then those blocks ends, and the stepping rule
+        # moves the label sum by 1 mod k per event.
+        import chaoslab.montecarlo as montecarlo
 
-            def sample(self, u, w, r):
-                CountingRule.calls += 1
-                return super().sample(u, w, r)
+        class StepRule(PairRule):
+            def outcomes(self, u, w):
+                return [(((u + 1) % 16, w), 0.5), ((u, (w + 1) % 16), 0.5)]
 
-        start = ParticleState((6, 3, 3))
+        start = ParticleState((6, 3, 3) + (0,) * 13)
         for seed in range(5):
-            CountingRule.calls = 0
-            simulate_kac(start, 1.0, 1.0, seed, CountingRule(3))
-            events = np.random.default_rng(seed).poisson(1.0 * 1.0 * 11 / 2.0)
-            assert CountingRule.calls == events > 2
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            end = simulate_kac(start, 1.0, 1.0, rng, StepRule())
+            events = left = int(ref.poisson(1.0 * 1.0 * 11 / 2.0))
+            while left:
+                block = min(left, montecarlo.EVENT_BLOCK)
+                left -= block
+                ref.integers(12, size=block), ref.integers(11, size=block), ref.random(block)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            label_sum = sum(v * c for v, c in enumerate(end.counts))
+            assert 2 < events < 16 and (label_sum - 9) % 16 == events
 
     def test_zero_events(self):
         start = ParticleState((4, 2, 2))
