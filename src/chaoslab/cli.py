@@ -8,6 +8,9 @@ rerunning must produce byte-identical files.
 Exit codes: 0 success / expectation met, 2 config error or a run that
 cannot be carried out as configured (the limit ODE too stiff for its fixed
 step), 3 expectation mismatch, 4 capacity error.
+
+OPTIONS and COMMANDS are the one declaration of the options; the parser is
+built from them, and `to_value` checks flags and config-file values alike.
 """
 
 from __future__ import annotations
@@ -54,11 +57,27 @@ from .meanfield import kac_limit_evolve, continuity_probe
 from .montecarlo import iid_state, replica_rng, simulate_kac
 
 FMT = "%.17g"
-# Numeric options by type: argparse converts the flags, load_config the
-# config-file values (through to_number).  LEAST holds lower bounds.
-NUMERIC = {"seed": int, "n": int, "replicas": int, "tol": float, "lam": float,
-           "t": float, "E": float, "delta": float}
-LEAST = {"seed": 0, "replicas": 1}
+# Every option: (kind, least value, help).  The kind is int, float, str or
+# the tuple of the allowed strings; the least value bounds a number, or is None.
+OPTIONS = {
+    "out": (str, None, "output directory (default .)"),
+    "seed": (int, 0, "master RNG seed (read by kac and theorem-probe)"),
+    "name": (str, None, "experiment name (output file stem)"),
+    "family": (("product", "mixture", "microcanonical", "custom"), None, "law family"),
+    "kernel": (str, None, "kernel registry name"),
+    "p": (str, None, "comma-separated one-particle law"),
+    "H": (str, None, "comma-separated per-state energies"),
+    "E": (float, None, "target mean energy"),
+    "delta": (float, None, "energy window width"),
+    "law-dir": (str, None, "directory of <n>.json laws"),
+    "n": (int, None, "particle count"),
+    "replicas": (int, 1, "Monte Carlo replicas (theorem-probe: per sampled row)"),
+    "lam": (float, None, "collision rate"),
+    "t": (float, None, "time horizon"),
+    "grid": (str, None, "comma-separated increasing n values"),
+    "tol": (float, None, "chaos verdict tolerance"),
+    "expect": (("chaotic", "not-chaotic", "inconclusive"), None, "expected verdict"),
+}
 
 
 def fmt(x: float) -> str:
@@ -115,39 +134,50 @@ def write_outputs(config: dict, name: str, csv_text: str, meta: dict) -> None:
     (out / f"{name}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def to_number(key: str, value, kind):
-    """value as kind (int or float), or ConfigError; an int must be integral."""
+def to_value(key: str, value):
+    """A flag or config-file value of option `key`, checked as OPTIONS declares
+    it, or ConfigError: a string, one of its choices, or a number (an int
+    must be integral) no less than its least value."""
+    kind, least, _ = OPTIONS[key]
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if kind not in (int, float):
+        return value
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float)
                                        and not value.is_integer()):
             raise ValueError
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
 
 
-def load_config(args: argparse.Namespace, allowed: set) -> dict:
+def load_config(args: argparse.Namespace) -> dict:
+    """The options of the parsed subcommand: its --config file's values,
+    overridden by the flags given, each checked by to_value."""
+    allowed = COMMANDS[args.command][1]
     config = {}
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        unknown = set(doc) - allowed
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        unknown = set(doc) - set(allowed)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(doc)
     for key in allowed:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            config[key] = value
-    for key, kind in NUMERIC.items():
-        if config.get(key) is not None:
-            config[key] = to_number(key, config[key], kind)
-            if key in LEAST and config[key] < LEAST[key]:
-                raise ConfigError(f"{key} must be >= {LEAST[key]}, got {config[key]}")
-    return config
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    return {key: to_value(key, value) for key, value in config.items()}
 
 
 def require(config: dict, key: str):
@@ -157,7 +187,7 @@ def require(config: dict, key: str):
 
 
 def energy_model(config: dict) -> EnergyModel:
-    H = parse_floats(str(require(config, "H")))
+    H = parse_floats(require(config, "H"))
     return EnergyModel(StateSpace.of_size(len(H)), H, require(config, "E"),
                        require(config, "delta"))
 
@@ -179,16 +209,13 @@ def check_expectation(config: dict, verdicts) -> int:
     return 0 if all(v == expect for v in verdicts) else 3
 
 
-def cmd_diagnose(args) -> int:
-    allowed = {"name", "family", "p", "H", "E", "delta", "grid", "tol", "seed",
-               "out", "expect", "law-dir"}
-    config = load_config(args, allowed)
+def cmd_diagnose(config: dict) -> int:
     family_name = require(config, "family")
-    grid = parse_grid(str(require(config, "grid")))
+    grid = parse_grid(require(config, "grid"))
     tol = config.get("tol", 1e-3)
 
     if family_name == "product":
-        p = parse_floats(str(require(config, "p")))
+        p = parse_floats(require(config, "p"))
         space = StateSpace.of_size(len(p))
         rho = Distribution(space, p)
         family = lambda n: product_law(rho, n)
@@ -199,9 +226,9 @@ def cmd_diagnose(args) -> int:
         model = energy_model(config)
         _, rho = microcanonical_limit(model)
         family = lambda n: microcanonical(model, n)
-    elif family_name == "custom":
+    else:  # custom
         law_dir = Path(require(config, "law-dir"))
-        p = parse_floats(str(require(config, "p")))
+        p = parse_floats(require(config, "p"))
         rho = Distribution(StateSpace.of_size(len(p)), p)
 
         def family(n):
@@ -210,24 +237,20 @@ def cmd_diagnose(args) -> int:
                 return law_from_json(path.read_text())
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown family {family_name!r}")
 
     report = chaos_verdict(family, rho, grid, tol=tol)
     write_outputs(config, "diagnose", report.to_csv(), report.meta())
     return check_expectation(config, report.verdict)
 
 
-def cmd_counterexample(args) -> int:
-    allowed = {"name", "p", "grid", "tol", "out", "expect", "seed"}
-    config = load_config(args, allowed)
+def cmd_counterexample(config: dict) -> int:
     # The product branch's gap decays like p0^n; the grid must run far
     # enough for that to clear the tolerance (0.9^128 ~ 1.4e-6).
-    grid = parse_grid(str(config.get("grid", "4,8,16,32,64,128")))
+    grid = parse_grid(config.get("grid", "4,8,16,32,64,128"))
     if any(n < 2 for n in grid):
         raise ConfigError("counterexample needs n >= 2 throughout the grid")
     tol = config.get("tol", 1e-3)
-    p = parse_floats(str(config.get("p", "0.9,0.1")))
+    p = parse_floats(config.get("p", "0.9,0.1"))
     space = StateSpace.of_size(2)
     rho_in = Distribution(space, p)
     rho_out = Distribution(space, (0.5, 0.5))
@@ -252,12 +275,10 @@ def cmd_counterexample(args) -> int:
     return 0 if both_expected else 3
 
 
-def cmd_theorem_probe(args) -> int:
-    allowed = {"name", "kernel", "p", "grid", "seed", "out", "replicas"}
-    config = load_config(args, allowed)
+def cmd_theorem_probe(config: dict) -> int:
     kernel_name = require(config, "kernel")
-    p = parse_floats(str(require(config, "p")))
-    grid = parse_grid(str(require(config, "grid")))
+    p = parse_floats(require(config, "p"))
+    grid = parse_grid(require(config, "grid"))
     seed = config.get("seed")
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
@@ -307,10 +328,8 @@ def cmd_theorem_probe(args) -> int:
     return 0
 
 
-def cmd_kac(args) -> int:
-    allowed = {"name", "p", "n", "replicas", "lam", "t", "seed", "out"}
-    config = load_config(args, allowed)
-    p = parse_floats(str(require(config, "p")))
+def cmd_kac(config: dict) -> int:
+    p = parse_floats(require(config, "p"))
     n = require(config, "n")
     lam = config.get("lam", 1.0)
     t = config.get("t", 1.0)
@@ -346,11 +365,9 @@ def cmd_kac(args) -> int:
     return 0
 
 
-def cmd_microcanonical(args) -> int:
-    allowed = {"name", "H", "E", "delta", "grid", "tol", "out", "expect", "seed"}
-    config = load_config(args, allowed)
+def cmd_microcanonical(config: dict) -> int:
     model = energy_model(config)
-    grid = parse_grid(str(require(config, "grid")))
+    grid = parse_grid(require(config, "grid"))
     tol = config.get("tol", 1e-3)
     beta, gamma = microcanonical_limit(model)
     report = chaos_verdict(lambda n: microcanonical(model, n), gamma, grid, tol=tol)
@@ -369,63 +386,38 @@ def cmd_microcanonical(args) -> int:
     return check_expectation(config, report.verdict)
 
 
+COMMON = ("out", "seed", "name")
+COMMANDS = {
+    "diagnose": (cmd_diagnose, COMMON + ("family", "p", "H", "E", "delta", "law-dir",
+                                         "grid", "tol", "expect")),
+    "counterexample": (cmd_counterexample, COMMON + ("p", "grid", "tol", "expect")),
+    "theorem-probe": (cmd_theorem_probe, COMMON + ("kernel", "p", "grid", "replicas")),
+    "kac": (cmd_kac, COMMON + ("p", "n", "replicas", "lam", "t")),
+    "microcanonical": (cmd_microcanonical, COMMON + ("H", "E", "delta", "grid", "tol",
+                                                     "expect")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of COMMANDS; each flag arrives as a string, for to_value."""
     parser = argparse.ArgumentParser(prog="chaoslab",
                                      description="exchangeable particle-system laboratory")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file")
-    shared.add_argument("--out", help="output directory (default .)")
-    shared.add_argument("--seed", type=int, help="master RNG seed")
-    shared.add_argument("--name", help="experiment name (output file stem)")
-    gridded = argparse.ArgumentParser(add_help=False)
-    gridded.add_argument("--grid", help="comma-separated increasing n values")
-    judged = argparse.ArgumentParser(add_help=False)
-    judged.add_argument("--tol", type=float, help="chaos verdict tolerance")
-    judged.add_argument("--expect", choices=["chaotic", "not-chaotic", "inconclusive"])
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    d = sub.add_parser("diagnose", parents=[shared, gridded, judged])
-    d.add_argument("--family", choices=["product", "mixture", "microcanonical", "custom"])
-    d.add_argument("--p", help="comma-separated probabilities")
-    d.add_argument("--H", help="comma-separated per-state energies")
-    d.add_argument("--E", type=float, help="target mean energy")
-    d.add_argument("--delta", type=float, help="energy window width")
-    d.add_argument("--law-dir", dest="law_dir", help="directory of <n>.json laws")
-    d.set_defaults(func=cmd_diagnose)
-
-    c = sub.add_parser("counterexample", parents=[shared, gridded, judged])
-    c.add_argument("--p", help="product-branch input law")
-    c.set_defaults(func=cmd_counterexample)
-
-    tp = sub.add_parser("theorem-probe", parents=[shared, gridded])
-    tp.add_argument("--kernel", help="kernel registry name")
-    tp.add_argument("--p", help="target one-particle law")
-    tp.add_argument("--replicas", type=int, help="samples per row on the MC path")
-    tp.set_defaults(func=cmd_theorem_probe)
-
-    kc = sub.add_parser("kac", parents=[shared])
-    kc.add_argument("--p", help="initial one-particle law")
-    kc.add_argument("--n", type=int, help="particle count")
-    kc.add_argument("--replicas", type=int, help="Monte Carlo replicas")
-    kc.add_argument("--lam", type=float, help="collision rate")
-    kc.add_argument("--t", type=float, help="time horizon")
-    kc.set_defaults(func=cmd_kac)
-
-    mc = sub.add_parser("microcanonical", parents=[shared, gridded, judged])
-    mc.add_argument("--H", help="comma-separated per-state energies")
-    mc.add_argument("--E", type=float, help="target mean energy")
-    mc.add_argument("--delta", type=float, help="energy window width")
-    mc.set_defaults(func=cmd_microcanonical)
-
+    for command, (func, keys) in COMMANDS.items():
+        cp = sub.add_parser(command)
+        cp.add_argument("--config", help="JSON config file")
+        for key in keys:
+            kind, _, text = OPTIONS[key]
+            choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            cp.add_argument(f"--{key}", dest=key, metavar=choices, help=text)
+        cp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_config(args))
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4

@@ -82,9 +82,6 @@ class StateSpace:
     def k(self) -> int:
         return len(self.labels)
 
-    def index(self, label) -> int:
-        return self.labels.index(str(label))
-
     @staticmethod
     def of_size(k: int) -> "StateSpace":
         return StateSpace(tuple(str(i) for i in range(k)))
@@ -112,16 +109,6 @@ class Distribution:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.p, dtype=float)
-
-    @staticmethod
-    def uniform(space: StateSpace) -> "Distribution":
-        return Distribution(space, (1.0 / space.k,) * space.k)
-
-    @staticmethod
-    def point_mass(space: StateSpace, i: int) -> "Distribution":
-        p = [0.0] * space.k
-        p[i] = 1.0
-        return Distribution(space, tuple(p))
 
 
 @functools.lru_cache(maxsize=16)
@@ -509,7 +496,9 @@ def law_from_json(text: str) -> SymmetricLaw:
 
     doc = json.loads(text)
     space = StateSpace(tuple(doc["labels"]))
-    rows = [(tuple(row["m"]), float(row["mass"])) for row in doc["classes"]]
+    rows = [(tuple(row["m"]), row["mass"]) for row in doc["classes"]]
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for _, x in rows):
+        raise InvalidArgumentError("a class mass must be a JSON number")
     classes = dict(rows)
     if len(classes) != len(rows):
         raise InvalidArgumentError("a class is listed more than once")

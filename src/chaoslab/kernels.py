@@ -49,7 +49,7 @@ from .meanfield import (
     kac_limit_evolve,
     pushforward,
 )
-from .montecarlo import ParticleState, simulate_kac
+from .montecarlo import ParticleState, replica_rng, simulate_kac
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
@@ -196,10 +196,10 @@ def _compiled_ordered_law(kernel: ExchangeableKernel) -> tuple:
 
 def _sampled_matrix(kernel: ExchangeableKernel, seed: int, replicas: int) -> tuple:
     """Monte Carlo class matrix: each source class's draw counts / replicas,
-    drawn from the stream SeedSequence(seed, spawn_key=(rank,))."""
+    drawn from the stream replica_rng(seed, rank)."""
     rows = []
     for idx, m in enumerate(enumerate_occupancies(kernel.source, kernel.n)):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+        rng = replica_rng(seed, idx)
         rows.append(Counter(kernel.sampler(m, rng) for _ in range(replicas)))
     src, dst, counts = _compiled(kernel, rows)
     return src, dst, counts / replicas

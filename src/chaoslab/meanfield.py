@@ -53,8 +53,9 @@ class PairRule:
 
 class CompiledRule(NamedTuple):
     """A pair rule on k states whose outcome lists passed the check: labels
-    in range(k), probabilities finite and >= 0, and each list nonempty with
-    a running sum within MASS_TOL of 1.
+    in range(k), probabilities finite and >= 0, each list nonempty with a
+    running sum within MASS_TOL of 1, and (u, w) and (w, u) giving the same
+    law of unordered outcome pairs, to within MASS_TOL per pair.
 
     outcomes[u][w] is the ((a, b), prob) list of `outcomes(u, w)`, in order.
     draws[u][w] is (cum, outs): cum the running sums of those probabilities,
@@ -89,7 +90,20 @@ def _compile(rule: PairRule, k: int) -> CompiledRule:
                 )
             outcomes[u][w] = checked
             draws[u][w] = (cum, [ab for ab, _ in checked] + [checked[-1][0]])
+            if w < u and _unordered_gap(checked, outcomes[w][u]) > MASS_TOL:
+                raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
+                                           f"({w}, {u}) give different unordered outcomes")
     return CompiledRule(outcomes, draws)
+
+
+def _unordered_gap(outs: list, mirror: list) -> float:
+    """Largest gap between the laws of the unordered pairs of two outcome lists."""
+    gap: dict = {}
+    for sign, listed in ((1.0, outs), (-1.0, mirror)):
+        for (a, b), pr in listed:
+            ab = (min(a, b), max(a, b))
+            gap[ab] = gap.get(ab, 0.0) + sign * pr
+    return max(map(abs, gap.values()))
 
 
 class SumConservingRule(PairRule):

@@ -424,7 +424,11 @@ class TestNumericOptions:
         '{"m":[%(n)d.5,-0.5],"mass":1.0}',
         # A boolean count.
         '{"m":[%(n)d,false],"mass":1.0}',
-    ], ids=["repeated-class", "nan-mass", "fractional-count", "boolean-count"])
+        # Masses that float() would read as 1.0.
+        '{"m":[%(n)d,0],"mass":true}',
+        '{"m":[%(n)d,0],"mass":"1"}',
+    ], ids=["repeated-class", "nan-mass", "fractional-count", "boolean-count",
+            "boolean-mass", "string-mass"])
     def test_malformed_custom_law_file(self, tmp_path, capsys, rows):
         law_dir = tmp_path / "laws"
         law_dir.mkdir()
@@ -450,6 +454,50 @@ class TestNumericOptions:
         assert rc == 2
         assert "n=20 at n=8" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigValues:
+    """A config-file value is checked as the flag's string is: strings,
+    choices, numbers and lower bounds."""
+
+    @pytest.mark.parametrize("command, options, doc", [
+        ("theorem-probe", ["--p", "0.5,0.5", "--grid", "4,8"], {"kernel": 5}),
+        ("kac", ["--p", "0.5,0.5", "--n", "8", "--seed", "1"], {"out": 5}),
+        ("kac", ["--p", "0.5,0.5", "--n", "8", "--seed", "1"], {"name": ["x"]}),
+        ("diagnose", ["--family", "custom", "--p", "0.5,0.5", "--grid", "4,5,6"],
+         {"law-dir": 7}),
+        ("theorem-probe", ["--kernel", "identity", "--p", "0.5,0.5"], {"grid": 4}),
+        ("diagnose", ["--family", "mixture", "--grid", "4,8,16"], {"expect": "bogus"}),
+        ("diagnose", ["--grid", "4,8,16"], {"family": "bogus"}),
+    ], ids=["kernel", "out", "name", "law-dir", "grid", "expect", "family"])
+    def test_value_of_the_wrong_kind(self, tmp_path, monkeypatch, capsys, command,
+                                     options, doc):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main([command, *options, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {next(iter(doc))} must be")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    # A number used to end in a TypeError, a list of keys in a ValueError.
+    @pytest.mark.parametrize("text", ["5", '["seed"]'])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert main(["counterexample", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("option", [["--seed", "x"], ["--expect", "bogus"]])
+    def test_flag_value_is_a_config_error(self, tmp_path, capsys, option):
+        rc = main(["diagnose", "--family", "mixture", "--grid", "4,8,16", *option,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {option[0][2:]} must be")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIgnoredOptionsRejected:

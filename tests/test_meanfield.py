@@ -62,6 +62,13 @@ class ListedRule(PairRule):
         return self.outs
 
 
+class FirstWinsRule(PairRule):
+    """(u, w) -> (u, u): asymmetric, since (w, u) -> (w, w)."""
+
+    def outcomes(self, u, w):
+        return [((u, u), 1.0)]
+
+
 class TestPairRuleCheck:
     """A rule is checked on k states when it is compiled, wherever it is read."""
 
@@ -83,6 +90,14 @@ class TestPairRuleCheck:
     def test_mass_not_one(self, reader):
         with pytest.raises(InvalidArgumentError, match="total probability"):
             self.READERS[reader](ListedRule([((0, 0), 0.25), ((1, 1), 0.25)]))
+
+    # The exact matrix reads only u <= w, simulate_kac both orders: at k = 2,
+    # n = 2 the exact row sent (1, 1) to (2, 0) with probability 1, yet 2,000
+    # simulated runs ended at (1, 1) 1,419 times.
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_asymmetric_rule(self, reader):
+        with pytest.raises(InvalidArgumentError, match="not symmetric"):
+            self.READERS[reader](FirstWinsRule())
 
     @pytest.mark.parametrize("outs", [
         [], [((0, 3), 1.0)], [((0, 0), math.nan)], [((0, 0), 1.5), ((1, 1), -0.5)],
