@@ -129,9 +129,12 @@ def write_outputs(config: dict, name: str, csv_text: str, meta: dict) -> None:
     out, name = Path(config.get("out", ".")), config.get("name", name)
     meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
             "version": __version__, **meta}
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.csv").write_text(csv_text)
-    (out / f"{name}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{name}.csv").write_text(csv_text)
+        (out / f"{name}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
 
 
 def to_value(key: str, value):
@@ -143,6 +146,8 @@ def to_value(key: str, value):
         raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
     if kind is str and not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
+    if key == "name" and not value:
+        raise ConfigError("name must not be empty")
     if kind not in (int, float):
         return value
     try:
@@ -166,7 +171,7 @@ def load_config(args: argparse.Namespace) -> dict:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -190,15 +195,6 @@ def energy_model(config: dict) -> EnergyModel:
     H = parse_floats(require(config, "H"))
     return EnergyModel(StateSpace.of_size(len(H)), H, require(config, "E"),
                        require(config, "delta"))
-
-
-def has_exact_rows(kernel) -> bool:
-    """Whether the kernel has an exact class matrix at its n (it is kept on it)."""
-    try:
-        kernel.class_matrix()
-    except CapacityError:
-        return False
-    return True
 
 
 def check_expectation(config: dict, verdicts) -> int:
@@ -235,7 +231,7 @@ def cmd_diagnose(config: dict) -> int:
             path = law_dir / f"{n}.json"
             try:
                 return law_from_json(path.read_text())
-            except (OSError, ValueError, KeyError, TypeError) as exc:
+            except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
 
     report = chaos_verdict(family, rho, grid, tol=tol)
@@ -283,12 +279,10 @@ def cmd_theorem_probe(config: dict) -> int:
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
     replicas = config.get("replicas", DEFAULT_SAMPLE_REPLICAS)
-    if config.get("replicas") is not None and seed is None:
-        raise ConfigError("replicas sets the Monte Carlo rows, which need a seed")
     kernels = [make_kernel(kernel_name, space, n) for n in grid]
-    if config.get("replicas") is not None and all(map(has_exact_rows, kernels)):
-        raise ConfigError("replicas sets the Monte Carlo rows, and every n of the "
-                          "grid has exact rows")
+    if "replicas" in config and (seed is None or all(kernel.exact for kernel in kernels)):
+        raise ConfigError("replicas sets the Monte Carlo rows, which need a seed and "
+                          "a grid n without exact rows")
 
     flipped = Distribution(space, tuple(reversed(rho.p)))
     # Every kernel of one spec carries the same limit map.  The probe
@@ -343,10 +337,9 @@ def cmd_kac(config: dict) -> int:
     lines = [header]
     lines.append("ode,0," + ",".join(fmt(x) for x in ode.p))
 
-    # The exact row appears exactly when the kernel has a class matrix at
-    # this n; asking for it first keeps product_law off the large-n path.
+    # Only an exact kernel gets a row, which keeps product_law off the large-n path.
     kernel = kac_collision_kernel(space, lam, t, n)
-    if has_exact_rows(kernel):
+    if kernel.exact:
         # The classes of one particle are the states, in rank order.
         exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
         lines.append(f"exact,{fmt(tv_distance(exact_p, ode))}," +

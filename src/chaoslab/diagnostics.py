@@ -269,9 +269,10 @@ def fit_gibbs(model: EnergyModel):
     beta = 0.0
     for _ in range(200):
         beta = 0.5 * (lo + hi)
-        if abs(_gibbs_mean_energy(H, beta) - model.E) < 1e-12:
+        mean = _gibbs_mean_energy(H, beta)
+        if abs(mean - model.E) < 1e-12:
             break
-        if _gibbs_mean_energy(H, beta) > model.E:
+        if mean > model.E:
             lo = beta
         else:
             hi = beta

@@ -14,10 +14,12 @@ source laws, one per row, and returns the (B, k_target) stack of their
 images.  `make_kernel` is the only parser of the kernel names.
 
 A kernel is computed in one form, `class_matrix()`: its nonzero entries
-(src, dst, prob) over class ranks (`core.class_index`).  The constructor
-builds it, or it is compiled from `ordered_law` (the exact law of K_n(s, .)
-on ordered states, small spaces; checked for equivariance first) or
-estimated from a seeded class-level `sampler` (for Kac,
+(src, dst, prob) over class ranks (`core.class_index`).  Whether that form
+is exact is fixed when the kernel is built, and `kernel.exact` reports it:
+an exact matrix comes from the constructor's builder or is compiled from
+`ordered_law` (the exact law of K_n(s, .) on ordered states, small spaces;
+checked for equivariance first); otherwise it is estimated from a seeded
+class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
 `montecarlo.simulate_kac` with its own pair rule).
 """
 
@@ -66,6 +68,8 @@ class ExchangeableKernel:
       ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
       sampler(m, rng) -> target occupancy             (Monte Carlo)
 
+    It is `exact` when it has a matrix builder, given or compiled from
+    `ordered_law`: fixed here, so reading `exact` builds nothing.
     A sampler works on occupancy classes, so it is permutation-equivariant
     by construction; only `ordered_law` is checked, as it is compiled.
 
@@ -99,25 +103,28 @@ class ExchangeableKernel:
         self._matrix_builder = matrix_builder
         self._matrices: dict = {}
 
+    @property
+    def exact(self) -> bool:
+        """Whether `class_matrix()` is exact, fixed when the kernel is built."""
+        return self._matrix_builder is not None
+
     def class_matrix(self, seed: Optional[int] = None,
                      replicas: int = DEFAULT_SAMPLE_REPLICAS) -> tuple:
         """Nonzero entries (src, dst, prob), src and dst class ranks, in
-        source-rank order; built once and kept.  Exact where the kernel has an
-        exact form, else estimated from `replicas` seeded draws per source class."""
-        key = None
-        try:
-            if key not in self._matrices:
-                if self._matrix_builder is None:
-                    raise CapacityError(f"kernel {self.name!r} has no exact class form")
-                self._matrices[key] = self._matrix_builder()
-        except CapacityError:
-            if self.sampler is None or seed is None:
-                raise
+        source-rank order; built once and kept.  Exact if `exact`, else
+        estimated from `replicas` seeded draws per source class."""
+        if self.exact:
+            key = None
+        elif self.sampler is not None and seed is not None:
             if replicas < 1:
-                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}") from None
+                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}")
             key = (seed, replicas)
-            if key not in self._matrices:
-                self._matrices[key] = _sampled_matrix(self, seed, replicas)
+        else:
+            raise CapacityError(f"kernel {self.name!r} has no exact class matrix at "
+                                f"n={self.n}; its Monte Carlo rows need a seed")
+        if key not in self._matrices:
+            self._matrices[key] = (self._matrix_builder() if key is None
+                                   else _sampled_matrix(self, seed, replicas))
         return self._matrices[key]
 
 
@@ -270,7 +277,7 @@ def identity_kernel(space: StateSpace, n: int) -> ExchangeableKernel:
     return kernel
 
 
-def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
+def counterexample_kernel(n: int) -> ExchangeableKernel:
     """All-or-nothing kernel on S = {0, 1}.
 
     Sends the all-zero state to itself and every other state to all-ones;
@@ -278,10 +285,7 @@ def counterexample_kernel(n: int, t: float = 1.0) -> ExchangeableKernel:
     Propagates product laws to chaotic outputs but destroys chaoticity of
     other delta_0-chaotic inputs.  Its limit sends delta_0 to itself and
     every other law to delta_1, so it is discontinuous at delta_0.
-    Time-homogeneous: t is ignored.
     """
-    if n < 1:
-        raise InvalidArgumentError("particle count must be >= 1")
     space = StateSpace.of_size(2)
     zeros = (0,) * n
     ones = (1,) * n
@@ -344,9 +348,9 @@ def kac_collision_kernel(
 
     Uniformized continuous-time chain: with per-pair rate lam/n (total rate
     lam*(n-1)/2) a uniform unordered pair of particles collides and is
-    resampled by the pair rule.  The exact class matrix is the matrix
-    exponential of the class-level generator, offered for
-    n <= KAC_EXACT_MAX_N; larger n is Monte Carlo only, through
+    resampled by the pair rule.  The kernel is `exact` for
+    n <= KAC_EXACT_MAX_N, with the matrix exponential of the class-level
+    generator as its class matrix; larger n is Monte Carlo only, through
     `simulate_kac` with the same pair rule.  The limit is the collision ODE
     of that pair rule run for time t.
     """
@@ -360,10 +364,6 @@ def kac_collision_kernel(
         return simulate_kac(ParticleState(m), lam, t, rng, rule).counts
 
     def build_matrix():
-        if n > KAC_EXACT_MAX_N:
-            raise CapacityError(
-                f"exact Kac class matrix limited to n <= {KAC_EXACT_MAX_N}, got n={n}"
-            )
         P = _kac_event_matrix(space.k, n, rule)
         M = expm(t * total_rate * (P - np.eye(len(P))))
         src, dst = np.nonzero(M > 1e-300)
@@ -375,7 +375,7 @@ def kac_collision_kernel(
         n,
         name=f"kac:{lam:g},{t:g}",
         sampler=sampler,
-        matrix_builder=build_matrix,
+        matrix_builder=build_matrix if n <= KAC_EXACT_MAX_N else None,
         limit=lambda p: kac_limit_evolve(p, lam, t, rule=rule),
     )
 

@@ -215,6 +215,19 @@ class TestTheoremProbe:
         assert capsys.readouterr().err.startswith("config error")
         assert list(tmp_path.iterdir()) == []
 
+    def test_replicas_check_builds_no_matrix(self, tmp_path, monkeypatch, capsys):
+        import chaoslab.kernels as kernels
+
+        calls = []
+        event_matrix = kernels._kac_event_matrix
+        monkeypatch.setattr(kernels, "_kac_event_matrix",
+                            lambda *a: calls.append(a) or event_matrix(*a))
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--grid", "6,8", "--seed", "1", "--replicas", "7", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: replicas")
+        assert calls == []
+
     def test_replicas_config_key_without_sampled_rows(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"kernel": "kac:1,1", "p": "0.5,0.3,0.2",
@@ -526,3 +539,56 @@ class TestIgnoredOptionsRejected:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+class TestFileErrors:
+    """Input files that cannot be read and outputs that cannot be written exit 2
+    with one config error line, and write no file."""
+
+    @pytest.mark.parametrize("path, content, argv", [
+        ("run.json", b'{"p": "\xff"}', ["counterexample", "--config", "run.json"]),
+        ("run.json", DEEP_JSON.encode(), ["counterexample", "--config", "run.json"]),
+        ("laws/4.json", DEEP_JSON.encode(),
+         ["diagnose", "--family", "custom", "--law-dir", "laws", "--p", "0.5,0.5",
+          "--grid", "4,5,6"]),
+    ], ids=["config-not-utf8", "config-nested", "law-file-nested"])
+    def test_unreadable_json_input(self, tmp_path, monkeypatch, capsys, path, content, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_bytes(content)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("options", [
+        ["--out", "taken"],
+        ["--out", "taken/sub"],
+        ["--name", "sub/x"],
+    ], ids=["out-is-a-file", "out-under-a-file", "name-in-a-missing-dir"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, options):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("kept\n")
+        rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2",
+                   *options])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_empty_name_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(chaoslab.cli, "kac_limit_evolve",
+                            lambda *a, **kw: calls.append(1))
+        rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--name", "",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: name must not be empty\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []

@@ -172,6 +172,48 @@ class TestSymmetrizedClassKernel:
         assert rows == {m: {m: 1.0} for m in enumerate_occupancies(S3, kernel.n)}
 
 
+class TestBackend:
+    """Each kernel fixes exact or Monte Carlo when it is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: identity_kernel(S2, 4),
+        lambda: map_kernel([1, 1, 0], 4, S3),
+        lambda: counterexample_kernel(4),
+        lambda: noisy_relabel_kernel(3),
+        lambda: kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N),
+    ], ids=["identity", "map", "counterexample", "ordered-law", "kac-at-cap"])
+    def test_exact(self, build):
+        assert build().exact
+
+    @pytest.mark.parametrize("build", [
+        lambda: kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1),
+        lambda: ExchangeableKernel(S2, S2, 3, "noisy-mc",
+                                   sampler=noisy_relabel_kernel(3).sampler),
+    ], ids=["kac-past-cap", "sampler-only"])
+    def test_monte_carlo(self, build):
+        assert not build().exact
+
+    def test_reading_exact_builds_nothing(self, monkeypatch):
+        import chaoslab.kernels as kernels
+
+        calls = []
+        event_matrix = kernels._kac_event_matrix
+        monkeypatch.setattr(kernels, "_kac_event_matrix",
+                            lambda *a: calls.append(a) or event_matrix(*a))
+        for n in (4, KAC_EXACT_MAX_N, KAC_EXACT_MAX_N + 1):
+            assert kac_collision_kernel(S3, 1.0, 0.5, n).exact == (n <= KAC_EXACT_MAX_N)
+        assert calls == []
+        kac_collision_kernel(S3, 1.0, 0.5, 4).class_matrix()
+        assert len(calls) == 1
+
+    def test_monte_carlo_rows_need_a_seed(self):
+        kernel = kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1)
+        with pytest.raises(CapacityError, match=f"'kac:1,0.5'.*n={kernel.n}.*seed"):
+            kernel.class_matrix()
+        with pytest.raises(InvalidArgumentError):
+            kernel.class_matrix(seed=1, replicas=0)
+
+
 class TestInducedTransition:
     """The class rows are the induced transition on empirical measures m/n."""
 
@@ -267,11 +309,6 @@ class TestCounterexampleKernel:
     def test_other_state(self):
         kernel = counterexample_kernel(3)
         assert kernel.ordered_law((1, 0, 0)) == {(1, 1, 1): 1.0}
-
-    def test_time_argument_ignored(self):
-        a = symmetrized_class_kernel(counterexample_kernel(3, t=0.5))
-        b = symmetrized_class_kernel(counterexample_kernel(3, t=7.0))
-        assert a == b
 
 
 class TestKacKernel:
