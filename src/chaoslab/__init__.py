@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .core import (
     Distribution,
-    OrderedLaw,
     StateSpace,
     SymmetricLaw,
-    class_size,
     enumerate_occupancies,
     law_from_json,
     law_to_json,
@@ -15,8 +13,6 @@ from .core import (
     mean_empirical_tv,
     product_law,
     specific_loglik,
-    symmetrize,
-    to_dense,
     tv_distance,
 )
 from .diagnostics import (
@@ -25,8 +21,6 @@ from .diagnostics import (
     chaos_verdict,
     entropy_convergence,
     fit_gibbs,
-    functional_gap,
-    k_gap,
     microcanonical,
     pair_gap,
 )
@@ -38,7 +32,6 @@ from .kernels import (
     kac_collision_kernel,
     make_kernel,
     map_kernel,
-    orbit_sample,
     propagate,
     symmetrized_class_kernel,
 )
@@ -47,13 +40,11 @@ from .meanfield import (
     SumConservingRule,
     continuity_probe,
     kac_limit_evolve,
-    kac_limit_rhs,
     pushforward,
 )
 from .montecarlo import (
     EstimatorResult,
     ParticleState,
-    estimate_mean_empirical_tv,
     estimate_pair_marginal,
     iid_state,
     pair_marginal_ustat,

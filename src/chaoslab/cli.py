@@ -16,8 +16,10 @@ built from them, and `to_value` checks flags and config-file values alike.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +58,7 @@ from .kernels import (
 from .meanfield import kac_limit_evolve, continuity_probe
 from .montecarlo import iid_state, replica_rng, simulate_kac
 
-FMT = "%.17g"
+FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # Every option: (kind, least value, help).  The kind is int, float, str or
 # the tuple of the allowed strings; the least value bounds a number, or is None.
 OPTIONS = {
@@ -78,10 +80,6 @@ OPTIONS = {
     "tol": (float, None, "chaos verdict tolerance"),
     "expect": (("chaotic", "not-chaotic", "inconclusive"), None, "expected verdict"),
 }
-
-
-def fmt(x: float) -> str:
-    return FMT % x
 
 
 def parse_floats(text: str) -> tuple:
@@ -123,17 +121,36 @@ def near_product_mixture(n: int) -> SymmetricLaw:
     return SymmetricLaw(space, n, {(n, 0): 0.5, (n - 1, 1): 0.5})
 
 
-def write_outputs(config: dict, name: str, csv_text: str, meta: dict) -> None:
-    """Write <out>/<name>.csv and <out>/<name>.meta.json; the config's "name"
-    overrides `name`, and the meta gains the config echo and the version."""
+def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) -> None:
+    """Write <out>/<name>.csv (the header line, then one line per row: ints
+    and strings by str, floats by FMT) and <out>/<name>.meta.json, whose
+    meta gains the config echo and the version; the config's "name"
+    overrides `name`.
+
+    Both files are written to temporary names beside their targets and then
+    moved into place, so a failed write leaves neither this run's files nor
+    a temporary behind.
+    """
     out, name = Path(config.get("out", ".")), config.get("name", name)
     meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
             "version": __version__, **meta}
+    lines = [header] + [",".join(FMT % x if isinstance(x, float) else str(x) for x in row)
+                        for row in rows]
+    texts = {out / f"{name}.csv": "\n".join(lines) + "\n",
+             out / f"{name}.meta.json": json.dumps(meta, indent=2, sort_keys=True) + "\n"}
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
+    placed = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.csv").write_text(csv_text)
-        (out / f"{name}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        for path, text in texts.items():
+            temps[path].write_text(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+            placed.append(path)
     except OSError as exc:
+        for path in [*temps.values(), *placed]:
+            with contextlib.suppress(OSError):
+                path.unlink()
         raise ConfigError(f"cannot write outputs: {exc}") from exc
 
 
@@ -235,7 +252,9 @@ def cmd_diagnose(config: dict) -> int:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
 
     report = chaos_verdict(family, rho, grid, tol=tol)
-    write_outputs(config, "diagnose", report.to_csv(), report.meta())
+    rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik) for r in report.rows]
+    write_outputs(config, "diagnose", "n,pair_gap,concentration_gap,specific_loglik", rows,
+                  report.meta())
     return check_expectation(config, report.verdict)
 
 
@@ -260,11 +279,9 @@ def cmd_counterexample(config: dict) -> int:
 
     rep_prod = chaos_verdict(product_branch, delta1, grid, tol=tol)
     rep_mix = chaos_verdict(mixture_branch, rho_out, grid, tol=tol)
-    lines = ["n,product_pair_gap,mixture_pair_gap"]
-    for rp, rm in zip(rep_prod.rows, rep_mix.rows):
-        lines.append(f"{rp.n},{fmt(rp.pair_gap)},{fmt(rm.pair_gap)}")
+    rows = [(rp.n, rp.pair_gap, rm.pair_gap) for rp, rm in zip(rep_prod.rows, rep_mix.rows)]
     meta = {"product_verdict": rep_prod.verdict, "mixture_verdict": rep_mix.verdict}
-    write_outputs(config, "counterexample", "\n".join(lines) + "\n", meta)
+    write_outputs(config, "counterexample", "n,product_pair_gap,mixture_pair_gap", rows, meta)
     both_expected = rep_prod.verdict == "chaotic" and rep_mix.verdict == "not-chaotic"
     if config.get("expect") is not None:
         return 0 if (config["expect"] == "chaotic") == both_expected else 3
@@ -283,6 +300,10 @@ def cmd_theorem_probe(config: dict) -> int:
     if "replicas" in config and (seed is None or all(kernel.exact for kernel in kernels)):
         raise ConfigError("replicas sets the Monte Carlo rows, which need a seed and "
                           "a grid n without exact rows")
+    if seed is None:
+        for kernel in kernels:
+            if not kernel.exact:
+                kernel.class_matrix()  # no exact rows and no seed: CapacityError
 
     flipped = Distribution(space, tuple(reversed(rho.p)))
     # Every kernel of one spec carries the same limit map.  The probe
@@ -293,8 +314,7 @@ def cmd_theorem_probe(config: dict) -> int:
                              seed=seed if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
 
-    lines = ["n,row_gap,product_gap,damped_gap"]
-    row_gaps = []
+    rows = []
     for n in grid:
         kernel = kernels.pop(0)  # so that each n's rows are freed after it
         kw = {} if seed is None else {"seed": seed, "replicas": replicas}
@@ -307,9 +327,9 @@ def cmd_theorem_probe(config: dict) -> int:
         damped = SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
         gap_row, gap_product, gap_damped = (pair_gap(propagate(law, kernel, **kw), fp)
                                             for law in (quota, product, damped))
-        row_gaps.append(gap_row)
-        lines.append(f"{n},{fmt(gap_row)},{fmt(gap_product)},{fmt(gap_damped)}")
+        rows.append((n, gap_row, gap_product, gap_damped))
 
+    row_gaps = [row[1] for row in rows]
     meta = {
         "limit": list(fp.p),
         "final_row_gap": row_gaps[-1],
@@ -318,7 +338,7 @@ def cmd_theorem_probe(config: dict) -> int:
         "continuity_radius": probe.radius,
         "discontinuity_flag": probe.modulus > 5 * probe.radius,
     }
-    write_outputs(config, "theorem-probe", "\n".join(lines) + "\n", meta)
+    write_outputs(config, "theorem-probe", "n,row_gap,product_gap,damped_gap", rows, meta)
     return 0
 
 
@@ -334,16 +354,14 @@ def cmd_kac(config: dict) -> int:
     ode = kac_limit_evolve(p0, lam, t)
 
     header = "method,tv_to_ode," + ",".join(f"p{i}" for i in range(space.k))
-    lines = [header]
-    lines.append("ode,0," + ",".join(fmt(x) for x in ode.p))
+    rows = [("ode", 0, *ode.p)]
 
     # Only an exact kernel gets a row, which keeps product_law off the large-n path.
     kernel = kac_collision_kernel(space, lam, t, n)
     if kernel.exact:
         # The classes of one particle are the states, in rank order.
         exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
-        lines.append(f"exact,{fmt(tv_distance(exact_p, ode))}," +
-                     ",".join(fmt(x) for x in exact_p.p))
+        rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
 
     totals = np.zeros(space.k)
     for r in range(replicas):
@@ -351,10 +369,9 @@ def cmd_kac(config: dict) -> int:
         state = simulate_kac(iid_state(p0, n, rng), lam, t, rng)
         totals += np.array(state.counts) / n
     mc_p = Distribution(space, tuple(totals / replicas))
-    lines.append(f"mc,{fmt(tv_distance(mc_p, ode))}," +
-                 ",".join(fmt(x) for x in mc_p.p))
+    rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
 
-    write_outputs(config, "kac", "\n".join(lines) + "\n", {"ode": list(ode.p)})
+    write_outputs(config, "kac", header, rows, {"ode": list(ode.p)})
     return 0
 
 
@@ -365,17 +382,16 @@ def cmd_microcanonical(config: dict) -> int:
     beta, gamma = microcanonical_limit(model)
     report = chaos_verdict(lambda n: microcanonical(model, n), gamma, grid, tol=tol)
     limit = math.fsum(g * math.log(g) for g in gamma.p if g > 0.0)
-    lines = ["n,pair_gap,concentration_gap,specific_loglik,entropy_dev"]
-    for row in report.rows:
-        lines.append(f"{row.n},{fmt(row.pair_gap)},{fmt(row.concentration_gap)},"
-                     f"{fmt(row.specific_loglik)},{fmt(abs(row.specific_loglik - limit))}")
+    rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik,
+             abs(r.specific_loglik - limit)) for r in report.rows]
     meta = {
         "beta": beta,
         "gamma": list(gamma.p),
         "verdict": report.verdict,
         "slope": report.slope,
     }
-    write_outputs(config, "microcanonical", "\n".join(lines) + "\n", meta)
+    write_outputs(config, "microcanonical",
+                  "n,pair_gap,concentration_gap,specific_loglik,entropy_dev", rows, meta)
     return check_expectation(config, report.verdict)
 
 

@@ -13,30 +13,26 @@ into the full rank-indexed vector that kernels act on.  Product laws,
 marginals and log-likelihoods are numpy operations over these arrays.
 Class sizes are doubles: products of binomial coefficients from a cached
 Pascal triangle, exact below 2**53, with a log-factorial fallback where
-they overflow.  Sums that feed gaps and
-likelihoods use math.fsum.  A dense ordered representation and the exact
-big-integer `class_size` are kept as small-n oracles.
+they overflow.  Sums that feed gaps and likelihoods use math.fsum.  The
+dense ordered and big-integer oracles that check these live with the
+tests, not here.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 # Probability-mass bookkeeping tolerances.
 MASS_TOL = 1e-12
 NEG_CLAMP = -1e-15
-
-# Dense ordered laws are permitted only while the flat index fits in 24 bits.
-DENSE_INDEX_BITS = 24
 
 # Largest n served by the Pascal table: C(1030, 515) exceeds the largest
 # double, so beyond it the bulk of the class sizes overflow anyway and all
@@ -161,18 +157,6 @@ def class_index(occ, n: int) -> np.ndarray:
     return rank
 
 
-def class_size(m: Occupancy) -> int:
-    """Orbit size of the occupancy class under coordinate permutations.
-
-    Exact multinomial coefficient n! / prod(m_i!), as a Python big integer.
-    """
-    n = sum(m)
-    size = math.factorial(n)
-    for mi in m:
-        size //= math.factorial(mi)
-    return size
-
-
 def _build_pascal(rows: int) -> np.ndarray:
     table = np.zeros((rows + 1, rows + 1))
     table[:, 0] = 1.0
@@ -229,51 +213,12 @@ def occupancy_of(space: StateSpace, s: Sequence) -> Occupancy:
     return tuple(m)
 
 
-def _check_dense_capacity(k: int, n: int) -> None:
-    if n * math.log2(k if k > 1 else 2) > DENSE_INDEX_BITS:
-        raise CapacityError(
-            f"dense ordered law needs {n} * log2({k}) <= {DENSE_INDEX_BITS} index bits"
-        )
-
-
-class OrderedLaw:
-    """Dense law on S^n indexed by ordered tuples; small-n oracle only.
-
-    The flat index treats the first coordinate as most significant:
-    index(s) = sum_i s_i * k^(n-1-i).
-    """
-
-    def __init__(self, space: StateSpace, n: int, probs):
-        _check_dense_capacity(space.k, n)
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (space.k**n,):
-            raise InvalidArgumentError("dense vector has wrong length")
-        if probs.min() < NEG_CLAMP:
-            raise InvalidArgumentError("negative dense probability")
-        probs = np.where(probs < 0.0, 0.0, probs)
-        if abs(math.fsum(probs.tolist()) - 1.0) > MASS_TOL:
-            raise InvalidArgumentError("dense probabilities do not sum to 1")
-        self.space = space
-        self.n = n
-        self.probs = probs
-
-    def index(self, s: Sequence) -> int:
-        idx = 0
-        for si in s:
-            idx = idx * self.space.k + si
-        return idx
-
-    def tuples(self) -> Iterator[tuple]:
-        return itertools.product(range(self.space.k), repeat=self.n)
-
-
 class SymmetricLaw:
     """A symmetric law on S^n stored as mass per occupancy class.
 
     `occ` is the (S, k) int array of support classes in canonical
     enumeration order and `p` the matching positive masses; both are
-    read-only.  `classes`, `items()` and `mass()` are dict views built on
-    first use.
+    read-only.  `classes` is their dict view, built on first use.
     """
 
     def __init__(self, space: StateSpace, n: int, classes: dict):
@@ -324,12 +269,6 @@ class SymmetricLaw:
     @functools.cached_property
     def classes(self) -> dict:
         return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
-
-    def mass(self, m: Occupancy) -> float:
-        return self.classes.get(tuple(m), 0.0)
-
-    def items(self):
-        return self.classes.items()
 
     @staticmethod
     def point_class(space: StateSpace, m: Occupancy) -> "SymmetricLaw":
@@ -388,33 +327,6 @@ def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> Symmetric
     return SymmetricLaw.from_arrays(space, n, occ, sizes / math.fsum(sizes.tolist()))
 
 
-def symmetrize(dense: OrderedLaw) -> SymmetricLaw:
-    """Aggregate a dense ordered law over permutation orbits.
-
-    Equals averaging over all n! permutations and then grouping by class.
-    """
-    buckets: dict = {}
-    for idx, s in enumerate(dense.tuples()):
-        pr = dense.probs[idx]
-        if pr == 0.0:
-            continue
-        buckets.setdefault(occupancy_of(dense.space, s), []).append(pr)
-    classes = {m: math.fsum(v) for m, v in buckets.items()}
-    return SymmetricLaw(dense.space, dense.n, classes)
-
-
-def to_dense(law: SymmetricLaw) -> OrderedLaw:
-    """Expand a symmetric law to the dense ordered oracle representation."""
-    _check_dense_capacity(law.space.k, law.n)
-    per_point = {m: mass / class_size(m) for m, mass in law.items()}
-    probs = np.zeros(law.space.k**law.n)
-    for idx, s in enumerate(itertools.product(range(law.space.k), repeat=law.n)):
-        pr = per_point.get(occupancy_of(law.space, s))
-        if pr is not None:
-            probs[idx] = pr
-    return OrderedLaw(law.space, law.n, probs)
-
-
 def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
     """Law of the first j coordinates, again in occupancy form.
 
@@ -463,7 +375,8 @@ def tv_distance(a, b) -> float:
 def specific_loglik(law: SymmetricLaw) -> float:
     """(1/n) * sum over ordered points of rho log rho, with 0 log 0 = 0.
 
-    In class form this is (1/n) * sum_m mass(m) log(mass(m) / class_size(m)).
+    In class form this is (1/n) * sum_m mass(m) log(mass(m) / |m|), with
+    |m| = n! / prod_i m_i! the number of ordered points in class m.
     """
     terms = law.p * (np.log(law.p) - _log_class_sizes(law.occ, law.n))
     return math.fsum(terms.tolist()) / law.n
@@ -486,7 +399,7 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
 def law_to_json(law: SymmetricLaw) -> str:
     labels = ",".join(f'"{x}"' for x in law.space.labels)
     rows = []
-    for m, mass in law.items():
+    for m, mass in law.classes.items():
         rows.append('{"m":[%s],"mass":%.17g}' % (",".join(str(x) for x in m), mass))
     return '{"labels":[%s],"n":%d,"classes":[%s]}' % (labels, law.n, ",".join(rows))
 

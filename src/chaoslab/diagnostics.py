@@ -1,11 +1,13 @@
 """Chaoticity diagnostics for sequences of symmetric laws.
 
 The equivalent finite-space criteria measured here: decay of the
-two-particle (and k-particle) marginal gap against a product law,
-concentration of the empirical measure, and the specific log-likelihood
-limit.  `chaos_verdict` computes each of the per-n numbers once, into one
-`ReportRow` per grid point, and the CLI reads them from there.  Also builds
-microcanonical ensembles and fits the matching Gibbs one-particle law.
+two-particle marginal gap against a product law, concentration of the
+empirical measure, and the specific log-likelihood limit.  The pair gap
+suffices: for exchangeable laws pair chaos implies chaos of every
+marginal order (Sznitman 1991, Prop. 2.2).  `chaos_verdict` computes each
+of the per-n numbers once, into one `ReportRow` per grid point, and the
+CLI reads them from there.  Also builds microcanonical ensembles and fits
+the matching Gibbs one-particle law.
 """
 
 from __future__ import annotations
@@ -83,15 +85,6 @@ class ChaosReport:
     slope: Optional[float]
     tol: float
 
-    CSV_HEADER = "n,pair_gap,concentration_gap,specific_loglik"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.pair_gap:.17g},{r.concentration_gap:.17g},"
-                         f"{r.specific_loglik:.17g}")
-        return "\n".join(lines) + "\n"
-
     def meta(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -105,33 +98,6 @@ def pair_gap(law: SymmetricLaw, rho: Distribution) -> float:
     if law.n < 2:
         raise InvalidArgumentError("pair gap needs at least two particles")
     return tv_distance(marginal(law, 2), product_law(rho, 2))
-
-
-def k_gap(law: SymmetricLaw, rho: Distribution, k: int) -> float:
-    """TV gap between the k-particle marginal and the k-fold product of rho."""
-    if not 2 <= k <= law.n:
-        raise InvalidArgumentError(f"marginal order {k} out of range 2..{law.n}")
-    return tv_distance(marginal(law, k), product_law(rho, k))
-
-
-def functional_gap(law, rho, phi1: Sequence, phi2: Sequence) -> float:
-    """Gap in the bilinear two-particle statistic E[phi1(X1) phi2(X2)]."""
-    if law.n < 2:
-        raise InvalidArgumentError("functional gap needs at least two particles")
-    pair = marginal(law, 2)
-    k = law.space.k
-    joint = np.zeros((k, k))
-    for m, mass in pair.items():
-        # The class {u, v} holds the ordered pairs (u, v) and (v, u); for
-        # u == v both halves land on the one point (u, u).
-        u, v = [i for i, mi in enumerate(m) for _ in range(mi)]
-        joint[u, v] += mass / 2
-        joint[v, u] += mass / 2
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    lhs = float(phi1 @ joint @ phi2)
-    rho_arr = rho.as_array()
-    return abs(lhs - float(phi1 @ rho_arr) * float(phi2 @ rho_arr))
 
 
 def _fit_slope(grid, gaps) -> Optional[float]:

@@ -15,11 +15,13 @@ images.  `make_kernel` is the only parser of the kernel names.
 
 A kernel is computed in one form, `class_matrix()`: its nonzero entries
 (src, dst, prob) over class ranks (`core.class_index`).  Whether that form
-is exact is fixed when the kernel is built, and `kernel.exact` reports it:
-an exact matrix comes from the constructor's builder or is compiled from
-`ordered_law` (the exact law of K_n(s, .) on ordered states, small spaces;
-checked for equivariance first); otherwise it is estimated from a seeded
-class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
+is exact is fixed when the kernel is built, and `kernel.exact` reports it.
+Each bundled constructor gives its exact matrix builder (a map's image, the
+counterexample's image, the Kac generator's `expm` up to `KAC_EXACT_MAX_N`)
+and no second spec; a user kernel may instead give `ordered_law` (the exact
+law of K_n(s, .) on ordered states, small spaces; checked for equivariance
+as it is compiled).  A kernel without an exact matrix is estimated from a
+seeded class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
 `montecarlo.simulate_kac` with its own pair rule).
 """
 
@@ -37,7 +39,6 @@ from .core import (
     Occupancy,
     StateSpace,
     SymmetricLaw,
-    as_rng,
     class_index,
     enumerate_occupancies,
     occupancy_array,
@@ -250,9 +251,6 @@ def map_kernel(
     if any(not 0 <= t < target.k for t in fmap):
         raise InvalidArgumentError("state map leaves the target space")
 
-    def ordered_law(s):
-        return {tuple(fmap[si] for si in s): 1.0}
-
     def build_matrix():
         onto = np.zeros((source.k, target.k), dtype=np.int64)
         onto[np.arange(source.k), fmap] = 1
@@ -265,7 +263,6 @@ def map_kernel(
         target,
         n,
         name=f"map:{spec}",
-        ordered_law=ordered_law,
         matrix_builder=build_matrix,
         limit=lambda p: pushforward(p, fmap, target),
     )
@@ -287,11 +284,6 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
     every other law to delta_1, so it is discontinuous at delta_0.
     """
     space = StateSpace.of_size(2)
-    zeros = (0,) * n
-    ones = (1,) * n
-
-    def ordered_law(s):
-        return {zeros if tuple(s) == zeros else ones: 1.0}
 
     def build_matrix():
         # Rank 0 is the class (n, 0) and rank n the class (0, n).
@@ -304,7 +296,6 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
         space,
         n,
         name="counterexample",
-        ordered_law=ordered_law,
         matrix_builder=build_matrix,
         limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
     )
@@ -378,14 +369,6 @@ def kac_collision_kernel(
         matrix_builder=build_matrix if n <= KAC_EXACT_MAX_N else None,
         limit=lambda p: kac_limit_evolve(p, lam, t, rule=rule),
     )
-
-
-def orbit_sample(zeta: Occupancy, seed) -> tuple:
-    """A uniformly random ordered state with occupancy zeta."""
-    rng = as_rng(seed)
-    state = list(class_representative(zeta))
-    rng.shuffle(state)
-    return tuple(state)
 
 
 def _spec_values(name: str, text: str, convert) -> list:

@@ -185,15 +185,6 @@ def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.nda
     return kappa
 
 
-def kac_limit_rhs(p: Distribution, lam: float, rule: Optional[PairRule] = None) -> np.ndarray:
-    """Right-hand side lam * (Q(p) - p) of the collision limit equation.
-
-    Q(p)(v) = sum_{u,w} p(u) p(w) kappa(v | u, w); the output sums to zero.
-    """
-    kappa = collision_marginal_tensor(p.space.k, rule)
-    return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
-
-
 def _rhs_from_tensor(P: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray:
     # One einsum over the stack: each row is summed in the same order as a
     # lone row would be, so a row's result does not depend on its stack.

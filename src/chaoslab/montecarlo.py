@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, StateSpace, as_int, as_rng
+from .core import Distribution, as_int, as_rng
 from .errors import InvalidArgumentError
 from .meanfield import PairRule, check_rate_and_time, default_rule
 
@@ -52,14 +52,6 @@ class EstimatorResult:
     std_error: np.ndarray
     replicas: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": np.asarray(self.estimate).tolist(),
-            "std_error": np.asarray(self.std_error).tolist(),
-            "replicas": self.replicas,
-            "seed": self.seed,
-        }
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -153,23 +145,3 @@ def estimate_pair_marginal(
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
     return EstimatorResult(mean, stderr, replicas, seed)
-
-
-def estimate_mean_empirical_tv(
-    sampler: Callable[[np.random.Generator], ParticleState],
-    p: Distribution,
-    replicas: int,
-    seed: int,
-) -> EstimatorResult:
-    """Replica average of tv(empirical measure, p) with a standard error."""
-    if replicas < 2:
-        raise InvalidArgumentError("need at least two replicas")
-    vals = []
-    for r in range(replicas):
-        state = sampler(replica_rng(seed, r))
-        n = state.n
-        vals.append(0.5 * math.fsum(abs(c / n - pi) for c, pi in zip(state.counts, p.p)))
-    arr = np.array(vals)
-    mean = arr.mean()
-    stderr = arr.std(ddof=1) / math.sqrt(replicas)
-    return EstimatorResult(np.float64(mean), np.float64(stderr), replicas, seed)

@@ -8,15 +8,114 @@ from scipy.linalg import expm
 
 from chaoslab import (
     Distribution,
-    OrderedLaw,
     PairRule,
     StateSpace,
     SumConservingRule,
     SymmetricLaw,
     enumerate_occupancies,
-    symmetrize,
-    to_dense,
 )
+from chaoslab.core import MASS_TOL, NEG_CLAMP, occupancy_of
+from chaoslab.errors import CapacityError, InvalidArgumentError
+from chaoslab.meanfield import _rhs_from_tensor, collision_marginal_tensor
+
+# Brute-force oracles on ordered states, for small n only: the dense law
+# on S^n, its orbit aggregation and expansion, and exact big-integer class
+# sizes.  The array-backed code in chaoslab is checked against them.
+
+# Dense ordered laws are permitted only while the flat index fits in 24 bits.
+DENSE_INDEX_BITS = 24
+
+
+def class_size(m) -> int:
+    """Orbit size of the occupancy class under coordinate permutations.
+
+    Exact multinomial coefficient n! / prod(m_i!), as a Python big integer.
+    """
+    n = sum(m)
+    size = math.factorial(n)
+    for mi in m:
+        size //= math.factorial(mi)
+    return size
+
+
+def _check_dense_capacity(k: int, n: int) -> None:
+    if n * math.log2(k if k > 1 else 2) > DENSE_INDEX_BITS:
+        raise CapacityError(
+            f"dense ordered law needs {n} * log2({k}) <= {DENSE_INDEX_BITS} index bits"
+        )
+
+
+class OrderedLaw:
+    """Dense law on S^n indexed by ordered tuples.
+
+    The flat index (`flat_index`) treats the first coordinate as most
+    significant: index(s) = sum_i s_i * k^(n-1-i).
+    """
+
+    def __init__(self, space: StateSpace, n: int, probs):
+        _check_dense_capacity(space.k, n)
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (space.k**n,):
+            raise InvalidArgumentError("dense vector has wrong length")
+        if probs.min() < NEG_CLAMP:
+            raise InvalidArgumentError("negative dense probability")
+        probs = np.where(probs < 0.0, 0.0, probs)
+        if abs(math.fsum(probs.tolist()) - 1.0) > MASS_TOL:
+            raise InvalidArgumentError("dense probabilities do not sum to 1")
+        self.space = space
+        self.n = n
+        self.probs = probs
+
+    def tuples(self):
+        return itertools.product(range(self.space.k), repeat=self.n)
+
+
+def symmetrize(dense: OrderedLaw) -> SymmetricLaw:
+    """Aggregate a dense ordered law over permutation orbits.
+
+    Equals averaging over all n! permutations and then grouping by class.
+    """
+    buckets: dict = {}
+    for idx, s in enumerate(dense.tuples()):
+        pr = dense.probs[idx]
+        if pr == 0.0:
+            continue
+        buckets.setdefault(occupancy_of(dense.space, s), []).append(pr)
+    classes = {m: math.fsum(v) for m, v in buckets.items()}
+    return SymmetricLaw(dense.space, dense.n, classes)
+
+
+def to_dense(law: SymmetricLaw) -> OrderedLaw:
+    """Expand a symmetric law to the dense ordered oracle representation."""
+    _check_dense_capacity(law.space.k, law.n)
+    per_point = {m: mass / class_size(m) for m, mass in law.classes.items()}
+    probs = np.zeros(law.space.k**law.n)
+    for idx, s in enumerate(itertools.product(range(law.space.k), repeat=law.n)):
+        pr = per_point.get(occupancy_of(law.space, s))
+        if pr is not None:
+            probs[idx] = pr
+    return OrderedLaw(law.space, law.n, probs)
+
+
+def map_ordered_law(fmap):
+    """The ordered spec of map_kernel(fmap, ...): state s goes to its image."""
+    return lambda s: {tuple(fmap[si] for si in s): 1.0}
+
+
+def counterexample_ordered_law(n):
+    """The ordered spec of counterexample_kernel(n): the all-zero state stays,
+    every other state goes to all-ones."""
+    zeros, ones = (0,) * n, (1,) * n
+    return lambda s: {zeros if tuple(s) == zeros else ones: 1.0}
+
+
+def kac_limit_rhs(p: Distribution, lam: float, rule=None) -> np.ndarray:
+    """Right-hand side lam * (Q(p) - p) of the collision limit equation, for one law.
+
+    Q(p)(v) = sum_{u,w} p(u) p(w) kappa(v | u, w); the output sums to zero.
+    """
+    kappa = collision_marginal_tensor(p.space.k, rule)
+    return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
 
 
 class SwapRule(PairRule):
@@ -52,19 +151,6 @@ def dense_specific_loglik(dense: OrderedLaw) -> float:
     return math.fsum(terms) / dense.n
 
 
-def ordered_probs_of_law(law: SymmetricLaw) -> dict:
-    """Map ordered tuples to probabilities without going through to_dense."""
-    from chaoslab.core import class_size, occupancy_of
-
-    out = {}
-    for s in itertools.product(range(law.space.k), repeat=law.n):
-        m = occupancy_of(law.space, s)
-        mass = law.mass(m)
-        if mass:
-            out[s] = mass / class_size(m)
-    return out
-
-
 def flat_index(s, k):
     """OrderedLaw's flat index: the first coordinate is most significant."""
     idx = 0
@@ -73,12 +159,13 @@ def flat_index(s, k):
     return idx
 
 
-def ordered_law_matrix(kernel) -> np.ndarray:
-    """Dense transition matrix over ordered states from a kernel's ordered_law."""
+def ordered_law_matrix(kernel, ordered_law) -> np.ndarray:
+    """Dense transition matrix over ordered states from an ordered law on the
+    kernel's spaces and n."""
     k, kt, n = kernel.source.k, kernel.target.k, kernel.n
     M = np.zeros((k**n, kt**n))
     for i, s in enumerate(itertools.product(range(k), repeat=n)):
-        for t, pr in kernel.ordered_law(s).items():
+        for t, pr in ordered_law(s).items():
             M[i, flat_index(t, kt)] += pr
     return M
 
@@ -130,8 +217,6 @@ def oracle_compositions(n, k):
 
 
 def oracle_product_law(p, n):
-    from chaoslab.core import class_size
-
     out = {}
     for m in oracle_compositions(n, len(p)):
         mass = float(class_size(m))
@@ -143,8 +228,6 @@ def oracle_product_law(p, n):
 
 
 def oracle_marginal(classes, n, k, j):
-    from chaoslab.core import class_size
-
     denom = math.perm(n, j)
     out = {}
     for c in oracle_compositions(j, k):
@@ -165,8 +248,6 @@ def oracle_marginal(classes, n, k, j):
 
 
 def oracle_specific_loglik(classes, n):
-    from chaoslab.core import class_size
-
     terms = [mass * (math.log(mass) - math.log(class_size(m))) for m, mass in classes.items()]
     return math.fsum(terms) / n
 
@@ -232,8 +313,6 @@ def oracle_mixture(components):
 def oracle_microcanonical(H, E, delta, n):
     """Class masses of the microcanonical law, or None for an empty window."""
     from fractions import Fraction
-
-    from chaoslab.core import class_size
 
     H = [Fraction(str(h)) for h in H]
     half = Fraction(str(delta)) / 2

@@ -20,7 +20,6 @@ from chaoslab import (
     SymmetricLaw,
     chaos_verdict,
     entropy_convergence,
-    estimate_pair_marginal,
     iid_state,
     kac_collision_kernel,
     kac_limit_evolve,
@@ -34,21 +33,23 @@ from chaoslab import (
     replica_rng,
     simulate_kac,
     specific_loglik,
-    symmetrize,
     symmetrized_class_kernel,
-    to_dense,
     tv_distance,
 )
 from chaoslab.cli import main, near_product_mixture, quota_occupancy
 from chaoslab.diagnostics import microcanonical_limit
 
 from conftest import (
+    counterexample_ordered_law,
     dense_kac_matrix,
     dense_marginal_probs,
     dense_specific_loglik,
+    map_ordered_law,
     ordered_law_matrix,
     propagate_dense,
     random_symmetric_law,
+    symmetrize,
+    to_dense,
 )
 
 S2 = StateSpace.of_size(2)
@@ -93,7 +94,7 @@ def test_criterion_3_microcanonical_to_gibbs():
     _, gamma = microcanonical_limit(MODEL)
     gaps = [pair_gap(microcanonical(MODEL, n), gamma) for n in GRID]
     one = marginal(microcanonical(MODEL, 160), 1)
-    one_p = Distribution(S3, tuple(one.mass(m) for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    one_p = Distribution(S3, tuple(one.classes.get(m, 0.0) for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     tv1 = tv_distance(one_p, gamma)
     elapsed = time.perf_counter() - start
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -156,11 +157,15 @@ def test_criterion_6_commuting_diagram():
     for _ in range(50):
         law = random_symmetric_law(rng, max_n=6, max_k=3)
         space, n = law.space, law.n
-        names = ["identity", "map:" + ",".join(str(space.k - 1 - i) for i in range(space.k))]
+        fmap = [space.k - 1 - i for i in range(space.k)]
+        specs = [("identity", map_ordered_law(range(space.k))),
+                 ("map:" + ",".join(map(str, fmap)), map_ordered_law(fmap))]
         if space.k == 2:
-            names.append("counterexample")
-        cases = [(kernel, ordered_law_matrix(kernel))
-                 for kernel in (make_kernel(name, space, n) for name in names)]
+            specs.append(("counterexample", counterexample_ordered_law(n)))
+        cases = []
+        for name, ordered_law in specs:
+            kernel = make_kernel(name, space, n)
+            cases.append((kernel, ordered_law_matrix(kernel, ordered_law)))
         cases.append((make_kernel("kac:1,1", space, n), dense_kac_matrix(space.k, n, 1.0, 1.0)))
         for kernel, M in cases:
             want = propagate_dense(law, kernel.target, M)

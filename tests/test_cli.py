@@ -248,6 +248,24 @@ class TestTheoremProbe:
                    "--grid", "14", "--out", str(tmp_path)])
         assert rc == 4
 
+    def test_missing_seed_exits_before_any_work(self, tmp_path, monkeypatch, capsys):
+        import chaoslab.kernels as kernels
+
+        matrices, probes = [], []
+        event_matrix, probe = kernels._kac_event_matrix, chaoslab.cli.continuity_probe
+        monkeypatch.setattr(kernels, "_kac_event_matrix",
+                            lambda *a: matrices.append(a) or event_matrix(*a))
+        monkeypatch.setattr(chaoslab.cli, "continuity_probe",
+                            lambda *a, **kw: probes.append(a) or probe(*a, **kw))
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--grid", "6,8,10,12,14", "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "capacity error: kernel 'kac:1,1' has no exact class matrix at n=14; "
+            "its Monte Carlo rows need a seed\n")
+        assert matrices == [] and probes == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestKacCommand:
     def test_three_methods_agree(self, tmp_path):
@@ -581,6 +599,17 @@ class TestFileErrors:
         assert err.startswith("config error") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("taken", ["kac.meta.json", "kac.csv"])
+    def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys, taken):
+        (tmp_path / taken).mkdir()
+        rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot write outputs") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
+        assert list((tmp_path / taken).iterdir()) == []
 
     def test_empty_name_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from chaoslab import (
     Distribution,
-    OrderedLaw,
     StateSpace,
     SymmetricLaw,
-    class_size,
     enumerate_occupancies,
     law_from_json,
     law_to_json,
@@ -19,16 +17,18 @@ from chaoslab import (
     mean_empirical_tv,
     product_law,
     specific_loglik,
-    symmetrize,
-    to_dense,
     tv_distance,
 )
 from chaoslab.errors import CapacityError, InvalidArgumentError
 
 from conftest import (
+    OrderedLaw,
+    class_size,
     dense_marginal_probs,
     dense_specific_loglik,
     random_symmetric_law,
+    symmetrize,
+    to_dense,
 )
 
 S2 = StateSpace.of_size(2)
@@ -84,7 +84,7 @@ class TestProductLaw:
     def test_two_thirds_vs_dense_oracle(self):
         p = Distribution(S2, (2 / 3, 1 / 3))
         law = product_law(p, 3)
-        assert law.mass((2, 1)) == pytest.approx(4 / 9, abs=1e-15)
+        assert law.classes[(2, 1)] == pytest.approx(4 / 9, abs=1e-15)
         dense = to_dense(law)
         for idx, s in enumerate(dense.tuples()):
             expected = math.prod(p.p[si] for si in s)
@@ -108,8 +108,8 @@ class TestSymmetrize:
         probs[1] = 0.6  # (0, 1)
         probs[3] = 0.4  # (1, 1)
         law = symmetrize(OrderedLaw(S2, 2, probs))
-        assert law.mass((1, 1)) == pytest.approx(0.6)
-        assert law.mass((0, 2)) == pytest.approx(0.4)
+        assert law.classes[(1, 1)] == pytest.approx(0.6)
+        assert law.classes[(0, 2)] == pytest.approx(0.4)
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -141,9 +141,9 @@ class TestMarginal:
         law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
         pair = marginal(law, 2)
         # ordered probabilities 1/3, 1/3, 1/3, 0
-        assert pair.mass((2, 0)) == pytest.approx(1 / 3)
-        assert pair.mass((1, 1)) == pytest.approx(2 / 3)
-        assert pair.mass((0, 2)) == 0.0
+        assert pair.classes[(2, 0)] == pytest.approx(1 / 3)
+        assert pair.classes[(1, 1)] == pytest.approx(2 / 3)
+        assert pair.classes.get((0, 2), 0.0) == 0.0
 
     def test_identity_marginal(self, rng):
         law = random_symmetric_law(rng, n=5, k=3)

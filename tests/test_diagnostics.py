@@ -9,15 +9,14 @@ from chaoslab import (
     StateSpace,
     SymmetricLaw,
     chaos_verdict,
-    class_size,
     entropy_convergence,
     fit_gibbs,
-    functional_gap,
-    k_gap,
+    marginal,
     mean_empirical_tv,
     microcanonical,
     pair_gap,
     product_law,
+    tv_distance,
 )
 from chaoslab.diagnostics import microcanonical_limit
 from chaoslab.errors import (
@@ -27,7 +26,7 @@ from chaoslab.errors import (
     InvalidArgumentError,
 )
 
-from conftest import random_symmetric_law
+from conftest import class_size, random_symmetric_law
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -60,49 +59,27 @@ class TestPairGap:
 
 
 class TestKGap:
+    """The k-particle marginal gap TV(marginal(law, k), rho^(x)k)."""
+
     def test_product_zero_for_all_k(self):
         p = Distribution(S2, (0.3, 0.7))
         law = product_law(p, 8)
         for k in range(2, 9):
-            assert k_gap(law, p, k) < 1e-13
+            assert tv_distance(marginal(law, k), product_law(p, k)) < 1e-13
 
     def test_k2_equals_pair_gap(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng)
             rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
-            assert k_gap(law, rho, 2) == pair_gap(law, rho)
+            assert tv_distance(marginal(law, 2), product_law(rho, 2)) == pair_gap(law, rho)
 
     def test_nondecreasing_in_k(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng, max_n=6)
             rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
-            gaps = [k_gap(law, rho, k) for k in range(2, law.n + 1)]
+            gaps = [tv_distance(marginal(law, k), product_law(rho, k))
+                    for k in range(2, law.n + 1)]
             assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
-
-    def test_out_of_range(self):
-        law = mixture_law(4)
-        with pytest.raises(InvalidArgumentError):
-            k_gap(law, HALF, 5)
-
-
-class TestFunctionalGap:
-    def test_product_zero(self):
-        p = Distribution(S2, (0.4, 0.6))
-        assert functional_gap(product_law(p, 6), p, (1.0, -1.0), (2.0, 0.5)) < 1e-13
-
-    def test_indicator_example(self):
-        law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
-        rho = Distribution(S2, (2 / 3, 1 / 3))
-        assert functional_gap(law, rho, (0, 1), (0, 1)) == pytest.approx(1 / 9, abs=1e-14)
-
-    def test_bounded_by_pair_gap(self, rng):
-        for _ in range(20):
-            law = random_symmetric_law(rng)
-            rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
-            phi1 = rng.uniform(-2, 2, law.space.k)
-            phi2 = rng.uniform(-2, 2, law.space.k)
-            bound = 2 * np.abs(phi1).max() * np.abs(phi2).max() * pair_gap(law, rho)
-            assert functional_gap(law, rho, phi1, phi2) <= bound + 1e-12
 
 
 class TestChaosVerdict:
@@ -176,15 +153,15 @@ class TestMicrocanonical:
     def test_explicit_window(self):
         model = EnergyModel(S2, (0, 1), 0.5, 0.6)
         law = microcanonical(model, 4)
-        assert law.mass((3, 1)) == pytest.approx(4 / 14)
-        assert law.mass((2, 2)) == pytest.approx(6 / 14)
-        assert law.mass((1, 3)) == pytest.approx(4 / 14)
-        assert law.mass((4, 0)) == 0.0
+        assert law.classes[(3, 1)] == pytest.approx(4 / 14)
+        assert law.classes[(2, 2)] == pytest.approx(6 / 14)
+        assert law.classes[(1, 3)] == pytest.approx(4 / 14)
+        assert law.classes.get((4, 0), 0.0) == 0.0
 
     def test_wide_window_is_uniform(self):
         model = EnergyModel(S2, (0, 1), 0.5, 3.0)
         law = microcanonical(model, 5)
-        for m, mass in law.items():
+        for m, mass in law.classes.items():
             assert mass == pytest.approx(class_size(m) / 2**5)
 
     def test_empty_window(self):
@@ -202,7 +179,7 @@ class TestMicrocanonical:
     def test_uniform_per_ordered_point(self):
         model = EnergyModel(S3, (0, 1, 2), 0.8, 0.2)
         law = microcanonical(model, 12)
-        per_point = {mass / class_size(m) for m, mass in law.items()}
+        per_point = {mass / class_size(m) for m, mass in law.classes.items()}
         assert max(per_point) == pytest.approx(min(per_point), rel=1e-12)
 
 

@@ -17,13 +17,10 @@ from chaoslab import (
     kac_limit_evolve,
     make_kernel,
     map_kernel,
-    marginal,
-    orbit_sample,
     product_law,
     propagate,
     pushforward,
     symmetrized_class_kernel,
-    to_dense,
     tv_distance,
 )
 from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentError
@@ -35,10 +32,13 @@ from chaoslab.kernels import (
 
 from conftest import (
     SwapRule,
+    counterexample_ordered_law,
     dense_kac_matrix,
+    map_ordered_law,
     ordered_law_matrix,
     propagate_dense,
     random_symmetric_law,
+    to_dense,
 )
 
 S2 = StateSpace.of_size(2)
@@ -76,11 +76,14 @@ def broken_kernel(n):
 
 class TestCheckEquivariance:
     def test_map_kernel_exact_zero(self):
-        report = check_equivariance(map_kernel([1, 0], 4, S2))
+        kernel = ExchangeableKernel(S2, S2, 4, "map:1,0", ordered_law=map_ordered_law([1, 0]))
+        report = check_equivariance(kernel)
         assert report.passed and report.max_violation == 0.0
 
     def test_counterexample_passes(self):
-        report = check_equivariance(counterexample_kernel(4))
+        kernel = ExchangeableKernel(S2, S2, 4, "counterexample",
+                                    ordered_law=counterexample_ordered_law(4))
+        report = check_equivariance(kernel)
         assert report.passed and report.max_violation == 0.0
 
     def test_noisy_kernel_passes(self):
@@ -147,7 +150,7 @@ class TestSymmetrizedClassKernel:
         assert built == 5 * len(enumerate_occupancies(S3, kernel.n))
         again = propagate(law, kernel, seed=3, replicas=5)
         assert len(draws) == built
-        assert again.items() == first.items()
+        assert again.classes == first.classes
         propagate(law, kernel, seed=4, replicas=5)
         assert len(draws) == 2 * built
 
@@ -254,15 +257,15 @@ class TestPropagate:
         n = 6
         mix = SymmetricLaw(S2, n, {(n, 0): 0.5, (n - 1, 1): 0.5})
         out = propagate(mix, counterexample_kernel(n))
-        assert out.mass((n, 0)) == pytest.approx(0.5)
-        assert out.mass((0, n)) == pytest.approx(0.5)
+        assert out.classes[(n, 0)] == pytest.approx(0.5)
+        assert out.classes[(0, n)] == pytest.approx(0.5)
 
     def test_counterexample_keeps_products_chaotic(self):
         p = Distribution(S2, (0.9, 0.1))
         for n in (3, 6):
             out = propagate(product_law(p, n), counterexample_kernel(n))
-            assert out.mass((n, 0)) == pytest.approx(0.9**n)
-            assert out.mass((0, n)) == pytest.approx(1 - 0.9**n)
+            assert out.classes[(n, 0)] == pytest.approx(0.9**n)
+            assert out.classes[(0, n)] == pytest.approx(1 - 0.9**n)
 
     def test_identity_fixes_laws(self, rng):
         law = random_symmetric_law(rng, n=5, k=2)
@@ -307,8 +310,9 @@ class TestCounterexampleKernel:
         assert rows[(3, 0)] == {(3, 0): 1.0}
 
     def test_other_state(self):
-        kernel = counterexample_kernel(3)
-        assert kernel.ordered_law((1, 0, 0)) == {(1, 1, 1): 1.0}
+        # The ordered state (1, 0, 0) has class (2, 1); all-ones is (0, 3).
+        rows = symmetrized_class_kernel(counterexample_kernel(3))
+        assert rows[(2, 1)] == {(0, 3): 1.0}
 
 
 class TestKacKernel:
@@ -346,40 +350,16 @@ class TestKacKernel:
                 kac_collision_kernel(S3, lam, t, 4)
 
 
-class TestOrbitSample:
-    def test_singleton_orbit(self):
-        for seed in range(5):
-            assert orbit_sample((4, 0), seed) == (0, 0, 0, 0)
-
-    def test_uniform_over_orbit(self):
-        rng = np.random.default_rng(3)
-        counts = {}
-        draws = 100_000
-        for _ in range(draws):
-            s = orbit_sample((2, 1), rng)
-            counts[s] = counts.get(s, 0) + 1
-        sigma = math.sqrt(draws * (1 / 3) * (2 / 3))
-        for s, c in counts.items():
-            assert abs(c - draws / 3) < 3 * sigma
-
-    def test_counts_preserved(self, rng):
-        for _ in range(20):
-            zeta = tuple(rng.integers(0, 4, size=3))
-            if sum(zeta) == 0:
-                continue
-            s = orbit_sample(zeta, rng)
-            assert tuple(s.count(i) for i in range(3)) == zeta
-
-
 class TestCommutingDiagram:
     """symmetrize(ordered kernel applied to to_dense(law)) == propagate(law, K)."""
 
     def kernels_for(self, space, n):
         fmap = list(range(1, space.k)) + [0]
-        out = [identity_kernel(space, n), map_kernel(fmap, n, space)]
+        out = [(identity_kernel(space, n), map_ordered_law(range(space.k))),
+               (map_kernel(fmap, n, space), map_ordered_law(fmap))]
         if space.k == 2:
-            out.append(counterexample_kernel(n))
-        out = [(kernel, ordered_law_matrix(kernel)) for kernel in out]
+            out.append((counterexample_kernel(n), counterexample_ordered_law(n)))
+        out = [(kernel, ordered_law_matrix(kernel, law)) for kernel, law in out]
         out.append((kac_collision_kernel(space, 1.0, 1.0, n),
                     dense_kac_matrix(space.k, n, 1.0, 1.0)))
         return out

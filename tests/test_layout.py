@@ -1,0 +1,52 @@
+"""src/ holds what the subcommands run.
+
+Every top-level definition in a chaoslab module should be referenced by
+other code in src/ (outside its own definition and the package's
+__init__.py); test-only oracles live in tests/conftest.py.  The few
+exceptions are listed with the reason each one stays.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chaoslab"
+
+UNREFERENCED = {
+    "law_to_json": "writes the law format that `diagnose --family custom` reads",
+    "estimate_pair_marginal": "the pair-marginal estimator for Monte Carlo rows past exact n",
+    "entropy_convergence": "bench/tracer.py looks it up by name",
+    "symmetrized_class_kernel": "bench/tracer.py looks it up by name",
+}
+
+
+def _defined(tree):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in the tree, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)))
+
+
+def unreferenced_definitions() -> set:
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    reads = sum(map(_reads, trees), Counter())
+    return {name for tree in trees for name, node in _defined(tree)
+            if reads[name] == _reads(node)[name]}
+
+
+def test_every_definition_is_reached_from_src():
+    assert unreferenced_definitions() == set(UNREFERENCED)

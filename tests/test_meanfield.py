@@ -13,7 +13,6 @@ from chaoslab import (
     StateSpace,
     continuity_probe,
     kac_limit_evolve,
-    kac_limit_rhs,
     make_kernel,
     pushforward,
     simulate_kac,
@@ -24,7 +23,7 @@ from chaoslab.errors import IntegrationError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import collision_marginal_tensor
 
-from conftest import oracle_continuity_probe
+from conftest import kac_limit_rhs, oracle_continuity_probe
 
 S1 = StateSpace.of_size(1)
 S2 = StateSpace.of_size(2)

@@ -5,11 +5,9 @@ import pytest
 
 from chaoslab import (
     Distribution,
-    EstimatorResult,
     ParticleState,
     StateSpace,
     SymmetricLaw,
-    estimate_mean_empirical_tv,
     estimate_pair_marginal,
     iid_state,
     kac_collision_kernel,
@@ -18,14 +16,14 @@ from chaoslab import (
     propagate,
     replica_rng,
     simulate_kac,
-    to_dense,
 )
 from chaoslab.errors import InvalidArgumentError
 from chaoslab.meanfield import PairRule, SumConservingRule, default_rule
 
+from conftest import to_dense
+
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
-HALF = Distribution(S2, (0.5, 0.5))
 
 
 class TestSimulateKac:
@@ -209,42 +207,6 @@ class TestEstimatePairMarginal:
             estimate_pair_marginal(lambda rng: ParticleState((3, 3)), 1, seed=0)
 
 
-class TestEstimateMeanEmpiricalTv:
-    def test_binomial_reference_value(self):
-        res = estimate_mean_empirical_tv(
-            lambda rng: iid_state(HALF, 4, rng), HALF, 20_000, seed=5
-        )
-        assert abs(res.estimate - 3 / 16) < 4 * res.std_error
-        assert res.std_error < 0.002
-
-    def test_exact_occupancy_gives_zero(self):
-        res = estimate_mean_empirical_tv(
-            lambda rng: ParticleState((2, 2)), HALF, 5, seed=0
-        )
-        assert res.estimate == 0.0
-        assert res.std_error == 0.0
-
-    def test_sqrt_n_scaling(self):
-        p = Distribution(S2, (0.5, 0.5))
-
-        def mean_tv(n):
-            return estimate_mean_empirical_tv(
-                lambda rng: iid_state(p, n, rng), p, 8_000, seed=13
-            ).estimate
-
-        ratio = mean_tv(64) / mean_tv(256)
-        assert 1.8 < ratio < 2.2
-
-    def test_reproducible(self):
-        a = estimate_mean_empirical_tv(
-            lambda rng: iid_state(HALF, 10, rng), HALF, 200, seed=3
-        )
-        b = estimate_mean_empirical_tv(
-            lambda rng: iid_state(HALF, 10, rng), HALF, 200, seed=3
-        )
-        assert float(a.estimate) == float(b.estimate)
-
-
 class TestReplicaRng:
     def test_streams_are_stable_and_distinct(self):
         a = replica_rng(99, 0).integers(0, 2**31, size=4)
@@ -252,8 +214,3 @@ class TestReplicaRng:
         b = replica_rng(99, 1).integers(0, 2**31, size=4)
         assert (a == a2).all()
         assert (a != b).any()
-
-    def test_result_serializes(self):
-        res = EstimatorResult(np.float64(0.5), np.float64(0.1), 10, 3)
-        doc = res.to_json_dict()
-        assert doc == {"estimate": 0.5, "std_error": 0.1, "replicas": 10, "seed": 3}
