@@ -314,6 +314,9 @@ def cmd_theorem_probe(config: dict) -> int:
                              seed=seed if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
 
+    backend = [{"n": n, "kind": "exact" if kernel.exact else "monte-carlo",
+                "classes": math.comb(n + space.k - 1, space.k - 1)}
+               for n, kernel in zip(grid, kernels)]
     rows = []
     for n in grid:
         kernel = kernels.pop(0)  # so that each n's rows are freed after it
@@ -331,6 +334,7 @@ def cmd_theorem_probe(config: dict) -> int:
 
     row_gaps = [row[1] for row in rows]
     meta = {
+        "backend": backend,
         "limit": list(fp.p),
         "final_row_gap": row_gaps[-1],
         "row_gap_decreasing": all(b < a for a, b in zip(row_gaps, row_gaps[1:])),

@@ -17,8 +17,10 @@ A kernel is computed in one form, `class_matrix()`: its nonzero entries
 (src, dst, prob) over class ranks (`core.class_index`).  Whether that form
 is exact is fixed when the kernel is built, and `kernel.exact` reports it.
 Each bundled constructor gives its exact matrix builder (a map's image, the
-counterexample's image, the Kac generator's `expm` up to `KAC_EXACT_MAX_N`)
-and no second spec; a user kernel may instead give `ordered_law` (the exact
+counterexample's image, the Kac chain's uniformization up to
+`KAC_EXACT_MAX_N`: a Poisson series in the one-collision matrix and
+squarings of it, all terms nonnegative, so nothing is clamped) and no second
+spec; a user kernel may instead give `ordered_law` (the exact
 law of K_n(s, .) on ordered states, small spaces; checked for equivariance
 as it is compiled).  A kernel without an exact matrix is estimated from a
 seeded class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
@@ -28,12 +30,12 @@ seeded class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     Occupancy,
@@ -56,7 +58,7 @@ from .montecarlo import ParticleState, replica_rng, simulate_kac
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
-# Largest n for which the dense Kac class matrix exponential is built.
+# Largest n for which the exact Kac class matrix is built.
 KAC_EXACT_MAX_N = 12
 DEFAULT_SAMPLE_REPLICAS = 4000
 
@@ -328,6 +330,60 @@ def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
     return P
 
 
+def _blocks(P: np.ndarray) -> list:
+    """The classes of each diagonal block of P: the connected components of
+    the graph with an edge wherever P > 0, in either direction.  Each class
+    is labelled with the smallest rank joined to it, propagated along the
+    edges and by jumping to the label's own label until nothing changes."""
+    src, dst = np.nonzero(P)
+    label = np.arange(len(P))
+    while True:
+        low = np.minimum(label[src], label[dst])
+        joined = label.copy()
+        np.minimum.at(joined, src, low)
+        np.minimum.at(joined, dst, low)
+        joined = joined[joined]
+        if np.array_equal(joined, label):
+            break
+        label = joined
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _uniformized(P: np.ndarray, rate_time: float) -> np.ndarray:
+    """exp(rate_time * (P - I)) for a stochastic matrix P, by uniformization.
+
+    With theta = rate_time / 2^s < 1, A = sum_j Pois(theta; j) P^j and the
+    result is A^(2^s), block by diagonal block of P (for the bundled rule,
+    its conserved label sum).  The series stops where the Poisson tail it
+    leaves out is below 2^-(53 + s), so that the 2^s-th power loses less
+    than one unit roundoff of row mass.  Every term and product is
+    nonnegative: nothing needs clamping, and rate_time = 0 gives I exactly.
+    """
+    s = max(0, math.frexp(rate_time)[1])
+    theta = math.ldexp(rate_time, -s)
+    weights = [math.exp(-theta)]
+    # The tail past term j is at most w_j * theta / (j + 1 - theta).
+    while weights[-1] * theta / (len(weights) - theta) > math.ldexp(1.0, -53 - s):
+        weights.append(weights[-1] * theta / len(weights))
+    M = np.zeros_like(P)
+    blocks = _blocks(P)
+    for size in sorted(set(map(len, blocks))):
+        # The blocks of one size, stacked: a batch of size x size products.
+        same = np.array([block for block in blocks if len(block) == size])
+        rows, cols = same[:, :, None], same[:, None, :]
+        Pb = P[rows, cols]
+        term = np.broadcast_to(np.eye(size), Pb.shape)
+        A = weights[0] * term
+        for w in weights[1:]:
+            term = term @ Pb
+            A += w * term
+        for _ in range(s):
+            A = A @ A
+        M[rows, cols] = A
+    return M
+
+
 def kac_collision_kernel(
     space: StateSpace,
     lam: float,
@@ -340,8 +396,10 @@ def kac_collision_kernel(
     Uniformized continuous-time chain: with per-pair rate lam/n (total rate
     lam*(n-1)/2) a uniform unordered pair of particles collides and is
     resampled by the pair rule.  The kernel is `exact` for
-    n <= KAC_EXACT_MAX_N, with the matrix exponential of the class-level
-    generator as its class matrix; larger n is Monte Carlo only, through
+    n <= KAC_EXACT_MAX_N: its class matrix is that chain's law at time t,
+    sum_j Pois(total_rate * t; j) P^j over the one-collision class matrix P,
+    computed as a Poisson series and squarings (`_uniformized`), nonnegative
+    term by term and kept where > 0.  Larger n is Monte Carlo only, through
     `simulate_kac` with the same pair rule.  The limit is the collision ODE
     of that pair rule run for time t.
     """
@@ -355,9 +413,8 @@ def kac_collision_kernel(
         return simulate_kac(ParticleState(m), lam, t, rng, rule).counts
 
     def build_matrix():
-        P = _kac_event_matrix(space.k, n, rule)
-        M = expm(t * total_rate * (P - np.eye(len(P))))
-        src, dst = np.nonzero(M > 1e-300)
+        M = _uniformized(_kac_event_matrix(space.k, n, rule), t * total_rate)
+        src, dst = np.nonzero(M > 0)
         return src, dst, M[src, dst]
 
     return ExchangeableKernel(

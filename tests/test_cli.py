@@ -164,6 +164,16 @@ class TestTheoremProbe:
         assert row_gaps[-1] < row_gaps[0]
         assert meta["discontinuity_flag"] is False
 
+    def test_meta_names_the_backend_of_each_n(self, tmp_path):
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--grid", "6,8,16", "--seed", "1", "--replicas", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "theorem-probe")
+        assert meta["backend"] == [{"n": 6, "kind": "exact", "classes": 28},
+                                   {"n": 8, "kind": "exact", "classes": 45},
+                                   {"n": 16, "kind": "monte-carlo", "classes": 153}]
+
     def test_counterexample_discontinuity_flag(self, tmp_path):
         rc = main(["theorem-probe", "--kernel", "counterexample", "--p", "1,0",
                    "--grid", "4,8,16", "--out", str(tmp_path)])

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from chaoslab import (
     Distribution,
     EnergyModel,
     ExchangeableKernel,
+    PairRule,
     ParticleState,
     StateSpace,
     SumConservingRule,
@@ -37,6 +39,7 @@ from chaoslab import montecarlo
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.errors import EmptyEnsembleError
 from chaoslab.kernels import _kac_event_matrix
+from chaoslab.meanfield import default_rule
 
 from conftest import (
     SwapRule,
@@ -161,6 +164,56 @@ def test_kac_event_matrix_is_the_class_loop(k, max_n):
     for n in range(2, max_n + 1):
         rule = SumConservingRule(k)
         assert np.array_equal(_kac_event_matrix(k, n, rule), oracle_kac_event_matrix(k, n, rule))
+
+
+class ResampleRule(PairRule):
+    """The pair becomes any ordered pair, uniformly: no invariant, so the
+    class matrix is one block."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def outcomes(self, u, w):
+        return [((a, b), 1.0 / self.k**2) for a in range(self.k) for b in range(self.k)]
+
+
+def kac_matrix_and_expm(k, n, lam, t, rule=None):
+    """The exact Kac class matrix as a dense array, its kept entries, and
+    scipy's expm of the generator of the same one-collision matrix P."""
+    src, dst, prob = kac_collision_kernel(StateSpace.of_size(k), lam, t, n,
+                                          pair_rule=rule).class_matrix()
+    P = _kac_event_matrix(k, n, rule or default_rule(k))
+    M = np.zeros_like(P)
+    M[src, dst] = prob
+    return M, prob, expm(t * (lam * (n - 1) / 2.0) * (P - np.eye(len(P))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 3, 4]), n=st.integers(2, 12), rate_time=st.floats(0.0, 100.0),
+       rule=st.sampled_from([None, ResampleRule]))
+def test_uniformized_kac_matrix_is_expm(k, n, rate_time, rule):
+    """Uniformization == expm(rate_time * (P - I)) to 1e-12 (at most 455
+    classes), kept entries positive, rows summing to 1 within 1e-12."""
+    t = rate_time / ((n - 1) / 2.0)
+    M, prob, want = kac_matrix_and_expm(k, n, 1.0, t, rule and rule(k))
+    assert np.abs(M - want).max() <= 1e-12
+    assert (prob > 0).all()
+    assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 12), (4, 7)])
+def test_uniformized_kac_matrix_at_time_zero_is_the_identity(k, n):
+    src, dst, prob = kac_collision_kernel(StateSpace.of_size(k), 1.0, 0.0, n).class_matrix()
+    classes = len(occupancy_array(k, n))
+    assert np.array_equal(src, np.arange(classes)) and np.array_equal(dst, np.arange(classes))
+    assert np.array_equal(prob, np.ones(classes))
+
+
+def test_uniformized_kac_matrix_at_long_time():
+    """Rate * time = 11000: 14 squarings keep it within 1e-9 of expm."""
+    M, prob, want = kac_matrix_and_expm(3, 12, 1.0, 2000.0)
+    assert np.abs(M - want).max() <= 1e-9
+    assert (prob > 0).all()
 
 
 class ZeroFirstRule(SumConservingRule):

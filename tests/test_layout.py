@@ -3,10 +3,14 @@
 Every top-level definition in a chaoslab module should be referenced by
 other code in src/ (outside its own definition and the package's
 __init__.py); test-only oracles live in tests/conftest.py.  The few
-exceptions are listed with the reason each one stays.
+exceptions are listed with the reason each one stays.  The runtime imports
+numpy and no scipy module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -50,3 +54,14 @@ def unreferenced_definitions() -> set:
 
 def test_every_definition_is_reached_from_src():
     assert unreferenced_definitions() == set(UNREFERENCED)
+
+
+def test_runtime_imports_no_scipy():
+    """Importing the package and its CLI loads no scipy module: scipy is a
+    test dependency only (the `expm` oracle of the exact Kac rows)."""
+    code = ("import chaoslab, chaoslab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
