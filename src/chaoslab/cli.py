@@ -32,6 +32,7 @@ from .core import (
     SymmetricLaw,
     law_from_json,
     marginal,
+    occupancy_array,
     product_law,
     tv_distance,
 )
@@ -49,14 +50,10 @@ from .errors import (
     EquivarianceError,
     IntegrationError,
 )
-from .kernels import (
-    DEFAULT_SAMPLE_REPLICAS,
-    kac_collision_kernel,
-    make_kernel,
-    propagate,
-)
+from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import kac_limit_evolve, continuity_probe
-from .montecarlo import iid_state, replica_rng, simulate_kac
+from .montecarlo import (ParticleState, estimate_pair_marginal, iid_state, replica_rng,
+                         simulate_kac)
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # Every option: (kind, least value, help).  The kind is int, float, str or
@@ -73,7 +70,7 @@ OPTIONS = {
     "delta": (float, None, "energy window width"),
     "law-dir": (str, None, "directory of <n>.json laws"),
     "n": (int, None, "particle count"),
-    "replicas": (int, 1, "Monte Carlo replicas (theorem-probe: per sampled row)"),
+    "replicas": (int, 1, "Monte Carlo replicas (theorem-probe: runs per column)"),
     "lam": (float, None, "collision rate"),
     "t": (float, None, "time horizon"),
     "grid": (str, None, "comma-separated increasing n values"),
@@ -288,6 +285,36 @@ def cmd_counterexample(config: dict) -> int:
     return 0 if both_expected else 3
 
 
+def column_laws(rho: Distribution, n: int) -> tuple:
+    """theorem-probe's column laws: the point law on the quota class, the
+    product law, and a damped law, rho-chaotic but not product (vanishing
+    contamination by a fixed class)."""
+    quota = SymmetricLaw.point_class(rho.space, quota_occupancy(rho, n))
+    flipped = Distribution(rho.space, tuple(reversed(rho.p)))
+    other = SymmetricLaw.point_class(rho.space, quota_occupancy(flipped, n))
+    product = product_law(rho, n)
+    return quota, product, SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
+
+
+def monte_carlo_pair_law(law: SymmetricLaw, kernel, replicas: int, seed: int) -> tuple:
+    """The pair marginal P of the kernel's image of `law`, estimated by
+    `estimate_pair_marginal` (whose EstimatorResult comes second) as a
+    two-particle law: mass P_uu on the class of (u, u), 2 P_uw on that of
+    (u, w), as `marginal(law, 2)` gives it.  Run r draws a start class from
+    the law and applies the sampler, both on replica_rng(seed, r): every law
+    and every n reuses those streams."""
+    def run(rng):
+        start = law.occ[rng.choice(len(law.p), p=law.p)]
+        return ParticleState(kernel.sampler(tuple(start.tolist()), rng))
+
+    result = estimate_pair_marginal(run, replicas, seed)
+    k = kernel.target.k
+    pairs = occupancy_array(k, 2)  # the class of (u, w), u <= w: first and last occupied
+    u, w = pairs.argmax(axis=1), k - 1 - pairs[:, ::-1].argmax(axis=1)
+    mass = np.where(u == w, 1.0, 2.0) * result.estimate[u, w]
+    return SymmetricLaw.from_arrays(kernel.target, 2, pairs, mass), result
+
+
 def cmd_theorem_probe(config: dict) -> int:
     kernel_name = require(config, "kernel")
     p = parse_floats(require(config, "p"))
@@ -295,17 +322,15 @@ def cmd_theorem_probe(config: dict) -> int:
     seed = config.get("seed")
     space = StateSpace.of_size(len(p))
     rho = Distribution(space, p)
-    replicas = config.get("replicas", DEFAULT_SAMPLE_REPLICAS)
+    replicas = config.get("replicas", 4000)
     kernels = [make_kernel(kernel_name, space, n) for n in grid]
-    if "replicas" in config and (seed is None or all(kernel.exact for kernel in kernels)):
-        raise ConfigError("replicas sets the Monte Carlo rows, which need a seed and "
-                          "a grid n without exact rows")
-    if seed is None:
-        for kernel in kernels:
-            if not kernel.exact:
-                kernel.class_matrix()  # no exact rows and no seed: CapacityError
+    sampled = [kernel for kernel in kernels if not kernel.exact]
+    if "replicas" in config and (seed is None or not sampled or replicas < 2):
+        raise ConfigError("replicas sets the Monte Carlo columns, which need a seed, "
+                          "a grid n without an exact class matrix and replicas >= 2")
+    if seed is None and sampled:
+        sampled[0].class_matrix()  # no exact matrix and no seed: CapacityError
 
-    flipped = Distribution(space, tuple(reversed(rho.p)))
     # Every kernel of one spec carries the same limit map.  The probe
     # evaluates it once on the stack [rho, q_1, ...], whose row 0 is the
     # limit law fp.
@@ -314,23 +339,21 @@ def cmd_theorem_probe(config: dict) -> int:
                              seed=seed if seed is not None else 0)
     fp = Distribution(first.target, tuple(probe.image[0]))
 
-    backend = [{"n": n, "kind": "exact" if kernel.exact else "monte-carlo",
-                "classes": math.comb(n + space.k - 1, space.k - 1)}
-               for n, kernel in zip(grid, kernels)]
-    rows = []
+    backend, rows = [], []
     for n in grid:
-        kernel = kernels.pop(0)  # so that each n's rows are freed after it
-        kw = {} if seed is None else {"seed": seed, "replicas": replicas}
-        # The quota row is the propagated point law on the quota class.  The
-        # damped law is p-chaotic, not product: vanishing contamination by a
-        # fixed class.
-        quota = SymmetricLaw.point_class(space, quota_occupancy(rho, n))
-        product = product_law(rho, n)
-        other = SymmetricLaw.point_class(space, quota_occupancy(flipped, n))
-        damped = SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
-        gap_row, gap_product, gap_damped = (pair_gap(propagate(law, kernel, **kw), fp)
-                                            for law in (quota, product, damped))
-        rows.append((n, gap_row, gap_product, gap_damped))
+        kernel = kernels.pop(0)  # so that each n's matrix is freed after it
+        laws = column_laws(rho, n)
+        entry = {"n": n, "kind": "exact" if kernel.exact else "monte-carlo",
+                 "classes": math.comb(n + space.k - 1, space.k - 1)}
+        if kernel.exact:
+            gaps = [pair_gap(propagate(law, kernel), fp) for law in laws]
+        else:
+            estimates = [monte_carlo_pair_law(law, kernel, replicas, seed) for law in laws]
+            gaps = [pair_gap(pair, fp) for pair, _ in estimates]
+            entry.update(replicas=replicas, std_error=[float(result.std_error.max())
+                                                       for _, result in estimates])
+        backend.append(entry)
+        rows.append((n, *gaps))
 
     row_gaps = [row[1] for row in rows]
     meta = {

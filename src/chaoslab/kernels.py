@@ -13,18 +13,19 @@ the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
 source laws, one per row, and returns the (B, k_target) stack of their
 images.  `make_kernel` is the only parser of the kernel names.
 
-A kernel is computed in one form, `class_matrix()`: its nonzero entries
-(src, dst, prob) over class ranks (`core.class_index`).  Whether that form
-is exact is fixed when the kernel is built, and `kernel.exact` reports it.
+A kernel's one computed form is its exact class matrix, `class_matrix()`:
+nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
+kernel without one has only a `sampler`, a seeded n-particle draw from a
+source class, which theorem-probe averages into pair marginals;
+`kernel.exact`, fixed when the kernel is built, says which.
 Each bundled constructor gives its exact matrix builder (a map's image, the
 counterexample's image, the Kac chain's uniformization up to
 `KAC_EXACT_MAX_N`: a Poisson series in the one-collision matrix and
 squarings of it, all terms nonnegative, so nothing is clamped) and no second
 spec; a user kernel may instead give `ordered_law` (the exact
 law of K_n(s, .) on ordered states, small spaces; checked for equivariance
-as it is compiled).  A kernel without an exact matrix is estimated from a
-seeded class-level `sampler` (for Kac past `KAC_EXACT_MAX_N`,
-`montecarlo.simulate_kac` with its own pair rule).
+as it is compiled).  The Kac kernel's sampler, at every n, is
+`montecarlo.simulate_kac` with its own pair rule.
 """
 
 from __future__ import annotations
@@ -54,22 +55,21 @@ from .meanfield import (
     kac_limit_evolve,
     pushforward,
 )
-from .montecarlo import ParticleState, replica_rng, simulate_kac
+from .montecarlo import ParticleState, simulate_kac
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
 # Largest n for which the exact Kac class matrix is built.
 KAC_EXACT_MAX_N = 12
-DEFAULT_SAMPLE_REPLICAS = 4000
 
 
 class ExchangeableKernel:
     """A Markov transition from S^n to T^n commuting with permutations.
 
-    Ways to build its `class_matrix()`, any of which may be absent:
+    Exact class matrix, or none and a sampler; its parts, any may be absent:
       matrix_builder() -> (src, dst, prob)            (exact)
       ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
-      sampler(m, rng) -> target occupancy             (Monte Carlo)
+      sampler(m, rng) -> target occupancy             (one n-particle draw)
 
     It is `exact` when it has a matrix builder, given or compiled from
     `ordered_law`: fixed here, so reading `exact` builds nothing.
@@ -104,31 +104,23 @@ class ExchangeableKernel:
         if matrix_builder is None and ordered_law is not None:
             matrix_builder = lambda: _compiled_ordered_law(self)
         self._matrix_builder = matrix_builder
-        self._matrices: dict = {}
+        self._matrix = None
 
     @property
     def exact(self) -> bool:
         """Whether `class_matrix()` is exact, fixed when the kernel is built."""
         return self._matrix_builder is not None
 
-    def class_matrix(self, seed: Optional[int] = None,
-                     replicas: int = DEFAULT_SAMPLE_REPLICAS) -> tuple:
-        """Nonzero entries (src, dst, prob), src and dst class ranks, in
-        source-rank order; built once and kept.  Exact if `exact`, else
-        estimated from `replicas` seeded draws per source class."""
-        if self.exact:
-            key = None
-        elif self.sampler is not None and seed is not None:
-            if replicas < 1:
-                raise InvalidArgumentError(f"need replicas >= 1, got {replicas}")
-            key = (seed, replicas)
-        else:
+    def class_matrix(self) -> tuple:
+        """Nonzero entries (src, dst, prob) of the exact class matrix over class
+        ranks, in source-rank order; built once and kept.  CapacityError if
+        the kernel is not `exact`."""
+        if not self.exact:
             raise CapacityError(f"kernel {self.name!r} has no exact class matrix at "
-                                f"n={self.n}; its Monte Carlo rows need a seed")
-        if key not in self._matrices:
-            self._matrices[key] = (self._matrix_builder() if key is None
-                                   else _sampled_matrix(self, seed, replicas))
-        return self._matrices[key]
+                                f"n={self.n}; its Monte Carlo estimate needs a seed")
+        if self._matrix is None:
+            self._matrix = self._matrix_builder()
+        return self._matrix
 
 
 @dataclass
@@ -177,13 +169,6 @@ def check_equivariance(kernel: ExchangeableKernel) -> EquivarianceReport:
     return EquivarianceReport(worst <= EQUIVARIANCE_TOL, worst, checks)
 
 
-def _compiled(kernel: ExchangeableKernel, rows: list) -> tuple:
-    """Class matrix entries from rows[rank], a {target occupancy: weight} dict per class."""
-    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    dst = class_index([m2 for row in rows for m2 in row], kernel.n)
-    return src, dst, np.array([w for row in rows for w in row.values()], dtype=float)
-
-
 def _compiled_ordered_law(kernel: ExchangeableKernel) -> tuple:
     """Class matrix of `kernel.ordered_law`, after the exhaustive equivariance
     check where the space is small enough for it: the row of class m is its
@@ -201,25 +186,15 @@ def _compiled_ordered_law(kernel: ExchangeableKernel) -> tuple:
         for t, pr in kernel.ordered_law(class_representative(m)).items():
             if pr > 0.0:
                 rows[-1][occupancy_of(kernel.target, t)] += pr
-    return _compiled(kernel, rows)
+    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    dst = class_index([m2 for row in rows for m2 in row], kernel.n)
+    return src, dst, np.array([w for row in rows for w in row.values()], dtype=float)
 
 
-def _sampled_matrix(kernel: ExchangeableKernel, seed: int, replicas: int) -> tuple:
-    """Monte Carlo class matrix: each source class's draw counts / replicas,
-    drawn from the stream replica_rng(seed, rank)."""
-    rows = []
-    for idx, m in enumerate(enumerate_occupancies(kernel.source, kernel.n)):
-        rng = replica_rng(seed, idx)
-        rows.append(Counter(kernel.sampler(m, rng) for _ in range(replicas)))
-    src, dst, counts = _compiled(kernel, rows)
-    return src, dst, counts / replicas
-
-
-def symmetrized_class_kernel(kernel: ExchangeableKernel, seed: Optional[int] = None,
-                             replicas: int = DEFAULT_SAMPLE_REPLICAS) -> dict:
-    """`kernel.class_matrix(seed, replicas)` as a dict of rows,
+def symmetrized_class_kernel(kernel: ExchangeableKernel) -> dict:
+    """`kernel.class_matrix()` as a dict of rows,
     {source occupancy: {target occupancy: prob}}."""
-    src, dst, prob = kernel.class_matrix(seed, replicas)
+    src, dst, prob = kernel.class_matrix()
     sources = enumerate_occupancies(kernel.source, kernel.n)
     targets = enumerate_occupancies(kernel.target, kernel.n)
     rows: dict = {m: {} for m in sources}
@@ -228,12 +203,12 @@ def symmetrized_class_kernel(kernel: ExchangeableKernel, seed: Optional[int] = N
     return rows
 
 
-def propagate(law: SymmetricLaw, kernel: ExchangeableKernel, **kwargs) -> SymmetricLaw:
+def propagate(law: SymmetricLaw, kernel: ExchangeableKernel) -> SymmetricLaw:
     """Mix a symmetric law through the kernel: the output law on T^n.  The
     bincount adds each target class's terms in source-rank order."""
     if law.space != kernel.source or law.n != kernel.n:
         raise InvalidArgumentError("law and kernel dimensions do not match")
-    src, dst, prob = kernel.class_matrix(**kwargs)
+    src, dst, prob = kernel.class_matrix()
     occ = occupancy_array(kernel.target.k, kernel.n)
     mass = np.bincount(dst, weights=law.vector()[src] * prob, minlength=len(occ))
     return SymmetricLaw.from_arrays(kernel.target, kernel.n, occ, mass)
@@ -399,9 +374,9 @@ def kac_collision_kernel(
     n <= KAC_EXACT_MAX_N: its class matrix is that chain's law at time t,
     sum_j Pois(total_rate * t; j) P^j over the one-collision class matrix P,
     computed as a Poisson series and squarings (`_uniformized`), nonnegative
-    term by term and kept where > 0.  Larger n is Monte Carlo only, through
-    `simulate_kac` with the same pair rule.  The limit is the collision ODE
-    of that pair rule run for time t.
+    term by term and kept where > 0.  Larger n has no class matrix, only
+    the sampler, which runs `simulate_kac` with the same pair rule.  The
+    limit is the collision ODE of that pair rule run for time t.
     """
     check_rate_and_time(lam, t)
     if n < 2:

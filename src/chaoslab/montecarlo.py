@@ -3,8 +3,8 @@
 All bundled dynamics depend on particle values only, so simulation runs at
 the occupancy level: O(k) work per collision event, which keeps n in the
 millions feasible.  `simulate_kac` is the one simulator of the Kac chain:
-the `kac` subcommand runs it per replica, and the Kac kernel's sampled
-class rows run it per class and replica.  Its event loop is inline Python:
+the `kac` subcommand runs it per replica, and theorem-probe, through the Kac
+kernel's sampler, per replica of each column.  Its event loop is inline Python:
 it walks the counts to find each colliding particle's value and looks the
 outcome up in the pair rule's compiled table (`PairRule.compiled`), one
 bisection per event.  Replicas draw their RNG streams from a splittable

@@ -263,6 +263,10 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         ("counterexample", ["counterexample"]),
         ("theorem-probe", ["theorem-probe", "--kernel", "kac:1,1",
                            "--p", "0.5,0.3,0.2", "--grid", "6,8,10", "--seed", "9"]),
+        # Its Monte Carlo columns past the exact cap, n = 14.
+        ("theorem-probe-mc", ["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                              "--grid", "6,8,14", "--seed", "9", "--replicas", "50",
+                              "--name", "theorem-probe-mc"]),
         ("kac", ["kac", "--p", "0.6,0.3,0.1", "--n", "50", "--replicas", "80",
                  "--seed", "21"]),
         ("microcanonical", ["microcanonical", "--H", "0,1,2", "--E", "0.8",
@@ -277,4 +281,5 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         assert (
             (a / f"{name}.meta.json").read_bytes() == (b / f"{name}.meta.json").read_bytes()
         ), name
-    print("PASS criterion 10: all five CLI subcommands byte-identical across reruns")
+    print("PASS criterion 10: all five CLI subcommands byte-identical across reruns, "
+          "theorem-probe with exact and with Monte Carlo columns")

@@ -170,9 +170,13 @@ class TestTheoremProbe:
                    "--out", str(tmp_path)])
         assert rc == 0
         _, meta = read_run(tmp_path, "theorem-probe")
+        sampled = meta["backend"].pop()
         assert meta["backend"] == [{"n": 6, "kind": "exact", "classes": 28},
-                                   {"n": 8, "kind": "exact", "classes": 45},
-                                   {"n": 16, "kind": "monte-carlo", "classes": 153}]
+                                   {"n": 8, "kind": "exact", "classes": 45}]
+        std_error = sampled.pop("std_error")
+        assert sampled == {"n": 16, "kind": "monte-carlo", "classes": 153, "replicas": 2}
+        # The largest standard error of each column's pair marginal: row, product, damped.
+        assert len(std_error) == 3 and all(0.0 <= se < 1.0 for se in std_error)
 
     def test_counterexample_discontinuity_flag(self, tmp_path):
         rc = main(["theorem-probe", "--kernel", "counterexample", "--p", "1,0",
@@ -238,6 +242,39 @@ class TestTheoremProbe:
         assert capsys.readouterr().err.startswith("config error: replicas")
         assert calls == []
 
+    def test_one_replica_with_a_sampled_n_builds_no_matrix(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # A pair marginal's standard error needs two replicas; the exact n
+        # before the sampled one must not run first.
+        import chaoslab.kernels as kernels
+
+        calls = []
+        event_matrix = kernels._kac_event_matrix
+        monkeypatch.setattr(kernels, "_kac_event_matrix",
+                            lambda *a: calls.append(a) or event_matrix(*a))
+        rc = main(["theorem-probe", "--kernel", "kac:1,0.25", "--p", "0.5,0.3,0.2",
+                   "--grid", "6,8,13", "--seed", "1", "--replicas", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: replicas")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulates_three_systems_per_replica(self, tmp_path, monkeypatch):
+        # One run per replica for each of the three columns, not one per
+        # source class and replica.
+        import chaoslab.kernels as kernels
+
+        runs = []
+        simulate = kernels.simulate_kac
+        monkeypatch.setattr(kernels, "simulate_kac",
+                            lambda *a, **kw: runs.append(1) or simulate(*a, **kw))
+        rc = main(["theorem-probe", "--kernel", "kac:1,0.25", "--p", "0.5,0.3,0.2",
+                   "--grid", "6,13", "--seed", "1", "--replicas", "7",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(runs) == 3 * 7
+
     def test_replicas_config_key_without_sampled_rows(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"kernel": "kac:1,1", "p": "0.5,0.3,0.2",
@@ -272,7 +309,7 @@ class TestTheoremProbe:
         assert rc == 4
         assert capsys.readouterr().err == (
             "capacity error: kernel 'kac:1,1' has no exact class matrix at n=14; "
-            "its Monte Carlo rows need a seed\n")
+            "its Monte Carlo estimate needs a seed\n")
         assert matrices == [] and probes == []
         assert list(tmp_path.iterdir()) == []
 
@@ -305,6 +342,12 @@ class TestKacCommand:
         assert rc == 2
         assert "missing required option 'seed'" in capsys.readouterr().err
         assert calls == []
+
+    def test_one_replica_runs(self, tmp_path):
+        # Only theorem-probe's pair marginals need two replicas.
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--replicas", "1",
+                   "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 0
 
     def test_exact_row_only_with_class_matrix(self, tmp_path):
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "13", "--replicas", "4",

@@ -14,7 +14,6 @@ from scipy.linalg import expm
 from chaoslab import (
     Distribution,
     EnergyModel,
-    ExchangeableKernel,
     PairRule,
     ParticleState,
     StateSpace,
@@ -264,7 +263,7 @@ def test_simulate_kac_is_the_scan_loop(k, data, lam, t, rule, block, edges, seed
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-KERNEL_KINDS = ["identity", "map", "counterexample", "kac", "sampled"]
+KERNEL_KINDS = ["identity", "map", "counterexample", "kac"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,7 +275,6 @@ def test_propagate_is_the_dict_merge(kind, k, n, seed, sparse):
     k = 2 if kind == "counterexample" else k
     space = StateSpace.of_size(k)
     law = random_law(rng, k, n, sparse)
-    kw = {}
     if kind == "identity":
         kernel = identity_kernel(space, n)
     elif kind == "map":
@@ -287,11 +285,8 @@ def test_propagate_is_the_dict_merge(kind, k, n, seed, sparse):
     else:
         kernel = kac_collision_kernel(space, float(rng.uniform(0.2, 2)),
                                       float(rng.uniform(0.1, 1.5)), n)
-        if kind == "sampled":
-            kernel = ExchangeableKernel(space, space, n, "kac-mc", sampler=kernel.sampler)
-            kw = {"seed": seed, "replicas": int(rng.integers(1, 6))}
-    got = propagate(law, kernel, **kw).classes
-    want = oracle_propagate(law.classes, symmetrized_class_kernel(kernel, **kw))
+    got = propagate(law, kernel).classes
+    want = oracle_propagate(law.classes, symmetrized_class_kernel(kernel))
     assert got == want
     assert list(got) == canonical(want, n, kernel.target.k)
 

@@ -17,12 +17,14 @@ from chaoslab import (
     kac_limit_evolve,
     make_kernel,
     map_kernel,
+    marginal,
     product_law,
     propagate,
     pushforward,
     symmetrized_class_kernel,
     tv_distance,
 )
+from chaoslab.cli import column_laws, monte_carlo_pair_law
 from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentError
 from chaoslab.kernels import (
     KAC_EXACT_MAX_N,
@@ -63,6 +65,28 @@ def noisy_relabel_kernel(n, flip=0.3):
         return (m[0] - x0 + x1, m[1] - x1 + x0)
 
     return ExchangeableKernel(S2, S2, n, "noisy", ordered_law=ordered_law, sampler=sampler)
+
+
+def pair_matrix(pair_law):
+    """The k x k ordered pair marginal of a two-particle law."""
+    k = pair_law.space.k
+    P = np.zeros((k, k))
+    for m, mass in pair_law.classes.items():
+        u, w = np.repeat(np.arange(k), m)
+        P[u, w] = P[w, u] = mass if u == w else mass / 2
+    return P
+
+
+def assert_pair_laws_close_to_exact(kernel, rho, replicas, seed):
+    """theorem-probe's Monte Carlo pair law of each column law, from the
+    kernel's sampler, lies within 4 standard errors per entry of the exact
+    pair marginal of the law's image under the kernel's class matrix."""
+    for law in column_laws(rho, kernel.n):
+        pair_law, result = monte_carlo_pair_law(law, kernel, replicas, seed)
+        assert pair_law.n == 2 and pair_law.space == kernel.target
+        assert np.allclose(pair_matrix(pair_law), result.estimate, rtol=0, atol=1e-15)
+        exact = pair_matrix(marginal(propagate(law, kernel), 2))
+        assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
 
 
 def broken_kernel(n):
@@ -132,47 +156,27 @@ class TestSymmetrizedClassKernel:
 
     def test_sampled_estimation_close_to_exact(self):
         kernel = noisy_relabel_kernel(3)
-        exact = symmetrized_class_kernel(kernel)
-        kernel_mc = ExchangeableKernel(S2, S2, 3, "noisy-mc", sampler=kernel.sampler)
-        rows = symmetrized_class_kernel(kernel_mc, seed=5, replicas=20000)
-        for m in exact:
-            for m2, pr in exact[m].items():
-                sigma = math.sqrt(pr * (1 - pr) / 20000)
-                assert abs(rows[m].get(m2, 0.0) - pr) < 4 * sigma + 1e-9
-
-    def test_sampled_rows_built_once_per_seed(self):
-        kernel = kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1)
-        sampler, draws = kernel.sampler, []
-        kernel.sampler = lambda m, rng: draws.append(1) or sampler(m, rng)
-        law = product_law(Distribution(S3, (0.5, 0.3, 0.2)), kernel.n)
-        first = propagate(law, kernel, seed=3, replicas=5)
-        built = len(draws)
-        assert built == 5 * len(enumerate_occupancies(S3, kernel.n))
-        again = propagate(law, kernel, seed=3, replicas=5)
-        assert len(draws) == built
-        assert again.classes == first.classes
-        propagate(law, kernel, seed=4, replicas=5)
-        assert len(draws) == 2 * built
+        assert_pair_laws_close_to_exact(kernel, Distribution(S2, (0.7, 0.3)), 8000, seed=5)
 
     def test_kac_sampled_rows_close_to_exact(self):
-        n, replicas = 5, 3000
-        kernel = kac_collision_kernel(S3, 1.0, 0.5, n)
-        exact = symmetrized_class_kernel(kernel)
-        kernel_mc = ExchangeableKernel(S3, S3, n, "kac-mc", sampler=kernel.sampler)
-        rows = symmetrized_class_kernel(kernel_mc, seed=9, replicas=replicas)
-        assert set(rows) == set(exact)
-        for m in exact:
-            for m2 in set(exact[m]) | set(rows[m]):
-                pr = exact[m].get(m2, 0.0)
-                sigma = math.sqrt(pr * (1 - pr) / replicas)
-                assert abs(rows[m].get(m2, 0.0) - pr) < 4 * sigma + 1e-9
+        kernel = kac_collision_kernel(S3, 1.0, 0.5, 5)
+        assert_pair_laws_close_to_exact(kernel, Distribution(S3, (0.5, 0.3, 0.2)), 3000,
+                                        seed=9)
 
     def test_kac_sampler_uses_the_kernels_pair_rule(self):
         # Swapping colliders never changes an occupancy; the default
-        # sum-conserving rule would.
-        kernel = kac_collision_kernel(S3, 1.0, 1.0, KAC_EXACT_MAX_N + 1, pair_rule=SwapRule())
-        rows = symmetrized_class_kernel(kernel, seed=2, replicas=3)
-        assert rows == {m: {m: 1.0} for m in enumerate_occupancies(S3, kernel.n)}
+        # sum-conserving rule would.  So each run's pair U-statistic is its
+        # start class's, and a point law's estimate spreads only by roundoff.
+        n = KAC_EXACT_MAX_N + 1
+        kernel = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule())
+        for law in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
+            pair_law, result = monte_carlo_pair_law(law, kernel, 200, seed=2)
+            exact = marginal(law, 2)
+            assert np.all(np.abs(result.estimate - pair_matrix(exact))
+                          < 4 * result.std_error + 1e-12)
+            if len(law.p) == 1:  # the point law on the quota class
+                assert result.std_error.max() < 1e-15
+                assert np.allclose(pair_law.vector(), exact.vector(), rtol=0, atol=1e-15)
 
 
 class TestBackend:
@@ -213,8 +217,6 @@ class TestBackend:
         kernel = kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N + 1)
         with pytest.raises(CapacityError, match=f"'kac:1,0.5'.*n={kernel.n}.*seed"):
             kernel.class_matrix()
-        with pytest.raises(InvalidArgumentError):
-            kernel.class_matrix(seed=1, replicas=0)
 
 
 class TestInducedTransition:

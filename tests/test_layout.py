@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "chaoslab"
 
 UNREFERENCED = {
     "law_to_json": "writes the law format that `diagnose --family custom` reads",
-    "estimate_pair_marginal": "the pair-marginal estimator for Monte Carlo rows past exact n",
     "entropy_convergence": "bench/tracer.py looks it up by name",
     "symmetrized_class_kernel": "bench/tracer.py looks it up by name",
 }
