@@ -50,4 +50,5 @@ from .montecarlo import (
     pair_marginal_ustat,
     replica_rng,
     simulate_kac,
+    simulate_kac_stack,
 )

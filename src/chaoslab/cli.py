@@ -52,10 +52,10 @@ from .errors import (
 )
 from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import kac_limit_evolve, continuity_probe
-from .montecarlo import (ParticleState, estimate_pair_marginal, iid_state, replica_rng,
-                         simulate_kac)
+from .montecarlo import estimate_pair_marginal, iid_state, replica_rng, simulate_kac_stack
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
+KAC_CHUNK = 1024  # kac replicas per stack call: their Generators take about 1 KB each
 # Every option: (kind, least value, help).  The kind is int, float, str or
 # the tuple of the allowed strings; the least value bounds a number, or is None.
 OPTIONS = {
@@ -301,11 +301,10 @@ def monte_carlo_pair_law(law: SymmetricLaw, kernel, replicas: int, seed: int) ->
     `estimate_pair_marginal` (whose EstimatorResult comes second) as a
     two-particle law: mass P_uu on the class of (u, u), 2 P_uw on that of
     (u, w), as `marginal(law, 2)` gives it.  Run r draws a start class from
-    the law and applies the sampler, both on replica_rng(seed, r): every law
-    and every n reuses those streams."""
-    def run(rng):
-        start = law.occ[rng.choice(len(law.p), p=law.p)]
-        return ParticleState(kernel.sampler(tuple(start.tolist()), rng))
+    the law on replica_rng(seed, r), and one sampler call runs every start
+    on its run's stream: every law and every n reuses those streams."""
+    def run(rngs):
+        return kernel.sampler(law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]], rngs)
 
     result = estimate_pair_marginal(run, replicas, seed)
     k = kernel.target.k
@@ -390,11 +389,14 @@ def cmd_kac(config: dict) -> int:
         exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
         rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
 
+    # Each replica draws its start, then its run, on its own stream; one stack
+    # call per KAC_CHUNK replicas bounds the Generators held at once.
     totals = np.zeros(space.k)
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        state = simulate_kac(iid_state(p0, n, rng), lam, t, rng)
-        totals += np.array(state.counts) / n
+    for first in range(0, replicas, KAC_CHUNK):
+        rngs = [replica_rng(seed, r) for r in range(first, min(first + KAC_CHUNK, replicas))]
+        starts = [iid_state(p0, n, rng).counts for rng in rngs]
+        for counts in simulate_kac_stack(starts, lam, t, rngs):
+            totals += counts / n
     mc_p = Distribution(space, tuple(totals / replicas))
     rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
 

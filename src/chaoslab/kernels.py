@@ -15,8 +15,8 @@ images.  `make_kernel` is the only parser of the kernel names.
 
 A kernel's one computed form is its exact class matrix, `class_matrix()`:
 nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
-kernel without one has only a `sampler`, a seeded n-particle draw from a
-source class, which theorem-probe averages into pair marginals;
+kernel without one has only a `sampler`, seeded n-particle draws from a
+stack of source classes, which theorem-probe averages into pair marginals;
 `kernel.exact`, fixed when the kernel is built, says which.
 Each bundled constructor gives its exact matrix builder (a map's image, the
 counterexample's image, the Kac chain's uniformization up to
@@ -25,7 +25,7 @@ squarings of it, all terms nonnegative, so nothing is clamped) and no second
 spec; a user kernel may instead give `ordered_law` (the exact
 law of K_n(s, .) on ordered states, small spaces; checked for equivariance
 as it is compiled).  The Kac kernel's sampler, at every n, is
-`montecarlo.simulate_kac` with its own pair rule.
+`montecarlo.simulate_kac_stack` with its own pair rule.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .meanfield import (
     kac_limit_evolve,
     pushforward,
 )
-from .montecarlo import ParticleState, simulate_kac
+from .montecarlo import simulate_kac_stack
 
 EXHAUSTIVE_STATE_LIMIT = 4096
 EQUIVARIANCE_TOL = 1e-9
@@ -69,12 +69,14 @@ class ExchangeableKernel:
     Exact class matrix, or none and a sampler; its parts, any may be absent:
       matrix_builder() -> (src, dst, prob)            (exact)
       ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
-      sampler(m, rng) -> target occupancy             (one n-particle draw)
+      sampler(starts, rngs) -> (R, k_target) counts   (n-particle draws)
 
     It is `exact` when it has a matrix builder, given or compiled from
     `ordered_law`: fixed here, so reading `exact` builds nothing.
-    A sampler works on occupancy classes, so it is permutation-equivariant
-    by construction; only `ordered_law` is checked, as it is compiled.
+    A sampler takes an (R, k) stack of source occupancies and one Generator
+    per row, and draws row r's target occupancy on rngs[r].  It works on
+    occupancy classes, so it is permutation-equivariant by construction;
+    only `ordered_law` is checked, as it is compiled.
 
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
     kernel propagates chaos toward, applied row by row to a (B, S.k) stack
@@ -375,7 +377,7 @@ def kac_collision_kernel(
     sum_j Pois(total_rate * t; j) P^j over the one-collision class matrix P,
     computed as a Poisson series and squarings (`_uniformized`), nonnegative
     term by term and kept where > 0.  Larger n has no class matrix, only
-    the sampler, which runs `simulate_kac` with the same pair rule.  The
+    the sampler, which runs `simulate_kac_stack` with the same pair rule.  The
     limit is the collision ODE of that pair rule run for time t.
     """
     check_rate_and_time(lam, t)
@@ -384,8 +386,8 @@ def kac_collision_kernel(
     rule = pair_rule or default_rule(space.k)
     total_rate = lam * (n - 1) / 2.0
 
-    def sampler(m, rng):
-        return simulate_kac(ParticleState(m), lam, t, rng, rule).counts
+    def sampler(starts, rngs):
+        return simulate_kac_stack(starts, lam, t, rngs, rule)
 
     def build_matrix():
         M = _uniformized(_kac_event_matrix(space.k, n, rule), t * total_rate)

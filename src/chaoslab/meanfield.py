@@ -58,19 +58,25 @@ class CompiledRule(NamedTuple):
     law of unordered outcome pairs, to within MASS_TOL per pair.
 
     outcomes[u][w] is the ((a, b), prob) list of `outcomes(u, w)`, in order.
-    draws[u][w] is (cum, outs): cum the running sums of those probabilities,
-    added one by one in order, and outs the pairs (a, b) with the last one
-    repeated.  outs[bisect_right(cum, r)] is then the outcome at the uniform
-    draw r: the first whose running sum exceeds r, or the last if none does.
+    The simulator reads the rest, one entry per listed outcome of each
+    ordered pair (u, w) plus one more that repeats its last outcome:
+    keys holds u*k + w + 1j*c, c the running sum of the probabilities added
+    one by one in order (inf for the repeat), ascending, and moves the
+    event's change to the running sums of the counts, [>= a] + [>= b]
+    - [>= u] - [>= w] over the states.  searchsorted(keys, u*k + w + 1j*r,
+    'right') is then the outcome at the uniform draw r: the first whose
+    running sum exceeds r, or the last if none does.
     """
 
     outcomes: list
-    draws: list
+    keys: np.ndarray
+    moves: np.ndarray
 
 
 def _compile(rule: PairRule, k: int) -> CompiledRule:
     outcomes = [[None] * k for _ in range(k)]
-    draws = [[None] * k for _ in range(k)]
+    above = np.triu(np.ones((k, k), dtype=np.int64))  # above[v] = [>= v]
+    keys, moves = [], []
     for u in range(k):
         for w in range(k):
             checked, cum, acc = [], [], 0.0
@@ -89,11 +95,14 @@ def _compile(rule: PairRule, k: int) -> CompiledRule:
                     f"pair rule outcomes of ({u}, {w}) have total probability {acc}, not 1"
                 )
             outcomes[u][w] = checked
-            draws[u][w] = (cum, [ab for ab, _ in checked] + [checked[-1][0]])
+            outs = [ab for ab, _ in checked]
+            for (a, b), c in zip(outs + outs[-1:], cum + [math.inf]):
+                keys.append(complex(u * k + w, c))
+                moves.append(above[a] + above[b] - above[u] - above[w])
             if w < u and _unordered_gap(checked, outcomes[w][u]) > MASS_TOL:
                 raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
                                            f"({w}, {u}) give different unordered outcomes")
-    return CompiledRule(outcomes, draws)
+    return CompiledRule(outcomes, np.array(keys), np.array(moves))
 
 
 def _unordered_gap(outs: list, mirror: list) -> float:
@@ -208,7 +217,8 @@ def kac_limit_evolve(
     row gets the same arithmetic as it would alone.  After every step each row
     has its tiny negative entries clamped and is renormalized; a row that
     leaves the simplex by more than SIMPLEX_DRIFT_LIMIT, or turns NaN,
-    raises IntegrationError naming the stiffness lam*dt of the step.
+    raises IntegrationError naming the stiffness lam*dt of the step.  A t / dt
+    past the largest float is InvalidArgumentError.
     """
     check_rate_and_time(lam, t)
     if not dt > 0:
@@ -216,6 +226,8 @@ def kac_limit_evolve(
     P, stacked = _as_stack(p0)
     if t == 0:
         return p0
+    if t / dt == math.inf:
+        raise InvalidArgumentError(f"t={t} over dt={dt} is more RK4 steps than a float holds")
     kappa = collision_marginal_tensor(P.shape[1], rule)
     steps = max(1, int(math.ceil(t / dt)))
     h = t / steps

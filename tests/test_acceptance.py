@@ -31,7 +31,7 @@ from chaoslab import (
     product_law,
     propagate,
     replica_rng,
-    simulate_kac,
+    simulate_kac_stack,
     specific_loglik,
     symmetrized_class_kernel,
     tv_distance,
@@ -205,11 +205,11 @@ def test_criterion_8_mean_field_consistency():
     ode = kac_limit_evolve(p0, 1.0, 1.0)
 
     n, replicas, seed = 2000, 200, 77
+    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    starts = [iid_state(p0, n, rng).counts for rng in rngs]
     totals = np.zeros(3)
-    for r in range(replicas):
-        rng = replica_rng(seed, r)
-        state = simulate_kac(iid_state(p0, n, rng), 1.0, 1.0, rng)
-        totals += np.array(state.counts) / n
+    for counts in simulate_kac_stack(starts, 1.0, 1.0, rngs):
+        totals += counts / n
     mc_p = Distribution(S3, tuple(totals / replicas))
     tv = tv_distance(mc_p, ode)
     assert tv < 0.02
@@ -218,10 +218,10 @@ def test_criterion_8_mean_field_consistency():
     kernel = kac_collision_kernel(S3, 1.0, 1.0, 8)
     row = symmetrized_class_kernel(kernel)[start8.counts]
     runs = 100_000
+    rngs = [replica_rng(123, r) for r in range(runs)]
     counts = {}
-    for r in range(runs):
-        end = simulate_kac(start8, 1.0, 1.0, replica_rng(123, r))
-        counts[end.counts] = counts.get(end.counts, 0) + 1
+    for end in map(tuple, simulate_kac_stack([start8.counts] * runs, 1.0, 1.0, rngs).tolist()):
+        counts[end] = counts.get(end, 0) + 1
     fails = 0
     for m, prob in row.items():
         got = counts.get(m, 0)

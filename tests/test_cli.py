@@ -266,14 +266,14 @@ class TestTheoremProbe:
         import chaoslab.kernels as kernels
 
         runs = []
-        simulate = kernels.simulate_kac
-        monkeypatch.setattr(kernels, "simulate_kac",
-                            lambda *a, **kw: runs.append(1) or simulate(*a, **kw))
+        simulate = kernels.simulate_kac_stack
+        monkeypatch.setattr(kernels, "simulate_kac_stack",
+                            lambda starts, *a: runs.append(len(starts)) or simulate(starts, *a))
         rc = main(["theorem-probe", "--kernel", "kac:1,0.25", "--p", "0.5,0.3,0.2",
                    "--grid", "6,13", "--seed", "1", "--replicas", "7",
                    "--out", str(tmp_path)])
         assert rc == 0
-        assert len(runs) == 3 * 7
+        assert sum(runs) == 3 * 7
 
     def test_replicas_config_key_without_sampled_rows(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -364,6 +364,18 @@ class TestKacCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("option", [
+        ["--n", "20", "--lam", "1e308", "--t", "1e308"],  # t / dt overflows a float
+        ["--n", "100000000000000000000", "--replicas", "2"],  # n past montecarlo.MAX_N
+    ], ids=["rk4-steps", "n"])
+    def test_overflow_is_a_config_error(self, tmp_path, capsys, option):
+        out = tmp_path / "out"
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--seed", "1", "--out", str(out)] + option)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_stiff_limit_ode_is_an_error_exit(self, tmp_path, capsys):
         # lam*dt = 100 throws the fixed-step RK4 off the simplex in one step.
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--lam", "100000",
@@ -373,6 +385,14 @@ class TestKacCommand:
         assert err.startswith("run error: state left the simplex")
         assert "lam*dt = 100" in err and "reduce dt" not in err
         assert err.count("\n") == 1
+
+    def test_replica_chunks_do_not_change_output(self, tmp_path, monkeypatch):
+        argv = ["kac", "--p", "0.5,0.3,0.2", "--n", "600", "--replicas", "7", "--seed", "2"]
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(chaoslab.cli, "KAC_CHUNK", 3)
+        assert main(argv + ["--out", str(tmp_path / "three")]) == 0
+        assert ((tmp_path / "one" / "kac.csv").read_bytes()
+                == (tmp_path / "three" / "kac.csv").read_bytes())
 
     def test_seeded_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

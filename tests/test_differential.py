@@ -30,13 +30,14 @@ from chaoslab import (
     product_law,
     propagate,
     simulate_kac,
+    simulate_kac_stack,
     specific_loglik,
     symmetrized_class_kernel,
     tv_distance,
 )
 from chaoslab import montecarlo
 from chaoslab.core import class_index, occupancy_array
-from chaoslab.errors import EmptyEnsembleError
+from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import default_rule
 
@@ -261,6 +262,70 @@ def test_simulate_kac_is_the_scan_loop(k, data, lam, t, rule, block, edges, seed
         want = oracle_simulate_kac(ParticleState(tuple(counts)), lam, t, want_rng, rule)
     assert got.counts == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class SetEvents(np.random.Generator):
+    """A Generator whose event count is set, not drawn: `poisson` makes its
+    draw, so the stream advances as a plain Generator's does, and returns
+    `events`."""
+
+    events = 0
+
+    def poisson(self, lam=1.0, size=None):
+        super().poisson(lam, size)
+        return self.events
+
+
+class EdgeSetEvents(EdgeDraws, SetEvents):
+    pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 4), rows=st.integers(1, 12), data=st.data(), lam=st.floats(0.01, 3.0),
+       t=st.floats(0.0, 1.0), rule=st.sampled_from(sorted(RULES)),
+       block=st.sampled_from([2, montecarlo.EVENT_BLOCK]),
+       width=st.sampled_from([3, montecarlo.STACK_WIDTH]), edges=st.booleans(),
+       set_events=st.booleans(), big=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_simulate_kac_stack_is_the_scan_loop(k, rows, data, lam, t, rule, block, width, edges,
+                                             set_events, big, seed):
+    """Each row of the lockstep stack == the per-event walk and linear scan on
+    that row's Generator: same end counts, and the Generator left in the
+    same state.  Set event counts give rows with no events beside rows with
+    many; a big n takes the int64 offsets, and a width of 3 splits the stack
+    into groups."""
+    # A small n often draws j = i at a value boundary, where j + (j >= i) matters.
+    n = data.draw(st.integers(2**31, montecarlo.MAX_N) if big
+                  else st.integers(2, 4) | st.integers(2, 30))
+    starts = []
+    for _ in range(rows):
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+        starts.append([b - a for a, b in zip([0, *cuts], [*cuts, n])])
+    got_rngs, want_rngs = [], []
+    if set_events or big:
+        events = data.draw(st.lists(st.integers(0, 40), min_size=rows, max_size=rows))
+        for r in range(rows):
+            for rngs in (got_rngs, want_rngs):
+                rngs.append((EdgeSetEvents if edges else SetEvents)(np.random.PCG64([seed, r])))
+                rngs[-1].events = events[r]
+    else:
+        make = EdgeDraws if edges else np.random.Generator
+        got_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
+        want_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
+    rule = RULES[rule](k)
+    with mock.patch.multiple(montecarlo, EVENT_BLOCK=block, STACK_WIDTH=width):
+        got = simulate_kac_stack(np.array(starts), lam, t, got_rngs, rule)
+        for r in range(rows):
+            want = oracle_simulate_kac(ParticleState(tuple(starts[r])), lam, t, want_rngs[r], rule)
+            assert tuple(got[r].tolist()) == want
+            assert got_rngs[r].bit_generator.state == want_rngs[r].bit_generator.state
+
+
+def test_simulate_kac_stack_needs_one_n():
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(InvalidArgumentError, match="share one n"):
+        simulate_kac_stack([(3, 2), (2, 2)], 1.0, 1.0, rngs)
+    with pytest.raises(InvalidArgumentError, match="MAX_N"):
+        simulate_kac_stack([(montecarlo.MAX_N, 1)] * 2, 1.0, 1.0, rngs)
 
 
 KERNEL_KINDS = ["identity", "map", "counterexample", "kac"]

@@ -59,10 +59,13 @@ def noisy_relabel_kernel(n, flip=0.3):
             out[t] = pr
         return out
 
-    def sampler(m, rng):
+    def sampler(starts, rngs):
         # Each state's particles flip independently: m_0 -> m_0 - x_0 + x_1.
-        x0, x1 = (int(rng.binomial(c, flip)) for c in m)
-        return (m[0] - x0 + x1, m[1] - x1 + x0)
+        ends = []
+        for m, rng in zip(starts, rngs):
+            x0, x1 = (int(rng.binomial(c, flip)) for c in m)
+            ends.append((m[0] - x0 + x1, m[1] - x1 + x0))
+        return np.array(ends)
 
     return ExchangeableKernel(S2, S2, n, "noisy", ordered_law=ordered_law, sampler=sampler)
 

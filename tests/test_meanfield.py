@@ -165,6 +165,11 @@ class TestKacLimitEvolve:
             with pytest.raises(InvalidArgumentError):
                 kac_limit_evolve(p0, lam, t)
 
+    def test_step_count_past_a_float(self):
+        p0 = Distribution(S3, (0.6, 0.3, 0.1))
+        with pytest.raises(InvalidArgumentError, match="RK4 steps"):
+            kac_limit_evolve(p0, 1.0, 1.0, dt=1e-320)
+
     def test_stiff_step_names_lam_dt(self):
         p0 = Distribution(S3, (0.6, 0.3, 0.1))
         with pytest.raises(IntegrationError, match=r"lam\*dt = 100\)$"):

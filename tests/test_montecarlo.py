@@ -16,7 +16,9 @@ from chaoslab import (
     propagate,
     replica_rng,
     simulate_kac,
+    simulate_kac_stack,
 )
+from chaoslab import montecarlo
 from chaoslab.errors import InvalidArgumentError
 from chaoslab.meanfield import PairRule, SumConservingRule, default_rule
 
@@ -145,30 +147,58 @@ class TestEventBlocks:
         assert seen == {(1, 0, 1), (0, 2, 0)}
 
 
+class TestSimulateKacStack:
+    def test_rows_are_lone_runs(self):
+        starts = [(4, 2, 2), (0, 8, 0), (3, 3, 2)]
+        ends = simulate_kac_stack(starts, 1.0, 2.0, [replica_rng(4, r) for r in range(3)])
+        assert ends.shape == (3, 3) and ends.dtype == np.int64
+        for r, start in enumerate(starts):
+            lone = simulate_kac(ParticleState(start), 1.0, 2.0, replica_rng(4, r))
+            assert tuple(ends[r].tolist()) == lone.counts
+
+    @pytest.mark.parametrize("starts, rngs", [
+        ([(2, 2)], 2),  # one Generator per row
+        ([(3, -1)], 1),  # negative count
+        ([(2.0, 2.0)], 1),  # not integers
+        ([2, 2], 2),  # not a stack
+    ])
+    def test_bad_stacks(self, starts, rngs):
+        with pytest.raises(InvalidArgumentError):
+            simulate_kac_stack(starts, 1.0, 1.0, [replica_rng(0, r) for r in range(rngs)])
+
+    def test_iid_state_n_past_max(self):
+        p = Distribution(S2, (0.5, 0.5))
+        with pytest.raises(InvalidArgumentError, match="MAX_N"):
+            iid_state(p, montecarlo.MAX_N + 1, replica_rng(0, 0))
+
+
 class TestPairMarginalUstat:
     def test_constant_state(self):
-        mat = pair_marginal_ustat(ParticleState((4, 0)))
+        (mat,) = pair_marginal_ustat([(4, 0)])
         assert mat[0, 0] == 1.0
         assert mat.sum() == pytest.approx(1.0)
 
     def test_exact_small_case(self):
-        # counts (2, 1): P(0,0) = 2*1/6, off-diagonal 2*1/6 each.
-        mat = pair_marginal_ustat(ParticleState((2, 1)))
-        assert mat == pytest.approx(np.array([[2, 2], [2, 0]]) / 6.0)
+        # counts (2, 1): P(0,0) = 2*1/6, off-diagonal 2*1/6 each; each row
+        # of a stack on its own.
+        mats = pair_marginal_ustat([(2, 1), (1, 2), (3, 0)])
+        assert mats[0] == pytest.approx(np.array([[2, 2], [2, 0]]) / 6.0)
+        assert mats[1] == pytest.approx(np.array([[0, 2], [2, 2]]) / 6.0)
+        assert np.array_equal(mats[2], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_symmetric_and_normalized(self, rng):
         for _ in range(20):
             counts = tuple(int(x) for x in rng.integers(0, 10, size=3))
             if sum(counts) < 2:
                 continue
-            mat = pair_marginal_ustat(ParticleState(counts))
+            (mat,) = pair_marginal_ustat([counts])
             assert np.allclose(mat, mat.T)
             assert mat.sum() == pytest.approx(1.0, abs=1e-12)
             assert mat.min() >= 0.0
 
     def test_needs_two(self):
         with pytest.raises(InvalidArgumentError):
-            pair_marginal_ustat(ParticleState((1, 0)))
+            pair_marginal_ustat([(3, 0), (1, 0)])
 
 
 def _pair_matrix(law: SymmetricLaw) -> np.ndarray:
@@ -178,13 +208,14 @@ def _pair_matrix(law: SymmetricLaw) -> np.ndarray:
 
 class TestEstimatePairMarginal:
     def test_constant_sampler_zero_error(self):
-        res = estimate_pair_marginal(lambda rng: ParticleState((3, 3)), 10, seed=0)
+        res = estimate_pair_marginal(lambda rngs: np.tile((3, 3), (len(rngs), 1)), 10, seed=0)
         assert np.abs(res.std_error).max() < 1e-16
-        assert res.estimate == pytest.approx(pair_marginal_ustat(ParticleState((3, 3))))
+        assert res.estimate == pytest.approx(pair_marginal_ustat([(3, 3)])[0])
 
     def test_iid_unbiased(self):
         p = Distribution(S3, (0.5, 0.3, 0.2))
-        res = estimate_pair_marginal(lambda rng: iid_state(p, 100, rng), 10_000, seed=7)
+        res = estimate_pair_marginal(
+            lambda rngs: [iid_state(p, 100, rng).counts for rng in rngs], 10_000, seed=7)
         truth = np.outer(p.p, p.p)
         z = np.abs(res.estimate - truth) / np.where(res.std_error > 0, res.std_error, 1.0)
         assert z.max() < 4.0
@@ -197,14 +228,15 @@ class TestEstimatePairMarginal:
             propagate(SymmetricLaw(S3, n, {start.counts: 1.0}), kernel)
         )
         res = estimate_pair_marginal(
-            lambda rng: simulate_kac(start, lam, t, seed=rng), 20_000, seed=11
+            lambda rngs: simulate_kac_stack([start.counts] * len(rngs), lam, t, rngs),
+            20_000, seed=11,
         )
         z = np.abs(res.estimate - exact) / np.where(res.std_error > 0, res.std_error, 1.0)
         assert z.max() < 4.0
 
     def test_needs_replicas(self):
         with pytest.raises(InvalidArgumentError):
-            estimate_pair_marginal(lambda rng: ParticleState((3, 3)), 1, seed=0)
+            estimate_pair_marginal(lambda rngs: [(3, 3)] * len(rngs), 1, seed=0)
 
 
 class TestReplicaRng:
