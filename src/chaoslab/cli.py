@@ -6,8 +6,8 @@ verdicts, version).  Runs are deterministic given their config and seed;
 rerunning must produce byte-identical files.
 
 Exit codes: 0 success / expectation met, 2 config error or a run that
-cannot be carried out as configured (the limit ODE too stiff for its fixed
-step), 3 expectation mismatch, 4 capacity error.
+cannot be carried out as configured, 3 expectation mismatch, 4 capacity
+error.
 
 OPTIONS and COMMANDS are the one declaration of the options; the parser is
 built from them, and `to_value` checks flags and config-file values alike.
@@ -43,19 +43,13 @@ from .diagnostics import (
     microcanonical_limit,
     pair_gap,
 )
-from .errors import (
-    CapacityError,
-    ChaoslabError,
-    ConfigError,
-    EquivarianceError,
-    IntegrationError,
-)
+from .errors import CapacityError, ChaoslabError, ConfigError, EquivarianceError
 from .kernels import kac_collision_kernel, make_kernel, propagate
-from .meanfield import kac_limit_evolve, continuity_probe
-from .montecarlo import estimate_pair_marginal, iid_state, replica_rng, simulate_kac_stack
+from .meanfield import continuity_probe, kac_limit_evolve, wild_plan
+from .montecarlo import (KAC_CHUNK, estimate_pair_marginal, iid_state, replica_rng,
+                         simulate_kac_stack)
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
-KAC_CHUNK = 1024  # kac replicas per stack call: their Generators take about 1 KB each
 # Every option: (kind, least value, help).  The kind is int, float, str or
 # the tuple of the allowed strings; the least value bounds a number, or is None.
 OPTIONS = {
@@ -400,7 +394,8 @@ def cmd_kac(config: dict) -> int:
     mc_p = Distribution(space, tuple(totals / replicas))
     rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
 
-    write_outputs(config, "kac", header, rows, {"ode": list(ode.p)})
+    write_outputs(config, "kac", header, rows,
+                  {"ode": list(ode.p), "ode_plan": wild_plan(lam, t)._asdict()})
     return 0
 
 
@@ -459,7 +454,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
-    except (IntegrationError, EquivarianceError) as exc:
+    except EquivarianceError as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
     except ChaoslabError as exc:

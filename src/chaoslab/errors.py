@@ -30,9 +30,5 @@ class EquivarianceError(ChaoslabError, RuntimeError):
     """A kernel failed the permutation-equivariance contract."""
 
 
-class IntegrationError(ChaoslabError, RuntimeError):
-    """The ODE integrator left the probability simplex: its step is too stiff."""
-
-
 class ConfigError(ChaoslabError, ValueError):
     """An experiment configuration file or flag set could not be validated."""

@@ -6,7 +6,8 @@ exactly, and the Kac collision chain gets a Boltzmann-type quadratic ODE
 whose collision kernel is the expected one-particle marginal of its pair
 rule.  The pair rules live here because both the n-particle chain and the
 ODE are derived from them.  The ODE form is validated against particle
-simulation, not assumed.
+simulation, not assumed.  `kac_limit_evolve` sums the ODE as Wild's series,
+the mean-field twin of the uniformized n-particle kernel, to unit roundoff.
 
 A limit map takes a (B, k) stack of one-particle laws, one per row, and
 returns the (B, k_target) stack of their images, so that a caller with many
@@ -25,10 +26,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import MASS_TOL, NEG_CLAMP, Distribution, StateSpace, as_int, as_rng
-from .errors import IntegrationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
-DEFAULT_DT = 1e-3
-SIMPLEX_DRIFT_LIMIT = 1e-6
+MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
+DEFAULT_DT = math.inf  # no cap on the slice length tau
+# Most slices per evolve, lam*t <= 1e4: about 12 s for one 3-state law (2-core VM).
+MAX_SLICES = 20_000
+UNIT_ROUNDOFF = 2.0**-53
 
 
 class PairRule:
@@ -194,13 +198,31 @@ def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.nda
     return kappa
 
 
-def _rhs_from_tensor(P: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray:
-    # One einsum over the stack: each row is summed in the same order as a
-    # lone row would be, so a row's result does not depend on its stack.
-    out = np.einsum("vuw,bu,bw->bv", kappa, P, P)
-    out -= P
-    out *= lam
-    return out
+class WildPlan(NamedTuple):
+    """Equal slices of [0, t], Wild's series terms per slice, weight each leaves out."""
+
+    slices: int
+    terms: int
+    tail: float
+
+
+def wild_plan(lam: float, t: float, dt: float = DEFAULT_DT) -> WildPlan:
+    """The plan of `kac_limit_evolve(p0, lam, t, dt)`: the fewest slices with
+    lam*tau <= MAX_SLICE_LAM_T and tau <= dt, at most MAX_SLICES, and the
+    fewest terms N whose left-out weight (1 - exp(-lam*tau))^N < UNIT_ROUNDOFF."""
+    check_rate_and_time(lam, t)
+    if not dt > 0:
+        raise InvalidArgumentError("need dt > 0")
+    need = max(lam * t / MAX_SLICE_LAM_T, t / dt)
+    if not need <= MAX_SLICES:
+        raise InvalidArgumentError(f"lam*t = {lam * t:g} with dt = {dt:g} needs {need:g} "
+                                   f"slices of Wild's series, past the budget of {MAX_SLICES}")
+    slices = max(1, math.ceil(need))
+    beta = -math.expm1(-lam * t / slices)
+    terms, tail = 1, beta
+    while tail >= UNIT_ROUNDOFF:
+        terms, tail = terms + 1, tail * beta
+    return WildPlan(slices, terms, tail)
 
 
 def kac_limit_evolve(
@@ -210,57 +232,34 @@ def kac_limit_evolve(
     dt: float = DEFAULT_DT,
     rule: Optional[PairRule] = None,
 ):
-    """Integrate the collision limit equation with classic RK4.
+    """Solve dp/dt = lam (Q(p, p) - p) by Wild's series, sliced by `wild_plan`.
 
-    p0 is a Distribution, evolved into a Distribution, or a (B, k) stack of
-    laws, evolved together in one loop into the (B, k) stack at time t; each
-    row gets the same arithmetic as it would alone.  After every step each row
-    has its tiny negative entries clamped and is renormalized; a row that
-    leaves the simplex by more than SIMPLEX_DRIFT_LIMIT, or turns NaN,
-    raises IntegrationError naming the stiffness lam*dt of the step.  A t / dt
-    past the largest float is InvalidArgumentError.
+    Over a slice, with beta = 1 - exp(-lam*tau), p(tau) = sum_{n >= 1}
+    w_n q_n, w_n = (1 - beta) beta^(n-1), q_1 = p and q_n = (1/(n-1))
+    sum_{j<n} Q(q_j, q_{n-j}).  It is added to p as the change
+    sum_{n >= 2} w_n (q_n - p), whose rounding shrinks with the slice, and
+    each row is then renormalised once.  No term is negative, so no row
+    leaves the simplex.  p0 is a Distribution or a (B, k) stack of laws, as
+    in `_as_stack`; the einsums give each row of a stack the arithmetic it
+    gets alone.
     """
-    check_rate_and_time(lam, t)
-    if not dt > 0:
-        raise InvalidArgumentError("need dt > 0")
+    plan = wild_plan(lam, t, dt)
     P, stacked = _as_stack(p0)
     if t == 0:
         return p0
-    if t / dt == math.inf:
-        raise InvalidArgumentError(f"t={t} over dt={dt} is more RK4 steps than a float holds")
     kappa = collision_marginal_tensor(P.shape[1], rule)
-    steps = max(1, int(math.ceil(t / dt)))
-    h = t / steps
-    for _ in range(steps):
-        k1 = _rhs_from_tensor(P, lam, kappa)
-        k2 = _rhs_from_tensor(P + 0.5 * h * k1, lam, kappa)
-        k3 = _rhs_from_tensor(P + 0.5 * h * k2, lam, kappa)
-        k4 = _rhs_from_tensor(P + h * k3, lam, kappa)
-        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # The ufunc reductions skip the ndarray-method wrappers, which
-        # cost as much as the arithmetic on a few-row stack.
-        total = np.add.reduce(P, axis=1, keepdims=True)
-        lowest = np.minimum.reduce(P, axis=None)
-        # Written so that a NaN anywhere fails the test.
-        if not (lowest >= -SIMPLEX_DRIFT_LIMIT
-                and np.minimum.reduce(total, axis=None) >= 1.0 - SIMPLEX_DRIFT_LIMIT
-                and np.maximum.reduce(total, axis=None) <= 1.0 + SIMPLEX_DRIFT_LIMIT):
-            raise _left_simplex(P, total, lam * h, stacked)
-        if lowest < 0.0:
-            P = np.where(P < 0.0, 0.0, P)
-            total = np.add.reduce(P, axis=1, keepdims=True)
-        P /= total
+    beta = -math.expm1(-lam * t / plan.slices)
+    weights = np.array([(1.0 - beta) * beta ** n for n in range(1, plan.terms)])
+    moved = math.fsum(weights)
+    q = np.empty((plan.terms,) + P.shape)
+    for _ in range(plan.slices):
+        q[0] = P
+        for n in range(1, plan.terms):
+            pairs = np.einsum("jbu,jbw->buw", q[:n], q[n - 1::-1])
+            q[n] = np.einsum("vuw,buw->bv", kappa, pairs) / n
+        P = P + (np.einsum("n,nbv->bv", weights, q[1:]) - moved * P)
+        P /= np.add.reduce(P, axis=1, keepdims=True)
     return P if stacked else Distribution(p0.space, tuple(P[0]))
-
-
-def _left_simplex(P, total, stiffness, stacked) -> IntegrationError:
-    drift = np.maximum(-np.minimum(P.min(axis=1), 0.0), np.abs(total[:, 0] - 1.0))
-    row = int(np.argmax(drift))  # the first NaN, if any
-    where = f" in row {row}" if stacked else ""
-    return IntegrationError(
-        f"state left the simplex by {drift[row]:g}{where}: the limit ODE is too "
-        f"stiff for its fixed RK4 step (lam*dt = {stiffness:g})"
-    )
 
 
 @dataclass

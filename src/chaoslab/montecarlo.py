@@ -39,6 +39,7 @@ STACK_WIDTH = 256
 EVENT_BLOCK = 2**8
 # Most particles: the lockstep loop offsets row r's particle ranks by r * n in int64.
 MAX_N = (2**63 - 1) // STACK_WIDTH
+KAC_CHUNK = 1024  # most replicas per stack call: their Generators take about 1 KB each
 
 
 def check_particle_count(n: int) -> None:
@@ -219,11 +220,16 @@ def estimate_pair_marginal(
     seed: int,
 ) -> EstimatorResult:
     """Replica average of the two-particle U-statistic with standard errors:
-    one sampler call on the Generators replica_rng(seed, r), r < replicas,
-    which returns the (replicas, k) stack of their end counts."""
+    the sampler takes a list of Generators replica_rng(seed, r) and returns
+    the (len, k) stack of their end counts; it is called once per KAC_CHUNK
+    replicas, which bounds the Generators held at once."""
     if replicas < 2:
         raise InvalidArgumentError("need at least two replicas")
-    stack = pair_marginal_ustat(sampler([replica_rng(seed, r) for r in range(replicas)]))
+    counts = []
+    for first in range(0, replicas, KAC_CHUNK):
+        last = min(first + KAC_CHUNK, replicas)
+        counts.append(sampler([replica_rng(seed, r) for r in range(first, last)]))
+    stack = pair_marginal_ustat(np.concatenate(counts))
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
     return EstimatorResult(mean, stderr, replicas, seed)

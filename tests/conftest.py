@@ -16,7 +16,7 @@ from chaoslab import (
 )
 from chaoslab.core import MASS_TOL, NEG_CLAMP, occupancy_of
 from chaoslab.errors import CapacityError, InvalidArgumentError
-from chaoslab.meanfield import _rhs_from_tensor, collision_marginal_tensor
+from chaoslab.meanfield import collision_marginal_tensor
 
 # Brute-force oracles on ordered states, for small n only: the dense law
 # on S^n, its orbit aggregation and expansion, and exact big-integer class
@@ -109,6 +109,13 @@ def counterexample_ordered_law(n):
     return lambda s: {zeros if tuple(s) == zeros else ones: 1.0}
 
 
+def _rhs_from_tensor(P: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray:
+    out = np.einsum("vuw,bu,bw->bv", kappa, P, P)
+    out -= P
+    out *= lam
+    return out
+
+
 def kac_limit_rhs(p: Distribution, lam: float, rule=None) -> np.ndarray:
     """Right-hand side lam * (Q(p) - p) of the collision limit equation, for one law.
 
@@ -116,6 +123,28 @@ def kac_limit_rhs(p: Distribution, lam: float, rule=None) -> np.ndarray:
     """
     kappa = collision_marginal_tensor(p.space.k, rule)
     return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
+
+
+def oracle_kac_limit_evolve(P, lam: float, t: float, dt: float = 1e-3, rule=None) -> np.ndarray:
+    """The collision limit equation integrated by classic RK4 at fixed step
+    dt, for a (B, k) stack of laws: after every step each row has its tiny
+    negative entries clamped and is renormalised, and a row that leaves the
+    simplex by more than 1e-6 fails an assertion."""
+    P = np.asarray(P, dtype=float)
+    kappa = collision_marginal_tensor(P.shape[1], rule)
+    steps = max(1, int(math.ceil(t / dt)))
+    h = t / steps
+    for _ in range(steps):
+        k1 = _rhs_from_tensor(P, lam, kappa)
+        k2 = _rhs_from_tensor(P + 0.5 * h * k1, lam, kappa)
+        k3 = _rhs_from_tensor(P + 0.5 * h * k2, lam, kappa)
+        k4 = _rhs_from_tensor(P + h * k3, lam, kappa)
+        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        total = P.sum(axis=1, keepdims=True)
+        assert P.min() >= -1e-6 and np.abs(total - 1.0).max() <= 1e-6, "RK4 left the simplex"
+        P = np.where(P < 0.0, 0.0, P)
+        P /= P.sum(axis=1, keepdims=True)
+    return P
 
 
 class SwapRule(PairRule):

@@ -12,6 +12,7 @@ from chaoslab.diagnostics import (
     microcanonical_limit,
 )
 from chaoslab.errors import ConfigError
+from chaoslab.meanfield import wild_plan
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -329,6 +330,14 @@ class TestKacCommand:
         assert float(methods["mc"].split(",")[1]) < 0.05
         assert len(meta["ode"]) == 3
 
+    def test_meta_records_the_ode_plan(self, tmp_path):
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--replicas", "2",
+                   "--lam", "2", "--t", "3", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "kac")
+        assert meta["ode_plan"] == wild_plan(2.0, 3.0)._asdict()
+        assert meta["ode_plan"]["slices"] == 12
+
     def test_seed_required(self, tmp_path):
         assert main(["kac", "--p", "0.5,0.5", "--n", "8",
                      "--out", str(tmp_path)]) == 2
@@ -365,7 +374,7 @@ class TestKacCommand:
         assert capsys.readouterr().err.startswith("config error")
 
     @pytest.mark.parametrize("option", [
-        ["--n", "20", "--lam", "1e308", "--t", "1e308"],  # t / dt overflows a float
+        ["--n", "20", "--lam", "1e308", "--t", "1e308"],  # lam * t overflows a float
         ["--n", "100000000000000000000", "--replicas", "2"],  # n past montecarlo.MAX_N
     ], ids=["rk4-steps", "n"])
     def test_overflow_is_a_config_error(self, tmp_path, capsys, option):
@@ -376,15 +385,15 @@ class TestKacCommand:
         assert err.startswith("config error") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_stiff_limit_ode_is_an_error_exit(self, tmp_path, capsys):
-        # lam*dt = 100 throws the fixed-step RK4 off the simplex in one step.
+    def test_limit_ode_past_its_budget_is_a_config_error(self, tmp_path, capsys):
+        # lam*t = 1e5 is more slices of Wild's series than the evolve's budget.
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--lam", "100000",
                    "--t", "1", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("run error: state left the simplex")
-        assert "lam*dt = 100" in err and "reduce dt" not in err
+        assert err.startswith("config error: lam*t = 100000") and "budget" in err
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_replica_chunks_do_not_change_output(self, tmp_path, monkeypatch):
         argv = ["kac", "--p", "0.5,0.3,0.2", "--n", "600", "--replicas", "7", "--seed", "2"]

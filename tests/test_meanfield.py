@@ -19,11 +19,11 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab.cli import main
-from chaoslab.errors import IntegrationError, InvalidArgumentError
+from chaoslab.errors import InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
-from chaoslab.meanfield import collision_marginal_tensor
+from chaoslab.meanfield import collision_marginal_tensor, wild_plan
 
-from conftest import kac_limit_rhs, oracle_continuity_probe
+from conftest import kac_limit_rhs, oracle_continuity_probe, oracle_kac_limit_evolve
 
 S1 = StateSpace.of_size(1)
 S2 = StateSpace.of_size(2)
@@ -167,19 +167,23 @@ class TestKacLimitEvolve:
 
     def test_step_count_past_a_float(self):
         p0 = Distribution(S3, (0.6, 0.3, 0.1))
-        with pytest.raises(InvalidArgumentError, match="RK4 steps"):
+        with pytest.raises(InvalidArgumentError, match="inf slices"):
             kac_limit_evolve(p0, 1.0, 1.0, dt=1e-320)
 
-    def test_stiff_step_names_lam_dt(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
-        with pytest.raises(IntegrationError, match=r"lam\*dt = 100\)$"):
-            kac_limit_evolve(p0, 1e5, 1.0)
-
-    def test_stiff_stack_names_the_row(self):
-        # Point masses are fixed points, so only row 1 moves, and drifts.
+    def test_work_past_the_budget_is_refused_before_any_row(self, monkeypatch):
+        # lam*t = 1e5 is 2e5 slices, past MAX_SLICES = 20,000.
+        monkeypatch.setattr(chaoslab.meanfield, "collision_marginal_tensor",
+                            lambda *a: pytest.fail("a row was integrated"))
         P = np.array([[1.0, 0.0, 0.0], [0.6, 0.3, 0.1], [0.0, 0.0, 1.0]])
-        with pytest.raises(IntegrationError, match="in row 1:"):
+        with pytest.raises(InvalidArgumentError, match=r"lam\*t = 100000 .*budget of 20000"):
             kac_limit_evolve(P, 1e5, 1.0)
+
+    def test_stiff_rate_stays_on_the_simplex(self):
+        # lam = 1000 threw the old fixed-step RK4 (dt = 1e-3) 1.8e-5 off.
+        P = np.array([[0.6, 0.3, 0.1], [1.0, 0.0, 0.0]])
+        out = kac_limit_evolve(P, 1000.0, 0.003)
+        assert out.min() >= 0.0 and np.abs(out.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(out - oracle_kac_limit_evolve(P, 1000.0, 0.003, dt=1e-6)).max() <= 1e-12
 
     @pytest.mark.parametrize("P", [[0.6, 0.3, 0.1], np.zeros((0, 3)), [[0.5, 0.5, 0.5]],
                                    [[1.1, -0.1, 0.0]], [[np.nan, 0.5, 0.5]]])
@@ -221,6 +225,27 @@ class TestStackedEvolve:
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
         labels = np.arange(P.shape[1])
         assert np.abs(out @ labels - P @ labels).max() <= 1e-9
+
+
+class TestWildSum:
+    """Wild's series against the RK4 integrator it replaced, kept as the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=law_stacks(), lam=st.floats(0.25, 4.0), t=st.sampled_from([0.07, 0.5, 2.0]))
+    def test_matches_rk4_oracle(self, P, lam, t):
+        out = kac_limit_evolve(P, lam, t)
+        assert np.abs(out - oracle_kac_limit_evolve(P, lam, t, dt=1e-3)).max() <= 1e-12
+        assert np.abs(kac_limit_evolve(P, lam, t, dt=1e-2) - out).max() <= 1e-14
+
+    def test_plan(self):
+        assert wild_plan(1.0, 1.0) == (2, 40, pytest.approx(6.26e-17, rel=1e-3))
+        assert wild_plan(1.0, 1.0, dt=0.01).slices == 100
+        assert wild_plan(1.0, 0.0) == (1, 1, 0.0)
+        for lam, t, dt in [(1.0, 1.0, math.inf), (4.0, 2.0, 1e-2), (1000.0, 0.003, math.inf)]:
+            slices, terms, tail = wild_plan(lam, t, dt)
+            beta = -math.expm1(-lam * t / slices)
+            assert lam * t / slices <= 0.5 and t / slices <= dt
+            assert tail < 2.0**-53 <= beta ** (terms - 1)
 
 
 class TestContinuityProbe:

@@ -238,6 +238,22 @@ class TestEstimatePairMarginal:
         with pytest.raises(InvalidArgumentError):
             estimate_pair_marginal(lambda rngs: [(3, 3)] * len(rngs), 1, seed=0)
 
+    def test_chunked_calls_equal_one_call(self, monkeypatch):
+        p = Distribution(S3, (0.5, 0.3, 0.2))
+        sizes = []
+
+        def sampler(rngs):
+            sizes.append(len(rngs))
+            starts = [iid_state(p, 9, rng).counts for rng in rngs]
+            return simulate_kac_stack(starts, 1.0, 0.7, rngs)
+
+        one = estimate_pair_marginal(sampler, 50, seed=4)
+        monkeypatch.setattr(montecarlo, "KAC_CHUNK", 7)
+        chunked = estimate_pair_marginal(sampler, 50, seed=4)
+        assert sizes == [50] + [7] * 7 + [1]
+        assert one.estimate.tobytes() == chunked.estimate.tobytes()
+        assert one.std_error.tobytes() == chunked.std_error.tobytes()
+
 
 class TestReplicaRng:
     def test_streams_are_stable_and_distinct(self):
