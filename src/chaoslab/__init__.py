@@ -26,7 +26,6 @@ from .diagnostics import (
 )
 from .kernels import (
     ExchangeableKernel,
-    check_equivariance,
     counterexample_kernel,
     identity_kernel,
     kac_collision_kernel,

@@ -43,7 +43,7 @@ from .diagnostics import (
     microcanonical_limit,
     pair_gap,
 )
-from .errors import CapacityError, ChaoslabError, ConfigError, EquivarianceError
+from .errors import CapacityError, ChaoslabError, ConfigError
 from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import continuity_probe, kac_limit_evolve, wild_plan
 from .montecarlo import (KAC_CHUNK, estimate_pair_marginal, iid_state, replica_rng,
@@ -213,8 +213,21 @@ def check_expectation(config: dict, verdicts) -> int:
     return 0 if all(v == expect for v in verdicts) else 3
 
 
+# The options each diagnose --family reads; it rejects the other families'.
+FAMILY_OPTIONS = {
+    "product": ("p",),
+    "mixture": (),
+    "microcanonical": ("H", "E", "delta"),
+    "custom": ("law-dir", "p"),
+}
+
+
 def cmd_diagnose(config: dict) -> int:
     family_name = require(config, "family")
+    family_keys = {key for keys in FAMILY_OPTIONS.values() for key in keys}
+    unread = sorted(family_keys.intersection(config) - set(FAMILY_OPTIONS[family_name]))
+    if unread:
+        raise ConfigError(f"--family {family_name} does not read {', '.join(unread)}")
     grid = parse_grid(require(config, "grid"))
     tol = config.get("tol", 1e-3)
 
@@ -454,9 +467,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
-    except EquivarianceError as exc:
-        print(f"run error: {exc}", file=sys.stderr)
-        return 2
     except ChaoslabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -204,13 +203,6 @@ def _log_class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
         lf = np.array([math.lgamma(a + 1) for a in range(n + 1)])
         logs[big] = lf[n] - lf[occ[big]].sum(axis=1)
     return logs
-
-
-def occupancy_of(space: StateSpace, s: Sequence) -> Occupancy:
-    m = [0] * space.k
-    for si in s:
-        m[si] += 1
-    return tuple(m)
 
 
 class SymmetricLaw:

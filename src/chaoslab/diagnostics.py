@@ -83,7 +83,6 @@ class ChaosReport:
     limit: Distribution
     verdict: str
     slope: Optional[float]
-    tol: float
 
     def meta(self) -> dict:
         return {
@@ -158,7 +157,7 @@ def chaos_verdict(
         )
     slope = _fit_slope(grid, [r.pair_gap for r in rows])
     verdict = _verdict(rows[-1].pair_gap, slope, tol)
-    return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope, tol=tol)
+    return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope)
 
 
 def _in_window(model: EnergyModel, occ: np.ndarray, n: int) -> np.ndarray:

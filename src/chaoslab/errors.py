@@ -26,9 +26,5 @@ class DegenerateModelError(ChaoslabError, ValueError):
     """The energy function is constant, so no temperature can be fitted."""
 
 
-class EquivarianceError(ChaoslabError, RuntimeError):
-    """A kernel failed the permutation-equivariance contract."""
-
-
 class ConfigError(ChaoslabError, ValueError):
     """An experiment configuration file or flag set could not be validated."""

@@ -18,36 +18,24 @@ nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
 kernel without one has only a `sampler`, seeded n-particle draws from a
 stack of source classes, which theorem-probe averages into pair marginals;
 `kernel.exact`, fixed when the kernel is built, says which.
-Each bundled constructor gives its exact matrix builder (a map's image, the
-counterexample's image, the Kac chain's uniformization up to
-`KAC_EXACT_MAX_N`: a Poisson series in the one-collision matrix and
-squarings of it, all terms nonnegative, so nothing is clamped) and no second
-spec; a user kernel may instead give `ordered_law` (the exact
-law of K_n(s, .) on ordered states, small spaces; checked for equivariance
-as it is compiled).  The Kac kernel's sampler, at every n, is
+The exact matrix comes only from the constructor's `matrix_builder`: a
+map's image, the counterexample's image, or the Kac chain's uniformization
+up to `KAC_EXACT_MAX_N` (a Poisson series in the one-collision matrix and
+squarings of it, all terms nonnegative, so nothing is clamped).  Every
+kernel here is built on occupancy classes, so it is permutation-equivariant
+by construction.  The Kac kernel's sampler, at every n, is
 `montecarlo.simulate_kac_stack` with its own pair rule.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    Occupancy,
-    StateSpace,
-    SymmetricLaw,
-    class_index,
-    enumerate_occupancies,
-    occupancy_array,
-    occupancy_of,
-)
-from .errors import CapacityError, EquivarianceError, InvalidArgumentError
+from .core import StateSpace, SymmetricLaw, class_index, enumerate_occupancies, occupancy_array
+from .errors import CapacityError, InvalidArgumentError
 from .meanfield import (
     PairRule,
     check_rate_and_time,
@@ -57,8 +45,6 @@ from .meanfield import (
 )
 from .montecarlo import simulate_kac_stack
 
-EXHAUSTIVE_STATE_LIMIT = 4096
-EQUIVARIANCE_TOL = 1e-9
 # Largest n for which the exact Kac class matrix is built.
 KAC_EXACT_MAX_N = 12
 
@@ -68,15 +54,13 @@ class ExchangeableKernel:
 
     Exact class matrix, or none and a sampler; its parts, any may be absent:
       matrix_builder() -> (src, dst, prob)            (exact)
-      ordered_law(s) -> dict ordered-tuple -> prob    (exact, small spaces)
       sampler(starts, rngs) -> (R, k_target) counts   (n-particle draws)
 
-    It is `exact` when it has a matrix builder, given or compiled from
-    `ordered_law`: fixed here, so reading `exact` builds nothing.
-    A sampler takes an (R, k) stack of source occupancies and one Generator
-    per row, and draws row r's target occupancy on rngs[r].  It works on
-    occupancy classes, so it is permutation-equivariant by construction;
-    only `ordered_law` is checked, as it is compiled.
+    It is `exact` when it has a matrix builder: fixed here, so reading
+    `exact` builds nothing.  A sampler takes an (R, k) stack of source
+    occupancies and one Generator per row, and draws row r's target
+    occupancy on rngs[r].  Both work on occupancy classes, so the kernel is
+    permutation-equivariant by construction.
 
     `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
     kernel propagates chaos toward, applied row by row to a (B, S.k) stack
@@ -89,7 +73,6 @@ class ExchangeableKernel:
         target: StateSpace,
         n: int,
         name: str,
-        ordered_law: Optional[Callable] = None,
         sampler: Optional[Callable] = None,
         matrix_builder: Optional[Callable] = None,
         limit: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -100,11 +83,8 @@ class ExchangeableKernel:
         self.target = target
         self.n = n
         self.name = name
-        self.ordered_law = ordered_law
         self.sampler = sampler
         self.limit = limit
-        if matrix_builder is None and ordered_law is not None:
-            matrix_builder = lambda: _compiled_ordered_law(self)
         self._matrix_builder = matrix_builder
         self._matrix = None
 
@@ -123,74 +103,6 @@ class ExchangeableKernel:
         if self._matrix is None:
             self._matrix = self._matrix_builder()
         return self._matrix
-
-
-@dataclass
-class EquivarianceReport:
-    passed: bool
-    max_violation: float
-    checks: int
-
-
-def class_representative(m: Occupancy) -> tuple:
-    """The sorted ordered state with occupancy m."""
-    out = []
-    for state, count in enumerate(m):
-        out.extend([state] * count)
-    return tuple(out)
-
-
-def _swap(s: tuple, i: int) -> tuple:
-    out = list(s)
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
-
-
-def check_equivariance(kernel: ExchangeableKernel) -> EquivarianceReport:
-    """Verify K_n(pi.s, pi.A) = K_n(s, A) for the exact ordered law.
-
-    Checks every state against every adjacent transposition exactly.
-    """
-    n, k = kernel.n, kernel.source.k
-    if kernel.ordered_law is None:
-        raise CapacityError("exhaustive equivariance check needs an exact backend")
-    if k**n > EXHAUSTIVE_STATE_LIMIT:
-        raise CapacityError(
-            f"exhaustive equivariance check limited to {EXHAUSTIVE_STATE_LIMIT} states"
-        )
-    worst = 0.0
-    checks = 0
-    for s in itertools.product(range(k), repeat=n):
-        law_s = kernel.ordered_law(s)
-        for i in range(n - 1):
-            law_sp = kernel.ordered_law(_swap(s, i))
-            for t in set(law_s) | {_swap(t, i) for t in law_sp}:
-                diff = abs(law_s.get(t, 0.0) - law_sp.get(_swap(t, i), 0.0))
-                worst = max(worst, diff)
-                checks += 1
-    return EquivarianceReport(worst <= EQUIVARIANCE_TOL, worst, checks)
-
-
-def _compiled_ordered_law(kernel: ExchangeableKernel) -> tuple:
-    """Class matrix of `kernel.ordered_law`, after the exhaustive equivariance
-    check where the space is small enough for it: the row of class m is its
-    representative's ordered law, merged onto target classes."""
-    if kernel.source.k**kernel.n <= EXHAUSTIVE_STATE_LIMIT:
-        report = check_equivariance(kernel)
-        if not report.passed:
-            raise EquivarianceError(
-                f"kernel {kernel.name!r} violates permutation equivariance "
-                f"(max violation {report.max_violation:g})"
-            )
-    rows = []
-    for m in enumerate_occupancies(kernel.source, kernel.n):
-        rows.append(Counter())
-        for t, pr in kernel.ordered_law(class_representative(m)).items():
-            if pr > 0.0:
-                rows[-1][occupancy_of(kernel.target, t)] += pr
-    src = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    dst = class_index([m2 for row in rows for m2 in row], kernel.n)
-    return src, dst, np.array([w for row in rows for w in row.values()], dtype=float)
 
 
 def symmetrized_class_kernel(kernel: ExchangeableKernel) -> dict:

@@ -266,7 +266,6 @@ def kac_limit_evolve(
 class ContinuityReport:
     radius: float
     modulus: float
-    samples: int
     image: np.ndarray  # F of the probed stack [p, q_1, ...]; row 0 is F(p)
 
 
@@ -298,4 +297,4 @@ def continuity_probe(
     image = F(np.stack(stack))
     modulus = max((0.5 * math.fsum(np.abs(row - image[0])) for row in image[1:]),
                   default=0.0)
-    return ContinuityReport(radius=radius, modulus=modulus, samples=samples, image=image)
+    return ContinuityReport(radius=radius, modulus=modulus, image=image)

@@ -69,8 +69,6 @@ class ParticleState:
 class EstimatorResult:
     estimate: np.ndarray
     std_error: np.ndarray
-    replicas: int
-    seed: int
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -232,4 +230,4 @@ def estimate_pair_marginal(
     stack = pair_marginal_ustat(np.concatenate(counts))
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
-    return EstimatorResult(mean, stderr, replicas, seed)
+    return EstimatorResult(mean, stderr)

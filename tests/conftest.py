@@ -14,7 +14,7 @@ from chaoslab import (
     SymmetricLaw,
     enumerate_occupancies,
 )
-from chaoslab.core import MASS_TOL, NEG_CLAMP, occupancy_of
+from chaoslab.core import MASS_TOL, NEG_CLAMP, class_index, occupancy_array
 from chaoslab.errors import CapacityError, InvalidArgumentError
 from chaoslab.meanfield import collision_marginal_tensor
 
@@ -36,6 +36,14 @@ def class_size(m) -> int:
     for mi in m:
         size //= math.factorial(mi)
     return size
+
+
+def occupancy_of(space: StateSpace, s) -> tuple:
+    """The occupancy class of the ordered state s."""
+    m = [0] * space.k
+    for si in s:
+        m[si] += 1
+    return tuple(m)
 
 
 def _check_dense_capacity(k: int, n: int) -> None:
@@ -197,6 +205,28 @@ def ordered_law_matrix(kernel, ordered_law) -> np.ndarray:
         for t, pr in ordered_law(s).items():
             M[i, flat_index(t, kt)] += pr
     return M
+
+
+def equivariance_violation(kernel, M) -> float:
+    """Largest |K(pi.s, pi.t) - K(s, t)| over the adjacent transpositions pi,
+    for a dense ordered matrix M on the kernel's spaces and n."""
+    k, kt, n = kernel.source.k, kernel.target.k, kernel.n
+    K = M.reshape((k,) * n + (kt,) * n)
+    return max((np.abs(K - K.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1)).max()
+                for i in range(n - 1)), default=0.0)
+
+
+def ordered_class_matrix(kernel, M) -> tuple:
+    """The class matrix (src, dst, prob) of a dense ordered matrix M: the rows
+    of the class representatives (each class's sorted state), with their
+    columns summed by target class."""
+    k, kt, n = kernel.source.k, kernel.target.k, kernel.n
+    reps = [flat_index(np.repeat(np.arange(k), m), k) for m in occupancy_array(k, n)]
+    states = np.indices((kt,) * n).reshape(n, -1).T  # ordered states in flat-index order
+    cols = class_index((states[:, :, None] == np.arange(kt)).sum(axis=1), n)
+    C = M[reps] @ np.eye(len(occupancy_array(kt, n)))[cols]
+    src, dst = np.nonzero(C > 0)
+    return src, dst, C[src, dst]
 
 
 @functools.lru_cache(maxsize=None)

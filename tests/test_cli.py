@@ -614,7 +614,8 @@ class TestConfigValues:
 
 
 class TestIgnoredOptionsRejected:
-    """--grid, --tol and --expect exist only on the subcommands that read them."""
+    """--grid, --tol and --expect exist only on the subcommands that read them,
+    and diagnose reads only its --family's options."""
 
     @pytest.mark.parametrize("argv", [
         ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--grid", "4,8"],
@@ -634,11 +635,28 @@ class TestIgnoredOptionsRejected:
         ("kac", {"p": "0.5,0.5", "n": 8, "seed": 1, "tol": 0.1}),
         ("theorem-probe", {"kernel": "identity", "p": "0.5,0.5", "grid": "4",
                            "expect": "chaotic"}),
+        ("diagnose", {"family": "mixture", "p": "0.9,0.1", "grid": "2,4,8"}),
+        ("diagnose", {"family": "microcanonical", "H": "0,1,2", "E": 0.8, "delta": 0.2,
+                      "law-dir": "laws", "grid": "20,40"}),
     ])
     def test_config_key_is_config_error(self, tmp_path, command, doc):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--family", "mixture", "--p", "0.9,0.1"], "p"),
+        (["--family", "product", "--p", "0.9,0.1", "--H", "0,1", "--E", "3",
+          "--law-dir", "/nonexistent"], "E, H, law-dir"),
+        (["--family", "custom", "--law-dir", "laws", "--p", "0.5,0.5", "--delta", "0.2"],
+         "delta"),
+    ], ids=["mixture-p", "product-energy-and-law-dir", "custom-delta"])
+    def test_option_of_another_family_is_config_error(self, tmp_path, capsys, argv, unread):
+        rc = main(["diagnose", *argv, "--grid", "2,4,8", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"config error: --family {argv[1]} does not read {unread}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000

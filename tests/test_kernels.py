@@ -9,7 +9,6 @@ from chaoslab import (
     StateSpace,
     SumConservingRule,
     SymmetricLaw,
-    check_equivariance,
     counterexample_kernel,
     enumerate_occupancies,
     identity_kernel,
@@ -25,7 +24,7 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab.cli import column_laws, monte_carlo_pair_law
-from chaoslab.errors import CapacityError, EquivarianceError, InvalidArgumentError
+from chaoslab.errors import CapacityError, InvalidArgumentError
 from chaoslab.kernels import (
     KAC_EXACT_MAX_N,
     ExchangeableKernel,
@@ -36,7 +35,9 @@ from conftest import (
     SwapRule,
     counterexample_ordered_law,
     dense_kac_matrix,
+    equivariance_violation,
     map_ordered_law,
+    ordered_class_matrix,
     ordered_law_matrix,
     propagate_dense,
     random_symmetric_law,
@@ -47,8 +48,8 @@ S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
 
 
-def noisy_relabel_kernel(n, flip=0.3):
-    """Equivariant stochastic test kernel: flip each coordinate independently."""
+def noisy_relabel_law(n, flip=0.3):
+    """Ordered law of noisy_relabel_kernel: each coordinate flips independently."""
 
     def ordered_law(s):
         out = {}
@@ -59,6 +60,17 @@ def noisy_relabel_kernel(n, flip=0.3):
             out[t] = pr
         return out
 
+    return ordered_law
+
+
+def noisy_relabel_kernel(n, flip=0.3):
+    """Equivariant stochastic user kernel: its exact matrix is compiled from
+    its dense ordered matrix, its sampler flips each state's particles."""
+
+    def build_matrix():
+        M = ordered_law_matrix(kernel, noisy_relabel_law(n, flip))
+        return ordered_class_matrix(kernel, M)
+
     def sampler(starts, rngs):
         # Each state's particles flip independently: m_0 -> m_0 - x_0 + x_1.
         ends = []
@@ -67,7 +79,9 @@ def noisy_relabel_kernel(n, flip=0.3):
             ends.append((m[0] - x0 + x1, m[1] - x1 + x0))
         return np.array(ends)
 
-    return ExchangeableKernel(S2, S2, n, "noisy", ordered_law=ordered_law, sampler=sampler)
+    kernel = ExchangeableKernel(S2, S2, n, "noisy", sampler=sampler,
+                                matrix_builder=build_matrix)
+    return kernel
 
 
 def pair_matrix(pair_law):
@@ -92,42 +106,25 @@ def assert_pair_laws_close_to_exact(kernel, rho, replicas, seed):
         assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
 
 
-def broken_kernel(n):
-    """Rewrites only the first coordinate: not equivariant."""
-
-    def ordered_law(s):
-        return {(1,) + tuple(s[1:]): 1.0}
-
-    return ExchangeableKernel(S2, S2, n, "broken", ordered_law=ordered_law)
-
-
 class TestCheckEquivariance:
+    """The ordered laws of the kernels, checked on their dense ordered matrices."""
+
+    def violation(self, kernel, ordered_law):
+        return equivariance_violation(kernel, ordered_law_matrix(kernel, ordered_law))
+
     def test_map_kernel_exact_zero(self):
-        kernel = ExchangeableKernel(S2, S2, 4, "map:1,0", ordered_law=map_ordered_law([1, 0]))
-        report = check_equivariance(kernel)
-        assert report.passed and report.max_violation == 0.0
+        assert self.violation(map_kernel([1, 0], 4, S2), map_ordered_law([1, 0])) == 0.0
 
     def test_counterexample_passes(self):
-        kernel = ExchangeableKernel(S2, S2, 4, "counterexample",
-                                    ordered_law=counterexample_ordered_law(4))
-        report = check_equivariance(kernel)
-        assert report.passed and report.max_violation == 0.0
+        assert self.violation(counterexample_kernel(4), counterexample_ordered_law(4)) == 0.0
 
     def test_noisy_kernel_passes(self):
-        report = check_equivariance(noisy_relabel_kernel(3))
-        assert report.passed and report.max_violation < 1e-12
+        assert self.violation(noisy_relabel_kernel(3), noisy_relabel_law(3)) < 1e-12
 
     def test_broken_kernel_fails(self):
-        report = check_equivariance(broken_kernel(2))
-        assert not report.passed
-        assert report.max_violation >= 0.5
-
-    def test_constructor_rejects_broken(self):
-        kernel = broken_kernel(2)
-        with pytest.raises(EquivarianceError):
-            kernel.class_matrix()
-        with pytest.raises(EquivarianceError):
-            propagate(product_law(Distribution(S2, (0.5, 0.5)), 2), kernel)
+        # Rewrites only the first coordinate: not equivariant.
+        broken = lambda s: {(1,) + tuple(s[1:]): 1.0}
+        assert self.violation(ExchangeableKernel(S2, S2, 2, "broken"), broken) >= 0.5
 
 
 class TestSymmetrizedClassKernel:
@@ -143,11 +140,11 @@ class TestSymmetrizedClassKernel:
             assert rows[m] == {(0, 3): 1.0}
 
     def test_representative_independence(self):
-        kernel = noisy_relabel_kernel(3)
+        kernel, ordered_law = noisy_relabel_kernel(3), noisy_relabel_law(3)
         reference = None
         for rep in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
             row = {}
-            for t, pr in kernel.ordered_law(rep).items():
+            for t, pr in ordered_law(rep).items():
                 m2 = (t.count(0), t.count(1))
                 row[m2] = row.get(m2, 0.0) + pr
             if reference is None:
@@ -191,7 +188,7 @@ class TestBackend:
         lambda: counterexample_kernel(4),
         lambda: noisy_relabel_kernel(3),
         lambda: kac_collision_kernel(S3, 1.0, 0.5, KAC_EXACT_MAX_N),
-    ], ids=["identity", "map", "counterexample", "ordered-law", "kac-at-cap"])
+    ], ids=["identity", "map", "counterexample", "matrix-builder", "kac-at-cap"])
     def test_exact(self, build):
         assert build().exact
 
@@ -364,6 +361,7 @@ class TestCommutingDiagram:
                (map_kernel(fmap, n, space), map_ordered_law(fmap))]
         if space.k == 2:
             out.append((counterexample_kernel(n), counterexample_ordered_law(n)))
+            out.append((noisy_relabel_kernel(n), noisy_relabel_law(n)))
         out = [(kernel, ordered_law_matrix(kernel, law)) for kernel, law in out]
         out.append((kac_collision_kernel(space, 1.0, 1.0, n),
                     dense_kac_matrix(space.k, n, 1.0, 1.0)))

@@ -56,6 +56,28 @@ def test_every_definition_is_reached_from_src():
     assert unreferenced_definitions() == set(UNREFERENCED)
 
 
+def test_every_error_class_is_raised():
+    """Each exception class in errors.py is raised in src/, itself or as a base
+    of one that is.  unreferenced_definitions counts an `except` clause as a
+    read, so it would keep a class that is caught but never raised."""
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for node in ast.parse((SRC / "errors.py").read_text()).body
+             if isinstance(node, ast.ClassDef)}
+    raised = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised += [exc.id] if isinstance(exc, ast.Name) else []
+    reached = set()
+    while raised:
+        name = raised.pop()
+        if name in bases and name not in reached:
+            reached.add(name)
+            raised += bases[name]
+    assert set(bases) - reached == set()
+
+
 def test_runtime_imports_no_scipy():
     """Importing the package and its CLI loads no scipy module: scipy is a
     test dependency only (the `expm` oracle of the exact Kac rows)."""
