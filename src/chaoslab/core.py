@@ -13,8 +13,10 @@ into the full rank-indexed vector that kernels act on.  Product laws,
 marginals and log-likelihoods are numpy operations over these arrays.
 Class sizes are doubles: products of binomial coefficients from a cached
 Pascal triangle, exact below 2**53, with a log-factorial fallback where
-they overflow.  Sums that feed gaps and likelihoods use math.fsum.  The
-dense ordered and big-integer oracles that check these live with the
+they overflow.  Sums over classes that feed gaps and likelihoods go
+through `_sum`: numpy pairwise sums over blocks of SUM_BLOCK classes, then
+math.fsum over the block partials, and plain math.fsum up to one block.
+The dense ordered and big-integer oracles that check these live with the
 tests, not here.
 """
 
@@ -37,6 +39,11 @@ NEG_CLAMP = -1e-15
 # double, so beyond it the bulk of the class sizes overflow anyway and all
 # rows take the log-factorial path.
 PASCAL_ROWS = 1029
+
+# Classes per pairwise-summed block in `_sum`: each block partial carries
+# O(log SUM_BLOCK) unit roundoffs of its absolute sum, and math.fsum adds
+# the partials with no growth in their number.
+SUM_BLOCK = 256
 
 Occupancy = tuple  # tuple[int, ...] of per-state counts, summing to n
 
@@ -154,6 +161,17 @@ def class_index(occ, n: int) -> np.ndarray:
             binom = binom * (after[..., i] + j - 1) // j
         rank += binom
     return rank
+
+
+def _sum(x: np.ndarray) -> float:
+    """Sum of a 1-d float array: exactly rounded (math.fsum) up to SUM_BLOCK
+    entries; past that, math.fsum of numpy's pairwise sums over contiguous
+    blocks of SUM_BLOCK entries and of the remainder."""
+    if len(x) <= SUM_BLOCK:
+        return math.fsum(x.tolist())
+    whole = len(x) - len(x) % SUM_BLOCK
+    blocks = x[:whole].reshape(-1, SUM_BLOCK).sum(axis=1)
+    return math.fsum(blocks.tolist() + x[whole:].tolist())
 
 
 def _build_pascal(rows: int) -> np.ndarray:
@@ -301,7 +319,7 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
         with np.errstate(divide="ignore"):
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(_log_class_sizes(sub, n) + sub @ log_q)
-        mass /= math.fsum(mass.tolist())
+        mass /= _sum(mass)
     return SymmetricLaw.from_arrays(p.space, n, occ, mass)
 
 
@@ -316,7 +334,7 @@ def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> Symmetric
     if not sizes.max() <= np.finfo(float).max / len(sizes):
         logs = _log_class_sizes(occ, n)
         sizes = np.exp(logs - logs.max())
-    return SymmetricLaw.from_arrays(space, n, occ, sizes / math.fsum(sizes.tolist()))
+    return SymmetricLaw.from_arrays(space, n, occ, sizes / _sum(sizes))
 
 
 def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
@@ -342,7 +360,7 @@ def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
             for t in range(ci):
                 w = w * ((counts[i] - t) / (n - drawn))
                 drawn += 1
-        ordered[row] = math.fsum(w.tolist())
+        ordered[row] = _sum(w)
     return SymmetricLaw.from_arrays(law.space, j, cls, ordered * _class_sizes(cls, j))
 
 
@@ -360,7 +378,7 @@ def tv_distance(a, b) -> float:
     if isinstance(a, SymmetricLaw) and isinstance(b, SymmetricLaw):
         if a.space != b.space or a.n != b.n:
             raise InvalidArgumentError("laws on different spaces or particle counts")
-        return 0.5 * math.fsum(np.abs(a.vector() - b.vector()).tolist())
+        return 0.5 * _sum(np.abs(a.vector() - b.vector()))
     raise InvalidArgumentError("tv_distance needs two objects of the same kind")
 
 
@@ -371,7 +389,7 @@ def specific_loglik(law: SymmetricLaw) -> float:
     |m| = n! / prod_i m_i! the number of ordered points in class m.
     """
     terms = law.p * (np.log(law.p) - _log_class_sizes(law.occ, law.n))
-    return math.fsum(terms.tolist()) / law.n
+    return _sum(terms) / law.n
 
 
 def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
@@ -379,7 +397,7 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
     if law.space != p.space:
         raise InvalidArgumentError("law and target on different spaces")
     dist = 0.5 * np.abs(law.occ / law.n - p.as_array()).sum(axis=1)
-    return math.fsum((law.p * dist).tolist())
+    return _sum(law.p * dist)
 
 
 # JSON wire format for symmetric laws:

@@ -32,6 +32,10 @@ MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
 DEFAULT_DT = math.inf  # no cap on the slice length tau
 # Most slices per evolve, lam*t <= 1e4: about 12 s for one 3-state law (2-core VM).
 MAX_SLICES = 20_000
+# Most slices times stack rows per evolve.  A slice costs about 0.5 ms plus
+# 0.04 ms per 3-state row or 0.08 ms per 5-state row (2-core VM), so this is
+# about 10 s for a 65-row stack of 5-state laws (lam*t <= 923).
+MAX_SLICE_ROWS = 120_000
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -206,10 +210,11 @@ class WildPlan(NamedTuple):
     tail: float
 
 
-def wild_plan(lam: float, t: float, dt: float = DEFAULT_DT) -> WildPlan:
-    """The plan of `kac_limit_evolve(p0, lam, t, dt)`: the fewest slices with
-    lam*tau <= MAX_SLICE_LAM_T and tau <= dt, at most MAX_SLICES, and the
-    fewest terms N whose left-out weight (1 - exp(-lam*tau))^N < UNIT_ROUNDOFF."""
+def wild_plan(lam: float, t: float, dt: float = DEFAULT_DT, rows: int = 1) -> WildPlan:
+    """The plan of `kac_limit_evolve(p0, lam, t, dt)` for a stack of `rows`
+    laws: the fewest slices with lam*tau <= MAX_SLICE_LAM_T and tau <= dt, at
+    most MAX_SLICES and at most MAX_SLICE_ROWS / rows, and the fewest terms N
+    whose left-out weight (1 - exp(-lam*tau))^N < UNIT_ROUNDOFF."""
     check_rate_and_time(lam, t)
     if not dt > 0:
         raise InvalidArgumentError("need dt > 0")
@@ -218,6 +223,10 @@ def wild_plan(lam: float, t: float, dt: float = DEFAULT_DT) -> WildPlan:
         raise InvalidArgumentError(f"lam*t = {lam * t:g} with dt = {dt:g} needs {need:g} "
                                    f"slices of Wild's series, past the budget of {MAX_SLICES}")
     slices = max(1, math.ceil(need))
+    if slices * rows > MAX_SLICE_ROWS:
+        raise InvalidArgumentError(f"lam*t = {lam * t:g} with dt = {dt:g} needs {slices} "
+                                   f"slices of Wild's series for each of {rows} laws, past "
+                                   f"the budget of {MAX_SLICE_ROWS} slices x laws")
     beta = -math.expm1(-lam * t / slices)
     terms, tail = 1, beta
     while tail >= UNIT_ROUNDOFF:
@@ -243,8 +252,8 @@ def kac_limit_evolve(
     in `_as_stack`; the einsums give each row of a stack the arithmetic it
     gets alone.
     """
-    plan = wild_plan(lam, t, dt)
     P, stacked = _as_stack(p0)
+    plan = wild_plan(lam, t, dt, len(P))
     if t == 0:
         return p0
     kappa = collision_marginal_tensor(P.shape[1], rule)

@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -52,6 +54,22 @@ class TestDiagnose:
         assert lines[0] == "n,pair_gap,concentration_gap,specific_loglik"
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) < 1e-13
+        assert meta["verdict"] == "chaotic"
+
+    def test_product_family_at_large_n(self, tmp_path):
+        # n = 1000 is 501,501 classes: the pair gap and the specific
+        # log-likelihood are pinned by their closed forms, 0 and sum p log p.
+        p = (0.2, 0.3, 0.5)
+        rc = main(["diagnose", "--family", "product", "--p", "0.2,0.3,0.5",
+                   "--grid", "250,500,1000", "--out", str(tmp_path)])
+        assert rc == 0
+        csv, meta = read_run(tmp_path, "diagnose")
+        want = math.fsum(x * math.log(x) for x in p)
+        rows = [line.split(",") for line in csv.strip().split("\n")[1:]]
+        assert [int(row[0]) for row in rows] == [250, 500, 1000]
+        for row in rows:
+            assert float(row[1]) < 1e-14
+            assert abs(float(row[3]) - want) < 1e-12
         assert meta["verdict"] == "chaotic"
 
     def test_mixture_expectation_mismatch(self, tmp_path):
@@ -139,6 +157,19 @@ class TestCounterexample:
 
 
 class TestTheoremProbe:
+    def test_probe_stack_past_the_ode_budget_is_a_config_error(self, tmp_path, capsys):
+        # The continuity probe evolves a 65-row stack: at lam*t = 1e4 that
+        # would take minutes, so it is refused before any row is evolved.
+        start = time.perf_counter()
+        rc = main(["theorem-probe", "--kernel", "kac:1e4,1", "--p", "0.5,0.3,0.2",
+                   "--grid", "4,6,8", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: lam*t = 10000") and "budget" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_map_kernel_continuous(self, tmp_path):
         rc = main(["theorem-probe", "--kernel", "map:1,0", "--p", "0.6,0.4",
                    "--grid", "4,8,16", "--out", str(tmp_path)])

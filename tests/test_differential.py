@@ -36,7 +36,7 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab import montecarlo
-from chaoslab.core import class_index, occupancy_array
+from chaoslab.core import SUM_BLOCK, _sum, class_index, occupancy_array
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import default_rule
@@ -85,6 +85,26 @@ def random_law(rng, k, n, sparse):
 def assert_same_classes(got: dict, want: dict):
     assert list(got) == list(want)  # same support, same enumeration order
     assert max(abs(got[m] - want[m]) for m in want) < TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(length=st.integers(0, 3 * SUM_BLOCK + 1), seed=st.integers(0, 2**32 - 1),
+       zeros=st.floats(0.0, 0.5), signed=st.booleans())
+def test_blocked_sum_is_fsum(length, seed, zeros, signed):
+    # Magnitudes spread over 1e-300 to 1, some exact zeros, optional signs.
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-300.0, 0.0, length) * (rng.random(length) >= zeros)
+    if signed:
+        x *= rng.choice([-1.0, 1.0], length)
+    got, want = _sum(x), math.fsum(x.tolist())
+    if length <= SUM_BLOCK:
+        assert got.hex() == want.hex()
+    else:
+        # A block's pairwise sum (numpy: 8 running sums of 16 terms per half
+        # block, then 4 pairwise levels) is within about 20 unit roundoffs u
+        # of the block's absolute sum; fsum of the partials adds u |sum|.
+        u = 2.0**-53
+        assert abs(got - want) <= 32 * u * math.fsum(np.abs(x).tolist())
 
 
 @settings(max_examples=40, deadline=None)

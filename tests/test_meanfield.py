@@ -178,6 +178,19 @@ class TestKacLimitEvolve:
         with pytest.raises(InvalidArgumentError, match=r"lam\*t = 100000 .*budget of 20000"):
             kac_limit_evolve(P, 1e5, 1.0)
 
+    def test_stack_past_the_row_budget_is_refused_before_any_row(self, monkeypatch):
+        # 65 rows at lam*t = 1e4 is 20,000 slices each: within MAX_SLICES,
+        # but 1.3e6 slices x laws, past MAX_SLICE_ROWS.
+        monkeypatch.setattr(chaoslab.meanfield, "collision_marginal_tensor",
+                            lambda *a: pytest.fail("a row was integrated"))
+        P = np.tile([0.6, 0.3, 0.1], (65, 1))
+        with pytest.raises(InvalidArgumentError, match=r"for each of 65 laws.*budget of 120000"):
+            kac_limit_evolve(P, 1e4, 1.0)
+        assert wild_plan(1e4, 1.0).slices == 20_000  # one row stays within budget
+        assert wild_plan(1e4, 1.0, rows=6).slices == 20_000
+        with pytest.raises(InvalidArgumentError, match="for each of 7 laws"):
+            wild_plan(1e4, 1.0, rows=7)
+
     def test_stiff_rate_stays_on_the_simplex(self):
         # lam = 1000 threw the old fixed-step RK4 (dt = 1e-3) 1.8e-5 off.
         P = np.array([[0.6, 0.3, 0.1], [1.0, 0.0, 0.0]])
