@@ -39,7 +39,6 @@ from .meanfield import (
     SumConservingRule,
     continuity_probe,
     kac_limit_evolve,
-    pushforward,
 )
 from .montecarlo import (
     EstimatorResult,

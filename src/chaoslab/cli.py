@@ -7,7 +7,7 @@ rerunning must produce byte-identical files.
 
 Exit codes: 0 success / expectation met, 2 config error or a run that
 cannot be carried out as configured, 3 expectation mismatch, 4 capacity
-error.
+error (no exact form at that size, or out of memory).
 
 OPTIONS and COMMANDS are the one declaration of the options; the parser is
 built from them, and `to_value` checks flags and config-file values alike.
@@ -37,6 +37,7 @@ from .core import (
     tv_distance,
 )
 from .diagnostics import (
+    DEFAULT_TOL,
     EnergyModel,
     chaos_verdict,
     microcanonical,
@@ -46,8 +47,7 @@ from .diagnostics import (
 from .errors import CapacityError, ChaoslabError, ConfigError
 from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import continuity_probe, kac_limit_evolve, wild_plan
-from .montecarlo import (KAC_CHUNK, estimate_pair_marginal, iid_state, replica_rng,
-                         simulate_kac_stack)
+from .montecarlo import estimate_pair_marginal, iid_state, replica_counts
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # Every option: (kind, least value, help).  The kind is int, float, str or
@@ -229,7 +229,7 @@ def cmd_diagnose(config: dict) -> int:
     if unread:
         raise ConfigError(f"--family {family_name} does not read {', '.join(unread)}")
     grid = parse_grid(require(config, "grid"))
-    tol = config.get("tol", 1e-3)
+    tol = config.get("tol", DEFAULT_TOL)
 
     if family_name == "product":
         p = parse_floats(require(config, "p"))
@@ -249,11 +249,13 @@ def cmd_diagnose(config: dict) -> int:
         rho = Distribution(StateSpace.of_size(len(p)), p)
 
         def family(n):
+            # --p is given by state index, so each law is read onto the index space.
             path = law_dir / f"{n}.json"
             try:
-                return law_from_json(path.read_text())
+                law = law_from_json(path.read_text())
             except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
+            return SymmetricLaw.from_arrays(StateSpace.of_size(law.space.k), law.n, law.occ, law.p)
 
     report = chaos_verdict(family, rho, grid, tol=tol)
     rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik) for r in report.rows]
@@ -268,7 +270,7 @@ def cmd_counterexample(config: dict) -> int:
     grid = parse_grid(config.get("grid", "4,8,16,32,64,128"))
     if any(n < 2 for n in grid):
         raise ConfigError("counterexample needs n >= 2 throughout the grid")
-    tol = config.get("tol", 1e-3)
+    tol = config.get("tol", DEFAULT_TOL)
     p = parse_floats(config.get("p", "0.9,0.1"))
     space = StateSpace.of_size(2)
     rho_in = Distribution(space, p)
@@ -396,13 +398,13 @@ def cmd_kac(config: dict) -> int:
         exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
         rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
 
-    # Each replica draws its start, then its run, on its own stream; one stack
-    # call per KAC_CHUNK replicas bounds the Generators held at once.
+    # Each replica draws its start, then its run, on its own stream.
+    def run(rngs):
+        return kernel.sampler([iid_state(p0, n, rng).counts for rng in rngs], rngs)
+
     totals = np.zeros(space.k)
-    for first in range(0, replicas, KAC_CHUNK):
-        rngs = [replica_rng(seed, r) for r in range(first, min(first + KAC_CHUNK, replicas))]
-        starts = [iid_state(p0, n, rng).counts for rng in rngs]
-        for counts in simulate_kac_stack(starts, lam, t, rngs):
+    for chunk in replica_counts(run, replicas, seed):
+        for counts in chunk:
             totals += counts / n
     mc_p = Distribution(space, tuple(totals / replicas))
     rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
@@ -415,7 +417,7 @@ def cmd_kac(config: dict) -> int:
 def cmd_microcanonical(config: dict) -> int:
     model = energy_model(config)
     grid = parse_grid(require(config, "grid"))
-    tol = config.get("tol", 1e-3)
+    tol = config.get("tol", DEFAULT_TOL)
     beta, gamma = microcanonical_limit(model)
     report = chaos_verdict(lambda n: microcanonical(model, n), gamma, grid, tol=tol)
     limit = math.fsum(g * math.log(g) for g in gamma.p if g > 0.0)
@@ -464,8 +466,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(load_config(args))
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except ChaoslabError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -299,8 +299,9 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
     """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p).
 
     Class size times prod p_i^m_i in doubles; rows where the class size
-    overflows or a power underflows are redone in log space, and then the
-    whole law is renormalised.
+    overflows or a power underflows are redone in log space.  The whole law
+    is then renormalised, which also takes out the (1 - d)^n mass defect of
+    a p whose doubles sum to 1 - d.
     """
     if n < 1:
         raise InvalidArgumentError("particle count must be >= 1")
@@ -319,7 +320,7 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
         with np.errstate(divide="ignore"):
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(_log_class_sizes(sub, n) + sub @ log_q)
-        mass /= _sum(mass)
+    mass /= _sum(mass)
     return SymmetricLaw.from_arrays(p.space, n, occ, mass)
 
 

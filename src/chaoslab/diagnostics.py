@@ -143,8 +143,6 @@ def chaos_verdict(
             law = family(n)
         except ChaoslabError as exc:
             raise type(exc)(f"law family failed at n={n}: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"law family failed at n={n}") from exc
         if law.n != n:
             raise InvalidArgumentError(f"law family gave a law of n={law.n} at n={n}")
         rows.append(

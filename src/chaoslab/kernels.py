@@ -18,10 +18,14 @@ nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
 kernel without one has only a `sampler`, seeded n-particle draws from a
 stack of source classes, which theorem-probe averages into pair marginals;
 `kernel.exact`, fixed when the kernel is built, says which.
-The exact matrix comes only from the constructor's `matrix_builder`: a
-map's image, the counterexample's image, or the Kac chain's uniformization
-up to `KAC_EXACT_MAX_N` (a Poisson series in the one-collision matrix and
-squarings of it, all terms nonnegative, so nothing is clamped).  Every
+The exact matrix comes only from the constructor's `matrix_builder`.  The
+deterministic kernels (identity, maps, the counterexample) are each one
+class map passed to `_class_map_kernel`, which derives both the class rows
+(the point class of each occupancy's image) and the limit (the same map
+applied to laws, as occupancies of total 1).  The Kac chain's matrix is its
+uniformization up to `KAC_EXACT_MAX_N` (a Poisson series in the
+one-collision matrix and squarings of it, all terms nonnegative, so nothing
+is clamped).  Every
 kernel here is built on occupancy classes, so it is permutation-equivariant
 by construction.  The Kac kernel's sampler, at every n, is
 `montecarlo.simulate_kac_stack` with its own pair rule.
@@ -36,13 +40,7 @@ import numpy as np
 
 from .core import StateSpace, SymmetricLaw, class_index, enumerate_occupancies, occupancy_array
 from .errors import CapacityError, InvalidArgumentError
-from .meanfield import (
-    PairRule,
-    check_rate_and_time,
-    default_rule,
-    kac_limit_evolve,
-    pushforward,
-)
+from .meanfield import PairRule, _as_stack, check_rate_and_time, default_rule, kac_limit_evolve
 from .montecarlo import simulate_kac_stack
 
 # Largest n for which the exact Kac class matrix is built.
@@ -128,41 +126,39 @@ def propagate(law: SymmetricLaw, kernel: ExchangeableKernel) -> SymmetricLaw:
     return SymmetricLaw.from_arrays(kernel.target, kernel.n, occ, mass)
 
 
+def _class_map_kernel(source: StateSpace, target: StateSpace, n: int, name: str,
+                      image: Callable) -> ExchangeableKernel:
+    """Deterministic kernel from its class map: `image(M, total)` sends a
+    (B, source.k) stack of occupancies of `total` particles to their
+    (B, target.k) images.  The row at class m is the point class image(m, n),
+    and the limit, on a stack of laws, is image(P, 1.0)."""
+
+    def build_matrix():
+        dst = class_index(image(occupancy_array(source.k, n), n), n)
+        return np.arange(len(dst)), dst, np.ones(len(dst))
+
+    return ExchangeableKernel(source, target, n, name, matrix_builder=build_matrix,
+                              limit=lambda P: image(_as_stack(P)[0], 1.0))
+
+
 def map_kernel(
     f, n: int, source: StateSpace, target: Optional[StateSpace] = None
 ) -> ExchangeableKernel:
-    """Deterministic kernel applying a state map coordinatewise.
-
-    `f` maps source state indices to target state indices (callable or
-    sequence).  The class row is the occupancy pushforward and the limit
-    the one-particle pushforward.
-    """
+    """Deterministic kernel applying the state map `f`, a sequence of target
+    state indices, coordinatewise: each occupancy, and each law, is summed
+    onto the images of its states."""
     target = target or source
-    fmap = [int(f(s)) if callable(f) else int(f[s]) for s in range(source.k)]
+    fmap = [int(f[s]) for s in range(source.k)]
     if any(not 0 <= t < target.k for t in fmap):
         raise InvalidArgumentError("state map leaves the target space")
-
-    def build_matrix():
-        onto = np.zeros((source.k, target.k), dtype=np.int64)
-        onto[np.arange(source.k), fmap] = 1
-        image = class_index(occupancy_array(source.k, n) @ onto, n)
-        return np.arange(len(image)), image, np.ones(len(image))
-
+    onto = np.zeros((source.k, target.k), dtype=np.int64)
+    onto[np.arange(source.k), fmap] = 1
     spec = ",".join(str(t) for t in fmap)
-    return ExchangeableKernel(
-        source,
-        target,
-        n,
-        name=f"map:{spec}",
-        matrix_builder=build_matrix,
-        limit=lambda p: pushforward(p, fmap, target),
-    )
+    return _class_map_kernel(source, target, n, f"map:{spec}", lambda M, total: M @ onto)
 
 
 def identity_kernel(space: StateSpace, n: int) -> ExchangeableKernel:
-    kernel = map_kernel(lambda s: s, n, space)
-    kernel.name = "identity"
-    return kernel
+    return _class_map_kernel(space, space, n, "identity", lambda M, total: M)
 
 
 def counterexample_kernel(n: int) -> ExchangeableKernel:
@@ -175,21 +171,9 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
     every other law to delta_1, so it is discontinuous at delta_0.
     """
     space = StateSpace.of_size(2)
-
-    def build_matrix():
-        # Rank 0 is the class (n, 0) and rank n the class (0, n).
-        image = np.full(n + 1, n)
-        image[0] = 0
-        return np.arange(n + 1), image, np.ones(n + 1)
-
-    return ExchangeableKernel(
-        space,
-        space,
-        n,
-        name="counterexample",
-        matrix_builder=build_matrix,
-        limit=lambda P: np.where(np.asarray(P)[:, :1] == 1.0, [1.0, 0.0], [0.0, 1.0]),
-    )
+    return _class_map_kernel(
+        space, space, n, "counterexample",
+        lambda M, total: np.where(M[:, :1] == total, [total, 0], [0, total]))
 
 
 def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:

@@ -1,19 +1,19 @@
 """One-particle limit maps for the bundled particle dynamics.
 
-Each kernel constructor in `kernels` sets `kernel.limit` from the maps
-here: a deterministic coordinatewise map pushes a one-particle law forward
-exactly, and the Kac collision chain gets a Boltzmann-type quadratic ODE
-whose collision kernel is the expected one-particle marginal of its pair
-rule.  The pair rules live here because both the n-particle chain and the
-ODE are derived from them.  The ODE form is validated against particle
-simulation, not assumed.  `kac_limit_evolve` sums the ODE as Wild's series,
-the mean-field twin of the uniformized n-particle kernel, to unit roundoff.
+A deterministic kernel's limit is its own class map applied to laws
+(`kernels._class_map_kernel`), so nothing for it lives here.  The Kac
+collision chain's limit is a Boltzmann-type quadratic ODE whose collision
+kernel is the expected one-particle marginal of its pair rule.  The pair
+rules live here because both the n-particle chain and the ODE are derived
+from them.  The ODE form is validated against particle simulation, not
+assumed.  `kac_limit_evolve` sums the ODE as Wild's series, the mean-field
+twin of the uniformized n-particle kernel, to unit roundoff.
 
-A limit map takes a (B, k) stack of one-particle laws, one per row, and
-returns the (B, k_target) stack of their images, so that a caller with many
-laws (`continuity_probe`) evaluates it, and integrates the ODE, once.
-`pushforward` and `kac_limit_evolve` also take a single Distribution, the
-B = 1 case of the same code.
+A limit map takes a (B, k) stack of one-particle laws, one per row, checked
+by `_as_stack`, and returns the (B, k_target) stack of their images, so
+that a caller with many laws (`continuity_probe`) evaluates it, and
+integrates the ODE, once.  `kac_limit_evolve` also takes a single
+Distribution, the B = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import MASS_TOL, NEG_CLAMP, Distribution, StateSpace, as_int, as_rng
+from .core import MASS_TOL, NEG_CLAMP, Distribution, as_int, as_rng
 from .errors import InvalidArgumentError
 
 MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
@@ -172,22 +172,6 @@ def _as_stack(p) -> tuple:
             and np.abs(P.sum(axis=1) - 1.0).max() <= MASS_TOL):
         raise InvalidArgumentError("need a Distribution or a nonempty (B, k) stack of laws")
     return P, True
-
-
-def pushforward(p, f, target: Optional[StateSpace] = None):
-    """Image law of p under a state map: q(t) = sum over f(s) = t of p(s).
-
-    p is a Distribution, whose image is a Distribution on `target` (default
-    p's space), or a (B, k) stack of laws, whose image is the (B, target.k)
-    stack of the row images (target.k defaults to k).
-    """
-    P, stacked = _as_stack(p)
-    k = P.shape[1]
-    fmap = [int(f(s)) if callable(f) else int(f[s]) for s in range(k)]
-    Q = np.zeros((P.shape[0], target.k if target else k))
-    for s, t in enumerate(fmap):
-        Q[:, t] += P[:, s]
-    return Q if stacked else Distribution(target or p.space, tuple(Q[0]))
 
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:

@@ -4,9 +4,10 @@ All bundled dynamics depend on particle values only, so simulation runs at
 the occupancy level: O(k) work per collision event, which keeps n in the
 millions feasible.  `simulate_kac_stack` is the one event loop of the Kac
 chain.  It runs an (R, k) stack of replicas in lockstep, one set of numpy
-calls per collision step for all of them: the `kac` subcommand runs its
-replicas as one stack, and theorem-probe each column's replicas, through
-the Kac kernel's batched sampler.  `simulate_kac` is its one-row case.
+calls per collision step for all of them: the `kac` subcommand and
+theorem-probe's columns run their replicas through the Kac kernel's
+batched sampler, chunk by chunk in `replica_counts`, the one replica
+loop.  `simulate_kac` is its one-row case.
 
 The stack is exact replica by replica, not only in law: each row makes the
 draws a lone run makes, on its own Generator and in the same order, and
@@ -212,22 +213,26 @@ def pair_marginal_ustat(counts) -> np.ndarray:
     return mat / (n * (n - 1))
 
 
+def replica_counts(sampler: Callable[[list], np.ndarray], replicas: int, seed: int):
+    """The sampler's end counts for replicas 0, ..., replicas - 1, in order:
+    one (len, k) stack per call of `sampler(rngs)` on the Generators
+    replica_rng(seed, r) of at most KAC_CHUNK replicas, which bounds the
+    Generators held at once."""
+    for first in range(0, replicas, KAC_CHUNK):
+        last = min(first + KAC_CHUNK, replicas)
+        yield sampler([replica_rng(seed, r) for r in range(first, last)])
+
+
 def estimate_pair_marginal(
     sampler: Callable[[list], np.ndarray],
     replicas: int,
     seed: int,
 ) -> EstimatorResult:
-    """Replica average of the two-particle U-statistic with standard errors:
-    the sampler takes a list of Generators replica_rng(seed, r) and returns
-    the (len, k) stack of their end counts; it is called once per KAC_CHUNK
-    replicas, which bounds the Generators held at once."""
+    """Replica average of the two-particle U-statistic with standard errors,
+    over the end counts of `replica_counts(sampler, replicas, seed)`."""
     if replicas < 2:
         raise InvalidArgumentError("need at least two replicas")
-    counts = []
-    for first in range(0, replicas, KAC_CHUNK):
-        last = min(first + KAC_CHUNK, replicas)
-        counts.append(sampler([replica_rng(seed, r) for r in range(first, last)]))
-    stack = pair_marginal_ustat(np.concatenate(counts))
+    stack = pair_marginal_ustat(np.concatenate(list(replica_counts(sampler, replicas, seed))))
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
     return EstimatorResult(mean, stderr)

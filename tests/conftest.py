@@ -110,6 +110,15 @@ def map_ordered_law(fmap):
     return lambda s: {tuple(fmap[si] for si in s): 1.0}
 
 
+def pushforward(P, fmap, k: int) -> np.ndarray:
+    """Image laws of the rows of the stack P under the state map fmap, on k
+    states, summed state by state: the oracle of a map kernel's limit."""
+    Q = np.zeros((len(P), k))
+    for s, t in enumerate(fmap):
+        Q[:, t] += np.asarray(P)[:, s]
+    return Q
+
+
 def counterexample_ordered_law(n):
     """The ordered spec of counterexample_kernel(n): the all-zero state stays,
     every other state goes to all-ones."""

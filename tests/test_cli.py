@@ -5,6 +5,7 @@ import time
 import pytest
 
 import chaoslab.cli
+import chaoslab.montecarlo
 from chaoslab.cli import main, parse_grid, quota_occupancy
 from chaoslab.core import Distribution, StateSpace, law_to_json, product_law
 from chaoslab.diagnostics import (
@@ -429,7 +430,7 @@ class TestKacCommand:
     def test_replica_chunks_do_not_change_output(self, tmp_path, monkeypatch):
         argv = ["kac", "--p", "0.5,0.3,0.2", "--n", "600", "--replicas", "7", "--seed", "2"]
         assert main(argv + ["--out", str(tmp_path / "one")]) == 0
-        monkeypatch.setattr(chaoslab.cli, "KAC_CHUNK", 3)
+        monkeypatch.setattr(chaoslab.montecarlo, "KAC_CHUNK", 3)
         assert main(argv + ["--out", str(tmp_path / "three")]) == 0
         assert ((tmp_path / "one" / "kac.csv").read_bytes()
                 == (tmp_path / "three" / "kac.csv").read_bytes())
@@ -586,6 +587,20 @@ class TestNumericOptions:
         assert "4.json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_custom_family_reads_labelled_laws(self, tmp_path):
+        # law_to_json keeps the state labels; --p is given by state index.
+        law_dir = tmp_path / "laws"
+        law_dir.mkdir()
+        rho = Distribution(StateSpace(("a", "b")), (0.7, 0.3))
+        for n in (4, 8, 16):
+            (law_dir / f"{n}.json").write_text(law_to_json(product_law(rho, n)))
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
+                   "--p", "0.7,0.3", "--grid", "4,8,16", "--out", str(out)])
+        assert rc == 0
+        _, meta = read_run(out, "diagnose")
+        assert meta["verdict"] == "chaotic"
+
     def test_custom_law_of_the_wrong_n(self, tmp_path, capsys):
         law_dir = tmp_path / "laws"
         law_dir.mkdir()
@@ -730,6 +745,28 @@ class TestFileErrors:
         assert err.startswith("config error") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--family", "product", "--p", "0.2,0.3,0.5", "--grid", "10,20,10000000"],
+        ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.3,0.2", "--grid", "6,8,10000000"],
+    ], ids=["diagnose", "theorem-probe"])
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 372. TiB"])
+    def test_out_of_memory_is_a_capacity_error(self, tmp_path, monkeypatch, capsys, argv,
+                                               message):
+        # A grid n whose classes cannot be allocated, without allocating them.
+        real = chaoslab.cli.product_law
+
+        def product_law(p, n):
+            if n > 1000:
+                raise MemoryError(message)
+            return real(p, n)
+
+        monkeypatch.setattr(chaoslab.cli, "product_law", product_law)
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err == f"capacity error: {message or 'out of memory'}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("taken", ["kac.meta.json", "kac.csv"])
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys, taken):

@@ -15,6 +15,7 @@ from chaoslab import (
     law_to_json,
     marginal,
     mean_empirical_tv,
+    pair_gap,
     product_law,
     specific_loglik,
     tv_distance,
@@ -80,6 +81,13 @@ class TestProductLaw:
     def test_point_mass(self):
         law = product_law(Distribution(S2, (1.0, 0.0)), 5)
         assert law.classes == {(5, 0): 1.0}
+
+    def test_uniform_law_is_renormalised(self):
+        # Three doubles 1/3 sum to 1 - 5.6e-17; left unnormalised, that defect
+        # grows the pair gap with n, to 1.8e-14 at n = 640.
+        u = 1 / 3
+        p = Distribution(S3, (u, u, u))
+        assert pair_gap(product_law(p, 640), p) < 1e-14
 
     def test_two_thirds_vs_dense_oracle(self):
         p = Distribution(S2, (2 / 3, 1 / 3))

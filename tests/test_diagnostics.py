@@ -123,11 +123,13 @@ class TestChaosVerdict:
         with pytest.raises(InvalidArgumentError, match="n=20 at n=8"):
             chaos_verdict(family, HALF, [4, 8, 16])
 
-    def test_generator_failure_has_context(self):
+    def test_generator_failure_propagates(self):
+        # A family's own error reaches the caller as it is, so that the CLI
+        # can turn a MemoryError into its capacity exit.
         def bad(n):
-            raise ValueError("boom")
+            raise MemoryError("boom")
 
-        with pytest.raises(RuntimeError, match="n=4"):
+        with pytest.raises(MemoryError, match="^boom$"):
             chaos_verdict(bad, HALF, [4, 8, 16])
 
     def test_criterion_co_movement(self):

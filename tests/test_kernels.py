@@ -1,5 +1,7 @@
 import itertools
 import math
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,11 +21,12 @@ from chaoslab import (
     marginal,
     product_law,
     propagate,
-    pushforward,
     symmetrized_class_kernel,
     tv_distance,
 )
 from chaoslab.cli import column_laws, monte_carlo_pair_law
+from chaoslab.core import class_index, occupancy_array
+from chaoslab.diagnostics import pair_gap
 from chaoslab.errors import CapacityError, InvalidArgumentError
 from chaoslab.kernels import (
     KAC_EXACT_MAX_N,
@@ -40,6 +43,7 @@ from conftest import (
     ordered_class_matrix,
     ordered_law_matrix,
     propagate_dense,
+    pushforward,
     random_symmetric_law,
     to_dense,
 )
@@ -244,12 +248,12 @@ class TestPropagate:
     def test_map_kernel_preserves_products(self, rng):
         p = Distribution(S3, (0.5, 0.2, 0.3))
         fmap = [1, 1, 0]
+        q = Distribution(S3, tuple(pushforward([p.p], fmap, 3)[0]))
         for n in (2, 4, 5):
             out = propagate(product_law(p, n), map_kernel(fmap, n, S3))
-            want = product_law(pushforward(p, fmap), n)
+            want = product_law(q, n)
             assert tv_distance(out, want) < 1e-13
             dense = to_dense(out)
-            q = pushforward(p, fmap)
             for idx, s in enumerate(dense.tuples()):
                 assert dense.probs[idx] == pytest.approx(
                     math.prod(q.p[si] for si in s), abs=1e-13
@@ -315,6 +319,65 @@ class TestCounterexampleKernel:
         # The ordered state (1, 0, 0) has class (2, 1); all-ones is (0, 3).
         rows = symmetrized_class_kernel(counterexample_kernel(3))
         assert rows[(2, 1)] == {(0, 3): 1.0}
+
+
+def class_map_cases():
+    """(id, kernel builder, oracle images of an occupancy array, n) for
+    identity, random maps, a merging map, a map onto a wider target and the
+    counterexample; n reaches 1,000 where the source classes fit."""
+    rng = np.random.default_rng(18)
+    specs = [([0, 1, 2], 3), ([0, 0, 1], 3), ([0, 3, 1], 4)]
+    for k in (2, 3, 4):
+        for _ in range(2):
+            fmap = rng.integers(0, k + 1, size=k).tolist()
+            specs.append((fmap, max(k, max(fmap) + 1)))
+    for fmap, target_k in specs:
+        space, target = StateSpace.of_size(len(fmap)), StateSpace.of_size(target_k)
+
+        def image(occ, fmap=fmap, target_k=target_k):
+            return np.stack([occ[:, [s for s, t in enumerate(fmap) if t == u]].sum(axis=1)
+                             for u in range(target_k)], axis=1)
+
+        for n in (2, 9, 100) + ((1000,) if len(fmap) <= 3 else ()):
+            if fmap == [0, 1, 2]:
+                yield f"identity-n{n}", lambda n, space=space: identity_kernel(space, n), image, n
+            else:
+                name = f"map:{','.join(map(str, fmap))}-{target_k}-n{n}"
+                yield name, partial(map_kernel, fmap, source=space, target=target), image, n
+
+    def all_or_nothing(occ):
+        n = int(occ[0].sum())
+        return np.column_stack([np.where(occ[:, 0] == n, n, 0), np.where(occ[:, 0] == n, 0, n)])
+
+    for n in (2, 9, 100, 1000):
+        yield f"counterexample-n{n}", counterexample_kernel, all_or_nothing, n
+
+
+class TestClassMapRows:
+    """A deterministic kernel's row at class m is the point class m' of its
+    image, its limit at m/n is m'/n, and the row's pair gap against
+    q = m'/n is (1 - |q|^2)/(n - 1): drawing two of the n particles
+    without replacement.  The gap is held to 1e-12 relative, or to two unit
+    roundoffs absolute: near a point mass at n = 1,000 the gap is about
+    4e-6 while the TV sum cancels terms near 1, whose rounding (below one
+    unit roundoff measured) is up to 7e-12 of it."""
+
+    @pytest.mark.parametrize("name, build, image, n", list(class_map_cases()),
+                             ids=[case[0] for case in class_map_cases()])
+    def test_rows_limits_and_gaps(self, name, build, image, n):
+        kernel = build(n)
+        occ = occupancy_array(kernel.source.k, n)
+        images = image(occ)
+        src, dst, prob = kernel.class_matrix()
+        assert src.tolist() == list(range(len(occ)))
+        assert (dst == class_index(images, n)).all() and (prob == 1.0).all()
+        assert np.abs(kernel.limit(occ / n) - images / n).max() <= 4 * 2.0**-53
+        for row in np.random.default_rng(n).choice(len(occ), size=min(len(occ), 12),
+                                                   replace=False):
+            q = Distribution(kernel.target, tuple(images[row] / n))
+            gap = pair_gap(SymmetricLaw.point_class(kernel.target, tuple(images[row])), q)
+            want = Fraction(n * n - int(images[row] @ images[row]), n * n * (n - 1))
+            assert abs(Fraction(gap) - want) <= max(1e-12 * want, 2 * 2.0**-53)
 
 
 class TestKacKernel:
@@ -409,8 +472,7 @@ class TestLimit:
 
     def test_map_limit_is_pushforward(self):
         out = make_kernel("map:1,1,0", S3, 4).limit(self.STACK)
-        assert tuple(out[0]) == pushforward(self.P3, [1, 1, 0]).p
-        assert tuple(out[1]) == pushforward(self.Q3, [1, 1, 0]).p
+        assert out.tolist() == pushforward(self.STACK, [1, 1, 0], 3).tolist()
 
     def test_counterexample_limit(self):
         limit = counterexample_kernel(4).limit

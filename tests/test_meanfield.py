@@ -12,9 +12,10 @@ from chaoslab import (
     ParticleState,
     StateSpace,
     continuity_probe,
+    identity_kernel,
     kac_limit_evolve,
     make_kernel,
-    pushforward,
+    map_kernel,
     simulate_kac,
     tv_distance,
 )
@@ -23,7 +24,7 @@ from chaoslab.errors import InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import collision_marginal_tensor, wild_plan
 
-from conftest import kac_limit_rhs, oracle_continuity_probe, oracle_kac_limit_evolve
+from conftest import kac_limit_rhs, oracle_continuity_probe, oracle_kac_limit_evolve, pushforward
 
 S1 = StateSpace.of_size(1)
 S2 = StateSpace.of_size(2)
@@ -31,24 +32,25 @@ S3 = StateSpace.of_size(3)
 
 
 class TestPushforward:
+    """The image law under a state map is the map kernel's limit."""
+
+    P = np.array([[0.2, 0.3, 0.5]])
+
     def test_identity(self):
-        p = Distribution(S3, (0.2, 0.3, 0.5))
-        assert pushforward(p, [0, 1, 2]).p == p.p
+        assert identity_kernel(S3, 4).limit(self.P).tolist() == self.P.tolist()
 
     def test_constant(self):
-        p = Distribution(S3, (0.2, 0.3, 0.5))
-        assert pushforward(p, [1, 1, 1]).p == (0.0, 1.0, 0.0)
+        assert map_kernel([1, 1, 1], 4, S3).limit(self.P).tolist() == [[0.0, 1.0, 0.0]]
 
     def test_swap(self):
-        p = Distribution(S2, (0.3, 0.7))
-        assert pushforward(p, [1, 0]).p == (0.7, 0.3)
+        assert map_kernel([1, 0], 4, S2).limit(np.array([[0.3, 0.7]])).tolist() == [[0.7, 0.3]]
 
     def test_stack_rows_are_row_images(self):
         P = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
-        out = pushforward(P, [2, 0, 2])
-        assert out.tolist() == [list(pushforward(Distribution(S3, tuple(row)), [2, 0, 2]).p)
-                                for row in P]
-        assert pushforward(P, [0, 3, 1], StateSpace.of_size(4)).shape == (2, 4)
+        limit = map_kernel([2, 0, 2], 4, S3).limit
+        assert limit(P).tolist() == [limit(row[None])[0].tolist() for row in P]
+        assert limit(P).tolist() == pushforward(P, [2, 0, 2], 3).tolist()
+        assert map_kernel([0, 3, 1], 4, S3, StateSpace.of_size(4)).limit(P).shape == (2, 4)
 
 
 class ListedRule(PairRule):
@@ -205,7 +207,7 @@ class TestKacLimitEvolve:
             with pytest.raises(InvalidArgumentError):
                 kac_limit_evolve(np.asarray(P), 1.0, t)
         with pytest.raises(InvalidArgumentError):
-            pushforward(np.asarray(P), [0, 0, 0])
+            make_kernel("map:0,0,0", S3, 4).limit(np.asarray(P))
 
 
 @st.composite
