@@ -24,11 +24,12 @@ class map passed to `_class_map_kernel`, which derives both the class rows
 (the point class of each occupancy's image) and the limit (the same map
 applied to laws, as occupancies of total 1).  The Kac chain's matrix is its
 uniformization up to `KAC_EXACT_MAX_N` (a Poisson series in the
-one-collision matrix and squarings of it, all terms nonnegative, so nothing
-is clamped).  Every
-kernel here is built on occupancy classes, so it is permutation-equivariant
-by construction.  The Kac kernel's sampler, at every n, is
-`montecarlo.simulate_kac_stack` with its own pair rule.
+one-collision matrix and squarings of it, all terms nonnegative to
+rounding, so nothing is clamped).  The one-collision matrix and the Kac
+kernel's sampler, `montecarlo.simulate_kac_stack` at every n, read one
+table: the class moves of the kernel's pair rule (`CompiledRule.changes`,
+`.coeffs`).  Every kernel here is built on occupancy classes, so it is permutation-equivariant
+by construction.
 """
 
 from __future__ import annotations
@@ -179,27 +180,21 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
 def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
     """One-collision transition matrix on the occupancy classes, by rank.
 
-    Vectorised over the classes: each colliding pair (u, w) and outcome
-    (a, b) of the rule moves every class that holds the pair at once; one
-    `np.add.at`, which adds in array order, sums the entries outcome by outcome.
+    Built from the rule's class moves, the table the sampler jumps by: a
+    uniform ordered pair of distinct particles moves class m to m + d with
+    probability move_weights(m)[d] / (n (n - 1)), and the diagonal takes
+    the rest, 1 minus its moves' probabilities added in order: the chance
+    that the collision keeps the class, to rounding.  Where every collision
+    moves the class that rest is 0 to a unit of roundoff, either side;
+    `kac_collision_kernel` keeps only entries > 0.
     """
     occ = occupancy_array(k, n)
-    outcomes = rule.compiled(k).outcomes
-    pairs_total = n * (n - 1) / 2.0
-    moves = []
-    for u in range(k):
-        for w in range(u, k):
-            if u == w:
-                weight = occ[:, u] * (occ[:, u] - 1) / 2.0 / pairs_total
-            else:
-                weight = occ[:, u] * occ[:, w] / pairs_total
-            held = np.flatnonzero(weight)
-            for (a, b), pr in outcomes[u][w]:
-                move = np.bincount([a, b], minlength=k) - np.bincount([u, w], minlength=k)
-                moves.append((held, occ[held] + move, weight[held] * pr))
-    rows, moved, probs = (np.concatenate(part) for part in zip(*moves))
+    table = rule.compiled(k)
+    prob = table.move_weights(occ) / (n * (n - 1))
+    rows, moves = np.nonzero(prob)
     P = np.zeros((len(occ), len(occ)))
-    np.add.at(P, (rows, class_index(moved, n)), probs)
+    P[rows, class_index(occ[rows] + table.changes[moves], n)] = prob[rows, moves]
+    P[np.diag_indices(len(occ))] = 1.0 - sum(prob.T, np.zeros(len(occ)))
     return P
 
 

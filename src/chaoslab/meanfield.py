@@ -66,28 +66,36 @@ class CompiledRule(NamedTuple):
     law of unordered outcome pairs, to within MASS_TOL per pair.
 
     outcomes[u][w] is the ((a, b), prob) list of `outcomes(u, w)`, in order.
-    The simulator reads the rest, one entry per listed outcome of each
-    ordered pair (u, w) plus one more that repeats its last outcome:
-    keys holds u*k + w + 1j*c, c the running sum of the probabilities added
-    one by one in order (inf for the repeat), ascending, and moves the
-    event's change to the running sums of the counts, [>= a] + [>= b]
-    - [>= u] - [>= w] over the states.  searchsorted(keys, u*k + w + 1j*r,
-    'right') is then the outcome at the uniform draw r: the first whose
-    running sum exceeds r, or the last if none does.
+    The Kac chain's class moves: changes[d] is the d-th distinct nonzero
+    change e_a + e_b - e_u - e_w that an outcome of positive probability
+    makes to the occupancy, in lexicographic order, and coeffs[d, u*k + w]
+    the probabilities of the outcomes of the ordered pair (u, w) that make
+    it, added in list order.
     """
 
     outcomes: list
-    keys: np.ndarray
-    moves: np.ndarray
+    changes: np.ndarray
+    coeffs: np.ndarray
+
+    def move_weights(self, M: np.ndarray) -> np.ndarray:
+        """The (B, D) weights of the class moves at each row m of a (B, k)
+        stack of occupancies: sum_uw coeffs[d, uw] * (m_u * (m_w - [u == w])),
+        the probability of change d times the n (n - 1) ordered pairs of
+        distinct particles, in float.  The terms are added one by one in
+        (u, w) order, so a row's weights do not depend on the stack."""
+        M = np.asarray(M, dtype=float)
+        B, k = M.shape
+        pairs = M[:, :, None] * (M[:, None, :] - np.eye(k))
+        return np.add.accumulate(self.coeffs * pairs.reshape(B, 1, k * k), axis=2)[:, :, -1]
 
 
 def _compile(rule: PairRule, k: int) -> CompiledRule:
     outcomes = [[None] * k for _ in range(k)]
-    above = np.triu(np.ones((k, k), dtype=np.int64))  # above[v] = [>= v]
-    keys, moves = [], []
+    unit = np.eye(k, dtype=np.int64)
+    moved: dict = {}  # change -> its coefficient row
     for u in range(k):
         for w in range(k):
-            checked, cum, acc = [], [], 0.0
+            checked, acc = [], 0.0
             for (a, b), pr in rule.outcomes(u, w):
                 a, b, pr = as_int(a), as_int(b), float(pr)
                 if not (0 <= a < k and 0 <= b < k and math.isfinite(pr) and pr >= 0.0):
@@ -97,20 +105,20 @@ def _compile(rule: PairRule, k: int) -> CompiledRule:
                     )
                 checked.append(((a, b), pr))
                 acc += pr
-                cum.append(acc)
+                change = tuple((unit[a] + unit[b] - unit[u] - unit[w]).tolist())
+                if pr > 0.0 and any(change):
+                    moved.setdefault(change, np.zeros(k * k))[u * k + w] += pr
             if not checked or abs(acc - 1.0) > MASS_TOL:
                 raise InvalidArgumentError(
                     f"pair rule outcomes of ({u}, {w}) have total probability {acc}, not 1"
                 )
             outcomes[u][w] = checked
-            outs = [ab for ab, _ in checked]
-            for (a, b), c in zip(outs + outs[-1:], cum + [math.inf]):
-                keys.append(complex(u * k + w, c))
-                moves.append(above[a] + above[b] - above[u] - above[w])
             if w < u and _unordered_gap(checked, outcomes[w][u]) > MASS_TOL:
                 raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
                                            f"({w}, {u}) give different unordered outcomes")
-    return CompiledRule(outcomes, np.array(keys), np.array(moves))
+    changes = sorted(moved)
+    return CompiledRule(outcomes, np.array(changes, dtype=np.int64).reshape(-1, k),
+                        np.array([moved[d] for d in changes]).reshape(-1, k * k))
 
 
 def _unordered_gap(outs: list, mirror: list) -> float:

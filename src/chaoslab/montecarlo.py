@@ -1,30 +1,34 @@
 """Large-n stochastic simulation and unbiased chaos-criterion estimators.
 
 All bundled dynamics depend on particle values only, so simulation runs at
-the occupancy level: O(k) work per collision event, which keeps n in the
-millions feasible.  `simulate_kac_stack` is the one event loop of the Kac
-chain.  It runs an (R, k) stack of replicas in lockstep, one set of numpy
-calls per collision step for all of them: the `kac` subcommand and
-theorem-probe's columns run their replicas through the Kac kernel's
-batched sampler, chunk by chunk in `replica_counts`, the one replica
-loop.  `simulate_kac` is its one-row case.
+the occupancy level.  `simulate_kac_stack` is the one loop of the Kac
+chain.  Its occupancy is itself a continuous-time Markov chain, whose
+jumps are the class moves of the compiled pair rule (`CompiledRule`): the
+loop draws only the collisions that change the occupancy, an exponential
+wait and a pick among the moves per jump (Gillespie's direct method), so
+its work is O(k^2) per jump, not per collision, whatever n is.  It runs an
+(R, k) stack of replicas in lockstep, one set of numpy calls per jump step
+for all of them: the `kac` subcommand and theorem-probe's columns run
+their replicas through the Kac kernel's batched sampler, chunk by chunk in
+`replica_counts`, the one replica loop.  `simulate_kac` is its one-row
+case.
 
 The stack is exact replica by replica, not only in law: each row makes the
 draws a lone run makes, on its own Generator and in the same order, and
-applies them with integer lookups and exact float compares, so its end
-counts and its Generator's final state do not depend on the stack it ran
-in.  Memory is bounded whatever n, t and R are: at most STACK_WIDTH rows
-step together (a wider stack runs in groups), holding one block of at most
-EVENT_BLOCK events' draws per row, 24 or 32 bytes per event (2 MB at most),
-and n is capped at MAX_N so that the row offsets STACK_WIDTH * n fit int64.
-Replicas draw their RNG streams from a splittable (master seed, replica
-index) scheme, so reductions are reproducible and order-independent.
+computes its rates elementwise, adding their terms one by one in a fixed
+order, so its end counts and its Generator's final state do not depend on
+the stack it ran in.  Memory is bounded whatever n, t and R are: at most
+STACK_WIDTH rows step together (a wider stack runs in groups), each holding
+one block of JUMP_BLOCK waits and JUMP_BLOCK picks, 16 bytes per jump
+(128 KB at most), and the rates of its D class moves over the k^2 ordered
+pairs of states, 8 D k^2 bytes.  Replicas draw their RNG streams from a
+splittable (master seed, replica index) scheme, so reductions are
+reproducible and order-independent.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,17 +40,17 @@ from .meanfield import CompiledRule, PairRule, check_rate_and_time, default_rule
 
 # Most rows that one lockstep loop advances together; a wider stack runs in groups.
 STACK_WIDTH = 256
-# Most collision events per row whose draws are made in one set of vector calls.
-EVENT_BLOCK = 2**8
-# Most particles: the lockstep loop offsets row r's particle ranks by r * n in int64.
-MAX_N = (2**63 - 1) // STACK_WIDTH
+# Jumps per block of each row's draws: a row refills its block when it has spent it.
+JUMP_BLOCK = 32
+# Most particles: counts, and their sum n, are int64.
+MAX_N = 2**63 - 1
 KAC_CHUNK = 1024  # most replicas per stack call: their Generators take about 1 KB each
 
 
 def check_particle_count(n: int) -> None:
     if n > MAX_N:
         raise InvalidArgumentError(f"n={n} is more particles than MAX_N={MAX_N}, the most "
-                                   f"whose lockstep offsets fit int64")
+                                   f"whose counts fit int64")
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,12 @@ def simulate_kac_stack(
     stack of occupancies that share one n, row r on the Generator rngs[r];
     returns the (R, k) int64 end counts.
 
-    A row's event count is Poisson(t * lam * (n-1) / 2), its first draw; each
-    event picks an unordered pair of distinct particles uniformly (particle
-    i of n, then particle j of the other n - 1) and applies the pair rule
-    (default SumConservingRule(k)) at a uniform draw r.  A row draws (i, j, r)
-    in blocks of at most EVENT_BLOCK events, three vector calls per block.
-    The rows are sorted by event count, so that the rows still running at
-    each step are a prefix, and advanced in groups of at most STACK_WIDTH
-    rows by `_lockstep`.
+    Each ordered pair of distinct particles collides at rate lam / (2n) and
+    is resampled by the pair rule (default SumConservingRule(k)), so the
+    class moves by change d at rate lam / (2n) times its `move_weights`.
+    A row is advanced jump by jump by `_jumps`, in groups of at most
+    STACK_WIDTH rows; collisions that leave the class as it was are not
+    drawn.
     """
     check_rate_and_time(lam, t)
     counts = np.asarray(starts)
@@ -111,67 +113,59 @@ def simulate_kac_stack(
     check_particle_count(n)
     if counts.min() < 0:
         raise InvalidArgumentError("negative particle count")
-    k = counts.shape[1]
-    table = (pair_rule or default_rule(k)).compiled(k)
-    events = [int(rng.poisson(t * lam * (n - 1) / 2.0)) for rng in rngs]
-    order = sorted(range(len(events)), key=events.__getitem__, reverse=True)
+    # The chain's time in units of 2n / lam, the mean wait of one ordered pair.
+    horizon = t * lam / (2.0 * n)
+    if not math.isfinite(horizon):
+        raise InvalidArgumentError(f"t * lam = {t} * {lam} overflows a float")
+    table = (pair_rule or default_rule(counts.shape[1])).compiled(counts.shape[1])
     out = counts.astype(np.int64)
-    for first in range(0, len(order), STACK_WIDTH):
-        rows = order[first:first + STACK_WIDTH]
-        out[rows] = _lockstep(out[rows], [events[r] for r in rows], [rngs[r] for r in rows],
-                              n, table)
+    if horizon > 0 and len(table.changes):  # else no row can jump, and none draws
+        for first in range(0, len(out), STACK_WIDTH):
+            rows = slice(first, first + STACK_WIDTH)
+            out[rows] = _jumps(out[rows], rngs[rows], horizon, table)
     return out
 
 
-def _lockstep(counts: np.ndarray, events: list, rngs: list, n: int,
-              table: CompiledRule) -> np.ndarray:
-    """The end counts of a (w, k) stack whose rows run events[r] events each,
-    in descending order, on rngs[r].
+def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) -> np.ndarray:
+    """The end counts of a (w, k) stack whose row r runs on rngs[r] until
+    its clock passes `horizon`, in units of 2n / lam.
 
-    The state is the running sums of each row's counts, row r offset by
-    r * n, in one flat nondecreasing array.  With the particles of a row
-    ranked by value, one `searchsorted(..., 'right')` of r * n + i finds the
-    value of the particle of rank i, offset by r * k.  Both lookups of an
-    event read the state before it: once particle i is taken out, rank j of
-    the other n - 1 is rank j + (j >= i) of the whole row, as particles of
-    one value cannot be told apart.  The outcome of the pair (u, w) at draw
-    r is one `searchsorted` of u*k + w + 1j*r in the compiled keys (complex
-    numbers compare by real, then imaginary part), and that key's row of
-    moves is the event's whole change to the state.
+    At class m a row's cumulative weights are S_d = sum of move_weights(m)
+    over the moves up to d, added in order, and q = S_D its total.  A row
+    with q = 0 is absorbed and stops without a draw.  Otherwise its clock
+    advances by E / q, E its next Exp(1) wait; once the clock is not below
+    the horizon the row stops, and else it moves by the first change d with
+    S_d > U q, U its next uniform pick.  A row draws its waits and picks in
+    blocks of JUMP_BLOCK, `standard_exponential` then `random`, the first
+    when it first needs a wait and each next one when it has spent the
+    last.  A stopped row's counts are written out and its row dropped from
+    every live array.
     """
-    w, k = counts.shape
-    # int32 where the offsets fit it: that halves the ranks' memory, and
-    # searchsorted runs faster on it.
-    dtype = np.int32 if w * n < 2**31 else np.int64
-    offsets = n * np.arange(w, dtype=dtype)
-    cum = np.cumsum(counts, axis=1, dtype=dtype) + offsets[:, None]
-    flat = cum.reshape(-1)
-    moves = table.moves.astype(dtype)
-    running = [-e for e in events]  # bisect_left(running, -s): rows with more than s events
-    # One block of draws per row, refilled for each block; the part of a
-    # column past its row's last event is stale, and no step reads it.
-    size = min(events[0], EVENT_BLOCK)
-    ranks = np.zeros((size, 2, w), dtype=dtype)
-    keys = np.zeros((size, w), dtype=complex)
-    keys.real = -k * (k + 1) * np.arange(w)  # takes r * k(k+1) out of pos_u * k + pos_w
-    for start in range(0, events[0], EVENT_BLOCK):
-        live = bisect_left(running, -start)
-        block = min(events[0] - start, EVENT_BLOCK)
-        for r, rng in enumerate(rngs[:live]):
-            m = min(events[r] - start, EVENT_BLOCK)
-            ranks[:m, 0, r] = rng.integers(n, size=m) + offsets[r]
-            ranks[:m, 1, r] = rng.integers(n - 1, size=m) + offsets[r]
-            keys.imag[:m, r] = rng.random(m)
-        firsts, seconds = ranks[:block, 0, :live], ranks[:block, 1, :live]
-        seconds += seconds >= firsts
-        # Array methods, not the numpy functions, whose wrappers add a few
-        # microseconds per call to a step of a few tens.
-        for step in range(block):
-            a = bisect_left(running, -(start + step))
-            pos = flat[:a * k].searchsorted(ranks[step, :, :a], "right")
-            outcome = table.keys.searchsorted(pos[0] * k + pos[1] + keys[step, :a], "right")
-            cum[:a] += moves.take(outcome, axis=0)
-    return np.diff(cum, axis=1, prepend=offsets[:, None])
+    out = counts.copy()
+    rows, m = np.arange(len(counts)), counts
+    clock = np.zeros(len(rows))
+    draws = np.zeros((len(rows), 2, JUMP_BLOCK))
+    cum = np.cumsum(table.move_weights(m), axis=1)
+    step = 0
+    while len(rows):
+        q = cum[:, -1]
+        j = step % JUMP_BLOCK
+        if j == 0:
+            for i in np.flatnonzero(q).tolist():
+                draws[i, 0] = rngs[rows[i]].standard_exponential(JUMP_BLOCK)
+                draws[i, 1] = rngs[rows[i]].random(JUMP_BLOCK)
+        # An absorbed row waits forever.
+        clock += np.divide(draws[:, 0, j], q, out=np.full(len(q), np.inf), where=q > 0)
+        live = clock < horizon
+        if not live.all():
+            out[rows[~live]] = m[~live]
+            rows, m, clock, draws, cum, q = (a[live] for a in (rows, m, clock, draws, cum, q))
+        # U < 1 keeps U q below q, so the pick reads the first D - 1 sums only.
+        pick = (cum[:, :-1] <= (draws[:, 1, j] * q)[:, None]).sum(axis=1)
+        m = m + table.changes[pick]
+        cum = np.cumsum(table.move_weights(m), axis=1)
+        step += 1
+    return out
 
 
 def simulate_kac(

@@ -341,32 +341,55 @@ def oracle_propagate(classes, rows):
     return {m: x for m, x in out.items() if x > 0.0}
 
 
+def oracle_class_moves(rule, k):
+    """The rule's class moves merged from `rule.outcomes`: the sorted
+    distinct nonzero changes of the occupancy made with positive
+    probability, and per change a dict {(u, w): summed probability}."""
+    moves = {}
+    for u in range(k):
+        for w in range(k):
+            for (a, b), pr in rule.outcomes(u, w):
+                change = [0] * k
+                change[a] += 1
+                change[b] += 1
+                change[u] -= 1
+                change[w] -= 1
+                if pr > 0 and any(change):
+                    row = moves.setdefault(tuple(change), {})
+                    row[u, w] = row.get((u, w), 0.0) + pr
+    return sorted(moves), moves
+
+
+def oracle_move_weight(counts, coeffs):
+    """sum_uw coeffs[u, w] m_u (m_w - [u == w]) over the counts, in (u, w) order."""
+    k = len(counts)
+    weight = 0.0
+    for u in range(k):
+        for w in range(k):
+            weight += coeffs.get((u, w), 0.0) * (float(counts[u]) * (float(counts[w]) - (u == w)))
+    return weight
+
+
 def oracle_kac_event_matrix(k, n, rule):
     """One-collision class matrix by a per-class loop over a dict index.
 
-    Each entry adds its terms in (u, w, outcome) order, the order the
-    vectorised builder adds them in, so the two agree bit for bit.
+    Each class m moves to m + d with probability weight / (n (n - 1)), the
+    weight summed in (u, w) order, and keeps the rest, 1 minus its moves'
+    probabilities added in change order, the order the vectorised builder
+    adds them in, so the two agree bit for bit.
     """
     classes = list(oracle_compositions(n, k))
     index = {m: i for i, m in enumerate(classes)}
-    pairs_total = n * (n - 1) / 2.0
+    changes, moves = oracle_class_moves(rule, k)
     P = np.zeros((len(classes), len(classes)))
     for i, m in enumerate(classes):
-        for u in range(k):
-            for w in range(u, k):
-                if u == w:
-                    weight = m[u] * (m[u] - 1) / 2.0 / pairs_total
-                else:
-                    weight = m[u] * m[w] / pairs_total
-                if weight == 0.0:
-                    continue
-                for (a, b), pr in rule.outcomes(u, w):
-                    m2 = list(m)
-                    m2[u] -= 1
-                    m2[w] -= 1
-                    m2[a] += 1
-                    m2[b] += 1
-                    P[i, index[tuple(m2)]] += weight * pr
+        moved = 0.0
+        for d in changes:
+            prob = oracle_move_weight(m, moves[d]) / (n * (n - 1))
+            if prob > 0.0:
+                P[i, index[tuple(a + b for a, b in zip(m, d))]] = prob
+            moved += prob
+        P[i, i] = 1.0 - moved
     return P
 
 
@@ -419,42 +442,33 @@ def oracle_continuity_probe(F, p, radius, samples, seed):
 
 
 def oracle_simulate_kac(start, lam, t, rng, rule):
-    """The Kac event loop before the compiled outcome table: the same draws,
-    a walk over the counts per particle lookup and a linear scan of
-    `rule.outcomes(u, w)` per event, falling back to the last outcome when
-    the draw is not below the running sum.  Returns the end counts."""
+    """The Kac chain's jumps, one particle state at a time: the draws of
+    simulate_kac, with the class moves merged here from `rule.outcomes` and
+    every rate a scalar sum in (d, u, w) order.  Returns the end counts."""
     from chaoslab import montecarlo
 
-    def value_at(counts, r):
-        v = 0
-        r -= counts[0]
-        while r >= 0:
-            v += 1
-            r -= counts[v]
-        return v
-
-    def scan(outs, r):
-        acc = 0.0
-        for ab, pr in outs:
-            acc += pr
-            if r < acc:
-                return ab
-        return outs[-1][0]
-
-    n = sum(start.counts)
     counts = list(start.counts)
-    events = int(rng.poisson(t * lam * (n - 1) / 2.0))
-    while events:
-        block = min(events, montecarlo.EVENT_BLOCK)
-        events -= block
-        firsts = rng.integers(n, size=block).tolist()
-        seconds = rng.integers(n - 1, size=block).tolist()
-        for i, j, r in zip(firsts, seconds, rng.random(block).tolist()):
-            u = value_at(counts, i)
-            counts[u] -= 1
-            w = value_at(counts, j)
-            counts[w] -= 1
-            a, b = scan(rule.outcomes(u, w), r)
-            counts[a] += 1
-            counts[b] += 1
+    n = sum(counts)
+    changes, moves = oracle_class_moves(rule, len(counts))
+    horizon = t * lam / (2.0 * n)
+    clock, step = 0.0, 0
+    while clock < horizon:
+        cum, total = [], 0.0
+        for d in changes:
+            total += oracle_move_weight(counts, moves[d])
+            cum.append(total)
+        if not total > 0:
+            break
+        j = step % montecarlo.JUMP_BLOCK
+        if j == 0:
+            waits = rng.standard_exponential(montecarlo.JUMP_BLOCK).tolist()
+            picks = rng.random(montecarlo.JUMP_BLOCK).tolist()
+        clock += waits[j] / total
+        if not clock < horizon:
+            break
+        # The first change whose running sum exceeds the pick, or the last.
+        x = picks[j] * total
+        d = next((d for d, c in zip(changes, cum) if c > x), changes[-1])
+        counts = [c + e for c, e in zip(counts, d)]
+        step += 1
     return tuple(counts)

@@ -252,9 +252,10 @@ class ShortRule(SumConservingRule):
 
 
 class EdgeDraws(np.random.Generator):
-    """A Generator whose uniform draws land on table edges: multiples of 1/4,
-    which the running sums of these rules hit exactly, and the largest double
-    below 1.  The stream advances as a plain Generator's does."""
+    """A Generator whose uniform picks land on cumulative-rate edges:
+    multiples of 1/4, which hit the running sums of moves of equal rates
+    (or of zero rate) exactly, and the largest double below 1.  The stream
+    advances as a plain Generator's does."""
 
     def random(self, size=None):
         r = super().random(size)
@@ -267,77 +268,90 @@ RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
 
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 5), data=st.data(), lam=st.floats(0.01, 3.0), t=st.floats(0.0, 1.0),
-       rule=st.sampled_from(sorted(RULES)), block=st.sampled_from([2, montecarlo.EVENT_BLOCK]),
+       rule=st.sampled_from(sorted(RULES)), block=st.sampled_from([2, montecarlo.JUMP_BLOCK]),
        edges=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_simulate_kac_is_the_scan_loop(k, data, lam, t, rule, block, edges, seed):
-    """The compiled-table loop == the per-event walk and linear scan: same end
+    """The vectorised jump loop == the scalar per-jump walk: same end
     counts, and the generator left in the same state."""
     counts = data.draw(st.lists(st.integers(0, 40 // k), min_size=k, max_size=k)
                        .filter(lambda c: sum(c) >= 2))
     rule = RULES[rule](k)
     make = EdgeDraws if edges else np.random.Generator
     got_rng, want_rng = make(np.random.PCG64(seed)), make(np.random.PCG64(seed))
-    with mock.patch.object(montecarlo, "EVENT_BLOCK", block):
+    with mock.patch.object(montecarlo, "JUMP_BLOCK", block):
         got = simulate_kac(ParticleState(tuple(counts)), lam, t, got_rng, rule)
         want = oracle_simulate_kac(ParticleState(tuple(counts)), lam, t, want_rng, rule)
     assert got.counts == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-class SetEvents(np.random.Generator):
-    """A Generator whose event count is set, not drawn: `poisson` makes its
-    draw, so the stream advances as a plain Generator's does, and returns
-    `events`."""
-
-    events = 0
-
-    def poisson(self, lam=1.0, size=None):
-        super().poisson(lam, size)
-        return self.events
-
-
-class EdgeSetEvents(EdgeDraws, SetEvents):
-    pass
-
-
 @settings(max_examples=150, deadline=None)
-@given(k=st.integers(2, 4), rows=st.integers(1, 12), data=st.data(), lam=st.floats(0.01, 3.0),
+@given(k=st.integers(2, 5), rows=st.integers(1, 12), data=st.data(), lam=st.floats(0.01, 3.0),
        t=st.floats(0.0, 1.0), rule=st.sampled_from(sorted(RULES)),
-       block=st.sampled_from([2, montecarlo.EVENT_BLOCK]),
+       block=st.sampled_from([2, montecarlo.JUMP_BLOCK]),
        width=st.sampled_from([3, montecarlo.STACK_WIDTH]), edges=st.booleans(),
-       set_events=st.booleans(), big=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       big=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_simulate_kac_stack_is_the_scan_loop(k, rows, data, lam, t, rule, block, width, edges,
-                                             set_events, big, seed):
-    """Each row of the lockstep stack == the per-event walk and linear scan on
-    that row's Generator: same end counts, and the Generator left in the
-    same state.  Set event counts give rows with no events beside rows with
-    many; a big n takes the int64 offsets, and a width of 3 splits the stack
-    into groups."""
-    # A small n often draws j = i at a value boundary, where j + (j >= i) matters.
+                                             big, seed):
+    """Each row of the lockstep stack == the scalar per-jump walk on that
+    row's Generator: same end counts, and the Generator left in the same
+    state.  Rows stop at different steps (absorbed, or past t) beside rows
+    still jumping; a big n takes counts past 2^53, where their floats
+    round, with t scaled to about 40 collisions a row; a width of 3 splits
+    the stack into groups."""
     n = data.draw(st.integers(2**31, montecarlo.MAX_N) if big
                   else st.integers(2, 4) | st.integers(2, 30))
+    if big:
+        t *= 80.0 / (lam * n)
     starts = []
     for _ in range(rows):
         cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
         starts.append([b - a for a, b in zip([0, *cuts], [*cuts, n])])
-    got_rngs, want_rngs = [], []
-    if set_events or big:
-        events = data.draw(st.lists(st.integers(0, 40), min_size=rows, max_size=rows))
-        for r in range(rows):
-            for rngs in (got_rngs, want_rngs):
-                rngs.append((EdgeSetEvents if edges else SetEvents)(np.random.PCG64([seed, r])))
-                rngs[-1].events = events[r]
-    else:
-        make = EdgeDraws if edges else np.random.Generator
-        got_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
-        want_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
+    make = EdgeDraws if edges else np.random.Generator
+    got_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
+    want_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
     rule = RULES[rule](k)
-    with mock.patch.multiple(montecarlo, EVENT_BLOCK=block, STACK_WIDTH=width):
+    with mock.patch.multiple(montecarlo, JUMP_BLOCK=block, STACK_WIDTH=width):
         got = simulate_kac_stack(np.array(starts), lam, t, got_rngs, rule)
         for r in range(rows):
             want = oracle_simulate_kac(ParticleState(tuple(starts[r])), lam, t, want_rngs[r], rule)
             assert tuple(got[r].tolist()) == want
             assert got_rngs[r].bit_generator.state == want_rngs[r].bit_generator.state
+
+
+@pytest.mark.parametrize("rule, start, t", [
+    ("sum", (4, 2, 2), 1.0),
+    ("sum", (2, 1, 2, 1), 0.7),  # k = 4, n = 6
+    ("sum", (5, 4, 3), 0.4),  # n = 12
+    ("zero-first", (3, 2, 2, 1), 1.0),
+    ("short", (3, 2, 1), 0.5),
+    ("swap", (3, 2, 1), 1.0),  # no collision changes the class
+    ("sum", (8, 0, 0), 1.0),  # absorbed: no collision moves it
+    ("sum", (3, 3, 2), 0.0),
+    ("sum", (1, 0, 1), 1.0),  # n = 2
+])
+def test_simulated_rows_have_the_exact_law(rule, start, t):
+    """10^5 runs of the jump loop from one class against the exact
+    uniformized row: each class's count within 4 sigma, and no numpy
+    warning.  The runs are 100 stack calls on 1,000 fixed-seed Generators,
+    each call going on with the streams the last one left."""
+    k, n, runs = len(start), sum(start), 100_000
+    rule = RULES[rule](k)
+    src, dst, prob = kac_collision_kernel(StateSpace.of_size(k), 1.0, t, n,
+                                          pair_rule=rule).class_matrix()
+    mine = src == class_index(np.array([start]), n)[0]
+    row = dict(zip(map(tuple, occupancy_array(k, n)[dst[mine]].tolist()), prob[mine].tolist()))
+    rngs = [np.random.default_rng([5, r]) for r in range(1000)]
+    counts = {}
+    with np.errstate(all="raise"):
+        for _ in range(runs // len(rngs)):
+            ends = simulate_kac_stack([start] * len(rngs), 1.0, t, rngs, rule)
+            for end in map(tuple, ends.tolist()):
+                counts[end] = counts.get(end, 0) + 1
+    for m in row.keys() | counts.keys():
+        p = row.get(m, 0.0)
+        sigma = math.sqrt(max(runs * p * (1 - p), 1e-12))
+        assert abs(counts.get(m, 0) - runs * p) <= 4 * sigma, (m, counts.get(m, 0), runs * p)
 
 
 def test_simulate_kac_stack_needs_one_n():

@@ -60,7 +60,9 @@ class TestSimulateKac:
             simulate_kac(ParticleState((2, 2)), -1.0, 1.0, seed=0)
 
     def test_non_finite_rate_or_time(self):
-        for lam, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        # The last pair is finite, but t * lam overflows a float.
+        for lam, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+                       (1e308, 1e308)]:
             with pytest.raises(InvalidArgumentError):
                 simulate_kac(ParticleState((2, 2)), lam, t, seed=0)
 
@@ -86,15 +88,37 @@ class TestSimulateKac:
     def test_integral_counts_are_ints(self):
         assert ParticleState((np.int64(2), 1.0)).counts == (2, 1)
 
+    def test_absorbed_row_draws_nothing(self):
+        # No collision moves (8, 0, 0): its jump rate is 0, so the row stops
+        # before its first wait, with no division by that rate.
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        with np.errstate(all="raise"):
+            end = simulate_kac_stack([(8, 0, 0), (4, 2, 2)], 1.0, 5.0,
+                                     [rng, np.random.default_rng(4)])
+        assert end[0].tolist() == [8, 0, 0]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class FixedDraws(np.random.Generator):
+    """A Generator whose waits all read `wait` and whose picks all read `pick`."""
+
+    wait, pick = 1.0, 0.5
+
+    def standard_exponential(self, size=None):
+        return np.full(size, self.wait)
+
+    def random(self, size=None):
+        return np.full(size, self.pick)
+
 
 class TestEventBlocks:
-    """simulate_kac draws its randomness in blocks of at most EVENT_BLOCK events."""
+    """simulate_kac draws its waits and picks in blocks of JUMP_BLOCK jumps."""
 
     @pytest.fixture(autouse=True)
     def tiny_blocks(self, monkeypatch):
         import chaoslab.montecarlo as montecarlo
 
-        monkeypatch.setattr(montecarlo, "EVENT_BLOCK", 2)
+        monkeypatch.setattr(montecarlo, "JUMP_BLOCK", 2)
 
     def test_conserves_count_and_label_sum(self):
         start = ParticleState((3, 4, 5))
@@ -109,11 +133,12 @@ class TestEventBlocks:
         a = simulate_kac(start, 1.0, 2.0, seed=42)
         assert a.counts == simulate_kac(start, 1.0, 2.0, seed=42).counts
 
-    def test_every_event_collides(self):
-        # The event count is the stream's first draw, and every event draws
-        # its (i, j, r) and applies the rule: the generator ends where one that
-        # drew the count and then those blocks ends, and the stepping rule
-        # moves the label sum by 1 mod k per event.
+    def test_every_jump_draws_in_order(self):
+        # Every collision of the stepping rule changes the class, so the
+        # chain makes J jumps and draws J + 1 waits, the last one past t:
+        # the generator ends where one that drew ceil((J + 1) / JUMP_BLOCK)
+        # blocks of waits then picks ends, and the label sum moves by 1
+        # mod 16 per jump.
         import chaoslab.montecarlo as montecarlo
 
         class StepRule(PairRule):
@@ -124,14 +149,32 @@ class TestEventBlocks:
         for seed in range(5):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             end = simulate_kac(start, 1.0, 1.0, rng, StepRule())
-            events = left = int(ref.poisson(1.0 * 1.0 * 11 / 2.0))
-            while left:
-                block = min(left, montecarlo.EVENT_BLOCK)
-                left -= block
-                ref.integers(12, size=block), ref.integers(11, size=block), ref.random(block)
+            jumps = (sum(v * c for v, c in enumerate(end.counts)) - 9) % 16
+            for _ in range(math.ceil((jumps + 1) / montecarlo.JUMP_BLOCK)):
+                ref.standard_exponential(montecarlo.JUMP_BLOCK), ref.random(montecarlo.JUMP_BLOCK)
             assert rng.bit_generator.state == ref.bit_generator.state
-            label_sum = sum(v * c for v, c in enumerate(end.counts))
-            assert 2 < events < 16 and (label_sum - 9) % 16 == events
+            assert jumps > 2
+
+    def test_pick_on_a_rate_edge_takes_the_next_move(self):
+        # At (2, 2, 1) both moves of SumConservingRule(3), (-1, 2, -1) and
+        # (1, -2, 1), weigh 4 * (1/3) exactly, so a pick of 1/2 lands on the
+        # first running sum: the first move whose sum exceeds it is the
+        # second.  A wait of 1 is 3/8 of the horizon 0.45 (t = 4.5 at n = 5),
+        # and the next one passes it from either end class.
+        start = ParticleState((2, 2, 1))
+        rng = FixedDraws(np.random.PCG64(0))
+        assert simulate_kac(start, 1.0, 4.5, rng).counts == (3, 0, 2)
+        rng.pick = np.nextafter(0.5, 0.0)
+        assert simulate_kac(start, 1.0, 4.5, rng).counts == (1, 4, 0)
+
+    def test_wait_on_the_horizon_stops_the_row(self):
+        # At (1, 0, 1) the one move weighs q = 2 * (1/3); with lam = 4 and
+        # n = 2 the horizon is t itself, so a wait of 1 lands on it at
+        # t = 1 / q: a jump at t is not made, and one just before t is.
+        start, rng = ParticleState((1, 0, 1)), FixedDraws(np.random.PCG64(0))
+        t = 1.0 / (2 * (1 / 3))
+        assert simulate_kac(start, 4.0, t, rng).counts == (1, 0, 1)
+        assert simulate_kac(start, 4.0, np.nextafter(t, 2 * t), rng).counts == (0, 2, 0)
 
     def test_zero_events(self):
         start = ParticleState((4, 2, 2))
