@@ -358,8 +358,12 @@ def cmd_theorem_probe(config: dict) -> int:
         else:
             estimates = [monte_carlo_pair_law(law, kernel, replicas, seed) for law in laws]
             gaps = [pair_gap(pair, fp) for pair, _ in estimates]
-            entry.update(replicas=replicas, std_error=[float(result.std_error.max())
-                                                       for _, result in estimates])
+            # A gap within twice the summed standard errors, the scale of
+            # the estimator's upward bias, is not told apart from 0.
+            entry.update(replicas=replicas,
+                         std_error=[float(result.std_error.max()) for _, result in estimates],
+                         resolved=[gap > 2.0 * float(result.std_error.sum())
+                                   for gap, (_, result) in zip(gaps, estimates)])
         backend.append(entry)
         rows.append((n, *gaps))
 

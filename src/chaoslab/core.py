@@ -9,13 +9,20 @@ A SymmetricLaw holds two read-only arrays: `occ`, the (S, k) occupancy
 vectors of its support in canonical enumeration order, and `p`, their
 positive masses.  `class_index` gives an occupancy its rank, its row in
 `occupancy_array(k, n)`; `SymmetricLaw.vector()` scatters a law's masses
-into the full rank-indexed vector that kernels act on.  Product laws,
-marginals and log-likelihoods are numpy operations over these arrays.
+into the full rank-indexed vector that kernels act on.
+
+Product laws, marginals and log-likelihoods read `occupancy_array`, stored
+column-contiguous, one state's counts at a time: each per-class quantity
+combines, left to right over the states, a function of one count m_i in
+0..n, gathered from its table over 0..n by `_per_count`.  For k < 8 that
+gives the bits of numpy's row-wise reduction of an (S, k) array (which
+adds rows of 8 or more entries pairwise) without its temporaries.
 Class sizes are doubles: products of binomial coefficients from a cached
-Pascal triangle, exact below 2**53, with a log-factorial fallback where
-they overflow.  Sums over classes that feed gaps and likelihoods go
-through `_sum`: numpy pairwise sums over blocks of SUM_BLOCK classes, then
-math.fsum over the block partials, and plain math.fsum up to one block.
+Pascal triangle, grown by its missing rows, exact below 2**53, with a
+log-factorial fallback where they overflow.  Sums over classes that feed
+gaps and likelihoods go through `_sum`: numpy pairwise sums over blocks of
+SUM_BLOCK classes, then math.fsum over the block partials, and plain
+math.fsum up to one block.
 The dense ordered and big-integer oracles that check these live with the
 tests, not here.
 """
@@ -118,7 +125,7 @@ def occupancy_array(k: int, n: int) -> np.ndarray:
     """All occupancy vectors of n particles over k states, one per row.
 
     Canonical order: first coordinate descending, then recursively the
-    rest.  The result is cached and read-only.
+    rest.  The result is cached, read-only and column-contiguous.
     """
     # Each pass appends one coordinate: a row with r particles left expands
     # to r + 1 rows taking r, r - 1, ..., 0 of them; the last coordinate
@@ -127,12 +134,11 @@ def occupancy_array(k: int, n: int) -> np.ndarray:
     cols, left = [first], n - first
     for _ in range(k - 2):
         counts = left + 1
-        parent = np.repeat(np.arange(len(left)), counts)
-        starts = np.cumsum(counts) - counts
-        taken = left[parent] - (np.arange(len(parent)) - starts[parent])
-        cols = [c[parent] for c in cols] + [taken]
-        left = left[parent] - taken
-    occ = np.stack(cols + [left], axis=1) if k > 1 else np.array([[n]], dtype=np.int64)
+        # Row r's children leave 0, 1, ..., left[r] particles for later states.
+        later = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [np.repeat(c, counts) for c in cols] + [np.repeat(left, counts) - later]
+        left = later
+    occ = np.array(cols + [left]).T if k > 1 else np.array([[n]], dtype=np.int64)
     occ.flags.writeable = False
     return occ
 
@@ -174,25 +180,45 @@ def _sum(x: np.ndarray) -> float:
     return math.fsum(blocks.tolist() + x[whole:].tolist())
 
 
-def _build_pascal(rows: int) -> np.ndarray:
+def _build_pascal(rows: int, start: np.ndarray | None = None) -> np.ndarray:
+    """Pascal's triangle to row `rows`, C(a, b) at [a, b] and 0 for b > a:
+    the rows of the smaller triangle `start` copied, the rest added."""
     table = np.zeros((rows + 1, rows + 1))
+    done = 1 if start is None else len(start)
+    if start is not None:
+        table[:done, :done] = start
     table[:, 0] = 1.0
-    for a in range(1, rows + 1):
+    for a in range(done, rows + 1):
         table[a, 1:a + 1] = table[a - 1, 1:a + 1] + table[a - 1, :a]
     table.flags.writeable = False
     return table
 
 
-# One Pascal table serves every n up to its size; it is rebuilt only when a
-# larger n asks, so a grid of n values holds one table, not one per n.
+# One Pascal table serves every n up to its size; a larger n grows it by
+# the missing rows only, so a grid of n values builds each row once.
 _pascal = _build_pascal(0)
 
 
 def _binomials(n: int) -> np.ndarray:
     global _pascal
     if len(_pascal) <= n:
-        _pascal = _build_pascal(n)
+        _pascal = _build_pascal(n, _pascal)
     return _pascal
+
+
+def _per_count(f, counts: np.ndarray, n: int) -> np.ndarray:
+    """f(m) for each count m in a column of counts in 0..n, f elementwise in
+    a float array.  A column of more than n entries gathers f from its
+    table f(0), ..., f(n); a shorter one, such as a sparse law's at large
+    n, applies f to the column itself.  Both do the same float operations
+    on each count, so they give the same bits."""
+    if len(counts) > n:
+        return f(np.arange(n + 1.0))[counts]
+    return f(counts.astype(float))
+
+
+def _log_factorials(m: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(x + 1.0) for x in m.tolist()])
 
 
 def _class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
@@ -204,11 +230,12 @@ def _class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
     if n > PASCAL_ROWS:
         return np.full(len(occ), np.inf)
     binom = _binomials(n)
-    partial = np.cumsum(occ, axis=1)
+    partial = occ[:, 0]
     sizes = np.ones(len(occ))
     with np.errstate(over="ignore"):
-        for i in range(1, occ.shape[1]):
-            sizes *= binom[partial[:, i], occ[:, i]]
+        for m in occ.T[1:]:
+            partial = partial + m
+            sizes *= binom[partial, m]
     return sizes
 
 
@@ -218,8 +245,11 @@ def _log_class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
     logs = np.log(sizes)
     big = np.isinf(sizes)
     if big.any():
-        lf = np.array([math.lgamma(a + 1) for a in range(n + 1)])
-        logs[big] = lf[n] - lf[occ[big]].sum(axis=1)
+        sub = occ[big]
+        total = np.zeros(len(sub))  # sum_i log m_i!, added left to right
+        for m in sub.T:
+            total += _per_count(_log_factorials, m, n)
+        logs[big] = math.lgamma(n + 1.0) - total
     return logs
 
 
@@ -308,7 +338,9 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
     occ = occupancy_array(p.space.k, n)
     q = p.as_array()
     sizes = _class_sizes(occ, n)
-    powers = np.prod(q ** occ, axis=1)
+    powers = np.ones(len(occ))  # prod_i q_i^m_i, multiplied left to right
+    for qi, m in zip(q, occ.T):
+        powers *= _per_count(lambda c: qi ** c, m, n)
     possible = ~(occ[:, q == 0.0] > 0).any(axis=1)
     with np.errstate(invalid="ignore"):  # inf * 0 on impossible rows
         mass = np.where(possible, sizes * powers, 0.0)
@@ -344,25 +376,29 @@ def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
     An ordered j-tuple with counts c has probability
         sum_m mass(m) * prod_i (m_i)_(c_i) / (n)_j,
     the chance of drawing that tuple without replacement from the class;
-    each weight is a product of draw probabilities (m_i - t) / (n - g) <= 1.
+    each weight is a product of draw probabilities (m_i - t) / (n - g) <= 1,
+    multiplied in draw order.
     """
     n = law.n
     if not 1 <= j <= n:
         raise InvalidArgumentError(f"marginal order {j} out of range 1..{n}")
     if j == n:
         return law
-    counts = law.occ.T.astype(float)
-    cls = occupancy_array(law.space.k, j)
-    ordered = np.empty(len(cls))
-    for row, c in enumerate(cls.tolist()):
-        w = law.p
-        drawn = 0
-        for i, ci in enumerate(c):
-            for t in range(ci):
-                w = w * ((counts[i] - t) / (n - drawn))
-                drawn += 1
-        ordered[row] = _sum(w)
-    return SymmetricLaw.from_arrays(law.space, j, cls, ordered * _class_sizes(cls, j))
+    # Depth first over the draws in nondecreasing state order, which meets
+    # the tuples in the canonical order of occupancy_array(k, j): each draw
+    # multiplies its parent's weights by one factor column, so the tuples
+    # that begin with the same draws share their product.
+    k, ordered = law.space.k, []
+    todo = [(law.p, 0, i, 0) for i in reversed(range(k))]
+    while todo:
+        w, g, i, t = todo.pop()  # draw g takes state i, as t earlier draws did
+        w = w * _per_count(lambda m: (m - t) / (n - g), law.occ[:, i], n)
+        if g + 1 == j:
+            ordered.append(_sum(w))
+        else:
+            todo += [(w, g + 1, s, t + 1 if s == i else 0) for s in reversed(range(i, k))]
+    cls = occupancy_array(k, j)
+    return SymmetricLaw.from_arrays(law.space, j, cls, np.array(ordered) * _class_sizes(cls, j))
 
 
 def tv_distance(a, b) -> float:
@@ -397,7 +433,11 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
     """Expected TV distance between the empirical measure and p under the law."""
     if law.space != p.space:
         raise InvalidArgumentError("law and target on different spaces")
-    dist = 0.5 * np.abs(law.occ / law.n - p.as_array()).sum(axis=1)
+    n = law.n
+    dist = np.zeros(len(law.p))  # sum_i |m_i / n - p_i|, added left to right
+    for pi, m in zip(p.as_array(), law.occ.T):
+        dist += _per_count(lambda c: np.abs(c / n - pi), m, n)
+    dist *= 0.5
     return _sum(law.p * dist)
 
 

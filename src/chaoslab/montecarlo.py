@@ -45,6 +45,9 @@ JUMP_BLOCK = 32
 # Most particles: counts, and their sum n, are int64.
 MAX_N = 2**63 - 1
 KAC_CHUNK = 1024  # most replicas per stack call: their Generators take about 1 KB each
+# Most jump steps per stack call, bounded before any draw: about 10 s at
+# 45 us a step for a few 3-state rows (170 us for STACK_WIDTH; 2-core VM).
+MAX_JUMP_STEPS = 200_000
 
 
 def check_particle_count(n: int) -> None:
@@ -97,7 +100,9 @@ def simulate_kac_stack(
     class moves by change d at rate lam / (2n) times its `move_weights`.
     A row is advanced jump by jump by `_jumps`, in groups of at most
     STACK_WIDTH rows; collisions that leave the class as it was are not
-    drawn.
+    drawn.  A row's expected jumps are at most lam t (n - 1) / 2 times
+    c_max = max over uw of sum_d coeffs[d, uw]; a stack whose groups may
+    step more than MAX_JUMP_STEPS times is InvalidArgumentError.
     """
     check_rate_and_time(lam, t)
     counts = np.asarray(starts)
@@ -118,6 +123,12 @@ def simulate_kac_stack(
     if not math.isfinite(horizon):
         raise InvalidArgumentError(f"t * lam = {t} * {lam} overflows a float")
     table = (pair_rule or default_rule(counts.shape[1])).compiled(counts.shape[1])
+    groups = -(-len(counts) // STACK_WIDTH)
+    steps = t * lam * (n - 1) / 2 * table.coeffs.sum(axis=0).max() * groups
+    if steps > MAX_JUMP_STEPS:
+        raise InvalidArgumentError(f"n = {n}, t * lam = {t * lam:g} and {len(counts)} rows "
+                                   f"may take {steps:.3g} jump steps in expectation, past "
+                                   f"the budget of {MAX_JUMP_STEPS}")
     out = counts.astype(np.int64)
     if horizon > 0 and len(table.changes):  # else no row can jump, and none draws
         for first in range(0, len(out), STACK_WIDTH):

@@ -14,7 +14,15 @@ from chaoslab import (
     SymmetricLaw,
     enumerate_occupancies,
 )
-from chaoslab.core import MASS_TOL, NEG_CLAMP, class_index, occupancy_array
+from chaoslab.core import (
+    MASS_TOL,
+    NEG_CLAMP,
+    PASCAL_ROWS,
+    _build_pascal,
+    _sum,
+    class_index,
+    occupancy_array,
+)
 from chaoslab.errors import CapacityError, InvalidArgumentError
 from chaoslab.meanfield import collision_marginal_tensor
 
@@ -391,6 +399,85 @@ def oracle_kac_event_matrix(k, n, rule):
             moved += prob
         P[i, i] = 1.0 - moved
     return P
+
+
+# Row-wise references of core's class arithmetic: each per-class quantity
+# as an (S, k) array reduced along its k-wide axis, the form core computed
+# them in before it read occupancy columns and per-count tables.  They read
+# `occ` C-ordered, as every occupancy array of that code was, and
+# test_differential requires core to give the same bits.
+
+
+def rowwise_class_sizes(occ, n):
+    if n > PASCAL_ROWS:
+        return np.full(len(occ), np.inf)
+    occ = np.ascontiguousarray(occ)
+    binom = _build_pascal(n)
+    partial = np.cumsum(occ, axis=1)
+    sizes = np.ones(len(occ))
+    with np.errstate(over="ignore"):
+        for i in range(1, occ.shape[1]):
+            sizes *= binom[partial[:, i], occ[:, i]]
+    return sizes
+
+
+def rowwise_log_class_sizes(occ, n):
+    occ = np.ascontiguousarray(occ)
+    sizes = rowwise_class_sizes(occ, n)
+    logs = np.log(sizes)
+    big = np.isinf(sizes)
+    if big.any():
+        lf = np.array([math.lgamma(a + 1) for a in range(n + 1)])
+        logs[big] = lf[n] - lf[occ[big]].sum(axis=1)
+    return logs
+
+
+def rowwise_product_law(p: Distribution, n: int) -> SymmetricLaw:
+    occ = np.ascontiguousarray(occupancy_array(p.space.k, n))
+    q = p.as_array()
+    sizes = rowwise_class_sizes(occ, n)
+    powers = np.prod(q ** occ, axis=1)
+    possible = ~(occ[:, q == 0.0] > 0).any(axis=1)
+    with np.errstate(invalid="ignore"):
+        mass = np.where(possible, sizes * powers, 0.0)
+    lost = possible & (np.isinf(sizes) | (powers < np.finfo(float).tiny))
+    if lost.any():
+        sub = occ[lost]
+        with np.errstate(divide="ignore"):
+            log_q = np.where(q > 0.0, np.log(q), 0.0)
+        mass[lost] = np.exp(rowwise_log_class_sizes(sub, n) + sub @ log_q)
+    mass /= _sum(mass)
+    return SymmetricLaw.from_arrays(p.space, n, occ, mass)
+
+
+def rowwise_marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
+    """`marginal` by its per-tuple loop: every draw factor of every tuple
+    computed afresh from the float counts."""
+    n = law.n
+    if j == n:
+        return law
+    counts = law.occ.T.astype(float)
+    cls = np.ascontiguousarray(occupancy_array(law.space.k, j))
+    ordered = np.empty(len(cls))
+    for row, c in enumerate(cls.tolist()):
+        w = law.p
+        drawn = 0
+        for i, ci in enumerate(c):
+            for t in range(ci):
+                w = w * ((counts[i] - t) / (n - drawn))
+                drawn += 1
+        ordered[row] = _sum(w)
+    return SymmetricLaw.from_arrays(law.space, j, cls, ordered * rowwise_class_sizes(cls, j))
+
+
+def rowwise_mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
+    dist = 0.5 * np.abs(np.ascontiguousarray(law.occ) / law.n - p.as_array()).sum(axis=1)
+    return _sum(law.p * dist)
+
+
+def rowwise_specific_loglik(law: SymmetricLaw) -> float:
+    terms = law.p * (np.log(law.p) - rowwise_log_class_sizes(law.occ, law.n))
+    return _sum(terms) / law.n
 
 
 def oracle_mixture(components):

@@ -207,9 +207,32 @@ class TestTheoremProbe:
         assert meta["backend"] == [{"n": 6, "kind": "exact", "classes": 28},
                                    {"n": 8, "kind": "exact", "classes": 45}]
         std_error = sampled.pop("std_error")
+        resolved = sampled.pop("resolved")
         assert sampled == {"n": 16, "kind": "monte-carlo", "classes": 153, "replicas": 2}
         # The largest standard error of each column's pair marginal: row, product, damped.
         assert len(std_error) == 3 and all(0.0 <= se < 1.0 for se in std_error)
+        assert len(resolved) == 3 and all(isinstance(r, bool) for r in resolved)
+
+    def test_bench_argv_columns_are_unresolved(self, tmp_path):
+        # 25 runs per column at n = 16: every gap is within twice its
+        # column's summed standard errors (product: 0.019 against 0.17).
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--replicas", "25", "--grid", "6,8,10,12,16", "--seed", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        csv, meta = read_run(tmp_path, "theorem-probe")
+        assert [entry.get("resolved") for entry in meta["backend"]] == [None] * 4 + [[False] * 3]
+        assert csv.splitlines()[-1].startswith("16,0.0335")
+
+    def test_many_replicas_resolve_the_chaotic_gaps(self, tmp_path):
+        # 4,000 runs at n = 13: the row gap (0.060) and the damped gap
+        # (0.033) clear twice their summed standard errors (0.0095, 0.019);
+        # the product gap (0.0040, against 0.018) stays within its noise.
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--replicas", "4000", "--grid", "13", "--seed", "0", "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "theorem-probe")
+        assert meta["backend"][0]["resolved"] == [True, False, True]
 
     def test_counterexample_discontinuity_flag(self, tmp_path):
         rc = main(["theorem-probe", "--kernel", "counterexample", "--p", "1,0",
@@ -416,6 +439,19 @@ class TestKacCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_sampler_past_its_jump_budget_is_a_config_error(self, tmp_path, capsys):
+        # A row of 10^8 particles makes millions of jumps by t = 1: refused
+        # before any draw.
+        start = time.perf_counter()
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "100000000", "--replicas", "2",
+                   "--seed", "1", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n = 100000000") and "budget" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_limit_ode_past_its_budget_is_a_config_error(self, tmp_path, capsys):
         # lam*t = 1e5 is more slices of Wild's series than the evolve's budget.

@@ -3,6 +3,7 @@ oracles in conftest, and closed-form pins at n where no oracle can
 enumerate."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -35,8 +36,17 @@ from chaoslab import (
     symmetrized_class_kernel,
     tv_distance,
 )
-from chaoslab import montecarlo
-from chaoslab.core import SUM_BLOCK, _sum, class_index, occupancy_array
+from chaoslab import core, montecarlo
+from chaoslab.core import (
+    PASCAL_ROWS,
+    SUM_BLOCK,
+    _binomials,
+    _build_pascal,
+    _class_sizes,
+    _sum,
+    class_index,
+    occupancy_array,
+)
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import default_rule
@@ -54,6 +64,11 @@ from conftest import (
     oracle_simulate_kac,
     oracle_specific_loglik,
     oracle_tv_distance,
+    rowwise_class_sizes,
+    rowwise_marginal,
+    rowwise_mean_empirical_tv,
+    rowwise_product_law,
+    rowwise_specific_loglik,
 )
 
 TOL = 1e-12
@@ -143,6 +158,99 @@ def test_specific_loglik_and_mean_empirical_tv(shape, seed, sparse):
     assert abs(specific_loglik(law) - oracle_specific_loglik(law.classes, n)) < TOL
     assert abs(mean_empirical_tv(law, Distribution(law.space, p))
                - oracle_mean_empirical_tv(law.classes, n, p)) < TOL
+
+
+def composition(rng, k, n):
+    return tuple(rng.multinomial(n, rng.dirichlet(np.ones(k))).tolist())
+
+
+LAW_KINDS = ["product", "dict", "microcanonical", "point", "two-class"]
+
+
+@st.composite
+def class_laws(draw):
+    """A law and a target p: a product law (column-contiguous classes), a
+    dict-built law on all classes or half of them (C-ordered), a
+    microcanonical law, a point class or a two-class mixture; the sparse
+    kinds, and the product law at k <= 2, also at n past PASCAL_ROWS."""
+    kind = draw(st.sampled_from(LAW_KINDS))
+    k, n = draw(shapes())
+    if kind in ("point", "two-class") and draw(st.booleans()):
+        n = draw(st.integers(PASCAL_ROWS - 2, 10**6))
+    elif kind == "product" and k <= 2 and draw(st.booleans()):
+        n = draw(st.integers(PASCAL_ROWS - 2, PASCAL_ROWS + 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = StateSpace.of_size(k)
+    p = Distribution(space, random_p(rng, k, draw(st.integers(0, 2))))
+    if kind == "product":
+        law = product_law(p, n)
+    elif kind == "dict":
+        law = random_law(rng, k, n, draw(st.booleans()))
+    elif kind == "microcanonical":
+        H = tuple(float(h) for h in rng.integers(0, 4, k))
+        E = float(np.dot(composition(rng, k, n), H)) / n
+        law = microcanonical(EnergyModel(space, H, E, draw(st.floats(0.05, 2.0))), n)
+    elif kind == "point":
+        law = SymmetricLaw.point_class(space, composition(rng, k, n))
+    else:
+        a, b, w = composition(rng, k, n), composition(rng, k, n), rng.random()
+        law = SymmetricLaw(space, n, {a: w, b: 1 - w} if a != b else {a: 1.0})
+    return law, p
+
+
+def assert_same_law(got: SymmetricLaw, want: SymmetricLaw):
+    assert np.array_equal(got.occ, want.occ) and np.array_equal(got.p, want.p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 2))
+def test_product_law_is_the_rowwise_form(shape, seed, zeros):
+    k, n = shape
+    p = Distribution(StateSpace.of_size(k), random_p(np.random.default_rng(seed), k, zeros))
+    assert_same_law(product_law(p, n), rowwise_product_law(p, n))
+
+
+@pytest.mark.parametrize("k, n", [(2, PASCAL_ROWS + 1), (2, 5000), (3, PASCAL_ROWS + 1)])
+@pytest.mark.parametrize("zeros", [0, 1])
+def test_product_law_past_the_pascal_table_is_the_rowwise_form(k, n, zeros):
+    # Every class size overflows the table's reach: the log-factorial path.
+    p = Distribution(StateSpace.of_size(k), random_p(np.random.default_rng(n), k, zeros))
+    assert_same_law(product_law(p, n), rowwise_product_law(p, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(law_and_p=class_laws(), j=st.integers(1, 3))
+def test_class_arithmetic_is_the_rowwise_form(law_and_p, j):
+    law, p = law_and_p
+    j = min(j, law.n)
+    assert np.array_equal(_class_sizes(law.occ, law.n), rowwise_class_sizes(law.occ, law.n))
+    assert_same_law(marginal(law, j), rowwise_marginal(law, j))
+    assert mean_empirical_tv(law, p) == rowwise_mean_empirical_tv(law, p)
+    assert specific_loglik(law) == rowwise_specific_loglik(law)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.lists(st.integers(0, 300), min_size=1, max_size=6))
+def test_grown_pascal_table_is_the_built_one(grid):
+    with mock.patch.object(core, "_pascal", _build_pascal(0)):
+        for n in grid:
+            table = _binomials(n)
+            assert len(table) > n
+            assert np.array_equal(table, _build_pascal(len(table) - 1))
+
+
+def test_point_class_at_large_n_builds_no_count_array():
+    # A table over the counts 0..n would take 8 MB at n = 10^6.
+    law = SymmetricLaw.point_class(S3, (400_000, 350_001, 249_999))
+    rho = Distribution(S3, (0.4, 0.35, 0.25))
+    tracemalloc.start()
+    try:
+        values = pair_gap(law, rho), mean_empirical_tv(law, rho), specific_loglik(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert values[1:] == (rowwise_mean_empirical_tv(law, rho), rowwise_specific_loglik(law))
 
 
 @settings(max_examples=40, deadline=None)

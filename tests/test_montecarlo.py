@@ -209,6 +209,20 @@ class TestSimulateKacStack:
         with pytest.raises(InvalidArgumentError):
             simulate_kac_stack(starts, 1.0, 1.0, [replica_rng(0, r) for r in range(rngs)])
 
+    def test_jump_budget(self, monkeypatch):
+        # The bundled rule at k = 3 moves the class on at most 2/3 of the
+        # collisions, so a row of n = 301 makes at most lam * t * 100
+        # jumps in expectation, and each group of STACK_WIDTH rows counts.
+        monkeypatch.setattr(montecarlo, "MAX_JUMP_STEPS", 100)
+        start = (101, 100, 100)
+        simulate_kac_stack([start], 1.0, 1.0, [replica_rng(0, 0)])
+        for rows, lam in [(1, 1.01), (montecarlo.STACK_WIDTH + 1, 1.0)]:
+            rngs = [replica_rng(0, r) for r in range(rows)]
+            before = [rng.bit_generator.state for rng in rngs]
+            with pytest.raises(InvalidArgumentError, match="budget"):
+                simulate_kac_stack([start] * rows, lam, 1.0, rngs)
+            assert [rng.bit_generator.state for rng in rngs] == before
+
     def test_iid_state_n_past_max(self):
         p = Distribution(S2, (0.5, 0.5))
         with pytest.raises(InvalidArgumentError, match="MAX_N"):
