@@ -11,6 +11,13 @@ positive masses.  `class_index` gives an occupancy its rank, its row in
 `occupancy_array(k, n)`; `SymmetricLaw.vector()` scatters a law's masses
 into the full rank-indexed vector that kernels act on.
 
+Occupancies are enumerated state by state by one expansion step, each
+prefix's children taking the counts of a per-prefix interval of the next
+state.  `occupancy_array` takes every count left; `window_occupancies`
+takes only those that can still reach an open window of integer energies,
+so the microcanonical ensembles build their own classes and not the whole
+class space.
+
 Product laws, marginals and log-likelihoods read `occupancy_array`, stored
 column-contiguous, one state's counts at a time: each per-class quantity
 combines, left to right over the states, a function of one count m_i in
@@ -120,6 +127,22 @@ class Distribution:
         return np.array(self.p, dtype=float)
 
 
+def _expand(rows: list, c_lo, c_hi):
+    """One more state's count for each prefix: prefix r, entry r of each
+    array in `rows`, gets one child per count c_hi[r], c_hi[r] - 1, ...,
+    c_lo[r], none where c_hi[r] < c_lo[r].  Returns the children's copies
+    of `rows`, their counts, and how far each lies below its c_hi."""
+    sizes = np.maximum(c_hi - c_lo + 1, 0)
+    step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return [np.repeat(x, sizes) for x in rows], np.repeat(c_hi, sizes) - step, step
+
+
+def _frozen_columns(cols: list) -> np.ndarray:
+    occ = np.array(cols, dtype=np.int64).T
+    occ.flags.writeable = False
+    return occ
+
+
 @functools.lru_cache(maxsize=16)
 def occupancy_array(k: int, n: int) -> np.ndarray:
     """All occupancy vectors of n particles over k states, one per row.
@@ -128,19 +151,61 @@ def occupancy_array(k: int, n: int) -> np.ndarray:
     rest.  The result is cached, read-only and column-contiguous.
     """
     # Each pass appends one coordinate: a row with r particles left expands
-    # to r + 1 rows taking r, r - 1, ..., 0 of them; the last coordinate
-    # takes whatever is left.
-    first = np.arange(n, -1, -1, dtype=np.int64)
-    cols, left = [first], n - first
-    for _ in range(k - 2):
-        counts = left + 1
-        # Row r's children leave 0, 1, ..., left[r] particles for later states.
-        later = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = [np.repeat(c, counts) for c in cols] + [np.repeat(left, counts) - later]
-        left = later
-    occ = np.array(cols + [left]).T if k > 1 else np.array([[n]], dtype=np.int64)
-    occ.flags.writeable = False
-    return occ
+    # to r + 1 rows taking r, r - 1, ..., 0 of them, which leave the step
+    # below r for later states; the last coordinate takes whatever is left.
+    cols, left = [], np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        cols, col, left = _expand(cols, 0, left)
+        cols.append(col)
+    return _frozen_columns(cols + [left])
+
+
+def _solve(s: int, r: np.ndarray, c_lo, c_hi):
+    """Narrow the count intervals [c_lo, c_hi] to the integers c with
+    s * c <= r.  The new ends stay within the old ones, or one past the
+    other end where an interval empties, so they are int64 counts."""
+    if s > 0:
+        return c_lo, np.clip(r // s, c_lo - 1, c_hi).astype(np.int64, copy=False)
+    if s < 0:
+        return np.clip(-(r // -s), c_lo, c_hi + 1).astype(np.int64, copy=False), c_hi
+    return c_lo, np.where(r >= 0, c_hi, c_lo - 1)
+
+
+def window_occupancies(weights, lo: int, hi: int, n: int) -> np.ndarray:
+    """The occupancies m of n particles with lo < m.weights < hi.
+
+    Weights and bounds are integers, so the test is exact.  The rows are
+    those of occupancy_array(k, n) inside the window, in the same
+    canonical order, int64, read-only and column-contiguous, but only the
+    window's classes are built: counts are chosen state by state, and a
+    prefix of energy e with `left` particles still to place, taking c of
+    state i, can reach the energies from e + a*left + (w_i - a)*c to
+    e + b*left + (w_i - b)*c, with a and b the least and the greatest of
+    the later weights; only the c whose range meets the window are kept.
+    At the last free state a = b, so that range is one energy and the
+    test exact.  Energies are int64 when every intermediate value stays
+    below 2**62 in magnitude, and Python ints otherwise.
+    """
+    w = [int(x) for x in weights]
+    k = len(w)
+    fits = max(abs(lo), abs(hi)) + 2 * n * max(map(abs, w)) + 2 < 2**62
+    dtype = np.int64 if fits else object
+    least = [min(w[i:]) for i in range(k)]
+    greatest = [max(w[i:]) for i in range(k)]
+    # The root's own reach, which is the whole test when k = 1.
+    left = np.array([n] if least[0] * n < hi and greatest[0] * n > lo else [], dtype=np.int64)
+    energy, cols = np.zeros(len(left), dtype=dtype), []
+    for i in range(k - 1):
+        a, b = least[i + 1], greatest[i + 1]
+        rest = left.astype(dtype, copy=False)
+        # Lowest reachable energy below hi, highest above lo.
+        c_lo, c_hi = _solve(w[i] - a, hi - 1 - energy - a * rest, 0, left)
+        c_lo, c_hi = _solve(b - w[i], energy + b * rest - lo - 1, c_lo, c_hi)
+        (*cols, energy, left), col, _ = _expand([*cols, energy, left], c_lo, c_hi)
+        cols.append(col)
+        left = left - col
+        energy = energy + w[i] * col.astype(dtype, copy=False)
+    return _frozen_columns(cols + [left])
 
 
 def enumerate_occupancies(space: StateSpace, n: int) -> list:

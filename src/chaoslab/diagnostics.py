@@ -25,10 +25,10 @@ from .core import (
     _uniform_on_classes,
     marginal,
     mean_empirical_tv,
-    occupancy_array,
     product_law,
     specific_loglik,
     tv_distance,
+    window_occupancies,
 )
 from .errors import (
     ChaoslabError,
@@ -62,7 +62,7 @@ class EnergyModel:
         object.__setattr__(self, "H", H)
         if len(H) != self.space.k:
             raise InvalidArgumentError("energy vector length != k")
-        # The exact window test in _in_window reads these as decimals.
+        # microcanonical reads these as the decimals they print as.
         if not all(math.isfinite(x) for x in H + (self.E, self.delta)):
             raise InvalidArgumentError("energies, E and delta must be finite")
         if self.delta <= 0:
@@ -158,47 +158,36 @@ def chaos_verdict(
     return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope)
 
 
-def _in_window(model: EnergyModel, occ: np.ndarray, n: int) -> np.ndarray:
-    """Rows of `occ` whose mean energy lies in the open window, decided exactly.
-
-    H, E and delta are read as the decimals they print as; over a common
-    denominator D the test lo < occ.H / n < hi becomes the integer test
-    n*lo*D < occ.(H*D) < n*hi*D.
-    """
-    # Imported here: fractions pulls in decimal, which every other command
-    # would pay for at start-up.
-    from fractions import Fraction
-
-    H = [Fraction(str(h)) for h in model.H]
-    half = Fraction(str(model.delta)) / 2
-    lo, hi = Fraction(str(model.E)) - half, Fraction(str(model.E)) + half
-    D = math.lcm(*(x.denominator for x in H + [lo, hi]))
-    weights = [int(h * D) for h in H]
-    lo_n, hi_n = int(lo * D) * n, int(hi * D) * n
-    bound = n * max(abs(x) for x in weights + [lo_n, hi_n, 1])
-    if bound < 2**62:
-        energy = occ @ np.array(weights, dtype=np.int64)
-    else:
-        energy = occ.astype(object) @ np.array(weights, dtype=object)
-    return (lo_n < energy) & (energy < hi_n)
+def _decimal(x) -> tuple:
+    """(m, e), integers with m * 10**e the decimal that x prints as: the
+    digits and exponent of str(x), read without fractions or decimal."""
+    digits, _, exponent = str(x).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
 def microcanonical(model: EnergyModel, n: int) -> SymmetricLaw:
     """Uniform law on ordered states with mean energy in the open window.
 
-    Class mass is proportional to class size on qualifying occupancies, so
-    every ordered state in the support is equiprobable.
+    H, E and delta are read as the decimals they print as, so the window
+    E - delta/2 < m.H / n < E + delta/2 is decided exactly: scaled by 2n
+    and a common power of ten it is an integer window on the energy
+    m.(2H), whose classes `window_occupancies` lists without building the
+    rest of the class space.  Class mass is proportional to class size on
+    those classes, so every ordered state in the support is equiprobable.
     """
-    occ = occupancy_array(model.space.k, n)
-    inside = _in_window(model, occ, n)
-    if not inside.any():
+    decimals = [_decimal(x) for x in model.H + (model.E, model.delta)]
+    shift = max(0, *(-e for _, e in decimals))
+    *H, E, delta = [m * 10 ** (e + shift) for m, e in decimals]
+    occ = window_occupancies([2 * h for h in H], n * (2 * E - delta), n * (2 * E + delta), n)
+    if not len(occ):
         lo = model.E - model.delta / 2.0
         hi = model.E + model.delta / 2.0
         raise EmptyEnsembleError(
             f"no state of n={n} particles has mean energy in "
             f"({lo:g}, {hi:g}) for E={model.E:g}, delta={model.delta:g}"
         )
-    return _uniform_on_classes(model.space, n, occ[inside])
+    return _uniform_on_classes(model.space, n, occ)
 
 
 def _gibbs_weights(H: np.ndarray, beta: float) -> np.ndarray:

@@ -509,6 +509,19 @@ class TestMicrocanonicalCommand:
         assert all(b < a for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.05
 
+    def test_large_n(self, tmp_path):
+        """Only the window's classes are built, so n = 2,000 runs in a
+        fraction of a second and its gaps keep shrinking."""
+        rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+                   "--tol", "0.05", "--grid", "500,1000,2000", "--out", str(tmp_path)])
+        assert rc == 0
+        csv, meta = read_run(tmp_path, "microcanonical")
+        rows = [[float(x) for x in line.split(",")] for line in csv.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == [500, 1000, 2000]
+        for column in (1, 4):  # pair_gap, entropy_dev
+            assert all(b[column] < a[column] for a, b in zip(rows, rows[1:]))
+        assert meta["verdict"] == "chaotic"
+
     def test_builds_each_law_once(self, tmp_path, monkeypatch):
         built = []
         original = chaoslab.cli.microcanonical

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     Distribution,
@@ -18,7 +21,7 @@ from chaoslab import (
     product_law,
     tv_distance,
 )
-from chaoslab.diagnostics import microcanonical_limit
+from chaoslab.diagnostics import _decimal, microcanonical_limit
 from chaoslab.errors import (
     DegenerateModelError,
     EmptyEnsembleError,
@@ -183,6 +186,26 @@ class TestMicrocanonical:
         law = microcanonical(model, 12)
         per_point = {mass / class_size(m) for m, mass in law.classes.items()}
         assert max(per_point) == pytest.approx(min(per_point), rel=1e-12)
+
+
+def as_fraction(decimal):
+    m, e = decimal
+    return Fraction(m) * Fraction(10) ** e
+
+
+class TestDecimal:
+    """The window reads each input as the decimal it prints as; Fraction,
+    the test oracle, parses the same text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats(self, x):
+        assert as_fraction(_decimal(x)) == Fraction(str(x))
+
+    @pytest.mark.parametrize("x", [1e-05, 1.5e+16, -0.0, 5e-324, 1.7976931348623157e+308,
+                                   0.8, -2.25, 100.0, 3, -17, 10**30, np.float64(0.1)])
+    def test_fixed_cases(self, x):
+        assert as_fraction(_decimal(x)) == Fraction(str(x))
 
 
 class TestFitGibbs:

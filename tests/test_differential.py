@@ -46,6 +46,7 @@ from chaoslab.core import (
     _sum,
     class_index,
     occupancy_array,
+    window_occupancies,
 )
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
@@ -127,6 +128,67 @@ def test_blocked_sum_is_fsum(length, seed, zeros, signed):
 def test_enumeration_order(shape):
     k, n = shape
     assert occupancy_array(k, n).tolist() == [list(m) for m in oracle_compositions(n, k)]
+
+
+def filtered_window(weights, lo, hi, n):
+    """The rows of occupancy_array(k, n) with lo < m.weights < hi, each
+    energy summed in Python ints."""
+    occ = occupancy_array(len(weights), n)
+    return occ[[lo < sum(m * w for m, w in zip(row, weights)) < hi for row in occ.tolist()]]
+
+
+def assert_window(weights, lo, hi, n):
+    got, want = window_occupancies(weights, lo, hi, n), filtered_window(weights, lo, hi, n)
+    assert got.dtype == np.int64 and got.flags.f_contiguous and not got.flags.writeable
+    assert got.shape == want.shape and np.array_equal(got, want)
+    return got
+
+
+def energy_dtypes(monkeypatch) -> list:
+    """The dtype of the energies each window_occupancies level narrows by."""
+    seen, solve = [], core._solve
+    monkeypatch.setattr(core, "_solve", lambda s, r, *rest: seen.append(r.dtype) or solve(s, r, *rest))
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=shapes(), data=st.data())
+def test_window_occupancies_are_the_filtered_class_space(shape, data):
+    """Random integer weights (ties, zeros, negatives; scaled past int64 for
+    some draws) and windows whose ends sit on, or one off, a class energy."""
+    k, n = shape
+    scale = data.draw(st.sampled_from([1, 3, 2**40, 2**59, 2**70]))
+    weights = [scale * w for w in data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))]
+    energies = sorted({sum(m * w for m, w in zip(row, weights))
+                       for row in occupancy_array(k, n).tolist()})
+    lo, hi = (data.draw(st.sampled_from(energies)) + data.draw(st.integers(-1, 1))
+              for _ in range(2))
+    assert_window(weights, lo, hi, n)
+
+
+@pytest.mark.parametrize("weights", [(5,), (0, 0, 0), (3, 3, 3, 3), (0, 1, 2), (2, 1, 0),
+                                     (-2, 0, 5, -2, 1), (4, -1, 4, 0, -1)])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_window_occupancies_empty_and_full_windows(weights, n):
+    low, high = n * min(weights), n * max(weights)
+    assert len(assert_window(weights, low - 1, high + 1, n)) == math.comb(n + len(weights) - 1, n)
+    assert len(assert_window(weights, high, high + 5, n)) == 0
+    assert len(assert_window(weights, low - 5, low, n)) == 0
+    assert len(assert_window(weights, low, low + 1, n)) == 0
+
+
+@pytest.mark.parametrize("offset, dtype", [(0, np.int64), (1, object)])
+@pytest.mark.parametrize("weights", [(0, 1, 2), (2**57, 2**57 + 1, 2**57 + 3)])
+def test_window_occupancies_on_each_side_of_int64(weights, offset, dtype, monkeypatch):
+    """Energies are int64 while max(|lo|, |hi|) + 2n max|w| + 2 < 2**62 and
+    Python ints from there on; both give the filtered rows."""
+    n = 6
+    seen = energy_dtypes(monkeypatch)
+    edge = 2**62 - (2 * n * max(weights) + 2) - 1 + offset
+    mid = n * weights[1]
+    assert len(assert_window(weights, -edge, mid + 2, n)) > 0
+    assert len(assert_window(weights, mid - 2, edge, n)) > 0
+    assert set(seen) == {np.dtype(dtype)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,18 +603,26 @@ def test_microcanonical_window_sweep():
     assert float_misses == 210
 
 
-@pytest.mark.parametrize("H, E, delta", [
-    # No weight overflows int64, but the conservative bound
-    # n * n * |lo| * D = 40 * 40 * 0.35 * 10**16 passes 2**62.
-    ((0, 0.3333333333333333, 0.7071067811865476), 0.4, 0.1),
-    # The weight 1234.5678901234567 * 10**16 alone does not fit in int64.
-    ((0, 0.3333333333333333, 1234.5678901234567), 400.0, 100.0),
+@pytest.mark.parametrize("H, E, delta, dtype", [
+    # Sixteen decimals: over 10**16 every weight and bound, and 2n times
+    # the largest weight, stay below 2**62.
+    pytest.param((0, 0.3333333333333333, 0.7071067811865476), 0.4, 0.1, np.int64,
+                 id="H0-0.4-0.1"),
+    # The weight 2 * 1234.5678901234567 * 10**16 alone does not fit in int64.
+    pytest.param((0, 0.3333333333333333, 1234.5678901234567), 400.0, 100.0, object,
+                 id="H1-400.0-100.0"),
+    # No weight overflows int64, but 2n times the largest passes 2**62.
+    pytest.param((0, 0.3333333333333333, 20.70710678118655), 5.0, 2.0, object,
+                 id="H2-5.0-2.0"),
 ])
-def test_microcanonical_big_integer_window(H, E, delta):
-    """Many-decimal inputs take the Python-int fallback of the window test."""
+def test_microcanonical_big_integer_window(H, E, delta, dtype, monkeypatch):
+    """Many-decimal inputs are exact on the int64 path and on its Python-int
+    fallback."""
+    seen = energy_dtypes(monkeypatch)
     model = EnergyModel(S3, H, E, delta)
     assert_same_classes(microcanonical(model, 40).classes,
                         oracle_microcanonical(H, E, delta, 40))
+    assert set(seen) == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("k, n, E", [(2, 1025, 0.5), (3, 652, 1.0)])
@@ -594,6 +664,15 @@ def big_product():
 
 def test_big_n_class_count():
     assert len(occupancy_array(3, BIG_N)) == math.comb(BIG_N + 2, 2)
+
+
+def test_window_occupancies_label_sum_shells():
+    """Labels 0, 1, 2 at n = 2,000: label sum s holds
+    floor(s/2) - max(0, s - n) + 1 classes."""
+    n = 2000
+    want = sum(s // 2 - max(0, s - n) + 1 for s in range(1401, 1800))
+    assert want == 319_499
+    assert len(window_occupancies((0, 1, 2), 1400, 1800, n)) == want
 
 
 def test_big_n_class_index():

@@ -87,3 +87,17 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_microcanonical_imports_no_fractions(tmp_path):
+    """A microcanonical run reads its decimals in integers: it loads
+    neither fractions nor decimal, which would add milliseconds to every
+    process start."""
+    code = ("import sys; from chaoslab.cli import main; "
+            "main(['microcanonical', '--H', '0,1,2', '--E', '0.8', '--delta', '0.2', "
+            f"'--grid', '20,40,80', '--out', {str(tmp_path)!r}]); "
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
