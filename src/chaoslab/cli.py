@@ -32,7 +32,6 @@ from .core import (
     SymmetricLaw,
     law_from_json,
     marginal,
-    occupancy_array,
     product_law,
     tv_distance,
 )
@@ -305,22 +304,16 @@ def column_laws(rho: Distribution, n: int) -> tuple:
     return quota, product, SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
 
 
-def monte_carlo_pair_law(law: SymmetricLaw, kernel, replicas: int, seed: int) -> tuple:
-    """The pair marginal P of the kernel's image of `law`, estimated by
-    `estimate_pair_marginal` (whose EstimatorResult comes second) as a
-    two-particle law: mass P_uu on the class of (u, u), 2 P_uw on that of
-    (u, w), as `marginal(law, 2)` gives it.  Run r draws a start class from
-    the law on replica_rng(seed, r), and one sampler call runs every start
-    on its run's stream: every law and every n reuses those streams."""
+def monte_carlo_pair_marginal(law: SymmetricLaw, kernel, replicas: int, seed: int):
+    """`estimate_pair_marginal` of the kernel's image of `law`: its estimate
+    is the ordered k x k pair marginal, as `marginal(image, 2)` gives it
+    exactly.  Run r draws a start class from the law on replica_rng(seed, r),
+    and one sampler call runs every start on its run's stream: every law and
+    every n reuses those streams."""
     def run(rngs):
         return kernel.sampler(law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]], rngs)
 
-    result = estimate_pair_marginal(run, replicas, seed)
-    k = kernel.target.k
-    pairs = occupancy_array(k, 2)  # the class of (u, w), u <= w: first and last occupied
-    u, w = pairs.argmax(axis=1), k - 1 - pairs[:, ::-1].argmax(axis=1)
-    mass = np.where(u == w, 1.0, 2.0) * result.estimate[u, w]
-    return SymmetricLaw.from_arrays(kernel.target, 2, pairs, mass), result
+    return estimate_pair_marginal(run, replicas, seed)
 
 
 def cmd_theorem_probe(config: dict) -> int:
@@ -354,16 +347,16 @@ def cmd_theorem_probe(config: dict) -> int:
         entry = {"n": n, "kind": "exact" if kernel.exact else "monte-carlo",
                  "classes": math.comb(n + space.k - 1, space.k - 1)}
         if kernel.exact:
-            gaps = [pair_gap(propagate(law, kernel), fp) for law in laws]
+            gaps = [pair_gap(marginal(propagate(law, kernel), 2), fp) for law in laws]
         else:
-            estimates = [monte_carlo_pair_law(law, kernel, replicas, seed) for law in laws]
-            gaps = [pair_gap(pair, fp) for pair, _ in estimates]
+            estimates = [monte_carlo_pair_marginal(law, kernel, replicas, seed) for law in laws]
+            gaps = [pair_gap(result.estimate, fp) for result in estimates]
             # A gap within twice the summed standard errors, the scale of
             # the estimator's upward bias, is not told apart from 0.
             entry.update(replicas=replicas,
-                         std_error=[float(result.std_error.max()) for _, result in estimates],
+                         std_error=[float(result.std_error.max()) for result in estimates],
                          resolved=[gap > 2.0 * float(result.std_error.sum())
-                                   for gap, (_, result) in zip(gaps, estimates)])
+                                   for gap, result in zip(gaps, estimates)])
         backend.append(entry)
         rows.append((n, *gaps))
 
@@ -398,8 +391,7 @@ def cmd_kac(config: dict) -> int:
     # Only an exact kernel gets a row, which keeps product_law off the large-n path.
     kernel = kac_collision_kernel(space, lam, t, n)
     if kernel.exact:
-        # The classes of one particle are the states, in rank order.
-        exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1).vector())
+        exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1))
         rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
 
     # Each replica draws its start, then its run, on its own stream.

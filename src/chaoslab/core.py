@@ -18,7 +18,7 @@ takes only those that can still reach an open window of integer energies,
 so the microcanonical ensembles build their own classes and not the whole
 class space.
 
-Product laws, marginals and log-likelihoods read `occupancy_array`, stored
+Product laws and log-likelihoods read `occupancy_array`, stored
 column-contiguous, one state's counts at a time: each per-class quantity
 combines, left to right over the states, a function of one count m_i in
 0..n, gathered from its table over 0..n by `_per_count`.  For k < 8 that
@@ -29,7 +29,8 @@ Pascal triangle, grown by its missing rows, exact below 2**53, with a
 log-factorial fallback where they overflow.  Sums over classes that feed
 gaps and likelihoods go through `_sum`: numpy pairwise sums over blocks of
 SUM_BLOCK classes, then math.fsum over the block partials, and plain
-math.fsum up to one block.
+math.fsum up to one block.  The one- and two-particle marginals are
+moments of the occupancy columns, a (k,) vector and a (k, k) matrix.
 The dense ordered and big-integer oracles that check these live with the
 tests, not here.
 """
@@ -435,53 +436,35 @@ def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> Symmetric
     return SymmetricLaw.from_arrays(space, n, occ, sizes / _sum(sizes))
 
 
-def marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
-    """Law of the first j coordinates, again in occupancy form.
+def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
+    """Ordered law of the first j = 1 or 2 coordinates, as an array.
 
-    An ordered j-tuple with counts c has probability
-        sum_m mass(m) * prod_i (m_i)_(c_i) / (n)_j,
-    the chance of drawing that tuple without replacement from the class;
-    each weight is a product of draw probabilities (m_i - t) / (n - g) <= 1,
-    multiplied in draw order.
+    j = 1: the (k,) vector sum_m mass(m) m_u / n.
+    j = 2: the symmetric (k, k) matrix
+        sum_m mass(m) m_u (m_w - [u = w]) / (n (n - 1)),
+    the chance of drawing u then w without replacement from the class.
+    Each entry is one class sum of the masses times exact integer column
+    products, divided by the exact count of ordered draws.
     """
-    n = law.n
-    if not 1 <= j <= n:
-        raise InvalidArgumentError(f"marginal order {j} out of range 1..{n}")
-    if j == n:
-        return law
-    # Depth first over the draws in nondecreasing state order, which meets
-    # the tuples in the canonical order of occupancy_array(k, j): each draw
-    # multiplies its parent's weights by one factor column, so the tuples
-    # that begin with the same draws share their product.
-    k, ordered = law.space.k, []
-    todo = [(law.p, 0, i, 0) for i in reversed(range(k))]
-    while todo:
-        w, g, i, t = todo.pop()  # draw g takes state i, as t earlier draws did
-        w = w * _per_count(lambda m: (m - t) / (n - g), law.occ[:, i], n)
-        if g + 1 == j:
-            ordered.append(_sum(w))
-        else:
-            todo += [(w, g + 1, s, t + 1 if s == i else 0) for s in reversed(range(i, k))]
-    cls = occupancy_array(k, j)
-    return SymmetricLaw.from_arrays(law.space, j, cls, np.array(ordered) * _class_sizes(cls, j))
+    n, k = law.n, law.space.k
+    if j not in (1, 2) or j > n:
+        raise InvalidArgumentError(f"marginal order {j} is not 1 or 2 up to n={n}")
+    cols = law.occ.T
+    if j == 1:
+        return np.array([_sum(law.p * m) for m in cols]) / n
+    pair = np.empty((k, k))
+    for u in range(k):
+        for w in range(u, k):
+            draws = cols[u] * (cols[w] - (u == w))
+            pair[u, w] = pair[w, u] = _sum(law.p * draws) / (n * (n - 1))
+    return pair
 
 
-def tv_distance(a, b) -> float:
-    """Total variation distance: half the L1 distance over ordered points.
-
-    Accepts two Distributions or two SymmetricLaws on the same space (and n).
-    For symmetric laws the class masses already aggregate orbits, so the
-    ordered-point L1 equals the class-mass L1.
-    """
-    if isinstance(a, Distribution) and isinstance(b, Distribution):
-        if a.space != b.space:
-            raise InvalidArgumentError("distributions on different spaces")
-        return 0.5 * math.fsum(abs(x - y) for x, y in zip(a.p, b.p))
-    if isinstance(a, SymmetricLaw) and isinstance(b, SymmetricLaw):
-        if a.space != b.space or a.n != b.n:
-            raise InvalidArgumentError("laws on different spaces or particle counts")
-        return 0.5 * _sum(np.abs(a.vector() - b.vector()))
-    raise InvalidArgumentError("tv_distance needs two objects of the same kind")
+def tv_distance(a: Distribution, b: Distribution) -> float:
+    """Total variation distance between two Distributions on one space."""
+    if not (isinstance(a, Distribution) and isinstance(b, Distribution) and a.space == b.space):
+        raise InvalidArgumentError("tv_distance needs two Distributions on one space")
+    return 0.5 * math.fsum(abs(x - y) for x, y in zip(a.p, b.p))
 
 
 def specific_loglik(law: SymmetricLaw) -> float:

@@ -4,9 +4,10 @@ The equivalent finite-space criteria measured here: decay of the
 two-particle marginal gap against a product law, concentration of the
 empirical measure, and the specific log-likelihood limit.  The pair gap
 suffices: for exchangeable laws pair chaos implies chaos of every
-marginal order (Sznitman 1991, Prop. 2.2).  `chaos_verdict` computes each
-of the per-n numbers once, into one `ReportRow` per grid point, and the
-CLI reads them from there.  Also builds microcanonical ensembles and fits
+marginal order (Sznitman 1991, Prop. 2.2).  It is read from the ordered
+k x k pair marginal, exact (`core.marginal(law, 2)`) or a Monte Carlo
+estimate.  `chaos_verdict` computes each of the per-n numbers once, into
+one `ReportRow` per grid point, and the CLI reads them from there.  Also builds microcanonical ensembles and fits
 the matching Gibbs one-particle law.
 """
 
@@ -25,9 +26,7 @@ from .core import (
     _uniform_on_classes,
     marginal,
     mean_empirical_tv,
-    product_law,
     specific_loglik,
-    tv_distance,
     window_occupancies,
 )
 from .errors import (
@@ -92,11 +91,14 @@ class ChaosReport:
         }
 
 
-def pair_gap(law: SymmetricLaw, rho: Distribution) -> float:
-    """TV gap between the two-particle marginal and the product rho x rho."""
-    if law.n < 2:
-        raise InvalidArgumentError("pair gap needs at least two particles")
-    return tv_distance(marginal(law, 2), product_law(rho, 2))
+def pair_gap(pair: np.ndarray, rho: Distribution) -> float:
+    """TV gap between an ordered (k, k) pair marginal, such as
+    `marginal(law, 2)` or a Monte Carlo estimate of it, and rho x rho:
+    half the sum of |pair - rho rho^T| over the ordered pairs."""
+    q = rho.as_array()
+    if np.shape(pair) != (len(q), len(q)):
+        raise InvalidArgumentError(f"pair marginal of shape {np.shape(pair)} for k={len(q)}")
+    return 0.5 * math.fsum(np.abs(pair - np.outer(q, q)).ravel().tolist())
 
 
 def _fit_slope(grid, gaps) -> Optional[float]:
@@ -148,7 +150,7 @@ def chaos_verdict(
         rows.append(
             ReportRow(
                 n=n,
-                pair_gap=pair_gap(law, rho),
+                pair_gap=pair_gap(marginal(law, 2), rho),
                 concentration_gap=mean_empirical_tv(law, rho),
                 specific_loglik=specific_loglik(law),
             )

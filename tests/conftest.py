@@ -323,6 +323,26 @@ def oracle_marginal(classes, n, k, j):
     return out
 
 
+def marginal_law(law: SymmetricLaw, j: int) -> SymmetricLaw:
+    """The law of the first j <= n coordinates in occupancy form:
+    oracle_marginal wrapped as a SymmetricLaw, for every order j."""
+    return SymmetricLaw(law.space, j, oracle_marginal(law.classes, law.n, law.space.k, j))
+
+
+def oracle_ordered_marginal(classes, n, k, j) -> np.ndarray:
+    """oracle_marginal for j = 1 or 2 as the ordered (k,) or (k, k) array
+    that `marginal` returns: the mass of the two-particle class of u and
+    w != u goes half to (u, w) and half to (w, u)."""
+    out = np.zeros((k,) * j)
+    for c, mass in oracle_marginal(classes, n, k, j).items():
+        drawn = tuple(np.repeat(np.arange(k), c))
+        if len(set(drawn)) == 1:
+            out[drawn] = mass
+        else:
+            out[drawn] = out[drawn[::-1]] = mass / 2
+    return out
+
+
 def oracle_specific_loglik(classes, n):
     terms = [mass * (math.log(mass) - math.log(class_size(m))) for m, mass in classes.items()]
     return math.fsum(terms) / n
@@ -333,6 +353,15 @@ def oracle_mean_empirical_tv(classes, n, p):
         mass * 0.5 * math.fsum(abs(mi / n - pi) for mi, pi in zip(m, p))
         for m, mass in classes.items()
     )
+
+
+def law_tv_distance(a: SymmetricLaw, b: SymmetricLaw) -> float:
+    """Total variation distance of two symmetric laws on the same space and
+    n: the class masses already aggregate orbits, so the ordered-point L1
+    equals the class-mass L1."""
+    if a.space != b.space or a.n != b.n:
+        raise InvalidArgumentError("laws on different spaces or particle counts")
+    return 0.5 * _sum(np.abs(a.vector() - b.vector()))
 
 
 def oracle_tv_distance(a, b):
@@ -448,26 +477,6 @@ def rowwise_product_law(p: Distribution, n: int) -> SymmetricLaw:
         mass[lost] = np.exp(rowwise_log_class_sizes(sub, n) + sub @ log_q)
     mass /= _sum(mass)
     return SymmetricLaw.from_arrays(p.space, n, occ, mass)
-
-
-def rowwise_marginal(law: SymmetricLaw, j: int) -> SymmetricLaw:
-    """`marginal` by its per-tuple loop: every draw factor of every tuple
-    computed afresh from the float counts."""
-    n = law.n
-    if j == n:
-        return law
-    counts = law.occ.T.astype(float)
-    cls = np.ascontiguousarray(occupancy_array(law.space.k, j))
-    ordered = np.empty(len(cls))
-    for row, c in enumerate(cls.tolist()):
-        w = law.p
-        drawn = 0
-        for i, ci in enumerate(c):
-            for t in range(ci):
-                w = w * ((counts[i] - t) / (n - drawn))
-                drawn += 1
-        ordered[row] = _sum(w)
-    return SymmetricLaw.from_arrays(law.space, j, cls, ordered * rowwise_class_sizes(cls, j))
 
 
 def rowwise_mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:

@@ -44,7 +44,9 @@ from conftest import (
     dense_kac_matrix,
     dense_marginal_probs,
     dense_specific_loglik,
+    law_tv_distance,
     map_ordered_law,
+    marginal_law,
     ordered_law_matrix,
     propagate_dense,
     random_symmetric_law,
@@ -63,10 +65,10 @@ def test_criterion_1_oracle_equivalence():
         law = random_symmetric_law(rng, max_n=6, max_k=3)
         dense = to_dense(law)
         for j in range(1, law.n + 1):
-            got = to_dense(marginal(law, j)).probs
+            got = marginal(law, j).ravel() if j <= 2 else to_dense(marginal_law(law, j)).probs
             want = dense_marginal_probs(dense, j)
             assert np.abs(got - want).max() < 1e-12
-        assert tv_distance(symmetrize(dense), law) < 1e-12
+        assert law_tv_distance(symmetrize(dense), law) < 1e-12
         assert abs(specific_loglik(law) - dense_specific_loglik(dense)) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -78,7 +80,7 @@ def test_criterion_2_product_chaos_exactness():
     p = Distribution(S3, (0.2, 0.3, 0.5))
     worst = 0.0
     for n in (10, 50, 100, 200):
-        worst = max(worst, pair_gap(product_law(p, n), p))
+        worst = max(worst, pair_gap(marginal(product_law(p, n), 2), p))
     elapsed = time.perf_counter() - start
     assert worst < 1e-14
     assert elapsed < 5.0
@@ -92,9 +94,8 @@ GRID = [20, 40, 80, 160]
 def test_criterion_3_microcanonical_to_gibbs():
     start = time.perf_counter()
     _, gamma = microcanonical_limit(MODEL)
-    gaps = [pair_gap(microcanonical(MODEL, n), gamma) for n in GRID]
-    one = marginal(microcanonical(MODEL, 160), 1)
-    one_p = Distribution(S3, tuple(one.classes.get(m, 0.0) for m in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    gaps = [pair_gap(marginal(microcanonical(MODEL, n), 2), gamma) for n in GRID]
+    one_p = Distribution(S3, marginal(microcanonical(MODEL, 160), 1))
     tv1 = tv_distance(one_p, gamma)
     elapsed = time.perf_counter() - start
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -135,7 +136,7 @@ def test_criterion_5_weak_vs_strong_propagation():
         assert report.verdict == "chaotic", f"p0={p0}: {report.verdict}"
     for n in range(4, 65):
         out = propagate(near_product_mixture(n), make_kernel("counterexample", S2, n))
-        assert abs(pair_gap(out, rho_out) - 0.5) < 1e-12
+        assert abs(pair_gap(marginal(out, 2), rho_out) - 0.5) < 1e-12
     mix_report = chaos_verdict(
         lambda n: propagate(near_product_mixture(n), make_kernel("counterexample", S2, n)),
         rho_out,
@@ -169,7 +170,7 @@ def test_criterion_6_commuting_diagram():
         cases.append((make_kernel("kac:1,1", space, n), dense_kac_matrix(space.k, n, 1.0, 1.0)))
         for kernel, M in cases:
             want = propagate_dense(law, kernel.target, M)
-            worst = max(worst, tv_distance(propagate(law, kernel), want))
+            worst = max(worst, law_tv_distance(propagate(law, kernel), want))
             checked += 1
     assert worst < 1e-12
     print(f"PASS criterion 6: propagate matches the dense ordered kernel within "
@@ -185,7 +186,7 @@ def test_criterion_7_theorem_condition_probe():
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n)
         rows = symmetrized_class_kernel(kernel)
         row_law = SymmetricLaw(S3, n, rows[quota_occupancy(p, n)])
-        gaps.append(pair_gap(row_law, fp))
+        gaps.append(pair_gap(marginal(row_law, 2), fp))
     slope = np.polyfit(np.log(grid), np.log(gaps), 1)[0]
     # quota states cannot split n=8,10 evenly across k=3, which bumps the
     # middle of the sequence; the decrease is a trend, not term-by-term

@@ -27,6 +27,8 @@ from conftest import (
     class_size,
     dense_marginal_probs,
     dense_specific_loglik,
+    law_tv_distance,
+    marginal_law,
     random_symmetric_law,
     symmetrize,
     to_dense,
@@ -87,7 +89,7 @@ class TestProductLaw:
         # grows the pair gap with n, to 1.8e-14 at n = 640.
         u = 1 / 3
         p = Distribution(S3, (u, u, u))
-        assert pair_gap(product_law(p, 640), p) < 1e-14
+        assert pair_gap(marginal(product_law(p, 640), 2), p) < 1e-14
 
     def test_two_thirds_vs_dense_oracle(self):
         p = Distribution(S2, (2 / 3, 1 / 3))
@@ -109,7 +111,7 @@ class TestSymmetrize:
     def test_idempotent_on_symmetric_input(self, rng):
         law = random_symmetric_law(rng, n=4, k=2)
         again = symmetrize(to_dense(law))
-        assert tv_distance(law, again) < 1e-14
+        assert law_tv_distance(law, again) < 1e-14
 
     def test_explicit_permutation_average(self):
         probs = np.zeros(4)
@@ -135,27 +137,29 @@ class TestToDense:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_round_trip(self, seed):
         law = random_symmetric_law(np.random.default_rng(seed), max_n=6, max_k=3)
-        assert tv_distance(symmetrize(to_dense(law)), law) < 1e-14
+        assert law_tv_distance(symmetrize(to_dense(law)), law) < 1e-14
 
 
 class TestMarginal:
     def test_product_marginal_is_product(self):
         p = Distribution(S3, (0.2, 0.3, 0.5))
         law = product_law(p, 7)
-        for j in (1, 2, 3):
-            assert tv_distance(marginal(law, j), product_law(p, j)) < 1e-13
+        q = p.as_array()
+        assert np.abs(marginal(law, 1) - q).max() < 1e-13
+        assert np.abs(marginal(law, 2) - np.outer(q, q)).max() < 1e-13
+        assert law_tv_distance(marginal_law(law, 3), product_law(p, 3)) < 1e-13
 
     def test_point_class_pair_marginal(self):
         law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
-        pair = marginal(law, 2)
         # ordered probabilities 1/3, 1/3, 1/3, 0
-        assert pair.classes[(2, 0)] == pytest.approx(1 / 3)
-        assert pair.classes[(1, 1)] == pytest.approx(2 / 3)
-        assert pair.classes.get((0, 2), 0.0) == 0.0
+        assert marginal(law, 2).tolist() == [[1 / 3, 1 / 3], [1 / 3, 0.0]]
+        assert marginal(law, 1).tolist() == [2 / 3, 1 / 3]
 
-    def test_identity_marginal(self, rng):
+    def test_orders_other_than_one_and_two(self, rng):
         law = random_symmetric_law(rng, n=5, k=3)
-        assert marginal(law, 5) is law
+        for j in (0, 3, 5, 6):
+            with pytest.raises(InvalidArgumentError):
+                marginal(law, j)
 
     def test_out_of_range(self, rng):
         law = random_symmetric_law(rng, n=3, k=2)
@@ -169,7 +173,8 @@ class TestMarginal:
             law = random_symmetric_law(rng)
             dense = to_dense(law)
             for j in range(1, law.n + 1):
-                got = to_dense(marginal(law, j)).probs
+                got = (marginal(law, j).ravel() if j <= 2
+                       else to_dense(marginal_law(law, j)).probs)
                 want = dense_marginal_probs(dense, j)
                 assert np.abs(got - want).max() < 1e-12
 
@@ -178,17 +183,17 @@ class TestMarginal:
             law = random_symmetric_law(rng, n=6)
             for l in range(2, 6):
                 for j in range(1, l):
-                    a = marginal(marginal(law, l), j)
-                    b = marginal(law, j)
-                    assert tv_distance(a, b) < 1e-12
+                    a = marginal_law(marginal_law(law, l), j)
+                    b = marginal_law(law, j)
+                    assert law_tv_distance(a, b) < 1e-12
 
     def test_tv_contraction(self, rng):
         for _ in range(10):
             a = random_symmetric_law(rng, n=5, k=2)
             b = random_symmetric_law(rng, n=5, k=2)
-            base = tv_distance(a, b)
+            base = law_tv_distance(a, b)
             for j in range(1, 5):
-                assert tv_distance(marginal(a, j), marginal(b, j)) <= base + 1e-12
+                assert law_tv_distance(marginal_law(a, j), marginal_law(b, j)) <= base + 1e-12
 
 
 class TestTvDistance:
@@ -198,16 +203,21 @@ class TestTvDistance:
         assert tv_distance(a, b) == 1.0
 
     def test_identity(self, rng):
-        law = random_symmetric_law(rng)
-        assert tv_distance(law, law) == 0.0
+        p = Distribution(S3, tuple(rng.dirichlet(np.ones(3))))
+        assert tv_distance(p, p) == 0.0
 
     def test_pair_law_vs_product(self):
         pair = SymmetricLaw(S2, 2, {(2, 0): 0.5, (0, 2): 0.5})
-        assert tv_distance(pair, product_law(HALF, 2)) == pytest.approx(0.5)
+        assert pair_gap(marginal(pair, 2), HALF) == pytest.approx(0.5)
 
     def test_mismatched_spaces(self):
         with pytest.raises(InvalidArgumentError):
             tv_distance(Distribution(S2, (1, 0)), Distribution(S3, (1, 0, 0)))
+
+    def test_distributions_only(self, rng):
+        law = random_symmetric_law(rng)
+        with pytest.raises(InvalidArgumentError):
+            tv_distance(law, law)
 
 
 class TestSpecificLoglik:
@@ -263,7 +273,7 @@ class TestMassConservation:
             product_law(Distribution(S3, (0.2, 0.3, 0.5)), 9),
             random_symmetric_law(rng),
         ]
-        laws.append(marginal(laws[0], 4))
+        laws.append(marginal_law(laws[0], 4))
         laws.append(symmetrize(to_dense(laws[1])))
         for law in laws:
             assert abs(math.fsum(law.classes.values()) - 1.0) <= 1e-12
@@ -276,7 +286,7 @@ class TestJsonFormat:
         again = law_from_json(law_to_json(law))
         assert again.n == law.n
         assert again.space == law.space
-        assert tv_distance(law, again) == 0.0
+        assert law_tv_distance(law, again) == 0.0
 
     def test_shape(self):
         text = law_to_json(product_law(HALF, 2))

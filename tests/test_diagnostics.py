@@ -19,7 +19,6 @@ from chaoslab import (
     microcanonical,
     pair_gap,
     product_law,
-    tv_distance,
 )
 from chaoslab.diagnostics import _decimal, microcanonical_limit
 from chaoslab.errors import (
@@ -29,7 +28,7 @@ from chaoslab.errors import (
     InvalidArgumentError,
 )
 
-from conftest import class_size, random_symmetric_law
+from conftest import class_size, law_tv_distance, marginal_law, random_symmetric_law
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -43,44 +42,51 @@ def mixture_law(n):
 class TestPairGap:
     def test_product_is_exact_zero(self):
         p = Distribution(S3, (0.2, 0.3, 0.5))
-        assert pair_gap(product_law(p, 25), p) < 1e-14
+        assert pair_gap(marginal(product_law(p, 25), 2), p) < 1e-14
 
     def test_point_class(self):
         law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
         rho = Distribution(S2, (2 / 3, 1 / 3))
         # pair marginal (1/3, 1/3, 1/3, 0) vs product (4/9, 2/9, 2/9, 1/9)
-        assert pair_gap(law, rho) == pytest.approx(2 / 9, abs=1e-14)
+        assert pair_gap(marginal(law, 2), rho) == pytest.approx(2 / 9, abs=1e-14)
 
     def test_mixture_constant_half(self):
         for n in (2, 5, 30):
-            assert pair_gap(mixture_law(n), HALF) == pytest.approx(0.5, abs=1e-14)
+            assert pair_gap(marginal(mixture_law(n), 2), HALF) == pytest.approx(0.5, abs=1e-14)
 
     def test_needs_two_particles(self):
         law = SymmetricLaw(S2, 1, {(1, 0): 1.0})
         with pytest.raises(InvalidArgumentError):
-            pair_gap(law, HALF)
+            marginal(law, 2)
+
+    def test_rejects_a_pair_marginal_of_another_shape(self):
+        for pair in (np.full((3, 3), 1 / 9), np.full(4, 0.25), np.full((2, 2, 2), 0.125)):
+            with pytest.raises(InvalidArgumentError):
+                pair_gap(pair, HALF)
 
 
 class TestKGap:
-    """The k-particle marginal gap TV(marginal(law, k), rho^(x)k)."""
+    """The k-particle marginal gap TV(marginal(law, k), rho^(x)k), with the
+    general-order marginal of the oracle."""
 
     def test_product_zero_for_all_k(self):
         p = Distribution(S2, (0.3, 0.7))
         law = product_law(p, 8)
         for k in range(2, 9):
-            assert tv_distance(marginal(law, k), product_law(p, k)) < 1e-13
+            assert law_tv_distance(marginal_law(law, k), product_law(p, k)) < 1e-13
 
     def test_k2_equals_pair_gap(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng)
             rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
-            assert tv_distance(marginal(law, 2), product_law(rho, 2)) == pair_gap(law, rho)
+            want = law_tv_distance(marginal_law(law, 2), product_law(rho, 2))
+            assert abs(pair_gap(marginal(law, 2), rho) - want) < 1e-15
 
     def test_nondecreasing_in_k(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng, max_n=6)
             rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
-            gaps = [tv_distance(marginal(law, k), product_law(rho, k))
+            gaps = [law_tv_distance(marginal_law(law, k), product_law(rho, k))
                     for k in range(2, law.n + 1)]
             assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
@@ -151,7 +157,8 @@ class TestChaosVerdict:
         ]
         for family, rho in cases:
             law = family(160)
-            assert (pair_gap(law, rho) < tol) == (mean_empirical_tv(law, rho) < 5 * tol)
+            assert ((pair_gap(marginal(law, 2), rho) < tol)
+                    == (mean_empirical_tv(law, rho) < 5 * tol))
 
 
 class TestMicrocanonical:

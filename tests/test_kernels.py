@@ -22,9 +22,8 @@ from chaoslab import (
     product_law,
     propagate,
     symmetrized_class_kernel,
-    tv_distance,
 )
-from chaoslab.cli import column_laws, monte_carlo_pair_law
+from chaoslab.cli import column_laws, monte_carlo_pair_marginal
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.diagnostics import pair_gap
 from chaoslab.errors import CapacityError, InvalidArgumentError
@@ -39,6 +38,7 @@ from conftest import (
     counterexample_ordered_law,
     dense_kac_matrix,
     equivariance_violation,
+    law_tv_distance,
     map_ordered_law,
     ordered_class_matrix,
     ordered_law_matrix,
@@ -88,25 +88,13 @@ def noisy_relabel_kernel(n, flip=0.3):
     return kernel
 
 
-def pair_matrix(pair_law):
-    """The k x k ordered pair marginal of a two-particle law."""
-    k = pair_law.space.k
-    P = np.zeros((k, k))
-    for m, mass in pair_law.classes.items():
-        u, w = np.repeat(np.arange(k), m)
-        P[u, w] = P[w, u] = mass if u == w else mass / 2
-    return P
-
-
-def assert_pair_laws_close_to_exact(kernel, rho, replicas, seed):
-    """theorem-probe's Monte Carlo pair law of each column law, from the
-    kernel's sampler, lies within 4 standard errors per entry of the exact
-    pair marginal of the law's image under the kernel's class matrix."""
+def assert_pair_marginals_close_to_exact(kernel, rho, replicas, seed):
+    """theorem-probe's Monte Carlo pair marginal of each column law, from
+    the kernel's sampler, lies within 4 standard errors per entry of the
+    exact pair marginal of the law's image under the kernel's class matrix."""
     for law in column_laws(rho, kernel.n):
-        pair_law, result = monte_carlo_pair_law(law, kernel, replicas, seed)
-        assert pair_law.n == 2 and pair_law.space == kernel.target
-        assert np.allclose(pair_matrix(pair_law), result.estimate, rtol=0, atol=1e-15)
-        exact = pair_matrix(marginal(propagate(law, kernel), 2))
+        result = monte_carlo_pair_marginal(law, kernel, replicas, seed)
+        exact = marginal(propagate(law, kernel), 2)
         assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
 
 
@@ -160,12 +148,12 @@ class TestSymmetrizedClassKernel:
 
     def test_sampled_estimation_close_to_exact(self):
         kernel = noisy_relabel_kernel(3)
-        assert_pair_laws_close_to_exact(kernel, Distribution(S2, (0.7, 0.3)), 8000, seed=5)
+        assert_pair_marginals_close_to_exact(kernel, Distribution(S2, (0.7, 0.3)), 8000, seed=5)
 
     def test_kac_sampled_rows_close_to_exact(self):
         kernel = kac_collision_kernel(S3, 1.0, 0.5, 5)
-        assert_pair_laws_close_to_exact(kernel, Distribution(S3, (0.5, 0.3, 0.2)), 3000,
-                                        seed=9)
+        assert_pair_marginals_close_to_exact(kernel, Distribution(S3, (0.5, 0.3, 0.2)), 3000,
+                                             seed=9)
 
     def test_kac_sampler_uses_the_kernels_pair_rule(self):
         # Swapping colliders never changes an occupancy; the default
@@ -174,13 +162,12 @@ class TestSymmetrizedClassKernel:
         n = KAC_EXACT_MAX_N + 1
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule())
         for law in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
-            pair_law, result = monte_carlo_pair_law(law, kernel, 200, seed=2)
+            result = monte_carlo_pair_marginal(law, kernel, 200, seed=2)
             exact = marginal(law, 2)
-            assert np.all(np.abs(result.estimate - pair_matrix(exact))
-                          < 4 * result.std_error + 1e-12)
+            assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-12)
             if len(law.p) == 1:  # the point law on the quota class
                 assert result.std_error.max() < 1e-15
-                assert np.allclose(pair_law.vector(), exact.vector(), rtol=0, atol=1e-15)
+                assert np.allclose(result.estimate, exact, rtol=0, atol=1e-15)
 
 
 class TestBackend:
@@ -252,7 +239,7 @@ class TestPropagate:
         for n in (2, 4, 5):
             out = propagate(product_law(p, n), map_kernel(fmap, n, S3))
             want = product_law(q, n)
-            assert tv_distance(out, want) < 1e-13
+            assert law_tv_distance(out, want) < 1e-13
             dense = to_dense(out)
             for idx, s in enumerate(dense.tuples()):
                 assert dense.probs[idx] == pytest.approx(
@@ -275,7 +262,7 @@ class TestPropagate:
 
     def test_identity_fixes_laws(self, rng):
         law = random_symmetric_law(rng, n=5, k=2)
-        assert tv_distance(propagate(law, identity_kernel(S2, 5)), law) < 1e-14
+        assert law_tv_distance(propagate(law, identity_kernel(S2, 5)), law) < 1e-14
 
     def test_affine_in_the_law(self, rng):
         kernel = kac_collision_kernel(S2, 1.0, 0.5, 4)
@@ -286,7 +273,7 @@ class TestPropagate:
         parts = SymmetricLaw.mixture(
             [(propagate(a, kernel), alpha), (propagate(b, kernel), 1 - alpha)]
         )
-        assert tv_distance(mixed, parts) < 1e-12
+        assert law_tv_distance(mixed, parts) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         law = random_symmetric_law(rng, n=4, k=2)
@@ -375,7 +362,8 @@ class TestClassMapRows:
         for row in np.random.default_rng(n).choice(len(occ), size=min(len(occ), 12),
                                                    replace=False):
             q = Distribution(kernel.target, tuple(images[row] / n))
-            gap = pair_gap(SymmetricLaw.point_class(kernel.target, tuple(images[row])), q)
+            row_law = SymmetricLaw.point_class(kernel.target, tuple(images[row]))
+            gap = pair_gap(marginal(row_law, 2), q)
             want = Fraction(n * n - int(images[row] @ images[row]), n * n * (n - 1))
             assert abs(Fraction(gap) - want) <= max(1e-12 * want, 2 * 2.0**-53)
 
@@ -435,7 +423,7 @@ class TestCommutingDiagram:
             law = random_symmetric_law(rng, max_n=6)
             for kernel, M in self.kernels_for(law.space, law.n):
                 want = propagate_dense(law, kernel.target, M)
-                assert tv_distance(propagate(law, kernel), want) < 1e-12
+                assert law_tv_distance(propagate(law, kernel), want) < 1e-12
 
 
 class TestRegistry:

@@ -22,8 +22,6 @@ from chaoslab import montecarlo
 from chaoslab.errors import InvalidArgumentError
 from chaoslab.meanfield import PairRule, SumConservingRule, default_rule
 
-from conftest import to_dense
-
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
 
@@ -258,11 +256,6 @@ class TestPairMarginalUstat:
             pair_marginal_ustat([(3, 0), (1, 0)])
 
 
-def _pair_matrix(law: SymmetricLaw) -> np.ndarray:
-    dense = to_dense(marginal(law, 2))
-    return dense.probs.reshape(law.space.k, law.space.k)
-
-
 class TestEstimatePairMarginal:
     def test_constant_sampler_zero_error(self):
         res = estimate_pair_marginal(lambda rngs: np.tile((3, 3), (len(rngs), 1)), 10, seed=0)
@@ -281,9 +274,7 @@ class TestEstimatePairMarginal:
         n, lam, t = 6, 1.0, 0.8
         start = ParticleState((3, 2, 1))
         kernel = kac_collision_kernel(S3, lam, t, n)
-        exact = _pair_matrix(
-            propagate(SymmetricLaw(S3, n, {start.counts: 1.0}), kernel)
-        )
+        exact = marginal(propagate(SymmetricLaw(S3, n, {start.counts: 1.0}), kernel), 2)
         res = estimate_pair_marginal(
             lambda rngs: simulate_kac_stack([start.counts] * len(rngs), lam, t, rngs),
             20_000, seed=11,
