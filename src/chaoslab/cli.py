@@ -9,8 +9,8 @@ Exit codes: 0 success / expectation met, 2 config error or a run that
 cannot be carried out as configured, 3 expectation mismatch, 4 capacity
 error (no exact form at that size, or out of memory).
 
-OPTIONS and COMMANDS are the one declaration of the options; the parser is
-built from them, and `to_value` checks flags and config-file values alike.
+OPTIONS and COMMANDS are the one declaration of the options; one parser is
+built from them, and `load_config` reads flags and config-file values alike.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # the tuple of the allowed strings; the least value bounds a number, or is None.
 OPTIONS = {
     "out": (str, None, "output directory (default .)"),
-    "seed": (int, 0, "master RNG seed (read by kac and theorem-probe)"),
+    "seed": (int, 0, "master RNG seed (kac and theorem-probe draw from it)"),
     "name": (str, None, "experiment name (output file stem)"),
     "family": (("product", "mixture", "microcanonical", "custom"), None, "law family"),
     "kernel": (str, None, "kernel registry name"),
@@ -171,9 +171,9 @@ def to_value(key: str, value):
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """The options of the parsed subcommand: its --config file's values,
-    overridden by the flags given, each checked by to_value."""
-    allowed = COMMANDS[args.command][1]
+    """The options of the parsed command: its --config file's values,
+    overridden by the flags given, each checked by to_value.  An option that
+    the command, or diagnose's --family, does not read is a ConfigError."""
     config = {}
     if args.config:
         try:
@@ -182,13 +182,15 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-        unknown = set(doc) - set(allowed)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(doc)
-    for key in allowed:
-        if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
+    config.update((key, getattr(args, key)) for key in OPTIONS if getattr(args, key) is not None)
+    reader, allowed = args.command, set(COMMANDS[args.command][1])
+    if "family" in config and "family" in allowed:
+        reader = f"--family {to_value('family', config['family'])}"
+        allowed -= FAMILY_KEYS.difference(FAMILY_OPTIONS[config["family"]])
+    unread = sorted(set(config) - allowed)
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
     return {key: to_value(key, value) for key, value in config.items()}
 
 
@@ -212,21 +214,18 @@ def check_expectation(config: dict, verdicts) -> int:
     return 0 if all(v == expect for v in verdicts) else 3
 
 
-# The options each diagnose --family reads; it rejects the other families'.
+# The options each diagnose --family reads; load_config rejects the others'.
 FAMILY_OPTIONS = {
     "product": ("p",),
     "mixture": (),
     "microcanonical": ("H", "E", "delta"),
     "custom": ("law-dir", "p"),
 }
+FAMILY_KEYS = {key for keys in FAMILY_OPTIONS.values() for key in keys}
 
 
 def cmd_diagnose(config: dict) -> int:
     family_name = require(config, "family")
-    family_keys = {key for keys in FAMILY_OPTIONS.values() for key in keys}
-    unread = sorted(family_keys.intersection(config) - set(FAMILY_OPTIONS[family_name]))
-    if unread:
-        raise ConfigError(f"--family {family_name} does not read {', '.join(unread)}")
     grid = parse_grid(require(config, "grid"))
     tol = config.get("tol", DEFAULT_TOL)
 
@@ -443,25 +442,24 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of COMMANDS; each flag arrives as a string, for to_value."""
+    """One parser: the command, --config and each OPTIONS flag once, whose
+    help ends with the commands that read it.  Each flag arrives as a
+    string, for load_config."""
     parser = argparse.ArgumentParser(prog="chaoslab",
                                      description="exchangeable particle-system laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, keys) in COMMANDS.items():
-        cp = sub.add_parser(command)
-        cp.add_argument("--config", help="JSON config file")
-        for key in keys:
-            kind, _, text = OPTIONS[key]
-            choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
-            cp.add_argument(f"--{key}", dest=key, metavar=choices, help=text)
-        cp.set_defaults(func=func)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    for key, (kind, _, text) in OPTIONS.items():
+        readers = ", ".join(command for command, (_, keys) in COMMANDS.items() if key in keys)
+        choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+        parser.add_argument(f"--{key}", dest=key, metavar=choices, help=f"{text} [{readers}]")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(load_config(args))
+        return COMMANDS[args.command][0](load_config(args))
     except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4

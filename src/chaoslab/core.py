@@ -447,8 +447,10 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
     products, divided by the exact count of ordered draws.
     """
     n, k = law.n, law.space.k
-    if j not in (1, 2) or j > n:
-        raise InvalidArgumentError(f"marginal order {j} is not 1 or 2 up to n={n}")
+    if j not in (1, 2):
+        raise InvalidArgumentError(f"marginal order {j} is not 1 or 2")
+    if j > n:
+        raise InvalidArgumentError(f"the {j}-particle marginal needs n >= {j}, got n={n}")
     cols = law.occ.T
     if j == 1:
         return np.array([_sum(law.p * m) for m in cols]) / n

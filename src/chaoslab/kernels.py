@@ -225,7 +225,8 @@ def _uniformized(P: np.ndarray, rate_time: float) -> np.ndarray:
     result is A^(2^s), block by diagonal block of P (for the bundled rule,
     its conserved label sum).  The series stops where the Poisson tail it
     leaves out is below 2^-(53 + s), so that the 2^s-th power loses less
-    than one unit roundoff of row mass.  Every term and product is
+    than one unit roundoff of row mass; each squaring's rows are renormalised,
+    so that rounding does not double with each.  Every term and product is
     nonnegative: nothing needs clamping, and rate_time = 0 gives I exactly.
     """
     s = max(0, math.frexp(rate_time)[1])
@@ -248,6 +249,7 @@ def _uniformized(P: np.ndarray, rate_time: float) -> np.ndarray:
             A += w * term
         for _ in range(s):
             A = A @ A
+            A /= A.sum(axis=2, keepdims=True)
         M[rows, cols] = A
     return M
 

@@ -1,13 +1,14 @@
 """One-particle limit maps for the bundled particle dynamics.
 
 A deterministic kernel's limit is its own class map applied to laws
-(`kernels._class_map_kernel`), so nothing for it lives here.  The Kac
-collision chain's limit is a Boltzmann-type quadratic ODE whose collision
-kernel is the expected one-particle marginal of its pair rule.  The pair
-rules live here because both the n-particle chain and the ODE are derived
-from them.  The ODE form is validated against particle simulation, not
-assumed.  `kac_limit_evolve` sums the ODE as Wild's series, the mean-field
-twin of the uniformized n-particle kernel, to unit roundoff.
+(`kernels._class_map_kernel`), so nothing for it lives here.  A Kac pair
+rule compiles to one move table (`CompiledRule`), and the n-particle chain,
+its exact rows and its limit all read that table.  The limit is the
+Boltzmann-type quadratic ODE dp/dt = sum_d changes[d] beta_d(p), with
+beta_d(p) = (lam/2) sum_uw coeffs[d, uw] p_u p_w: the fluid limit of the
+chain's jump rates (Kurtz 1970), validated against particle simulation.
+`kac_limit_evolve` sums the ODE as Wild's series, the mean-field twin of
+the uniformized n-particle kernel, to unit roundoff.
 
 A limit map takes a (B, k) stack of one-particle laws, one per row, checked
 by `_as_stack`, and returns the (B, k_target) stack of their images, so
@@ -44,8 +45,9 @@ class PairRule:
 
     `outcomes(u, w)` lists ((a, b), prob) for the post-collision ordered pair.
     Symmetry requirement: the unordered outcome law must not depend on the
-    order of (u, w).  The chain and its limit read the rule through
-    `compiled(k)`, which checks it on k states and is built once per k.
+    order of (u, w).  The chain, its exact rows and its limit read the rule
+    through `compiled(k)`, its move table on k states, which checks the
+    rule and is built once per k.
     """
 
     def outcomes(self, u: int, w: int):
@@ -60,20 +62,19 @@ class PairRule:
 
 
 class CompiledRule(NamedTuple):
-    """A pair rule on k states whose outcome lists passed the check: labels
-    in range(k), probabilities finite and >= 0, each list nonempty with a
-    running sum within MASS_TOL of 1, and (u, w) and (w, u) giving the same
-    law of unordered outcome pairs, to within MASS_TOL per pair.
+    """A pair rule on k states as its move table, which the Kac chain, its
+    exact rows and its limit all read.
 
-    outcomes[u][w] is the ((a, b), prob) list of `outcomes(u, w)`, in order.
-    The Kac chain's class moves: changes[d] is the d-th distinct nonzero
-    change e_a + e_b - e_u - e_w that an outcome of positive probability
-    makes to the occupancy, in lexicographic order, and coeffs[d, u*k + w]
-    the probabilities of the outcomes of the ordered pair (u, w) that make
-    it, added in list order.
+    changes[d] is the d-th distinct nonzero change e_a + e_b - e_u - e_w that
+    an outcome of positive probability makes to the occupancy, in
+    lexicographic order, and coeffs[d, u*k + w] the probabilities of the
+    outcomes of the ordered pair (u, w) that make it, added in list order;
+    the pair stays put with the rest.  `_compile` checked the rule: labels in
+    range(k), finite probabilities >= 0 summing to 1 within MASS_TOL, and
+    coeffs[d, u*k + w] within MASS_TOL of coeffs[d, w*k + u] for every d, the
+    rule's symmetry, since a change fixes the unordered outcome pair.
     """
 
-    outcomes: list
     changes: np.ndarray
     coeffs: np.ndarray
 
@@ -90,12 +91,11 @@ class CompiledRule(NamedTuple):
 
 
 def _compile(rule: PairRule, k: int) -> CompiledRule:
-    outcomes = [[None] * k for _ in range(k)]
     unit = np.eye(k, dtype=np.int64)
     moved: dict = {}  # change -> its coefficient row
     for u in range(k):
         for w in range(k):
-            checked, acc = [], 0.0
+            acc = 0.0
             for (a, b), pr in rule.outcomes(u, w):
                 a, b, pr = as_int(a), as_int(b), float(pr)
                 if not (0 <= a < k and 0 <= b < k and math.isfinite(pr) and pr >= 0.0):
@@ -103,32 +103,23 @@ def _compile(rule: PairRule, k: int) -> CompiledRule:
                         f"pair rule sends ({u}, {w}) to ({a}, {b}) with probability "
                         f"{pr}: need labels in range({k}) and a finite probability >= 0"
                     )
-                checked.append(((a, b), pr))
                 acc += pr
                 change = tuple((unit[a] + unit[b] - unit[u] - unit[w]).tolist())
                 if pr > 0.0 and any(change):
                     moved.setdefault(change, np.zeros(k * k))[u * k + w] += pr
-            if not checked or abs(acc - 1.0) > MASS_TOL:
+            if abs(acc - 1.0) > MASS_TOL:
                 raise InvalidArgumentError(
                     f"pair rule outcomes of ({u}, {w}) have total probability {acc}, not 1"
                 )
-            outcomes[u][w] = checked
-            if w < u and _unordered_gap(checked, outcomes[w][u]) > MASS_TOL:
-                raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
-                                           f"({w}, {u}) give different unordered outcomes")
     changes = sorted(moved)
-    return CompiledRule(outcomes, np.array(changes, dtype=np.int64).reshape(-1, k),
-                        np.array([moved[d] for d in changes]).reshape(-1, k * k))
-
-
-def _unordered_gap(outs: list, mirror: list) -> float:
-    """Largest gap between the laws of the unordered pairs of two outcome lists."""
-    gap: dict = {}
-    for sign, listed in ((1.0, outs), (-1.0, mirror)):
-        for (a, b), pr in listed:
-            ab = (min(a, b), max(a, b))
-            gap[ab] = gap.get(ab, 0.0) + sign * pr
-    return max(map(abs, gap.values()))
+    coeffs = np.array([moved[d] for d in changes]).reshape(-1, k * k)
+    moves = coeffs.reshape(-1, k, k)
+    asymmetric = np.argwhere((np.abs(moves - moves.transpose(0, 2, 1)) > MASS_TOL).any(axis=0))
+    if len(asymmetric):
+        u, w = asymmetric[0]
+        raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
+                                   f"({w}, {u}) give different unordered outcomes")
+    return CompiledRule(np.array(changes, dtype=np.int64).reshape(-1, k), coeffs)
 
 
 class SumConservingRule(PairRule):
@@ -183,15 +174,15 @@ def _as_stack(p) -> tuple:
 
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:
-    """kappa[v, u, w]: chance a uniformly chosen output slot lands on v."""
-    outcomes = (rule or default_rule(k)).compiled(k).outcomes
-    kappa = np.zeros((k, k, k))
-    for u in range(k):
-        for w in range(k):
-            for (a, b), pr in outcomes[u][w]:
-                kappa[a, u, w] += 0.5 * pr
-                kappa[b, u, w] += 0.5 * pr
-    return kappa
+    """kappa[v, u, w]: chance a uniformly chosen output slot of the pair
+    (u, w) lands on v, read off the move table as
+    (e_u + e_w + sum_d coeffs[d, uw] changes[d])_v / 2.  Entries that
+    rounding leaves below 0 are clipped to 0."""
+    table = (rule or default_rule(k)).compiled(k)
+    unit = np.eye(k)
+    # einsum, not @: a first BLAS call would add about 0.45 MB to kac's peak RSS.
+    moves = np.einsum("dv,dx->vx", table.changes, table.coeffs).reshape(k, k, k)
+    return np.maximum(0.5 * (unit[:, :, None] + unit[:, None, :] + moves), 0.0)
 
 
 class WildPlan(NamedTuple):

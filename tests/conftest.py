@@ -24,7 +24,7 @@ from chaoslab.core import (
     occupancy_array,
 )
 from chaoslab.errors import CapacityError, InvalidArgumentError
-from chaoslab.meanfield import collision_marginal_tensor
+from chaoslab.meanfield import default_rule
 
 # Brute-force oracles on ordered states, for small n only: the dense law
 # on S^n, its orbit aggregation and expansion, and exact big-integer class
@@ -141,12 +141,25 @@ def _rhs_from_tensor(P: np.ndarray, lam: float, kappa: np.ndarray) -> np.ndarray
     return out
 
 
+def oracle_collision_tensor(k: int, rule=None) -> np.ndarray:
+    """kappa[v, u, w] summed straight from the outcome lists: each outcome
+    (a, b) of the pair (u, w) puts half its probability on a and half on b."""
+    rule = rule or default_rule(k)
+    kappa = np.zeros((k, k, k))
+    for u in range(k):
+        for w in range(k):
+            for (a, b), pr in rule.outcomes(u, w):
+                kappa[a, u, w] += 0.5 * pr
+                kappa[b, u, w] += 0.5 * pr
+    return kappa
+
+
 def kac_limit_rhs(p: Distribution, lam: float, rule=None) -> np.ndarray:
     """Right-hand side lam * (Q(p) - p) of the collision limit equation, for one law.
 
     Q(p)(v) = sum_{u,w} p(u) p(w) kappa(v | u, w); the output sums to zero.
     """
-    kappa = collision_marginal_tensor(p.space.k, rule)
+    kappa = oracle_collision_tensor(p.space.k, rule)
     return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
 
 
@@ -156,7 +169,7 @@ def oracle_kac_limit_evolve(P, lam: float, t: float, dt: float = 1e-3, rule=None
     negative entries clamped and is renormalised, and a row that leaves the
     simplex by more than 1e-6 fails an assertion."""
     P = np.asarray(P, dtype=float)
-    kappa = collision_marginal_tensor(P.shape[1], rule)
+    kappa = oracle_collision_tensor(P.shape[1], rule)
     steps = max(1, int(math.ceil(t / dt)))
     h = t / steps
     for _ in range(steps):

@@ -393,6 +393,17 @@ class TestKacCommand:
         assert meta["ode_plan"] == wild_plan(2.0, 3.0)._asdict()
         assert meta["ode_plan"]["slices"] == 12
 
+    # Each squaring of the exact rows used to double their row-mass error:
+    # at t = 2000 the rows summed to 1 +- 5e-12 and the run exited 2 with
+    # "class masses do not sum to 1".
+    def test_long_horizon_exact_row(self, tmp_path):
+        rc = main(["kac", "--p", "0.2,0.6,0.2", "--n", "12", "--t", "2000", "--seed", "1",
+                   "--replicas", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        csv, _ = read_run(tmp_path, "kac")
+        exact = next(line for line in csv.split("\n") if line.startswith("exact,"))
+        assert abs(math.fsum(map(float, exact.split(",")[2:])) - 1.0) <= 1e-13
+
     def test_seed_required(self, tmp_path):
         assert main(["kac", "--p", "0.5,0.5", "--n", "8",
                      "--out", str(tmp_path)]) == 2
@@ -552,6 +563,16 @@ class TestFamilyErrors:
         assert rc == 2
         assert "n=3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--family", "mixture", "--grid", "1,2,3"],
+        ["diagnose", "--family", "product", "--p", "1", "--grid", "1,2,3"],
+        ["theorem-probe", "--kernel", "map:1,0", "--p", "0.5,0.5", "--grid", "1,2,3"],
+    ], ids=["mixture", "product", "theorem-probe"])
+    def test_one_particle_grid_names_the_pair_marginal(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the 2-particle marginal needs n >= 2, got n=1\n")
+
     def test_gibbs_fit_miss_is_config_error(self, tmp_path, monkeypatch):
         import chaoslab.diagnostics as diagnostics
 
@@ -709,8 +730,8 @@ class TestConfigValues:
 
 
 class TestIgnoredOptionsRejected:
-    """--grid, --tol and --expect exist only on the subcommands that read them,
-    and diagnose reads only its --family's options."""
+    """A command rejects the options it does not read, flags and config keys
+    alike, and diagnose reads only its --family's options."""
 
     @pytest.mark.parametrize("argv", [
         ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--grid", "4,8"],
@@ -721,10 +742,10 @@ class TestIgnoredOptionsRejected:
         ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5", "--grid", "4",
          "--expect", "chaotic"],
     ])
-    def test_flag_is_usage_error(self, tmp_path, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_flag_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {argv[0]} does not read {argv[-2][2:]}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, doc", [
         ("kac", {"p": "0.5,0.5", "n": 8, "seed": 1, "tol": 0.1}),
@@ -752,6 +773,29 @@ class TestIgnoredOptionsRejected:
         assert rc == 2
         assert err == f"config error: --family {argv[1]} does not read {unread}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command, doc, unread", [
+        ("kac", {"p": "0.5,0.5", "n": 8, "seed": 1, "tol": 0.1, "bogus": 1},
+         "kac does not read bogus, tol"),
+        ("diagnose", {"family": "mixture", "p": "0.9,0.1", "grid": "2,4,8"},
+         "--family mixture does not read p"),
+    ])
+    def test_config_key_message_is_the_flag_message(self, tmp_path, capsys, command, doc,
+                                                    unread):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {unread}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_help_names_the_commands_that_read_each_flag(self):
+        parser = chaoslab.cli.build_parser()
+        helps = {action.dest: action.help for action in parser._actions}
+        for key in chaoslab.cli.OPTIONS:
+            readers = [c for c, (_, keys) in chaoslab.cli.COMMANDS.items() if key in keys]
+            assert helps[key].endswith(f"[{', '.join(readers)}]")
+        assert helps["n"].endswith("[kac]")
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000

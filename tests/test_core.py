@@ -168,6 +168,12 @@ class TestMarginal:
         with pytest.raises(InvalidArgumentError):
             marginal(law, 0)
 
+    def test_pair_marginal_of_one_particle(self):
+        law = SymmetricLaw(S2, 1, {(1, 0): 1.0})
+        assert marginal(law, 1).tolist() == [1.0, 0.0]
+        with pytest.raises(InvalidArgumentError, match=r"2-particle marginal needs n >= 2"):
+            marginal(law, 2)
+
     def test_against_dense_oracle(self, rng):
         for _ in range(20):
             law = random_symmetric_law(rng)

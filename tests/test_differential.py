@@ -51,11 +51,12 @@ from chaoslab.core import (
 )
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
-from chaoslab.meanfield import default_rule
+from chaoslab.meanfield import collision_marginal_tensor, default_rule
 
 from conftest import (
     SwapRule,
     law_tv_distance,
+    oracle_collision_tensor,
     oracle_compositions,
     oracle_kac_event_matrix,
     oracle_mean_empirical_tv,
@@ -416,10 +417,13 @@ def test_uniformized_kac_matrix_at_time_zero_is_the_identity(k, n):
 
 
 def test_uniformized_kac_matrix_at_long_time():
-    """Rate * time = 11000: 14 squarings keep it within 1e-9 of expm."""
+    """Rate * time = 11000: 14 squarings keep it within 1e-9 of expm, and
+    rows sum to 1 within 1e-13 (they were off by 5.2e-12 before each
+    squaring renormalised them)."""
     M, prob, want = kac_matrix_and_expm(3, 12, 1.0, 2000.0)
     assert np.abs(M - want).max() <= 1e-9
     assert (prob > 0).all()
+    assert np.abs(M.sum(axis=1) - 1.0).max() <= 1e-13
 
 
 class ZeroFirstRule(SumConservingRule):
@@ -450,6 +454,31 @@ class EdgeDraws(np.random.Generator):
 
 RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
          "zero-first": ZeroFirstRule, "short": ShortRule}
+
+
+class TenthsRule(PairRule):
+    """Keep the pair with probability 0.1, swap it with 0.2, and send it to
+    (0, (u + w) mod k) with 0.7: unordered outcomes that do not depend on
+    the order of (u, w), and moves out of the pair's own sum."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def outcomes(self, u, w):
+        return [((u, w), 0.1), ((w, u), 0.2), ((0, (u + w) % self.k), 0.7)]
+
+
+@pytest.mark.parametrize("k, rule", [
+    *[(k, SumConservingRule(k)) for k in range(2, 7)],
+    (3, SwapRule()), (3, ResampleRule(3)), (4, ZeroFirstRule(4)), (4, TenthsRule(4)),
+], ids=[*[f"sum-{k}" for k in range(2, 7)], "swap", "resample", "zero-first", "tenths"])
+def test_collision_tensor_from_the_move_table(k, rule):
+    """kappa read off (changes, coeffs) == kappa summed from the outcome
+    lists, with no negative entry and columns that sum to 1."""
+    kappa = collision_marginal_tensor(k, rule)
+    assert np.abs(kappa - oracle_collision_tensor(k, rule)).max() <= 1e-15
+    assert kappa.min() >= 0.0
+    assert np.abs(kappa.sum(axis=0) - 1.0).max() <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)
