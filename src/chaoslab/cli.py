@@ -395,12 +395,12 @@ def cmd_kac(config: dict) -> int:
 
     # Each replica draws its start, then its run, on its own stream.
     def run(rngs):
-        return kernel.sampler([iid_state(p0, n, rng).counts for rng in rngs], rngs)
+        return kernel.sampler([iid_state(p0, n, rng) for rng in rngs], rngs)
 
+    # The replica mean, summed row by row in replica order: one left fold.
     totals = np.zeros(space.k)
     for chunk in replica_counts(run, replicas, seed):
-        for counts in chunk:
-            totals += counts / n
+        totals = np.add.accumulate(np.vstack([totals, chunk / n]))[-1]
     mc_p = Distribution(space, tuple(totals / replicas))
     rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
 

@@ -182,19 +182,19 @@ def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
 
     Built from the rule's class moves, the table the sampler jumps by: a
     uniform ordered pair of distinct particles moves class m to m + d with
-    probability move_weights(m)[d] / (n (n - 1)), and the diagonal takes
-    the rest, 1 minus its moves' probabilities added in order: the chance
-    that the collision keeps the class, to rounding.  Where every collision
-    moves the class that rest is 0 to a unit of roundoff, either side;
-    `kac_collision_kernel` keeps only entries > 0.
+    probability w_d(m) / (n (n - 1)), w_d(m) its `move_weights`, and the
+    diagonal takes the rest, 1 minus its moves' probabilities added in
+    order: the chance that the collision keeps the class, to rounding.
+    Where every collision moves the class that rest is 0 to a unit of
+    roundoff, either side; `kac_collision_kernel` keeps only entries > 0.
     """
     occ = occupancy_array(k, n)
     table = rule.compiled(k)
-    prob = table.move_weights(occ) / (n * (n - 1))
-    rows, moves = np.nonzero(prob)
+    prob = table.move_weights(occ.T) / (n * (n - 1))
+    moves, rows = np.nonzero(prob)
     P = np.zeros((len(occ), len(occ)))
-    P[rows, class_index(occ[rows] + table.changes[moves], n)] = prob[rows, moves]
-    P[np.diag_indices(len(occ))] = 1.0 - sum(prob.T, np.zeros(len(occ)))
+    P[rows, class_index(occ[rows] + table.changes[moves], n)] = prob[moves, rows]
+    P[np.diag_indices(len(occ))] = 1.0 - sum(prob, np.zeros(len(occ)))
     return P
 
 

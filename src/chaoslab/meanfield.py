@@ -69,25 +69,32 @@ class CompiledRule(NamedTuple):
     an outcome of positive probability makes to the occupancy, in
     lexicographic order, and coeffs[d, u*k + w] the probabilities of the
     outcomes of the ordered pair (u, w) that make it, added in list order;
-    the pair stays put with the rest.  `_compile` checked the rule: labels in
-    range(k), finite probabilities >= 0 summing to 1 within MASS_TOL, and
-    coeffs[d, u*k + w] within MASS_TOL of coeffs[d, w*k + u] for every d, the
-    rule's symmetry, since a change fixes the unordered outcome pair.
+    the pair stays put with the rest.  terms lists (d, u, w, coeffs[d, u*k + w])
+    for the nonzero coefficients, in (d, u, w) order.  `_compile` checked the
+    rule: labels in range(k), finite probabilities >= 0 summing to 1 within
+    MASS_TOL, and coeffs[d, u*k + w] within MASS_TOL of coeffs[d, w*k + u]
+    for every d, the rule's symmetry, since a change fixes the unordered
+    outcome pair.
     """
 
     changes: np.ndarray
     coeffs: np.ndarray
+    terms: tuple
 
     def move_weights(self, M: np.ndarray) -> np.ndarray:
-        """The (B, D) weights of the class moves at each row m of a (B, k)
+        """The (D, B) weights of the class moves at each column m of a (k, B)
         stack of occupancies: sum_uw coeffs[d, uw] * (m_u * (m_w - [u == w])),
         the probability of change d times the n (n - 1) ordered pairs of
-        distinct particles, in float.  The terms are added one by one in
-        (u, w) order, so a row's weights do not depend on the stack."""
+        distinct particles, in float.  The nonzero terms are added one by one
+        in (u, w) order, so a column's weights do not depend on the stack,
+        and the zero terms they skip would leave the sum as it is, up to the
+        sign of a zero weight."""
         M = np.asarray(M, dtype=float)
-        B, k = M.shape
-        pairs = M[:, :, None] * (M[:, None, :] - np.eye(k))
-        return np.add.accumulate(self.coeffs * pairs.reshape(B, 1, k * k), axis=2)[:, :, -1]
+        out = np.zeros((len(self.changes), M.shape[1]))
+        for d, u, w, c in self.terms:
+            row = out[d]  # a view: += adds in place
+            row += c * (M[u] * (M[w] - 1.0 if u == w else M[w]))
+        return out
 
 
 def _compile(rule: PairRule, k: int) -> CompiledRule:
@@ -119,7 +126,10 @@ def _compile(rule: PairRule, k: int) -> CompiledRule:
         u, w = asymmetric[0]
         raise InvalidArgumentError(f"pair rule is not symmetric: ({u}, {w}) and "
                                    f"({w}, {u}) give different unordered outcomes")
-    return CompiledRule(np.array(changes, dtype=np.int64).reshape(-1, k), coeffs)
+    ds, uws = np.nonzero(coeffs)
+    terms = tuple((d, uw // k, uw % k, float(coeffs[d, uw]))
+                  for d, uw in zip(ds.tolist(), uws.tolist()))
+    return CompiledRule(np.array(changes, dtype=np.int64).reshape(-1, k), coeffs, terms)
 
 
 class SumConservingRule(PairRule):

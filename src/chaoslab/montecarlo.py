@@ -6,10 +6,12 @@ chain.  Its occupancy is itself a continuous-time Markov chain, whose
 jumps are the class moves of the compiled pair rule (`CompiledRule`): the
 loop draws only the collisions that change the occupancy, an exponential
 wait and a pick among the moves per jump (Gillespie's direct method), so
-its work is O(k^2) per jump, not per collision, whatever n is.  It runs an
-(R, k) stack of replicas in lockstep, one set of numpy calls per jump step
-for all of them: the `kac` subcommand and theorem-probe's columns run
-their replicas through the Kac kernel's batched sampler, chunk by chunk in
+its work is per jump, not per collision, whatever n is: one product per
+nonzero coefficient of the move table and one sum per move.  It runs an
+(R, k) stack of replicas in lockstep, held state-major as k rows of
+counts, with one set of numpy calls on those rows per jump step for all
+replicas: the `kac` subcommand and theorem-probe's columns run their
+replicas through the Kac kernel's batched sampler, chunk by chunk in
 `replica_counts`, the one replica loop.  `simulate_kac` is its one-row
 case.
 
@@ -20,10 +22,9 @@ order, so its end counts and its Generator's final state do not depend on
 the stack it ran in.  Memory is bounded whatever n, t and R are: at most
 STACK_WIDTH rows step together (a wider stack runs in groups), each holding
 one block of JUMP_BLOCK waits and JUMP_BLOCK picks, 16 bytes per jump
-(128 KB at most), and the rates of its D class moves over the k^2 ordered
-pairs of states, 8 D k^2 bytes.  Replicas draw their RNG streams from a
-splittable (master seed, replica index) scheme, so reductions are
-reproducible and order-independent.
+(128 KB at most), and its k counts and D move rates, 8 (k + D) bytes.
+Replicas draw their RNG streams from a splittable (master seed, replica
+index) scheme, so reductions are reproducible and order-independent.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ JUMP_BLOCK = 32
 # Most particles: counts, and their sum n, are int64.
 MAX_N = 2**63 - 1
 KAC_CHUNK = 1024  # most replicas per stack call: their Generators take about 1 KB each
-# Most jump steps per stack call, bounded before any draw: about 10 s at
-# 45 us a step for a few 3-state rows (170 us for STACK_WIDTH; 2-core VM).
+# Most jump steps per stack call, bounded before any draw: about 6 s at
+# 30 us a step for one 3-state row (17 s at 85 us for STACK_WIDTH; 2-core VM).
 MAX_JUMP_STEPS = 200_000
 
 
@@ -133,48 +134,53 @@ def simulate_kac_stack(
     if horizon > 0 and len(table.changes):  # else no row can jump, and none draws
         for first in range(0, len(out), STACK_WIDTH):
             rows = slice(first, first + STACK_WIDTH)
-            out[rows] = _jumps(out[rows], rngs[rows], horizon, table)
+            out[rows] = _jumps(out[rows].T, rngs[rows], horizon, table).T
     return out
 
 
 def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) -> np.ndarray:
-    """The end counts of a (w, k) stack whose row r runs on rngs[r] until
-    its clock passes `horizon`, in units of 2n / lam.
+    """The end counts of a state-major (k, w) stack whose column r, a
+    replica, runs on rngs[r] until its clock passes `horizon`, in units of
+    2n / lam.
 
-    At class m a row's cumulative weights are S_d = sum of move_weights(m)
-    over the moves up to d, added in order, and q = S_D its total.  A row
-    with q = 0 is absorbed and stops without a draw.  Otherwise its clock
-    advances by E / q, E its next Exp(1) wait; once the clock is not below
-    the horizon the row stops, and else it moves by the first change d with
-    S_d > U q, U its next uniform pick.  A row draws its waits and picks in
-    blocks of JUMP_BLOCK, `standard_exponential` then `random`, the first
-    when it first needs a wait and each next one when it has spent the
-    last.  A stopped row's counts are written out and its row dropped from
-    every live array.
+    At class m a replica's cumulative weights are S_d = sum of
+    move_weights(m) over the moves up to d, added in order along the (D, w)
+    weights, and q = S_D its total.  A replica with q = 0 is absorbed and
+    stops without a draw.  Otherwise its clock advances by E / q, E its
+    next Exp(1) wait; once the clock is not below the horizon it stops, and
+    else it moves by the first change d with S_d > U q, U its next uniform
+    pick.  A replica draws its waits and picks in blocks of JUMP_BLOCK,
+    `standard_exponential` then `random`, the first when it first needs a
+    wait and each next one when it has spent the last.  A stopped
+    replica's counts are written out and its column dropped from every
+    live array.  The counts stay int64; move_weights reads them as floats
+    at each step, so counts past 2^53 round as they would alone.
     """
-    out = counts.copy()
-    rows, m = np.arange(len(counts)), counts
+    out = np.empty_like(counts)
+    rows, m = np.arange(counts.shape[1]), counts.copy()
     clock = np.zeros(len(rows))
     draws = np.zeros((len(rows), 2, JUMP_BLOCK))
-    cum = np.cumsum(table.move_weights(m), axis=1)
+    moves = table.changes.T
+    cum = np.add.accumulate(table.move_weights(m), axis=0)
     step = 0
     while len(rows):
-        q = cum[:, -1]
+        q = cum[-1]
         j = step % JUMP_BLOCK
         if j == 0:
             for i in np.flatnonzero(q).tolist():
                 draws[i, 0] = rngs[rows[i]].standard_exponential(JUMP_BLOCK)
                 draws[i, 1] = rngs[rows[i]].random(JUMP_BLOCK)
-        # An absorbed row waits forever.
+        # An absorbed replica waits forever.
         clock += np.divide(draws[:, 0, j], q, out=np.full(len(q), np.inf), where=q > 0)
         live = clock < horizon
         if not live.all():
-            out[rows[~live]] = m[~live]
-            rows, m, clock, draws, cum, q = (a[live] for a in (rows, m, clock, draws, cum, q))
+            out[:, rows[~live]] = m[:, ~live]
+            rows, clock, draws, q = (a[live] for a in (rows, clock, draws, q))
+            m, cum = m[:, live], cum[:, live]
         # U < 1 keeps U q below q, so the pick reads the first D - 1 sums only.
-        pick = (cum[:, :-1] <= (draws[:, 1, j] * q)[:, None]).sum(axis=1)
-        m = m + table.changes[pick]
-        cum = np.cumsum(table.move_weights(m), axis=1)
+        pick = (cum[:-1] <= draws[:, 1, j] * q).sum(axis=0)
+        m += moves.take(pick, axis=1)
+        cum = np.add.accumulate(table.move_weights(m), axis=0)
         step += 1
     return out
 
@@ -193,11 +199,11 @@ def simulate_kac(
     return ParticleState(tuple(end[0].tolist()))
 
 
-def iid_state(p: Distribution, n: int, rng) -> ParticleState:
-    """Occupancy of n i.i.d. draws from p; an n past MAX_N is
-    InvalidArgumentError."""
+def iid_state(p: Distribution, n: int, rng) -> np.ndarray:
+    """The (k,) int64 occupancy of n i.i.d. draws from p; an n past MAX_N
+    is InvalidArgumentError."""
     check_particle_count(n)
-    return ParticleState(tuple(int(x) for x in rng.multinomial(n, p.p)))
+    return rng.multinomial(n, p.p)
 
 
 def pair_marginal_ustat(counts) -> np.ndarray:

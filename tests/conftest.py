@@ -420,6 +420,17 @@ def oracle_move_weight(counts, coeffs):
     return weight
 
 
+def oracle_move_weights(table, M):
+    """The (B, D) move weights of a (B, k) stack of occupancies in the dense
+    form: every coefficient of the move table, zero or not, times the float
+    pair count m_u (m_w - [u == w]), added along the k^2 (u, w) axis by
+    np.add.accumulate."""
+    M = np.asarray(M, dtype=float)
+    B, k = M.shape
+    pairs = M[:, :, None] * (M[:, None, :] - np.eye(k))
+    return np.add.accumulate(table.coeffs * pairs.reshape(B, 1, k * k), axis=2)[:, :, -1]
+
+
 def oracle_kac_event_matrix(k, n, rule):
     """One-collision class matrix by a per-class loop over a dict index.
 

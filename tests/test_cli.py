@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 import chaoslab.cli
@@ -15,7 +16,9 @@ from chaoslab.diagnostics import (
     microcanonical_limit,
 )
 from chaoslab.errors import ConfigError
+from chaoslab.kernels import kac_collision_kernel
 from chaoslab.meanfield import wild_plan
+from chaoslab.montecarlo import iid_state, replica_counts
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -384,6 +387,26 @@ class TestKacCommand:
         assert float(methods["exact"].split(",")[1]) < 0.05
         assert float(methods["mc"].split(",")[1]) < 0.05
         assert len(meta["ode"]) == 3
+
+    def test_mc_row_is_the_replica_mean_summed_row_by_row(self, tmp_path, monkeypatch):
+        # Chunks of 64 replicas: the fold runs on across chunk boundaries.
+        monkeypatch.setattr(chaoslab.montecarlo, "KAC_CHUNK", 64)
+        n, replicas, seed = 40, 300, 5
+        rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", str(n), "--replicas", str(replicas),
+                   "--seed", str(seed), "--out", str(tmp_path)])
+        assert rc == 0
+        csv, _ = read_run(tmp_path, "kac")
+        mc = next(line for line in csv.splitlines() if line.startswith("mc,"))
+        p0 = Distribution(S3, (0.6, 0.3, 0.1))
+        kernel = kac_collision_kernel(S3, 1.0, 1.0, n)
+        totals = np.zeros(3)
+        for chunk in replica_counts(
+                lambda rngs: kernel.sampler([iid_state(p0, n, rng) for rng in rngs], rngs),
+                replicas, seed):
+            for counts in chunk:
+                totals += counts / n
+        want = Distribution(S3, tuple(totals / replicas))
+        assert tuple(map(float, mc.split(",")[2:])) == want.p
 
     def test_meta_records_the_ode_plan(self, tmp_path):
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--replicas", "2",

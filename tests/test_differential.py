@@ -62,6 +62,7 @@ from conftest import (
     oracle_mean_empirical_tv,
     oracle_microcanonical,
     oracle_mixture,
+    oracle_move_weights,
     oracle_ordered_marginal,
     oracle_product_law,
     oracle_propagate,
@@ -452,10 +453,6 @@ class EdgeDraws(np.random.Generator):
         return np.where(r < 0.8, np.floor(r * 4) / 4, 1 - 2.0**-53)
 
 
-RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
-         "zero-first": ZeroFirstRule, "short": ShortRule}
-
-
 class TenthsRule(PairRule):
     """Keep the pair with probability 0.1, swap it with 0.2, and send it to
     (0, (u + w) mod k) with 0.7: unordered outcomes that do not depend on
@@ -466,6 +463,28 @@ class TenthsRule(PairRule):
 
     def outcomes(self, u, w):
         return [((u, w), 0.1), ((w, u), 0.2), ((0, (u + w) % self.k), 0.7)]
+
+
+# The pair rules of this file by name: several (u, w) pairs feed one change
+# under "tenths" and "resample", whose moves leave the pair's label sum.
+RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
+         "zero-first": ZeroFirstRule, "short": ShortRule, "tenths": TenthsRule,
+         "resample": ResampleRule}
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 6), rule=st.sampled_from(sorted(RULES)), data=st.data())
+def test_move_weights_are_the_dense_form(k, rule, data):
+    """The sum over the rule's nonzero coefficients == the dense sum of
+    every coefficient along the k^2 axis, value for value, with counts up
+    to MAX_N, where the float pair counts round."""
+    table = RULES[rule](k).compiled(k)
+    count = st.integers(0, 40) | st.integers(0, montecarlo.MAX_N)
+    stack = np.array(data.draw(st.lists(st.lists(count, min_size=k, max_size=k),
+                                        min_size=1, max_size=8)), dtype=np.int64)
+    got = table.move_weights(stack.T)
+    assert got.shape == (len(table.changes), len(stack))
+    assert (got == oracle_move_weights(table, stack).T).all()
 
 
 @pytest.mark.parametrize("k, rule", [

@@ -265,7 +265,7 @@ class TestEstimatePairMarginal:
     def test_iid_unbiased(self):
         p = Distribution(S3, (0.5, 0.3, 0.2))
         res = estimate_pair_marginal(
-            lambda rngs: [iid_state(p, 100, rng).counts for rng in rngs], 10_000, seed=7)
+            lambda rngs: [iid_state(p, 100, rng) for rng in rngs], 10_000, seed=7)
         truth = np.outer(p.p, p.p)
         z = np.abs(res.estimate - truth) / np.where(res.std_error > 0, res.std_error, 1.0)
         assert z.max() < 4.0
@@ -292,7 +292,7 @@ class TestEstimatePairMarginal:
 
         def sampler(rngs):
             sizes.append(len(rngs))
-            starts = [iid_state(p, 9, rng).counts for rng in rngs]
+            starts = [iid_state(p, 9, rng) for rng in rngs]
             return simulate_kac_stack(starts, 1.0, 0.7, rngs)
 
         one = estimate_pair_marginal(sampler, 50, seed=4)
