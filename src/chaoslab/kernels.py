@@ -10,8 +10,8 @@ empirical measures, and mixing a symmetric input law against it
 Each constructor here is the one spec of its dynamics: next to the
 n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
 the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
-source laws, one per row, and returns the (B, k_target) stack of their
-images.  `make_kernel` is the only parser of the kernel names.
+source laws, one per row, and returns a new (B, k_target) float stack of
+their images.  `make_kernel` is the only parser of the kernel names.
 
 A kernel's one computed form is its exact class matrix, `class_matrix()`:
 nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
@@ -139,7 +139,7 @@ def _class_map_kernel(source: StateSpace, target: StateSpace, n: int, name: str,
         return np.arange(len(dst)), dst, np.ones(len(dst))
 
     return ExchangeableKernel(source, target, n, name, matrix_builder=build_matrix,
-                              limit=lambda P: image(_as_stack(P)[0], 1.0))
+                              limit=lambda P: image(_as_stack(P), 1.0))
 
 
 def map_kernel(

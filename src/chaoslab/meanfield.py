@@ -11,10 +11,10 @@ chain's jump rates (Kurtz 1970), validated against particle simulation.
 the uniformized n-particle kernel, to unit roundoff.
 
 A limit map takes a (B, k) stack of one-particle laws, one per row, checked
-by `_as_stack`, and returns the (B, k_target) stack of their images, so
-that a caller with many laws (`continuity_probe`) evaluates it, and
-integrates the ODE, once.  `kac_limit_evolve` also takes a single
-Distribution, the B = 1 case of the same code.
+by `_as_stack`, and returns a new (B, k_target) float stack of their
+images, so that a caller with many laws (`continuity_probe`, which reads
+the k + 1 rows [p, (1 - r) p + r I]) evaluates it, and integrates the ODE,
+once.  A single law is the one-row stack.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import MASS_TOL, NEG_CLAMP, Distribution, as_int, as_rng
+from .core import MASS_TOL, NEG_CLAMP, Distribution, as_int
 from .errors import InvalidArgumentError
 
 MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
@@ -35,7 +35,8 @@ DEFAULT_DT = math.inf  # no cap on the slice length tau
 MAX_SLICES = 20_000
 # Most slices times stack rows per evolve.  A slice costs about 0.5 ms plus
 # 0.04 ms per 3-state row or 0.08 ms per 5-state row (2-core VM), so this is
-# about 10 s for a 65-row stack of 5-state laws (lam*t <= 923).
+# about 10 s for a 65-row stack of 5-state laws (lam*t <= 923).  The
+# continuity probe's k + 1 rows meet it before MAX_SLICES only for k >= 6.
 MAX_SLICE_ROWS = 120_000
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -167,20 +168,18 @@ def check_rate_and_time(lam: float, t: float) -> None:
         raise InvalidArgumentError(f"need finite lam > 0 and t >= 0, got lam={lam}, t={t}")
 
 
-def _as_stack(p) -> tuple:
-    """A Distribution as a one-row (1, k) stack, or a (B, k) stack as an array.
-
-    Returns the array and whether the input was already a stack.  Stack rows
-    are held to a Distribution's rules: finite, no entry below NEG_CLAMP,
-    mass within MASS_TOL of 1.
-    """
-    if isinstance(p, Distribution):
-        return p.as_array()[None, :], False
-    P = np.asarray(p, dtype=float)
+def _as_stack(p) -> np.ndarray:
+    """A (B, k) stack of laws as a new float array, its rows held to a
+    Distribution's rules: finite, no entry below NEG_CLAMP, mass within
+    MASS_TOL of 1."""
+    try:
+        P = np.array(p, dtype=float)
+    except (TypeError, ValueError):
+        P = np.zeros(0)
     if not (P.ndim == 2 and P.size and np.isfinite(P).all() and P.min() >= NEG_CLAMP
             and np.abs(P.sum(axis=1) - 1.0).max() <= MASS_TOL):
-        raise InvalidArgumentError("need a Distribution or a nonempty (B, k) stack of laws")
-    return P, True
+        raise InvalidArgumentError("need a nonempty (B, k) stack of laws")
+    return P
 
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:
@@ -233,7 +232,7 @@ def kac_limit_evolve(
     t: float,
     dt: float = DEFAULT_DT,
     rule: Optional[PairRule] = None,
-):
+) -> np.ndarray:
     """Solve dp/dt = lam (Q(p, p) - p) by Wild's series, sliced by `wild_plan`.
 
     Over a slice, with beta = 1 - exp(-lam*tau), p(tau) = sum_{n >= 1}
@@ -241,14 +240,14 @@ def kac_limit_evolve(
     sum_{j<n} Q(q_j, q_{n-j}).  It is added to p as the change
     sum_{n >= 2} w_n (q_n - p), whose rounding shrinks with the slice, and
     each row is then renormalised once.  No term is negative, so no row
-    leaves the simplex.  p0 is a Distribution or a (B, k) stack of laws, as
-    in `_as_stack`; the einsums give each row of a stack the arithmetic it
-    gets alone.
+    leaves the simplex.  p0 is a (B, k) stack of laws, as in `_as_stack`,
+    and the result a new (B, k) array; the einsums give each row of a stack
+    the arithmetic it gets alone.
     """
-    P, stacked = _as_stack(p0)
+    P = _as_stack(p0)
     plan = wild_plan(lam, t, dt, len(P))
     if t == 0:
-        return p0
+        return P
     kappa = collision_marginal_tensor(P.shape[1], rule)
     beta = -math.expm1(-lam * t / plan.slices)
     weights = np.array([(1.0 - beta) * beta ** n for n in range(1, plan.terms)])
@@ -261,42 +260,32 @@ def kac_limit_evolve(
             q[n] = np.einsum("vuw,buw->bv", kappa, pairs) / n
         P = P + (np.einsum("n,nbv->bv", weights, q[1:]) - moved * P)
         P /= np.add.reduce(P, axis=1, keepdims=True)
-    return P if stacked else Distribution(p0.space, tuple(P[0]))
+    return P
 
 
 @dataclass
 class ContinuityReport:
     radius: float
     modulus: float
-    image: np.ndarray  # F of the probed stack [p, q_1, ...]; row 0 is F(p)
+    image: np.ndarray  # F of the probed stack [p, q_1, ..., q_k]; row 0 is F(p)
 
 
 def continuity_probe(
     F: Callable[[np.ndarray], np.ndarray],
     p: Distribution,
     radius: float,
-    samples: int,
-    seed,
 ) -> ContinuityReport:
-    """Empirical local modulus of continuity of a limit map F at p.
+    """Local modulus of continuity of a limit map F at p, read on Huber's
+    r-contamination neighbourhood {(1 - a) p + a q : a <= radius} of p.
 
-    Draws up to `samples` laws q with tv(p, q) <= radius, evaluates the
-    stack map F once on [p, q_1, ..., q_m] and reports the largest
-    tv(F(p), F(q)) observed.
+    Evaluates the stack map F once on [p, q_1, ..., q_k], q_i = (1 - radius)
+    p + radius e_i, and reports the largest tv(F(p), F(q_i)).  The
+    neighbourhood is the hull of p and the q_i, so for an affine F, where
+    tv(F(p), F(.)) is convex on it, that is its largest value there.
     """
     if not 0 < radius <= 1:
         raise InvalidArgumentError("radius must lie in (0, 1]")
-    rng = as_rng(seed)
     base = p.as_array()
-    stack = [base]
-    for _ in range(samples):
-        r = rng.dirichlet(np.ones(p.space.k))
-        gap = 0.5 * math.fsum(np.abs(r - base))
-        if gap == 0.0:
-            continue
-        alpha = rng.random() * min(1.0, radius / gap)
-        stack.append((1 - alpha) * base + alpha * r)
-    image = F(np.stack(stack))
-    modulus = max((0.5 * math.fsum(np.abs(row - image[0])) for row in image[1:]),
-                  default=0.0)
+    image = F(np.vstack([base, (1 - radius) * base + radius * np.eye(p.space.k)]))
+    modulus = max(0.5 * math.fsum(np.abs(row - image[0])) for row in image[1:])
     return ContinuityReport(radius=radius, modulus=modulus, image=image)

@@ -538,29 +538,6 @@ def oracle_microcanonical(H, E, delta, n):
     return {m: cs / total for m, cs in sizes.items()}
 
 
-def oracle_continuity_probe(F, p, radius, samples, seed):
-    """The probe one law at a time: the draws of continuity_probe, with the
-    stack map F applied to each probed law q as a one-row stack.
-
-    Returns the probed laws, in draw order, and the modulus.
-    """
-    from chaoslab.core import tv_distance
-
-    rng = np.random.default_rng(seed)
-    fp = F(p.as_array()[None, :])[0]
-    qs, modulus = [], 0.0
-    for _ in range(samples):
-        r = Distribution(p.space, tuple(rng.dirichlet(np.ones(p.space.k))))
-        gap = tv_distance(r, p)
-        if gap == 0.0:
-            continue
-        alpha = rng.random() * min(1.0, radius / gap)
-        q = (1 - alpha) * p.as_array() + alpha * r.as_array()
-        qs.append(q)
-        modulus = max(modulus, 0.5 * math.fsum(np.abs(F(q[None, :])[0] - fp)))
-    return qs, modulus
-
-
 def oracle_simulate_kac(start, lam, t, rng, rule):
     """The Kac chain's jumps, one particle state at a time: the draws of
     simulate_kac, with the class moves merged here from `rule.outcomes` and

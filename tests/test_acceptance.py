@@ -179,7 +179,7 @@ def test_criterion_6_commuting_diagram():
 
 def test_criterion_7_theorem_condition_probe():
     p = Distribution(S3, (1 / 3, 1 / 3, 1 / 3))
-    fp = kac_limit_evolve(p, 1.0, 1.0)
+    fp = Distribution(S3, tuple(kac_limit_evolve(p.as_array()[None], 1.0, 1.0)[0]))
     grid = [6, 8, 10, 12]
     gaps = []
     for n in grid:
@@ -203,7 +203,7 @@ def test_criterion_7_theorem_condition_probe():
 def test_criterion_8_mean_field_consistency():
     start = time.perf_counter()
     p0 = Distribution(S3, (0.6, 0.3, 0.1))
-    ode = kac_limit_evolve(p0, 1.0, 1.0)
+    ode = Distribution(S3, tuple(kac_limit_evolve(p0.as_array()[None], 1.0, 1.0)[0]))
 
     n, replicas, seed = 2000, 200, 77
     rngs = [replica_rng(seed, r) for r in range(replicas)]

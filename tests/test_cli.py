@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chaoslab.cli
+import chaoslab.kernels
 import chaoslab.montecarlo
 from chaoslab.cli import main, parse_grid, quota_occupancy
 from chaoslab.core import Distribution, StateSpace, law_to_json, product_law
@@ -162,17 +163,38 @@ class TestCounterexample:
 
 class TestTheoremProbe:
     def test_probe_stack_past_the_ode_budget_is_a_config_error(self, tmp_path, capsys):
-        # The continuity probe evolves a 65-row stack: at lam*t = 1e4 that
-        # would take minutes, so it is refused before any row is evolved.
-        start = time.perf_counter()
-        rc = main(["theorem-probe", "--kernel", "kac:1e4,1", "--p", "0.5,0.3,0.2",
-                   "--grid", "4,6,8", "--out", str(tmp_path)])
-        assert time.perf_counter() - start < 1.0
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: lam*t = 10000") and "budget" in err
-        assert err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        # The continuity probe evolves a (k + 1)-row stack: past either
+        # budget that would take minutes, so it is refused before any row is evolved.
+        for kernel, p, budget in [
+            # 4 rows at lam*t = 2e4: 40,000 slices, past MAX_SLICES.
+            ("kac:2e4,1", "0.5,0.3,0.2", "slices of Wild's series, past the budget of 20000"),
+            # 7 rows at lam*t = 1e4: 20,000 slices each, past MAX_SLICE_ROWS.
+            ("kac:1e4,1", "0.2,0.2,0.2,0.2,0.1,0.1",
+             "for each of 7 laws, past the budget of 120000"),
+        ]:
+            start = time.perf_counter()
+            rc = main(["theorem-probe", "--kernel", kernel, "--p", p,
+                       "--grid", "4,6,8", "--out", str(tmp_path)])
+            assert time.perf_counter() - start < 1.0
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: lam*t = ") and budget in err
+            assert err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == []
+
+    def test_exact_run_reads_no_seed(self, tmp_path):
+        # Every column is exact and the continuity probe draws nothing, so
+        # the seed, given or not, changes no byte.
+        argv = ["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                "--grid", "6,8,10,12"]
+        files = []
+        for seed in (["--seed", "1"], ["--seed", "2"], []):
+            out = tmp_path / f"seed{''.join(seed)}"
+            assert main(argv + seed + ["--out", str(out)]) == 0
+            meta = json.loads((out / "theorem-probe.meta.json").read_text())
+            meta["config"].pop("seed", None)
+            files.append(((out / "theorem-probe.csv").read_bytes(), meta))
+        assert files[0] == files[1] == files[2]
 
     def test_map_kernel_continuous(self, tmp_path):
         rc = main(["theorem-probe", "--kernel", "map:1,0", "--p", "0.6,0.4",
@@ -432,10 +454,9 @@ class TestKacCommand:
                      "--out", str(tmp_path)]) == 2
 
     def test_seed_read_before_any_work(self, tmp_path, monkeypatch, capsys):
-        import chaoslab.cli as cli
-
         calls = []
-        monkeypatch.setattr(cli, "kac_limit_evolve", lambda *a, **kw: calls.append(1))
+        monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve",
+                            lambda *a, **kw: calls.append(1))
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "12", "--out", str(tmp_path)])
         assert rc == 2
         assert "missing required option 'seed'" in capsys.readouterr().err
@@ -897,7 +918,7 @@ class TestFileErrors:
 
     def test_empty_name_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
         calls = []
-        monkeypatch.setattr(chaoslab.cli, "kac_limit_evolve",
+        monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve",
                             lambda *a, **kw: calls.append(1))
         rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--name", "",
                    "--out", str(tmp_path)])

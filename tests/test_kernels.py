@@ -454,9 +454,22 @@ class TestRegistry:
 class TestLimit:
     """Limits map a (B, k) stack of laws to the (B, k_target) stack of images."""
 
-    P3 = Distribution(S3, (0.6, 0.3, 0.1))
-    Q3 = Distribution(S3, (0.2, 0.2, 0.6))
-    STACK = np.array([P3.p, Q3.p])
+    STACK = np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+
+    @pytest.mark.parametrize("name, k", [("identity", 3), ("map:1,1,0", 3), ("map:0,2", 2),
+                                         ("counterexample", 2), ("kac:1,1", 3), ("kac:1,0", 3)])
+    def test_stack_in_new_float_stack_out(self, name, k):
+        # A Distribution used to come back as a Distribution from kac but as an
+        # array from the others, and kac at t = 0 handed back the caller's list.
+        kernel = make_kernel(name, StateSpace.of_size(k), 4)
+        rows = [[1.0 / k] * k, [1] + [0] * (k - 1)]
+        for P in (rows, np.array(rows), np.array(rows[1:], dtype=np.int64)):
+            out = kernel.limit(P)
+            assert type(out) is np.ndarray and out.dtype == float
+            assert out.shape == (len(P), kernel.target.k)
+            assert not np.shares_memory(out, P)
+        with pytest.raises(InvalidArgumentError):
+            kernel.limit(Distribution(StateSpace.of_size(k), tuple(rows[1])))
 
     def test_map_limit_is_pushforward(self):
         out = make_kernel("map:1,1,0", S3, 4).limit(self.STACK)
@@ -469,8 +482,8 @@ class TestLimit:
 
     def test_kac_limit_uses_the_kernels_pair_rule(self):
         default = kac_collision_kernel(S3, 1.0, 1.0, 4).limit(self.STACK)
-        assert tuple(default[0]) == kac_limit_evolve(self.P3, 1.0, 1.0).p
-        assert tuple(default[1]) == kac_limit_evolve(self.Q3, 1.0, 1.0).p
+        for row, image in zip(self.STACK, default):
+            assert image.tolist() == kac_limit_evolve(row[None], 1.0, 1.0)[0].tolist()
         assert 0.5 * np.abs(default - self.STACK).sum(axis=1).min() > 0.01
         swapped = kac_collision_kernel(S3, 1.0, 1.0, 4, pair_rule=SwapRule()).limit(self.STACK)
         assert 0.5 * np.abs(swapped - self.STACK).sum(axis=1).max() < 1e-12

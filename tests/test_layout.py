@@ -101,3 +101,18 @@ def test_microcanonical_imports_no_fractions(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_exact_runs_load_no_numpy_random(tmp_path):
+    """An all-exact theorem-probe run and the counterexample draw no random
+    numbers, so neither loads numpy.random, and their outputs cannot depend
+    on a seed."""
+    runs = [["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+             "--grid", "6,8,10,12"], ["counterexample"]]
+    code = ("import sys; from chaoslab.cli import main; "
+            f"print([main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}], "
+            "'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0] False"

@@ -17,14 +17,13 @@ from chaoslab import (
     make_kernel,
     map_kernel,
     simulate_kac,
-    tv_distance,
 )
 from chaoslab.cli import main
 from chaoslab.errors import InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import collision_marginal_tensor, wild_plan
 
-from conftest import kac_limit_rhs, oracle_continuity_probe, oracle_kac_limit_evolve, pushforward
+from conftest import kac_limit_rhs, oracle_kac_limit_evolve, pushforward
 
 S1 = StateSpace.of_size(1)
 S2 = StateSpace.of_size(2)
@@ -132,45 +131,45 @@ class TestKacLimitRhs:
 
 
 class TestKacLimitEvolve:
+    P0 = np.array([[0.6, 0.3, 0.1]])
+
     def test_point_mass_stationary(self):
-        p0 = Distribution(S3, (1.0, 0.0, 0.0))
-        assert kac_limit_evolve(p0, 1.0, 2.0).p == pytest.approx(p0.p, abs=1e-12)
+        p0 = np.array([[1.0, 0.0, 0.0]])
+        assert np.abs(kac_limit_evolve(p0, 1.0, 2.0) - p0).max() <= 1e-12
 
     def test_time_zero_identity(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
-        assert kac_limit_evolve(p0, 1.0, 0.0) is p0
+        # A fresh float copy: the caller's list or array is never handed back.
+        for p0 in ([[0.6, 0.3, 0.1]], self.P0, np.array([[1, 0, 0]])):
+            out = kac_limit_evolve(p0, 1.0, 0.0)
+            assert out is not p0 and not np.shares_memory(out, p0)
+            assert out.dtype == float and out.tolist() == np.asarray(p0, dtype=float).tolist()
 
     def test_mean_label_conserved_over_time(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
         labels = np.arange(3)
-        start = float(labels @ p0.as_array())
+        start = float(self.P0[0] @ labels)
         for t in (0.5, 2.0, 5.0):
-            pt = kac_limit_evolve(p0, 1.0, t)
-            assert abs(float(labels @ pt.as_array()) - start) < 1e-9
-            assert abs(math.fsum(pt.p) - 1.0) < 1e-12
+            pt = kac_limit_evolve(self.P0, 1.0, t)[0]
+            assert abs(float(pt @ labels) - start) < 1e-9
+            assert abs(math.fsum(pt) - 1.0) < 1e-12
 
     def test_richardson(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
-        a = kac_limit_evolve(p0, 1.0, 1.0, dt=1e-3)
-        b = kac_limit_evolve(p0, 1.0, 1.0, dt=5e-4)
-        assert tv_distance(a, b) < 1e-8
+        a = kac_limit_evolve(self.P0, 1.0, 1.0, dt=1e-3)
+        b = kac_limit_evolve(self.P0, 1.0, 1.0, dt=5e-4)
+        assert 0.5 * np.abs(a - b).sum() < 1e-8
 
     def test_bad_step(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
         with pytest.raises(InvalidArgumentError):
-            kac_limit_evolve(p0, 1.0, 1.0, dt=0.0)
+            kac_limit_evolve(self.P0, 1.0, 1.0, dt=0.0)
 
     def test_bad_rate_or_time(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
         for lam, t in [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, -1.0),
                        (1.0, math.nan), (1.0, math.inf)]:
             with pytest.raises(InvalidArgumentError):
-                kac_limit_evolve(p0, lam, t)
+                kac_limit_evolve(self.P0, lam, t)
 
     def test_step_count_past_a_float(self):
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
         with pytest.raises(InvalidArgumentError, match="inf slices"):
-            kac_limit_evolve(p0, 1.0, 1.0, dt=1e-320)
+            kac_limit_evolve(self.P0, 1.0, 1.0, dt=1e-320)
 
     def test_work_past_the_budget_is_refused_before_any_row(self, monkeypatch):
         # lam*t = 1e5 is 2e5 slices, past MAX_SLICES = 20,000.
@@ -201,7 +200,8 @@ class TestKacLimitEvolve:
         assert np.abs(out - oracle_kac_limit_evolve(P, 1000.0, 0.003, dt=1e-6)).max() <= 1e-12
 
     @pytest.mark.parametrize("P", [[0.6, 0.3, 0.1], np.zeros((0, 3)), [[0.5, 0.5, 0.5]],
-                                   [[1.1, -0.1, 0.0]], [[np.nan, 0.5, 0.5]]])
+                                   [[1.1, -0.1, 0.0]], [[np.nan, 0.5, 0.5]],
+                                   Distribution(S3, (0.6, 0.3, 0.1))])
     def test_not_a_stack_of_laws(self, P):
         for t in (0.0, 1.0):
             with pytest.raises(InvalidArgumentError):
@@ -231,12 +231,11 @@ class TestStackedEvolve:
     @settings(max_examples=40, deadline=None)
     @given(P=law_stacks(), lam=st.floats(0.25, 4.0), t=st.sampled_from([0.0, 0.07, 0.5]))
     def test_matches_per_row_oracle(self, P, lam, t):
-        space = StateSpace.of_size(P.shape[1])
         out = kac_limit_evolve(P, lam, t, dt=1e-2)
         assert out.shape == P.shape
         for row, got in zip(P, out):
-            alone = kac_limit_evolve(Distribution(space, tuple(row)), lam, t, dt=1e-2)
-            assert np.abs(got - alone.as_array()).max() <= 1e-15
+            alone = kac_limit_evolve(row[None], lam, t, dt=1e-2)[0]
+            assert np.abs(got - alone).max() <= 1e-15
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
         labels = np.arange(P.shape[1])
         assert np.abs(out @ labels - P @ labels).max() <= 1e-9
@@ -264,52 +263,54 @@ class TestWildSum:
 
 
 class TestContinuityProbe:
+    P3 = Distribution(S3, (0.5, 0.3, 0.2))
+
     def test_identity_is_isometry(self):
         F = make_kernel("identity", S3, 2).limit
-        p = Distribution(S3, (0.5, 0.3, 0.2))
-        report = continuity_probe(F, p, radius=0.1, samples=100, seed=4)
+        report = continuity_probe(F, self.P3, radius=0.1)
         assert report.modulus <= 0.1 + 1e-12
 
     def test_constant_map(self):
         F = make_kernel("map:1,1,1", S3, 2).limit
-        p = Distribution(S3, (0.5, 0.3, 0.2))
-        report = continuity_probe(F, p, radius=0.5, samples=50, seed=4)
+        report = continuity_probe(F, self.P3, radius=0.5)
         assert report.modulus < 1e-15
 
     def test_kac_modulus_shrinks_with_radius(self):
         F = make_kernel("kac:1,1", S3, 2).limit
-        p = Distribution(S3, (0.5, 0.3, 0.2))
-        big = continuity_probe(F, p, radius=0.3, samples=40, seed=9)
-        small = continuity_probe(F, p, radius=0.05, samples=40, seed=9)
+        big = continuity_probe(F, self.P3, radius=0.3)
+        small = continuity_probe(F, self.P3, radius=0.05)
         assert small.modulus < big.modulus
         assert big.modulus < 1.0
 
     def test_counterexample_discontinuous_at_delta0(self):
         F = make_kernel("counterexample", S2, 2).limit
         delta0 = Distribution(S2, (1.0, 0.0))
-        report = continuity_probe(F, delta0, radius=0.01, samples=20, seed=2)
+        report = continuity_probe(F, delta0, radius=0.01)
         assert report.modulus == 1.0
 
     def test_bad_radius(self):
         F = make_kernel("identity", S2, 2).limit
         with pytest.raises(InvalidArgumentError):
-            continuity_probe(F, Distribution(S2, (0.5, 0.5)), 0.0, 10, 1)
+            continuity_probe(F, Distribution(S2, (0.5, 0.5)), 0.0)
 
 
 class TestBatchedProbe:
-    """One evaluation of F on [p, q_1, ...] against the per-sample oracle."""
+    """One evaluation of F on [p, q_1, ..., q_k], q_i = (1 - r) p + r e_i:
+    p and its r-contaminations by the point masses."""
 
     P3 = Distribution(S3, (0.5, 0.3, 0.2))
+    CASES = [
+        ("identity", P3, 0.1),
+        ("map:1,1,1", P3, 0.5),
+        ("counterexample", Distribution(S2, (1.0, 0.0)), 0.01),
+        ("counterexample", Distribution(S2, (0.9, 0.1)), 0.3),
+        ("kac:1,1", P3, 0.1),
+        ("identity", Distribution(S1, (1.0,)), 0.1),  # every contamination is p
+        ("map:2,0,2", P3, 0.25),
+    ]
 
-    @pytest.mark.parametrize("name, p, radius, samples", [
-        ("identity", P3, 0.1, 64),
-        ("map:1,1,1", P3, 0.5, 64),
-        ("counterexample", Distribution(S2, (1.0, 0.0)), 0.01, 64),
-        ("counterexample", Distribution(S2, (0.9, 0.1)), 0.3, 64),
-        ("kac:1,1", P3, 0.1, 16),
-        ("identity", Distribution(S1, (1.0,)), 0.1, 8),  # every draw is p: all skipped
-    ])
-    def test_matches_per_sample_oracle(self, name, p, radius, samples):
+    @pytest.mark.parametrize("name, p, radius", CASES)
+    def test_one_call_on_p_and_its_contaminations(self, name, p, radius):
         F = make_kernel(name, p.space, 2).limit
         stacks = []
 
@@ -317,12 +318,32 @@ class TestBatchedProbe:
             stacks.append(P.copy())
             return F(P)
 
-        report = continuity_probe(recording, p, radius, samples, seed=7)
-        qs, modulus = oracle_continuity_probe(F, p, radius, samples, seed=7)
+        report = continuity_probe(recording, p, radius)
+        base = p.as_array()
         assert len(stacks) == 1
-        assert np.array_equal(stacks[0], np.array([p.as_array()] + qs))
-        assert abs(report.modulus - modulus) <= 1e-15
-        assert np.array_equal(report.image[0], F(p.as_array()[None, :])[0])
+        assert np.array_equal(stacks[0], np.vstack([base, (1 - radius) * base
+                                                    + radius * np.eye(p.space.k)]))
+        assert np.array_equal(report.image, F(stacks[0]))
+        assert np.array_equal(report.image[0], F(base[None])[0])
+        assert report.radius == radius
+
+    @pytest.mark.parametrize("name, p, radius",
+                             [case for case in CASES if not case[0].startswith(("kac", "counter"))])
+    def test_affine_limit_reads_radius_times_the_vertex_distance(self, name, p, radius):
+        # tv(F(p), F((1 - r) p + r e_i)) = r tv(F(p), F(e_i)) for an affine F.
+        F = make_kernel(name, p.space, 2).limit
+        fp, vertices = F(p.as_array()[None])[0], F(np.eye(p.space.k))
+        want = radius * max(0.5 * math.fsum(np.abs(row - fp)) for row in vertices)
+        assert abs(continuity_probe(F, p, radius).modulus - want) <= 1e-15
+
+    def test_identity_value(self):
+        report = continuity_probe(make_kernel("identity", S3, 2).limit, self.P3, 0.1)
+        assert report.modulus == pytest.approx(0.08, abs=1e-15)
+
+    @pytest.mark.parametrize("p, modulus", [((1.0, 0.0), 1.0), ((0.9, 0.1), 0.0)])
+    def test_counterexample(self, p, modulus):
+        F = make_kernel("counterexample", S2, 2).limit
+        assert continuity_probe(F, Distribution(S2, p), 0.3).modulus == modulus
 
     def test_one_integrator_call_for_the_stack(self, monkeypatch):
         shapes = []
@@ -334,8 +355,8 @@ class TestBatchedProbe:
 
         monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve", counting)
         F = make_kernel("kac:1,1", S3, 2).limit
-        continuity_probe(F, self.P3, radius=0.1, samples=64, seed=0)
-        assert shapes == [(65, 3)]
+        continuity_probe(F, self.P3, radius=0.1)
+        assert shapes == [(4, 3)]
 
     def test_theorem_probe_integrates_once(self, monkeypatch, tmp_path):
         calls = []
