@@ -9,13 +9,13 @@ Exit codes: 0 success / expectation met, 2 config error or a run that
 cannot be carried out as configured, 3 expectation mismatch, 4 capacity
 error (no exact form at that size, or out of memory).
 
-OPTIONS and COMMANDS are the one declaration of the options; one parser is
-built from them, and `load_config` reads flags and config-file values alike.
+OPTIONS and COMMANDS are the one declaration of the options: `read_argv`
+reads the command line against them, `usage` writes the --help text from
+them, and `load_config` reads flags and config-file values alike.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -171,21 +171,48 @@ def to_value(key: str, value):
     return value
 
 
-def load_config(args: argparse.Namespace) -> dict:
-    """The options of the parsed command: its --config file's values,
-    overridden by the flags given, each checked by to_value.  An option that
-    the command, or diagnose's --family, does not read is a ConfigError."""
-    config = {}
-    if args.config:
+def read_argv(argv) -> tuple:
+    """(command, {option: string}): the one token not starting with --, a
+    key of COMMANDS, and each flag --key value or --key=value, its key
+    "config" or of OPTIONS in full.  A repeated flag keeps its last value."""
+    command, flags, tokens = None, {}, iter(argv)
+    for token in tokens:
+        if not token.startswith("--"):
+            if token not in COMMANDS:
+                raise ConfigError(f"unknown command {token!r}; "
+                                  f"the commands are {', '.join(COMMANDS)}")
+            if command is not None:
+                raise ConfigError(f"a second command {token!r} after {command!r}")
+            command = token
+            continue
+        key, eq, value = token[2:].partition("=")
+        if key != "config" and key not in OPTIONS:
+            raise ConfigError(f"unknown flag --{key}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ConfigError(f"--{key} needs a value")
+        flags[key] = value
+    if command is None:
+        raise ConfigError(f"no command; give one of {', '.join(COMMANDS)}")
+    return command, flags
+
+
+def load_config(command: str, flags: dict) -> dict:
+    """The options of `command`: its --config file's values, overridden by
+    the other flags given, each checked by to_value.  An option that the
+    command, or diagnose's --family, does not read is a ConfigError."""
+    config, path = {}, flags.get("config")
+    if path:
         try:
-            doc = json.loads(Path(args.config).read_text())
+            doc = json.loads(Path(path).read_text())
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
+            raise ConfigError(f"config {path} must hold a JSON object")
         config.update(doc)
-    config.update((key, getattr(args, key)) for key in OPTIONS if getattr(args, key) is not None)
-    reader, allowed = args.command, set(COMMANDS[args.command][1])
+    config.update((key, flags[key]) for key in OPTIONS if key in flags)
+    reader, allowed = command, set(COMMANDS[command][1])
     if "family" in config and "family" in allowed:
         reader = f"--family {to_value('family', config['family'])}"
         allowed -= FAMILY_KEYS.difference(FAMILY_OPTIONS[config["family"]])
@@ -421,6 +448,7 @@ def cmd_microcanonical(config: dict) -> int:
         "gamma": list(gamma.p),
         "verdict": report.verdict,
         "slope": report.slope,
+        "slope_dropped": report.slope_dropped,
     }
     write_outputs(config, "microcanonical",
                   "n,pair_gap,concentration_gap,specific_loglik,entropy_dev", rows, meta)
@@ -439,25 +467,26 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser: the command, --config and each OPTIONS flag once, whose
-    help ends with the commands that read it.  Each flag arrives as a
-    string, for load_config."""
-    parser = argparse.ArgumentParser(prog="chaoslab",
-                                     description="exchangeable particle-system laboratory")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="JSON config file")
+def usage() -> str:
+    """The --help text: a usage line, then one line per flag, ending with the
+    commands that read it."""
+    lines = [f"usage: chaoslab {{{','.join(COMMANDS)}}} [--flag value | --flag=value ...]",
+             f"  --config FILE  JSON config file [{', '.join(COMMANDS)}]"]
     for key, (kind, _, text) in OPTIONS.items():
         readers = ", ".join(command for command, (_, keys) in COMMANDS.items() if key in keys)
-        choices = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
-        parser.add_argument(f"--{key}", dest=key, metavar=choices, help=f"{text} [{readers}]")
-    return parser
+        value = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else key.upper()
+        lines.append(f"  --{key} {value}  {text} [{readers}]")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage())
+        return 0
     try:
-        return COMMANDS[args.command][0](load_config(args))
+        command, flags = read_argv(argv)
+        return COMMANDS[command][0](load_config(command, flags))
     except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4

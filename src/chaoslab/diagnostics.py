@@ -82,11 +82,13 @@ class ChaosReport:
     limit: Distribution
     verdict: str
     slope: Optional[float]
+    slope_dropped: list  # the grid n whose pair gap the slope fit left out
 
     def meta(self) -> dict:
         return {
             "verdict": self.verdict,
             "slope": self.slope,
+            "slope_dropped": self.slope_dropped,
             "limit": list(self.limit.p),
         }
 
@@ -102,12 +104,15 @@ def pair_gap(pair: np.ndarray, rho: Distribution) -> float:
 
 
 def _fit_slope(grid, gaps) -> Optional[float]:
+    """Least-squares slope of log gap on log n over the gaps above ZERO_GAP,
+    from centred sums; None when fewer than two are kept."""
     pts = [(math.log(n), math.log(g)) for n, g in zip(grid, gaps) if g > ZERO_GAP]
     if len(pts) < 2:
         return None
-    xs = np.array([x for x, _ in pts])
-    ys = np.array([y for _, y in pts])
-    return float(np.polyfit(xs, ys, 1)[0])
+    x0 = math.fsum(x for x, _ in pts) / len(pts)
+    y0 = math.fsum(y for _, y in pts) / len(pts)
+    return (math.fsum((x - x0) * (y - y0) for x, y in pts)
+            / math.fsum((x - x0) ** 2 for x, _ in pts))
 
 
 def _verdict(final_gap: float, slope: Optional[float], tol: float) -> str:
@@ -157,7 +162,9 @@ def chaos_verdict(
         )
     slope = _fit_slope(grid, [r.pair_gap for r in rows])
     verdict = _verdict(rows[-1].pair_gap, slope, tol)
-    return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope)
+    dropped = [r.n for r in rows if not r.pair_gap > ZERO_GAP]
+    return ChaosReport(rows=rows, limit=rho, verdict=verdict, slope=slope,
+                       slope_dropped=dropped)
 
 
 def _decimal(x) -> tuple:
@@ -198,7 +205,9 @@ def _gibbs_weights(H: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _gibbs_mean_energy(H: np.ndarray, beta: float) -> float:
-    return float(_gibbs_weights(H, beta) @ H)
+    # fsum, not w @ H: a first BLAS call adds about 0.15 MB of peak RSS, and
+    # the dot product's rounding depends on the BLAS kernel chosen at run time.
+    return math.fsum((_gibbs_weights(H, beta) * H).tolist())
 
 
 def fit_gibbs(model: EnergyModel):
@@ -231,7 +240,7 @@ def fit_gibbs(model: EnergyModel):
         else:
             hi = beta
     gamma = Distribution(model.space, tuple(_gibbs_weights(H, beta)))
-    residual = float(gamma.as_array() @ H) - model.E
+    residual = math.fsum(g * h for g, h in zip(gamma.p, model.H)) - model.E
     if not abs(residual) < GIBBS_RESIDUAL_TOL:
         raise InfeasibleEnergyError(
             f"Gibbs fit misses mean energy {model.E:g}: residual {residual:.3g} "

@@ -569,3 +569,30 @@ def oracle_simulate_kac(start, lam, t, rng, rule):
         counts = [c + e for c, e in zip(counts, d)]
         step += 1
     return tuple(counts)
+
+
+def oracle_fit_gibbs(H, E):
+    """fit_gibbs's bisection on BLAS dot products w @ H, the form the
+    package replaced by fsum: (beta, gamma as an array)."""
+    H = np.array(H, dtype=float)
+
+    def weights(beta):
+        w = np.exp(-beta * (H - H.min() if beta >= 0 else H - H.max()))
+        return w / w.sum()
+
+    lo, hi = -1.0, 1.0
+    while weights(lo) @ H < E:
+        lo *= 2.0
+    while weights(hi) @ H > E:
+        hi *= 2.0
+    beta = 0.0
+    for _ in range(200):
+        beta = 0.5 * (lo + hi)
+        mean = float(weights(beta) @ H)
+        if abs(mean - E) < 1e-12:
+            break
+        if mean > E:
+            lo = beta
+        else:
+            hi = beta
+    return beta, weights(beta)

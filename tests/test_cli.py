@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,16 @@ class TestDiagnose:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) < 1e-13
         assert meta["verdict"] == "chaotic"
+
+    def test_slope_fit_drops_every_product_gap(self, tmp_path):
+        """A product law's pair gap is rounding error at every n, so the
+        slope fit keeps none of them and the meta says so."""
+        grid = [10, 20, 40, 80, 160, 240]
+        rc = main(["diagnose", "--family", "product", "--p", "0.2,0.3,0.5",
+                   "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "diagnose")
+        assert (meta["slope_dropped"], meta["slope"], meta["verdict"]) == (grid, None, "chaotic")
 
     def test_product_family_at_large_n(self, tmp_path):
         # n = 1000 is 501,501 classes: the pair gap and the specific
@@ -550,6 +564,14 @@ class TestMicrocanonicalCommand:
         # entropy maximizes at the upper edge 0.9, below the uniform mean 1.0
         assert meta["beta"] > 0.0
 
+    def test_slope_fit_keeps_every_gap(self, tmp_path):
+        rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+                   "--tol", "0.05", "--grid", "30,60,120,240,360", "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "microcanonical")
+        assert meta["slope_dropped"] == []
+        assert meta["slope"] < -0.2
+
     def test_entropy_dev_from_the_report_rows(self, tmp_path):
         rc = main(["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
                    "--grid", "20,40,80,160", "--out", str(tmp_path)])
@@ -833,13 +855,90 @@ class TestIgnoredOptionsRejected:
         assert capsys.readouterr().err == f"config error: {unread}\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
-    def test_help_names_the_commands_that_read_each_flag(self):
-        parser = chaoslab.cli.build_parser()
-        helps = {action.dest: action.help for action in parser._actions}
+    def test_help_names_the_commands_that_read_each_flag(self, capsys):
+        assert main(["--help"]) == 0
+        helps = {line.split()[0][2:]: line
+                 for line in capsys.readouterr().out.splitlines()[1:]}
+        assert list(helps) == ["config", *chaoslab.cli.OPTIONS]
+        assert helps["config"].endswith(f"[{', '.join(chaoslab.cli.COMMANDS)}]")
         for key in chaoslab.cli.OPTIONS:
             readers = [c for c, (_, keys) in chaoslab.cli.COMMANDS.items() if key in keys]
             assert helps[key].endswith(f"[{', '.join(readers)}]")
         assert helps["n"].endswith("[kac]")
+
+
+KAC_ARGV = ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2"]
+
+
+class TestCommandLine:
+    """read_argv: the command, then --key value or --key=value flags named
+    exactly; a usage error exits 2 with one config error line and no file."""
+
+    def test_equals_form_gives_the_same_outputs(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(KAC_ARGV + ["--out", str(a)]) == 0
+        assert main(["kac", "--p=0.5,0.5", "--n=8", "--seed=1", "--replicas=2",
+                     f"--out={b}"]) == 0
+        for name in ("kac.csv", "kac.meta.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_repeated_flag_keeps_its_last_value(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(KAC_ARGV + ["--n", "6", "--out", str(a)]) == 0
+        assert main(["kac", "--p", "0.5,0.5", "--n", "6", "--seed", "1", "--replicas", "2",
+                     "--out", str(b)]) == 0
+        for name in ("kac.csv", "kac.meta.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_value_may_start_with_one_dash(self, tmp_path):
+        rc = main(["microcanonical", "--H", "-1,0,1", "--E", "-0.2", "--delta", "0.2",
+                   "--grid", "10,20,40", "--out", str(tmp_path)])
+        assert rc == 0
+        _, meta = read_run(tmp_path, "microcanonical")
+        assert meta["config"]["H"] == "-1,0,1"
+
+    @pytest.mark.parametrize("argv, err", [
+        (KAC_ARGV + ["--bogus", "1"], "unknown flag --bogus"),
+        (KAC_ARGV + ["--rep", "3"], "unknown flag --rep"),
+        (KAC_ARGV + ["--name"], "--name needs a value"),
+        (["kac", "--name", "--p", "0.5,0.5"], "--name needs a value"),
+        (KAC_ARGV + ["kac"], "a second command 'kac' after 'kac'"),
+        (KAC_ARGV + ["diagnose"], "a second command 'diagnose' after 'kac'"),
+        (KAC_ARGV[1:], "no command; give one of diagnose, counterexample, "
+                       "theorem-probe, kac, microcanonical"),
+        (["kak"] + KAC_ARGV[1:], "unknown command 'kak'; the commands are diagnose, "
+                                 "counterexample, theorem-probe, kac, microcanonical"),
+    ], ids=["unknown-flag", "abbreviation", "missing-value", "value-is-a-flag",
+            "second-command", "another-command", "no-command", "unknown-command"])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, argv, err):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {err}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_writes_nothing(self, tmp_path, monkeypatch, capsys, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(KAC_ARGV + [flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: chaoslab {diagnose,") and captured.err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_module_entry_point(self, tmp_path):
+        """`python -m chaoslab.cli` reads sys.argv, as the console script does."""
+        env = {**os.environ, "PYTHONPATH": str(Path(chaoslab.cli.__file__).parent.parent)}
+        run = [sys.executable, "-m", "chaoslab.cli"]
+        done = subprocess.run(run + ["--help"], env=env, cwd=tmp_path, capture_output=True,
+                              text=True)
+        assert done.returncode == 0 and done.stderr == ""
+        for key in chaoslab.cli.OPTIONS:
+            assert f"\n  --{key} " in done.stdout
+        done = subprocess.run(run + ["kac", "--bogus", "1"], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "config error: unknown flag --bogus\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 DEEP_JSON = "[" * 100000 + "]" * 100000

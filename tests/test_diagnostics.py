@@ -116,6 +116,12 @@ class TestChaosVerdict:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert report.slope < -0.2
 
+    def test_slope_fit_drops_the_zero_gaps(self):
+        family = lambda n: product_law(HALF, n) if n <= 8 else mixture_law(n)
+        report = chaos_verdict(family, HALF, [4, 8, 16, 32])
+        assert report.meta()["slope_dropped"] == [4, 8]
+        assert report.slope == 0.0  # the two kept gaps are both 0.5
+
     def test_grid_validation(self):
         with pytest.raises(InvalidArgumentError):
             chaos_verdict(mixture_law, HALF, [4, 8])

@@ -22,6 +22,7 @@ from chaoslab import (
     SumConservingRule,
     SymmetricLaw,
     counterexample_kernel,
+    fit_gibbs,
     identity_kernel,
     kac_collision_kernel,
     map_kernel,
@@ -49,6 +50,7 @@ from chaoslab.core import (
     occupancy_array,
     window_occupancies,
 )
+from chaoslab.diagnostics import GIBBS_RESIDUAL_TOL, ZERO_GAP, _fit_slope
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
 from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import collision_marginal_tensor, default_rule
@@ -58,6 +60,7 @@ from conftest import (
     law_tv_distance,
     oracle_collision_tensor,
     oracle_compositions,
+    oracle_fit_gibbs,
     oracle_kac_event_matrix,
     oracle_mean_empirical_tv,
     oracle_microcanonical,
@@ -760,3 +763,43 @@ def test_big_n_product_pair_gap(big_product):
 def test_big_n_product_specific_loglik(big_product):
     want = math.fsum(x * math.log(x) for x in P.p)
     assert abs(specific_loglik(big_product) - want) < 1e-12
+
+
+@st.composite
+def slope_points(draw):
+    """An increasing grid, each n at least 10% past the last as chaos grids
+    are, and a gap per n: decades from 1e-13.5 to 1, or at most ZERO_GAP."""
+    grid = [draw(st.integers(2, 200))]
+    for _ in range(draw(st.integers(1, 7))):
+        grid.append(grid[-1] + draw(st.integers(max(1, grid[-1] // 10), 2 * grid[-1])))
+    gaps = [draw(st.one_of(st.floats(-13.5, 0.0).map(lambda e: 10.0 ** e),
+                           st.sampled_from([0.0, 1e-16, ZERO_GAP])))
+            for _ in grid]
+    return grid, gaps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=slope_points())
+def test_fit_slope_is_polyfit(points):
+    grid, gaps = points
+    kept = [(math.log(n), math.log(g)) for n, g in zip(grid, gaps) if g > ZERO_GAP]
+    got = _fit_slope(grid, gaps)
+    if len(kept) < 2:
+        assert got is None
+    else:
+        want = float(np.polyfit(*zip(*kept), 1)[0])
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(levels=st.lists(st.integers(-5, 5), min_size=2, max_size=6).filter(
+           lambda h: len(set(h)) > 1),
+       scale=st.floats(0.25, 4.0), at=st.floats(0.05, 0.95))
+def test_fit_gibbs_matches_the_dot_product_form(levels, scale, at):
+    H = [scale * h for h in levels]
+    E = min(H) + at * (max(H) - min(H))
+    beta, gamma = fit_gibbs(EnergyModel(StateSpace.of_size(len(H)), H, E, 0.1))
+    want_beta, want_gamma = oracle_fit_gibbs(H, E)
+    assert abs(beta - want_beta) <= 1e-12
+    assert np.abs(gamma.as_array() - want_gamma).max() <= 1e-12
+    assert abs(math.fsum(g * h for g, h in zip(gamma.p, H)) - E) < GIBBS_RESIDUAL_TOL

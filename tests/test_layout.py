@@ -116,3 +116,22 @@ def test_exact_runs_load_no_numpy_random(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[0, 0] False"
+
+
+def test_runs_load_no_argument_parser(tmp_path):
+    """The command line is read against OPTIONS and COMMANDS themselves: a
+    run of each subcommand loads neither argparse nor the gettext and
+    locale modules that building an argparse parser imports."""
+    runs = [["diagnose", "--family", "mixture", "--grid", "4,8,16"],
+            ["counterexample"],
+            ["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2", "--grid", "6,8"],
+            ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2"],
+            ["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2",
+             "--grid", "20,40,80"]]
+    code = ("import sys; from chaoslab.cli import main; "
+            f"print([main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}], "
+            "sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0] []"
