@@ -47,6 +47,7 @@ from .montecarlo import (
     iid_state,
     pair_marginal_ustat,
     replica_rng,
+    replica_rngs,
     simulate_kac,
     simulate_kac_stack,
 )

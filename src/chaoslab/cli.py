@@ -203,7 +203,7 @@ def load_config(command: str, flags: dict) -> dict:
     the other flags given, each checked by to_value.  An option that the
     command, or diagnose's --family, does not read is a ConfigError."""
     config, path = {}, flags.get("config")
-    if path:
+    if path is not None:
         try:
             doc = json.loads(Path(path).read_text())
         except (OSError, ValueError, RecursionError) as exc:
@@ -333,9 +333,15 @@ def monte_carlo_pair_marginal(law: SymmetricLaw, kernel, replicas: int, seed: in
     is the ordered k x k pair marginal, as `marginal(image, 2)` gives it
     exactly.  Run r draws a start class from the law on replica_rng(seed, r),
     and one sampler call runs every start on its run's stream: every law and
-    every n reuses those streams."""
+    every n reuses those streams.  The start is the class that
+    `rng.choice(len(law.p), p=law.p)` picks, from the same one `random()`
+    draw: the first whose cumulative mass, over the total, exceeds it."""
+    cdf = law.p.cumsum()
+    cdf /= cdf[-1]
+
     def run(rngs):
-        return kernel.sampler(law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]], rngs)
+        picks = cdf.searchsorted([rng.random() for rng in rngs], side="right")
+        return kernel.sampler(law.occ[picks], rngs)
 
     return estimate_pair_marginal(run, replicas, seed)
 

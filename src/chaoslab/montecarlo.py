@@ -24,12 +24,15 @@ STACK_WIDTH rows step together (a wider stack runs in groups), each holding
 one block of JUMP_BLOCK waits and JUMP_BLOCK picks, 16 bytes per jump
 (128 KB at most), and its k counts and D move rates, 8 (k + D) bytes.
 Replicas draw their RNG streams from a splittable (master seed, replica
-index) scheme, so reductions are reproducible and order-independent.
+index) scheme, so reductions are reproducible and order-independent:
+`replica_rngs` builds a chunk's Generators in one pass, each equal in
+state to numpy's own SeedSequence(master seed, spawn_key=(replica,)).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -80,9 +83,79 @@ class EstimatorResult:
     std_error: np.ndarray
 
 
+class _StateWords:
+    """A seed sequence that hands PCG64, which asks for 4 uint64 words, the
+    four it was given."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hashes(h: int, mult: int):
+    """SeedSequence's hash constants from h: per hash, the constant xored in
+    and the next one, multiplied in."""
+    while True:
+        nxt = h * mult & 0xFFFFFFFF
+        yield h, nxt
+        h = nxt
+
+
+# SeedSequence's hash and mix of 32-bit words, on ints or int64 arrays of
+# words: an int64 product wraps mod 2^64, and & keeps its low 32 bits.
+def _hash(value, consts):
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult & 0xFFFFFFFF
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = ((0xCA01F9DD * x & 0xFFFFFFFF) - 0x4973F715 * y) & 0xFFFFFFFF
+    return value ^ value >> 16
+
+
+def replica_rngs(master_seed: int, first: int, last: int) -> list:
+    """The private RNG streams of replicas first, ..., last - 1 < 2^63 of a
+    seeded ensemble: replica r's Generator is, state for state,
+    default_rng(SeedSequence(master_seed, spawn_key=(r,))).
+
+    SeedSequence's entropy assembly, pool mixing and generate_state(4,
+    uint64) run here once for the whole range: the run entropy, the master
+    seed's 32-bit words padded to 4, is mixed in ints, and the words of r
+    (a second one from r = 2^32 on) on int64 columns, one entry per
+    replica."""
+    seed = operator.index(master_seed)
+    if seed < 0 or first < 0:
+        raise InvalidArgumentError(f"need a master seed and replicas >= 0, got {seed} "
+                                   f"and {first}")
+    run = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    run += [0] * (4 - len(run))
+    keys = np.arange(first, last, dtype=np.int64)
+    consts = _hashes(0x43B0D7E5, 0x931E8875)
+    pool = [_hash(word, consts) for word in run[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    for word in run[4:] + [keys & 0xFFFFFFFF]:
+        pool = [_mix(x, _hash(word, consts)) for x in pool]
+    if last > 2**32:  # only the rows whose key has a second word mix it in
+        high = keys >> 32
+        pool = [np.where(high > 0, _mix(x, _hash(high, consts)), x) for x in pool]
+    consts = _hashes(0x8B51F9DD, 0x58F38DED)
+    state = [_hash(pool[i % 4], consts) for i in range(8)]
+    words = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
+            for row in words.view(np.uint64)]
+
+
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
-    """Private RNG stream for one replica of a seeded ensemble."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
+    """Private RNG stream for one replica of a seeded ensemble: the one-replica
+    case of `replica_rngs`."""
+    return replica_rngs(master_seed, replica, replica + 1)[0]
 
 
 def simulate_kac_stack(
@@ -151,38 +224,34 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
     else it moves by the first change d with S_d > U q, U its next uniform
     pick.  A replica draws its waits and picks in blocks of JUMP_BLOCK,
     `standard_exponential` then `random`, the first when it first needs a
-    wait and each next one when it has spent the last.  A stopped
-    replica's counts are written out and its column dropped from every
-    live array.  The counts stay int64; move_weights reads them as floats
-    at each step, so counts past 2^53 round as they would alone.
+    wait and each next one when it has spent the last.  A stopped replica
+    keeps its column: it is out of `live`, so it draws nothing more and
+    moves by a zero change.  The counts stay int64; move_weights reads them
+    as floats at each step, so counts past 2^53 round as they would alone.
     """
-    out = np.empty_like(counts)
-    rows, m = np.arange(counts.shape[1]), counts.copy()
-    clock = np.zeros(len(rows))
-    draws = np.zeros((len(rows), 2, JUMP_BLOCK))
+    m = counts.copy()
+    live = np.ones(m.shape[1], dtype=bool)
+    clock, wait = np.zeros(len(live)), np.zeros(len(live))
+    draws = np.zeros((len(live), 2, JUMP_BLOCK))
     moves = table.changes.T
     cum = np.add.accumulate(table.move_weights(m), axis=0)
     step = 0
-    while len(rows):
+    while live.any():
         q = cum[-1]
+        live &= q > 0  # an absorbed replica stops without a draw
         j = step % JUMP_BLOCK
         if j == 0:
-            for i in np.flatnonzero(q).tolist():
-                draws[i, 0] = rngs[rows[i]].standard_exponential(JUMP_BLOCK)
-                draws[i, 1] = rngs[rows[i]].random(JUMP_BLOCK)
-        # An absorbed replica waits forever.
-        clock += np.divide(draws[:, 0, j], q, out=np.full(len(q), np.inf), where=q > 0)
-        live = clock < horizon
-        if not live.all():
-            out[:, rows[~live]] = m[:, ~live]
-            rows, clock, draws, q = (a[live] for a in (rows, clock, draws, q))
-            m, cum = m[:, live], cum[:, live]
+            for i in np.flatnonzero(live).tolist():
+                rngs[i].standard_exponential(out=draws[i, 0])
+                rngs[i].random(out=draws[i, 1])
+        clock += np.divide(draws[:, 0, j], q, out=wait, where=live)
+        live &= clock < horizon
         # U < 1 keeps U q below q, so the pick reads the first D - 1 sums only.
         pick = (cum[:-1] <= draws[:, 1, j] * q).sum(axis=0)
-        m += moves.take(pick, axis=1)
+        m += moves.take(pick, axis=1) * live
         cum = np.add.accumulate(table.move_weights(m), axis=0)
         step += 1
-    return out
+    return m
 
 
 def simulate_kac(
@@ -227,11 +296,10 @@ def pair_marginal_ustat(counts) -> np.ndarray:
 def replica_counts(sampler: Callable[[list], np.ndarray], replicas: int, seed: int):
     """The sampler's end counts for replicas 0, ..., replicas - 1, in order:
     one (len, k) stack per call of `sampler(rngs)` on the Generators
-    replica_rng(seed, r) of at most KAC_CHUNK replicas, which bounds the
-    Generators held at once."""
+    replica_rngs(seed, first, last) of at most KAC_CHUNK replicas, which
+    bounds the Generators held at once."""
     for first in range(0, replicas, KAC_CHUNK):
-        last = min(first + KAC_CHUNK, replicas)
-        yield sampler([replica_rng(seed, r) for r in range(first, last)])
+        yield sampler(replica_rngs(seed, first, min(first + KAC_CHUNK, replicas)))
 
 
 def estimate_pair_marginal(

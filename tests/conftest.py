@@ -538,6 +538,11 @@ def oracle_microcanonical(H, E, delta, n):
     return {m: cs / total for m, cs in sizes.items()}
 
 
+def oracle_replica_rng(seed, r):
+    """Replica r's stream as numpy seeds it: one SeedSequence with spawn key (r,)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+
+
 def oracle_simulate_kac(start, lam, t, rng, rule):
     """The Kac chain's jumps, one particle state at a time: the draws of
     simulate_kac, with the class moves merged here from `rule.outcomes` and

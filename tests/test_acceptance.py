@@ -30,7 +30,7 @@ from chaoslab import (
     pair_gap,
     product_law,
     propagate,
-    replica_rng,
+    replica_rngs,
     simulate_kac_stack,
     specific_loglik,
     symmetrized_class_kernel,
@@ -206,7 +206,7 @@ def test_criterion_8_mean_field_consistency():
     ode = Distribution(S3, tuple(kac_limit_evolve(p0.as_array()[None], 1.0, 1.0)[0]))
 
     n, replicas, seed = 2000, 200, 77
-    rngs = [replica_rng(seed, r) for r in range(replicas)]
+    rngs = replica_rngs(seed, 0, replicas)
     starts = [iid_state(p0, n, rng) for rng in rngs]
     totals = np.zeros(3)
     for counts in simulate_kac_stack(starts, 1.0, 1.0, rngs):
@@ -219,7 +219,7 @@ def test_criterion_8_mean_field_consistency():
     kernel = kac_collision_kernel(S3, 1.0, 1.0, 8)
     row = symmetrized_class_kernel(kernel)[start8.counts]
     runs = 100_000
-    rngs = [replica_rng(123, r) for r in range(runs)]
+    rngs = replica_rngs(123, 0, runs)
     counts = {}
     for end in map(tuple, simulate_kac_stack([start8.counts] * runs, 1.0, 1.0, rngs).tolist()):
         counts[end] = counts.get(end, 0) + 1

@@ -917,6 +917,17 @@ class TestCommandLine:
         assert (captured.out, captured.err) == ("", f"config error: {err}\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["counterexample", "--config", ""],
+                                      ["counterexample", "--config="]],
+                             ids=["value", "equals"])
+    def test_empty_config_path_is_unreadable(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: cannot read config ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_writes_nothing(self, tmp_path, monkeypatch, capsys, flag):
         monkeypatch.chdir(tmp_path)

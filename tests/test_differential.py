@@ -5,11 +5,12 @@ enumerate."""
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -32,6 +33,7 @@ from chaoslab import (
     pair_gap,
     product_law,
     propagate,
+    replica_rngs,
     simulate_kac,
     simulate_kac_stack,
     specific_loglik,
@@ -39,6 +41,7 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab import core, montecarlo
+from chaoslab.cli import monte_carlo_pair_marginal
 from chaoslab.core import (
     PASCAL_ROWS,
     SUM_BLOCK,
@@ -69,6 +72,7 @@ from conftest import (
     oracle_ordered_marginal,
     oracle_product_law,
     oracle_propagate,
+    oracle_replica_rng,
     oracle_simulate_kac,
     oracle_specific_loglik,
     oracle_tv_distance,
@@ -451,9 +455,10 @@ class EdgeDraws(np.random.Generator):
     (or of zero rate) exactly, and the largest double below 1.  The stream
     advances as a plain Generator's does."""
 
-    def random(self, size=None):
-        r = super().random(size)
-        return np.where(r < 0.8, np.floor(r * 4) / 4, 1 - 2.0**-53)
+    def random(self, size=None, out=None):
+        r = super().random(size, out=out)
+        r[...] = np.where(r < 0.8, np.floor(r * 4) / 4, 1 - 2.0**-53)
+        return r
 
 
 class TenthsRule(PairRule):
@@ -597,6 +602,62 @@ def test_simulate_kac_stack_needs_one_n():
         simulate_kac_stack([(3, 2), (2, 2)], 1.0, 1.0, rngs)
     with pytest.raises(InvalidArgumentError, match="MAX_N"):
         simulate_kac_stack([(montecarlo.MAX_N, 1)] * 2, 1.0, 1.0, rngs)
+
+
+def states(rngs) -> list:
+    return [rng.bit_generator.state for rng in rngs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(1, 8).flatmap(lambda words: st.integers(0, 2**(32 * words) - 1)),
+       first=st.integers(0, 40) | st.integers(2**32 - 14, 2**32 + 2)
+       | st.integers(0, 2**63 - 14),
+       size=st.integers(0, 12), cut=st.integers(0, 12))
+@example(seed=2**200 + 1, first=2**32 - 2, size=4, cut=2)
+def test_replica_rngs_are_seed_sequence_streams(seed, first, size, cut):
+    """One pass over replicas first, ..., last - 1 == one SeedSequence per
+    replica, bit_generator state for state, for run entropy of 1 to 8
+    words and keys of one word or two (from 2^32 on), and the range built
+    in one pass == the range built in two."""
+    last = first + size
+    got = replica_rngs(seed, first, last)
+    assert states(got) == states(oracle_replica_rng(seed, r) for r in range(first, last))
+    mid = first + min(cut, size)
+    assert states(replica_rngs(seed, first, mid) + replica_rngs(seed, mid, last)) == states(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(2, 6), replicas=st.integers(2, 30),
+       kind=st.sampled_from(["point", "product", "zeros"]), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_probe_starts_are_generator_choice(k, n, replicas, kind, seed, data):
+    """theorem-probe's start classes == Generator.choice over the law's
+    masses, run by run, and each run's Generator is left in the state
+    choice leaves it in: for point classes, product laws and masses with
+    zero entries (which a SymmetricLaw drops, so they come as bare arrays)."""
+    space, occ = StateSpace.of_size(k), occupancy_array(k, n)
+    if kind == "point":
+        law = SymmetricLaw.point_class(space, tuple(occ[data.draw(st.integers(0, len(occ) - 1))]))
+    elif kind == "product":
+        w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        law = product_law(Distribution(space, tuple(w / w.sum())), n)
+    else:
+        w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                        min_size=len(occ), max_size=len(occ))))
+        w[data.draw(st.integers(0, len(w) - 1))] += 1.0
+        law = SimpleNamespace(occ=occ, p=w / w.sum())
+    seen = []
+
+    def sampler(starts, rngs):
+        seen.append((starts, states(rngs)))
+        return starts
+
+    monte_carlo_pair_marginal(law, SimpleNamespace(sampler=sampler), replicas, seed)
+    rngs = replica_rngs(seed, 0, replicas)
+    want = law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]]
+    [(starts, after)] = seen
+    assert (starts == want).all()
+    assert after == states(rngs)
 
 
 KERNEL_KINDS = ["identity", "map", "counterexample", "kac"]

@@ -21,6 +21,7 @@ UNREFERENCED = {
     "entropy_convergence": "bench/tracer.py looks it up by name",
     "symmetrized_class_kernel": "bench/tracer.py looks it up by name",
     "simulate_kac": "bench/tracer.py looks it up by name",
+    "replica_rng": "bench/tracer.py looks it up by name; src/ builds streams by replica_rngs",
 }
 
 

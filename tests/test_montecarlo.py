@@ -15,6 +15,7 @@ from chaoslab import (
     pair_marginal_ustat,
     propagate,
     replica_rng,
+    replica_rngs,
     simulate_kac,
     simulate_kac_stack,
 )
@@ -102,11 +103,18 @@ class FixedDraws(np.random.Generator):
 
     wait, pick = 1.0, 0.5
 
-    def standard_exponential(self, size=None):
-        return np.full(size, self.wait)
+    @staticmethod
+    def _fill(value, size, out):
+        if out is None:
+            return np.full(size, value)
+        out[...] = value
+        return out
 
-    def random(self, size=None):
-        return np.full(size, self.pick)
+    def standard_exponential(self, size=None, out=None):
+        return self._fill(self.wait, size, out)
+
+    def random(self, size=None, out=None):
+        return self._fill(self.pick, size, out)
 
 
 class TestEventBlocks:
@@ -191,7 +199,7 @@ class TestEventBlocks:
 class TestSimulateKacStack:
     def test_rows_are_lone_runs(self):
         starts = [(4, 2, 2), (0, 8, 0), (3, 3, 2)]
-        ends = simulate_kac_stack(starts, 1.0, 2.0, [replica_rng(4, r) for r in range(3)])
+        ends = simulate_kac_stack(starts, 1.0, 2.0, replica_rngs(4, 0, 3))
         assert ends.shape == (3, 3) and ends.dtype == np.int64
         for r, start in enumerate(starts):
             lone = simulate_kac(ParticleState(start), 1.0, 2.0, replica_rng(4, r))
@@ -205,7 +213,7 @@ class TestSimulateKacStack:
     ])
     def test_bad_stacks(self, starts, rngs):
         with pytest.raises(InvalidArgumentError):
-            simulate_kac_stack(starts, 1.0, 1.0, [replica_rng(0, r) for r in range(rngs)])
+            simulate_kac_stack(starts, 1.0, 1.0, replica_rngs(0, 0, rngs))
 
     def test_jump_budget(self, monkeypatch):
         # The bundled rule at k = 3 moves the class on at most 2/3 of the
@@ -215,7 +223,7 @@ class TestSimulateKacStack:
         start = (101, 100, 100)
         simulate_kac_stack([start], 1.0, 1.0, [replica_rng(0, 0)])
         for rows, lam in [(1, 1.01), (montecarlo.STACK_WIDTH + 1, 1.0)]:
-            rngs = [replica_rng(0, r) for r in range(rows)]
+            rngs = replica_rngs(0, 0, rows)
             before = [rng.bit_generator.state for rng in rngs]
             with pytest.raises(InvalidArgumentError, match="budget"):
                 simulate_kac_stack([start] * rows, lam, 1.0, rngs)
@@ -310,3 +318,15 @@ class TestReplicaRng:
         b = replica_rng(99, 1).integers(0, 2**31, size=4)
         assert (a == a2).all()
         assert (a != b).any()
+
+    def test_one_replica_is_its_range(self):
+        assert (replica_rng(99, 5).bit_generator.state
+                == replica_rngs(99, 3, 7)[2].bit_generator.state)
+        assert replica_rngs(99, 4, 4) == []
+
+    @pytest.mark.parametrize("seed, first, error", [
+        (-1, 0, InvalidArgumentError), (0, -1, InvalidArgumentError),
+        (0.5, 0, TypeError), (None, 0, TypeError)])
+    def test_bad_seed_or_replica(self, seed, first, error):
+        with pytest.raises(error):
+            replica_rngs(seed, first, 2)
