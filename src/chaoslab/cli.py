@@ -103,13 +103,13 @@ def quota_occupancy(p: Distribution, n: int) -> tuple:
 def mixture_family(n: int) -> SymmetricLaw:
     """Half mass each on the all-zeros and all-ones classes (k = 2)."""
     space = StateSpace.of_size(2)
-    return SymmetricLaw(space, n, {(n, 0): 0.5, (0, n): 0.5})
+    return SymmetricLaw(space, n, [(n, 0), (0, n)], [0.5, 0.5])
 
 
 def near_product_mixture(n: int) -> SymmetricLaw:
     """delta_0-chaotic but not product: one particle flipped with prob 1/2."""
     space = StateSpace.of_size(2)
-    return SymmetricLaw(space, n, {(n, 0): 0.5, (n - 1, 1): 0.5})
+    return SymmetricLaw(space, n, [(n, 0), (n - 1, 1)], [0.5, 0.5])
 
 
 def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) -> None:
@@ -207,9 +207,9 @@ def load_config(command: str, flags: dict) -> dict:
         try:
             doc = json.loads(Path(path).read_text())
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
+            raise ConfigError(f"config {path!r} must hold a JSON object")
         config.update(doc)
     config.update((key, flags[key]) for key in OPTIONS if key in flags)
     reader, allowed = command, set(COMMANDS[command][1])
@@ -278,7 +278,7 @@ def cmd_diagnose(config: dict) -> int:
                 law = law_from_json(path.read_text())
             except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
-            return SymmetricLaw.from_arrays(StateSpace.of_size(law.space.k), law.n, law.occ, law.p)
+            return SymmetricLaw(StateSpace.of_size(law.space.k), law.n, law.occ, law.p)
 
     report = chaos_verdict(family, rho, grid, tol=tol)
     rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik) for r in report.rows]

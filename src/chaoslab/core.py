@@ -7,9 +7,13 @@ makes exact computations feasible for n in the hundreds.
 
 A SymmetricLaw holds two read-only arrays: `occ`, the (S, k) occupancy
 vectors of its support in canonical enumeration order, and `p`, their
-positive masses.  `class_index` gives an occupancy its rank, its row in
+positive masses.  Its one constructor takes such arrays in any row order,
+checks them as whole arrays, and sorts and merges only rows that are not
+already in canonical order, as the enumerations below build them.
+`class_index` gives an occupancy its rank, its row in
 `occupancy_array(k, n)`; `SymmetricLaw.vector()` scatters a law's masses
-into the full rank-indexed vector that kernels act on.
+into the full rank-indexed vector that kernels act on, and `mixture`
+joins supports without it.
 
 Occupancies are enumerated state by state by one expansion step, each
 prefix's children taking the counts of a per-prefix interval of the next
@@ -59,9 +63,6 @@ PASCAL_ROWS = 1029
 # O(log SUM_BLOCK) unit roundoffs of its absolute sum, and math.fsum adds
 # the partials with no growth in their number.
 SUM_BLOCK = 256
-
-Occupancy = tuple  # tuple[int, ...] of per-state counts, summing to n
-
 
 def as_int(x) -> int:
     """x as an int: Python and numpy integers and integral floats pass;
@@ -322,49 +323,42 @@ def _log_class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
 class SymmetricLaw:
     """A symmetric law on S^n stored as mass per occupancy class.
 
-    `occ` is the (S, k) int array of support classes in canonical
-    enumeration order and `p` the matching positive masses; both are
-    read-only.  `classes` is their dict view, built on first use.
+    Its one constructor takes `occ`, an (S, k) integer array of classes of
+    n particles, and their S masses `p`, finite and >= NEG_CLAMP.  Zero
+    masses are dropped and the rest must sum to 1.  Rows not strictly
+    decreasing in canonical order are sorted by class_index, a repeated
+    class's masses added in input order.  The stored `occ` and `p` are
+    read-only; `classes` is their dict view, built on first use.
     """
 
-    def __init__(self, space: StateSpace, n: int, classes: dict):
+    def __init__(self, space: StateSpace, n: int, occ, p):
         if n < 1:
             raise InvalidArgumentError("particle count must be >= 1")
-        clean = {}
-        for m, mass in classes.items():
-            m = tuple(as_int(x) for x in m)
-            if len(m) != space.k or any(x < 0 for x in m) or sum(m) != n:
-                raise InvalidArgumentError(f"bad occupancy key {m} for n={n}, k={space.k}")
-            mass = float(mass)
-            if not (math.isfinite(mass) and mass >= NEG_CLAMP):
-                raise InvalidArgumentError(f"negative or non-finite class mass {mass} at {m}")
-            if mass > 0.0:
-                clean[m] = mass
-        if abs(math.fsum(clean.values()) - 1.0) > MASS_TOL:
+        occ, p = np.asarray(occ), np.asarray(p, dtype=float)
+        if occ.ndim != 2 or p.shape != occ.shape[:1]:
+            raise InvalidArgumentError(f"{occ.shape} occupancies for {p.shape} masses")
+        bad = ((occ.dtype.kind not in "iu") | (occ.shape[1] != space.k)
+               | (occ.min(axis=1, initial=0) < 0) | (occ.sum(axis=1) != n))
+        if bad.any():
+            raise _bad_key(occ[bad.argmax()].tolist(), n, space.k)
+        occ = occ.astype(np.int64, copy=False)
+        least = p.min(initial=1.0)
+        if not (least >= NEG_CLAMP and p.max(initial=0.0) < np.inf):
+            i = (~(np.isfinite(p) & (p >= NEG_CLAMP))).argmax()
+            raise InvalidArgumentError(f"negative or non-finite class mass {float(p[i])} "
+                                       f"at {tuple(occ[i].tolist())}")
+        if least <= 0.0:
+            keep = p > 0.0
+            occ, p = occ[keep], p[keep]
+        if abs(float(p.sum()) - 1.0) > MASS_TOL:
             raise InvalidArgumentError("class masses do not sum to 1")
-        rank = dict(zip(clean, class_index(list(clean), n).tolist()))
-        order = sorted(clean, key=rank.get)
-        self._set(space, n, np.array(order, dtype=np.int64), np.array([clean[m] for m in order]))
-
-    def _set(self, space, n, occ, p):
+        if not _strictly_decreasing(occ):
+            _, first, inverse = np.unique(class_index(occ, n), return_index=True,
+                                          return_inverse=True)
+            occ, p = occ[first], np.bincount(inverse, weights=p)
         occ.flags.writeable = False
         p.flags.writeable = False
         self.space, self.n, self.occ, self.p = space, n, occ, p
-
-    @classmethod
-    def from_arrays(cls, space: StateSpace, n: int, occ: np.ndarray, p: np.ndarray):
-        """A law from distinct classes already in canonical order.
-
-        Classes with zero mass are dropped; the masses must sum to 1.
-        """
-        keep = p > 0.0
-        if not keep.all():
-            occ, p = occ[keep], p[keep]
-        if abs(float(np.sum(p)) - 1.0) > MASS_TOL:
-            raise InvalidArgumentError("class masses do not sum to 1")
-        law = cls.__new__(cls)
-        law._set(space, n, occ, p)
-        return law
 
     def vector(self) -> np.ndarray:
         """The masses over every class of occupancy_array(k, n), by rank."""
@@ -377,18 +371,35 @@ class SymmetricLaw:
         return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
 
     @staticmethod
-    def point_class(space: StateSpace, m: Occupancy) -> "SymmetricLaw":
-        return SymmetricLaw(space, sum(m), {tuple(m): 1.0})
+    def point_class(space: StateSpace, m: tuple) -> "SymmetricLaw":
+        return SymmetricLaw(space, sum(m), [m], [1.0])
 
     @staticmethod
     def mixture(components) -> "SymmetricLaw":
-        """Convex combination of symmetric laws on the same space and n."""
+        """Convex combination of symmetric laws on the same space and n,
+        over the union of their supports."""
         components = list(components)
         space, n = components[0][0].space, components[0][0].n
         if any(law.space != space or law.n != n for law, _ in components):
             raise InvalidArgumentError("mixture components live on different spaces")
-        masses = sum(weight * law.vector() for law, weight in components)
-        return SymmetricLaw.from_arrays(space, n, occupancy_array(space.k, n), masses)
+        return SymmetricLaw(space, n, np.concatenate([law.occ for law, _ in components]),
+                            np.concatenate([weight * law.p for law, weight in components]))
+
+
+def _bad_key(m, n: int, k: int) -> InvalidArgumentError:
+    return InvalidArgumentError(f"bad occupancy key {tuple(m)} for n={n}, k={k}")
+
+
+def _strictly_decreasing(occ: np.ndarray) -> bool:
+    """Whether each row is before the next in canonical order: by its first
+    k - 1 counts, which fix the last, in descending lexicographic order."""
+    tie = np.ones(max(len(occ) - 1, 0), dtype=bool)  # rows equal so far
+    for col in occ.T[:-1]:
+        before, after = col[:-1], col[1:]
+        if (tie & (after > before)).any():
+            return False
+        tie &= after == before
+    return not tie.any()
 
 
 def product_law(p: Distribution, n: int) -> SymmetricLaw:
@@ -419,7 +430,7 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(_log_class_sizes(sub, n) + sub @ log_q)
     mass /= _sum(mass)
-    return SymmetricLaw.from_arrays(p.space, n, occ, mass)
+    return SymmetricLaw(p.space, n, occ, mass)
 
 
 def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> SymmetricLaw:
@@ -433,7 +444,7 @@ def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> Symmetric
     if not sizes.max() <= np.finfo(float).max / len(sizes):
         logs = _log_class_sizes(occ, n)
         sizes = np.exp(logs - logs.max())
-    return SymmetricLaw.from_arrays(space, n, occ, sizes / _sum(sizes))
+    return SymmetricLaw(space, n, occ, sizes / _sum(sizes))
 
 
 def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
@@ -499,9 +510,8 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
 
 def law_to_json(law: SymmetricLaw) -> str:
     labels = ",".join(f'"{x}"' for x in law.space.labels)
-    rows = []
-    for m, mass in law.classes.items():
-        rows.append('{"m":[%s],"mass":%.17g}' % (",".join(str(x) for x in m), mass))
+    rows = ['{"m":[%s],"mass":%.17g}' % (",".join(map(str, m)), mass)
+            for m, mass in zip(law.occ.tolist(), law.p.tolist())]
     return '{"labels":[%s],"n":%d,"classes":[%s]}' % (labels, law.n, ",".join(rows))
 
 
@@ -516,4 +526,12 @@ def law_from_json(text: str) -> SymmetricLaw:
     classes = dict(rows)
     if len(classes) != len(rows):
         raise InvalidArgumentError("a class is listed more than once")
-    return SymmetricLaw(space, as_int(doc["n"]), classes)
+    n, occ = as_int(doc["n"]), [tuple(as_int(x) for x in m) for m in classes]
+    for m in occ:
+        if len(m) != space.k:
+            raise _bad_key(m, n, space.k)
+    try:
+        occ = np.array(occ, dtype=np.int64).reshape(len(occ), space.k)
+        return SymmetricLaw(space, n, occ, list(classes.values()))
+    except OverflowError as exc:
+        raise InvalidArgumentError(f"a class count or mass is out of range: {exc}") from exc

@@ -124,7 +124,7 @@ def propagate(law: SymmetricLaw, kernel: ExchangeableKernel) -> SymmetricLaw:
     src, dst, prob = kernel.class_matrix()
     occ = occupancy_array(kernel.target.k, kernel.n)
     mass = np.bincount(dst, weights=law.vector()[src] * prob, minlength=len(occ))
-    return SymmetricLaw.from_arrays(kernel.target, kernel.n, occ, mass)
+    return SymmetricLaw(kernel.target, kernel.n, occ, mass)
 
 
 def _class_map_kernel(source: StateSpace, target: StateSpace, n: int, name: str,

@@ -98,7 +98,7 @@ def symmetrize(dense: OrderedLaw) -> SymmetricLaw:
             continue
         buckets.setdefault(occupancy_of(dense.space, s), []).append(pr)
     classes = {m: math.fsum(v) for m, v in buckets.items()}
-    return SymmetricLaw(dense.space, dense.n, classes)
+    return SymmetricLaw(dense.space, dense.n, list(classes), list(classes.values()))
 
 
 def to_dense(law: SymmetricLaw) -> OrderedLaw:
@@ -203,7 +203,7 @@ def random_symmetric_law(rng, n=None, k=None, max_n=6, max_k=3):
     space = StateSpace.of_size(k)
     occs = enumerate_occupancies(space, n)
     masses = rng.dirichlet(np.ones(len(occs)))
-    return SymmetricLaw(space, n, dict(zip(occs, masses)))
+    return SymmetricLaw(space, n, occs, masses)
 
 
 def dense_marginal_probs(dense: OrderedLaw, j: int) -> np.ndarray:
@@ -339,7 +339,8 @@ def oracle_marginal(classes, n, k, j):
 def marginal_law(law: SymmetricLaw, j: int) -> SymmetricLaw:
     """The law of the first j <= n coordinates in occupancy form:
     oracle_marginal wrapped as a SymmetricLaw, for every order j."""
-    return SymmetricLaw(law.space, j, oracle_marginal(law.classes, law.n, law.space.k, j))
+    classes = oracle_marginal(law.classes, law.n, law.space.k, j)
+    return SymmetricLaw(law.space, j, list(classes), list(classes.values()))
 
 
 def oracle_ordered_marginal(classes, n, k, j) -> np.ndarray:
@@ -500,7 +501,7 @@ def rowwise_product_law(p: Distribution, n: int) -> SymmetricLaw:
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(rowwise_log_class_sizes(sub, n) + sub @ log_q)
     mass /= _sum(mass)
-    return SymmetricLaw.from_arrays(p.space, n, occ, mass)
+    return SymmetricLaw(p.space, n, occ, mass)
 
 
 def rowwise_mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
@@ -519,6 +520,13 @@ def oracle_mixture(components):
         for m, mass in classes.items():
             out[m] = out.get(m, 0.0) + weight * mass
     return {m: x for m, x in out.items() if x > 0.0}
+
+
+def oracle_law(rows, masses, n: int) -> dict:
+    """The classes of a law given row by row, repeats allowed: each class's
+    masses summed in input order, zero sums dropped, in class_index order."""
+    out = oracle_mixture([({tuple(m): mass}, 1.0) for m, mass in zip(rows, masses)])
+    return dict(sorted(out.items(), key=lambda item: int(class_index(item[0], n))))
 
 
 def oracle_microcanonical(H, E, delta, n):

@@ -185,7 +185,8 @@ def test_criterion_7_theorem_condition_probe():
     for n in grid:
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n)
         rows = symmetrized_class_kernel(kernel)
-        row_law = SymmetricLaw(S3, n, rows[quota_occupancy(p, n)])
+        row = rows[quota_occupancy(p, n)]
+        row_law = SymmetricLaw(S3, n, list(row), list(row.values()))
         gaps.append(pair_gap(marginal(row_law, 2), fp))
     slope = np.polyfit(np.log(grid), np.log(gaps), 1)[0]
     # quota states cannot split n=8,10 evenly across k=3, which bumps the

@@ -708,19 +708,25 @@ class TestNumericOptions:
         # Masses that float() would read as 1.0.
         '{"m":[%(n)d,0],"mass":true}',
         '{"m":[%(n)d,0],"mass":"1"}',
+        # A mass past the double range, and counts past int64.
+        '{"m":[%(n)d,0],"mass":1' + "0" * 400 + '}',
+        '{"m":[%(big)d,0],"mass":1.0}',
     ], ids=["repeated-class", "nan-mass", "fractional-count", "boolean-count",
-            "boolean-mass", "string-mass"])
+            "boolean-mass", "string-mass", "overflowing-mass", "overflowing-count"])
     def test_malformed_custom_law_file(self, tmp_path, capsys, rows):
         law_dir = tmp_path / "laws"
         law_dir.mkdir()
         for n in (4, 5, 6):
-            (law_dir / f"{n}.json").write_text(
-                '{"labels":["0","1"],"n":%d,"classes":[%s]}' % (n, rows % {"n": n}))
+            law_n = 10**30 if "%(big)d" in rows else n
+            (law_dir / f"{n}.json").write_text('{"labels":["0","1"],"n":%d,"classes":[%s]}'
+                                               % (law_n, rows % {"n": n, "big": law_n}))
         out = tmp_path / "out"
         rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
                    "--p", "0.5,0.5", "--grid", "4,5,6", "--out", str(out)])
         assert rc == 2
-        assert "4.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "4.json" in err
         assert not out.exists()
 
     def test_custom_family_reads_labelled_laws(self, tmp_path):
@@ -925,7 +931,7 @@ class TestCommandLine:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("config error: cannot read config ")
+        assert captured.err.startswith("config error: cannot read config '': ")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])

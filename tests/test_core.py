@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestSymmetrize:
 
 class TestToDense:
     def test_uniform_on_orbit(self):
-        dense = to_dense(SymmetricLaw(S2, 3, {(2, 1): 1.0}))
+        dense = to_dense(SymmetricLaw(S2, 3, [(2, 1)], [1.0]))
         expected = {(0, 0, 1): 1 / 3, (0, 1, 0): 1 / 3, (1, 0, 0): 1 / 3}
         for idx, s in enumerate(dense.tuples()):
             assert dense.probs[idx] == pytest.approx(expected.get(s, 0.0), abs=1e-15)
@@ -150,7 +151,7 @@ class TestMarginal:
         assert law_tv_distance(marginal_law(law, 3), product_law(p, 3)) < 1e-13
 
     def test_point_class_pair_marginal(self):
-        law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
+        law = SymmetricLaw(S2, 3, [(2, 1)], [1.0])
         # ordered probabilities 1/3, 1/3, 1/3, 0
         assert marginal(law, 2).tolist() == [[1 / 3, 1 / 3], [1 / 3, 0.0]]
         assert marginal(law, 1).tolist() == [2 / 3, 1 / 3]
@@ -169,7 +170,7 @@ class TestMarginal:
             marginal(law, 0)
 
     def test_pair_marginal_of_one_particle(self):
-        law = SymmetricLaw(S2, 1, {(1, 0): 1.0})
+        law = SymmetricLaw(S2, 1, [(1, 0)], [1.0])
         assert marginal(law, 1).tolist() == [1.0, 0.0]
         with pytest.raises(InvalidArgumentError, match=r"2-particle marginal needs n >= 2"):
             marginal(law, 2)
@@ -213,7 +214,7 @@ class TestTvDistance:
         assert tv_distance(p, p) == 0.0
 
     def test_pair_law_vs_product(self):
-        pair = SymmetricLaw(S2, 2, {(2, 0): 0.5, (0, 2): 0.5})
+        pair = SymmetricLaw(S2, 2, [(2, 0), (0, 2)], [0.5, 0.5])
         assert pair_gap(marginal(pair, 2), HALF) == pytest.approx(0.5)
 
     def test_mismatched_spaces(self):
@@ -238,7 +239,7 @@ class TestSpecificLoglik:
         assert specific_loglik(uniform) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_single_class(self):
-        law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
+        law = SymmetricLaw(S2, 3, [(2, 1)], [1.0])
         assert specific_loglik(law) == pytest.approx(math.log(1 / 3) / 3, abs=1e-12)
 
     def test_matches_dense(self, rng):
@@ -256,7 +257,7 @@ class TestMeanEmpiricalTv:
         )
 
     def test_concentrated_at_target(self):
-        law = SymmetricLaw(S2, 4, {(2, 2): 1.0})
+        law = SymmetricLaw(S2, 4, [(2, 2)], [1.0])
         assert mean_empirical_tv(law, HALF) == 0.0
 
     def test_degenerate(self):
@@ -284,6 +285,38 @@ class TestMassConservation:
         for law in laws:
             assert abs(math.fsum(law.classes.values()) - 1.0) <= 1e-12
             assert all(mass >= 0.0 for mass in law.classes.values())
+
+
+class TestConstructorChecks:
+    """The one constructor's rejections, with the messages the per-class
+    checks of a dict of classes gave."""
+
+    @pytest.mark.parametrize("n, occ, p, message", [
+        (0, [(0, 0)], [1.0], "particle count must be >= 1"),
+        (3, [(3, 0), (4, -1)], [0.5, 0.5], "bad occupancy key (4, -1) for n=3, k=2"),
+        (3, [(3, 0), (2, 2)], [0.5, 0.5], "bad occupancy key (2, 2) for n=3, k=2"),
+        (3, [(3,)], [1.0], "bad occupancy key (3,) for n=3, k=2"),
+        (3, [(3, 0, 0)], [1.0], "bad occupancy key (3, 0, 0) for n=3, k=2"),
+        (2, np.array([(True, True)]), [1.0], "bad occupancy key (True, True) for n=2, k=2"),
+        (3, np.array([(2.0, 1.0)]), [1.0], "bad occupancy key (2.0, 1.0) for n=3, k=2"),
+        (3, [(3, 0), (2, 1)], [1.0, math.nan], "negative or non-finite class mass nan at (2, 1)"),
+        (3, [(3, 0), (2, 1)], [1.0, math.inf], "negative or non-finite class mass inf at (2, 1)"),
+        (3, [(3, 0)], [-math.inf], "negative or non-finite class mass -inf at (3, 0)"),
+        (3, [(3, 0), (2, 1)], [1.5, -0.5], "negative or non-finite class mass -0.5 at (2, 1)"),
+        (3, [(3, 0), (0, 3)], [0.5, 0.4], "class masses do not sum to 1"),
+        (3, np.zeros((0, 2), dtype=int), [], "class masses do not sum to 1"),
+        (3, [(3, 0), (0, 3)], [1.0], "(2, 2) occupancies for (1,) masses"),
+    ], ids=["zero-n", "negative-count", "wrong-total", "short-row", "long-row", "bool-counts",
+            "float-counts", "nan-mass", "inf-mass", "minus-inf-mass", "negative-mass",
+            "mass-sum", "empty", "shapes"])
+    def test_rejection(self, n, occ, p, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            SymmetricLaw(S2, n, occ, p)
+        assert str(exc.value) == message
+
+    def test_masses_down_to_the_clamp_are_dropped(self):
+        law = SymmetricLaw(S2, 3, [(2, 1), (3, 0)], [-1e-16, 1.0])
+        assert law.classes == {(3, 0): 1.0}
 
 
 class TestJsonFormat:
@@ -319,10 +352,20 @@ class TestJsonFormat:
         with pytest.raises(InvalidArgumentError, match="expected an integer"):
             law_from_json(text)
 
+    @pytest.mark.parametrize("rows, message", [
+        ('{"m":[4],"mass":1.0}', "bad occupancy key (4,) for n=4, k=2"),
+        ('{"m":[4,0],"mass":0.5},{"m":[0,0,4],"mass":0.5}', "bad occupancy key (0, 0, 4) for n=4, k=2"),
+        ('{"m":[4,0],"mass":1%s}' % ("0" * 400), "a class count or mass is out of range"),
+    ], ids=["short-row", "ragged-rows", "overflowing-mass"])
+    def test_bad_rows_rejected(self, rows, message):
+        text = '{"labels":["0","1"],"n":4,"classes":[%s]}' % rows
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            law_from_json(text)
+
     def test_integral_counts_accepted(self):
         text = '{"labels":["0","1"],"n":4.0,"classes":[{"m":[3.0,1],"mass":1.0}]}'
         assert law_from_json(text).classes == {(3, 1): 1.0}
-        law = SymmetricLaw(S2, 4, {(np.int64(3), np.int32(1)): 1.0})
+        law = SymmetricLaw(S2, 4, np.array([(3, 1)], dtype=np.int32), [1.0])
         assert law.classes == {(3, 1): 1.0}
 
     def test_lexicographic_class_order(self, rng):

@@ -36,7 +36,7 @@ HALF = Distribution(S2, (0.5, 0.5))
 
 
 def mixture_law(n):
-    return SymmetricLaw(S2, n, {(n, 0): 0.5, (0, n): 0.5})
+    return SymmetricLaw(S2, n, [(n, 0), (0, n)], [0.5, 0.5])
 
 
 class TestPairGap:
@@ -45,7 +45,7 @@ class TestPairGap:
         assert pair_gap(marginal(product_law(p, 25), 2), p) < 1e-14
 
     def test_point_class(self):
-        law = SymmetricLaw(S2, 3, {(2, 1): 1.0})
+        law = SymmetricLaw(S2, 3, [(2, 1)], [1.0])
         rho = Distribution(S2, (2 / 3, 1 / 3))
         # pair marginal (1/3, 1/3, 1/3, 0) vs product (4/9, 2/9, 2/9, 1/9)
         assert pair_gap(marginal(law, 2), rho) == pytest.approx(2 / 9, abs=1e-14)
@@ -55,7 +55,7 @@ class TestPairGap:
             assert pair_gap(marginal(mixture_law(n), 2), HALF) == pytest.approx(0.5, abs=1e-14)
 
     def test_needs_two_particles(self):
-        law = SymmetricLaw(S2, 1, {(1, 0): 1.0})
+        law = SymmetricLaw(S2, 1, [(1, 0)], [1.0])
         with pytest.raises(InvalidArgumentError):
             marginal(law, 2)
 

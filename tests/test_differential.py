@@ -65,6 +65,7 @@ from conftest import (
     oracle_compositions,
     oracle_fit_gibbs,
     oracle_kac_event_matrix,
+    oracle_law,
     oracle_mean_empirical_tv,
     oracle_microcanonical,
     oracle_mixture,
@@ -105,7 +106,7 @@ def random_law(rng, k, n, sparse):
     occs = list(oracle_compositions(n, k))
     if sparse and len(occs) > 1:
         occs = [occs[i] for i in sorted(rng.permutation(len(occs))[:len(occs) // 2 + 1])]
-    return SymmetricLaw(StateSpace.of_size(k), n, dict(zip(occs, rng.dirichlet(np.ones(len(occs))))))
+    return SymmetricLaw(StateSpace.of_size(k), n, occs, rng.dirichlet(np.ones(len(occs))))
 
 
 def assert_same_classes(got: dict, want: dict):
@@ -279,7 +280,7 @@ def class_laws(draw):
         law = SymmetricLaw.point_class(space, composition(rng, k, n))
     else:
         a, b, w = composition(rng, k, n), composition(rng, k, n), rng.random()
-        law = SymmetricLaw(space, n, {a: w, b: 1 - w} if a != b else {a: 1.0})
+        law = SymmetricLaw(space, n, [a, b], [w, 1 - w])
     return law, p
 
 
@@ -371,6 +372,37 @@ def test_mixture(shape, seed, sparse):
     want = oracle_mixture([(a.classes, w), (b.classes, 1 - w)])
     assert got == want
     assert list(got) == canonical(want, n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), ordered=st.booleans())
+def test_constructor_sorts_and_merges_like_the_dict_oracle(shape, seed, ordered):
+    """Rows in canonical order are kept as given; shuffled rows with repeats
+    and zero masses give, bit for bit, the dict oracle's law."""
+    k, n = shape
+    rng = np.random.default_rng(seed)
+    occ = occupancy_array(k, n)
+    size = int(rng.integers(1, 12))
+    if ordered:
+        rows = occ[np.sort(rng.choice(len(occ), min(size, len(occ)), replace=False))]
+    else:
+        rows = occ[rng.integers(0, len(occ), size)]
+    masses = rng.random(len(rows)) * (rng.random(len(rows)) < 0.8)
+    masses[rng.integers(len(rows))] += 0.5
+    masses /= masses.sum()
+    law = SymmetricLaw(StateSpace.of_size(k), n, rows, masses)
+    want = oracle_law(rows.tolist(), masses.tolist(), n)
+    assert law.occ.tolist() == [list(m) for m in want]
+    assert law.p.tolist() == list(want.values())
+
+
+def test_mixture_of_point_classes_at_large_n():
+    # Summing full-class-space vectors would need C(10^6 + 2, 2) doubles, 3.64 TiB.
+    n = 10**6
+    a, b = (SymmetricLaw.point_class(S3, m) for m in [(0, n, 0), (n - 2, 1, 1)])
+    law = SymmetricLaw.mixture([(a, 0.25), (b, 0.75)])
+    assert law.classes == {(n - 2, 1, 1): 0.75, (0, n, 0): 0.25}
+    assert list(law.classes) == [(n - 2, 1, 1), (0, n, 0)]
 
 
 @pytest.mark.parametrize("k, max_n", [(2, 12), (3, 12), (4, 8)])

@@ -248,7 +248,7 @@ class TestPropagate:
 
     def test_counterexample_destroys_mixture(self):
         n = 6
-        mix = SymmetricLaw(S2, n, {(n, 0): 0.5, (n - 1, 1): 0.5})
+        mix = SymmetricLaw(S2, n, [(n, 0), (n - 1, 1)], [0.5, 0.5])
         out = propagate(mix, counterexample_kernel(n))
         assert out.classes[(n, 0)] == pytest.approx(0.5)
         assert out.classes[(0, n)] == pytest.approx(0.5)

@@ -282,7 +282,7 @@ class TestEstimatePairMarginal:
         n, lam, t = 6, 1.0, 0.8
         start = ParticleState((3, 2, 1))
         kernel = kac_collision_kernel(S3, lam, t, n)
-        exact = marginal(propagate(SymmetricLaw(S3, n, {start.counts: 1.0}), kernel), 2)
+        exact = marginal(propagate(SymmetricLaw(S3, n, [start.counts], [1.0]), kernel), 2)
         res = estimate_pair_marginal(
             lambda rngs: simulate_kac_stack([start.counts] * len(rngs), lam, t, rngs),
             20_000, seed=11,
