@@ -331,9 +331,9 @@ def column_laws(rho: Distribution, n: int) -> tuple:
 def monte_carlo_pair_marginal(law: SymmetricLaw, kernel, replicas: int, seed: int):
     """`estimate_pair_marginal` of the kernel's image of `law`: its estimate
     is the ordered k x k pair marginal, as `marginal(image, 2)` gives it
-    exactly.  Run r draws a start class from the law on replica_rng(seed, r),
-    and one sampler call runs every start on its run's stream: every law and
-    every n reuses those streams.  The start is the class that
+    exactly.  Run r draws a start class from the law on its stream from
+    replica_rngs(seed, ...), and one sampler call runs every start on its
+    run's stream: every law and every n reuses those streams.  The start is the class that
     `rng.choice(len(law.p), p=law.p)` picks, from the same one `random()`
     draw: the first whose cumulative mass, over the total, exceeds it."""
     cdf = law.p.cumsum()

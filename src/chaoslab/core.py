@@ -326,9 +326,9 @@ class SymmetricLaw:
     Its one constructor takes `occ`, an (S, k) integer array of classes of
     n particles, and their S masses `p`, finite and >= NEG_CLAMP.  Zero
     masses are dropped and the rest must sum to 1.  Rows not strictly
-    decreasing in canonical order are sorted by class_index, a repeated
-    class's masses added in input order.  The stored `occ` and `p` are
-    read-only; `classes` is their dict view, built on first use.
+    decreasing in canonical order are sorted into it, a repeated class's
+    masses added in input order.  The stored `occ` and `p` are read-only,
+    copies of writeable inputs; `classes` is their dict view, built lazily.
     """
 
     def __init__(self, space: StateSpace, n: int, occ, p):
@@ -353,11 +353,14 @@ class SymmetricLaw:
         if abs(float(p.sum()) - 1.0) > MASS_TOL:
             raise InvalidArgumentError("class masses do not sum to 1")
         if not _strictly_decreasing(occ):
-            _, first, inverse = np.unique(class_index(occ, n), return_index=True,
-                                          return_inverse=True)
-            occ, p = occ[first], np.bincount(inverse, weights=p)
-        occ.flags.writeable = False
-        p.flags.writeable = False
+            # Canonical order is descending lexicographic order, exact at any n.
+            order = np.lexsort(-occ.T[::-1])
+            occ, p = occ[order], p[order]
+            new = np.ones(len(occ), dtype=bool)
+            new[1:] = (occ[1:] != occ[:-1]).any(axis=1)
+            occ, p = occ[new], np.bincount(np.cumsum(new) - 1, weights=p)
+        occ, p = (x.copy() if x.flags.writeable else x for x in (occ, p))
+        occ.flags.writeable = p.flags.writeable = False
         self.space, self.n, self.occ, self.p = space, n, occ, p
 
     def vector(self) -> np.ndarray:

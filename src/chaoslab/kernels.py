@@ -25,10 +25,11 @@ class map passed to `_class_map_kernel`, which derives both the class rows
 applied to laws, as occupancies of total 1).  The Kac chain's matrix is its
 uniformization up to `KAC_EXACT_MAX_N` (a Poisson series in the
 one-collision matrix and squarings of it, all terms nonnegative to
-rounding, so nothing is clamped).  The one-collision matrix and the Kac
-kernel's sampler, `montecarlo.simulate_kac_stack` at every n, read one
-table: the class moves of the kernel's pair rule (`CompiledRule.changes`,
-`.coeffs`).  Every kernel here is built on occupancy classes, so it is permutation-equivariant
+rounding, so nothing is clamped), one diagonal block of the one-collision
+matrix per shell of classes, scattered from the same table that the Kac
+kernel's sampler, `montecarlo.simulate_kac_stack` at every n, reads: the
+class moves of its pair rule (`CompiledRule.changes`, `.coeffs`).  Every
+kernel here is built on occupancy classes, so it is permutation-equivariant
 by construction.
 """
 
@@ -177,56 +178,53 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
         lambda M, total: np.where(M[:, :1] == total, [total, 0], [0, total]))
 
 
-def _kac_event_matrix(k: int, n: int, rule: PairRule) -> np.ndarray:
-    """One-collision transition matrix on the occupancy classes, by rank.
-
-    Built from the rule's class moves, the table the sampler jumps by: a
-    uniform ordered pair of distinct particles moves class m to m + d with
-    probability w_d(m) / (n (n - 1)), w_d(m) its `move_weights`, and the
-    diagonal takes the rest, 1 minus its moves' probabilities added in
-    order: the chance that the collision keeps the class, to rounding.
-    Where every collision moves the class that rest is 0 to a unit of
-    roundoff, either side; `kac_collision_kernel` keeps only entries > 0.
-    """
+def _shell_stacks(k: int, n: int, rule: PairRule):
+    """The one-collision class matrix by shells: per shell size, the (B,
+    size) ranks of the B shells of that size and their (B, size, size)
+    diagonal blocks.  A shell's classes share a key, the label sum
+    m @ range(k) when every change keeps it, else 0, so no move leaves its
+    shell; a stable sort keeps each shell in rank order.  A uniform ordered
+    pair of distinct particles moves m to m + d with probability
+    w_d(m) / (n (n - 1)), w_d its `move_weights`, and the diagonal takes 1
+    minus the moves' probabilities added in change order, which is 0 to a
+    unit of roundoff, either side, where every collision moves the class."""
     occ = occupancy_array(k, n)
     table = rule.compiled(k)
+    labels = np.arange(k)
+    key = occ @ labels if not (table.changes @ labels).any() else np.zeros(len(occ), np.int64)
     prob = table.move_weights(occ.T) / (n * (n - 1))
     moves, rows = np.nonzero(prob)
-    P = np.zeros((len(occ), len(occ)))
-    P[rows, class_index(occ[rows] + table.changes[moves], n)] = prob[moves, rows]
-    P[np.diag_indices(len(occ))] = 1.0 - sum(prob, np.zeros(len(occ)))
-    return P
+    cols = class_index(occ[rows] + table.changes[moves], n)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(starts, append=len(occ))
+    # The blocks lie in one flat array, each size's shells one run of it.
+    by_size = np.argsort(sizes, kind="stable")
+    corner = np.empty_like(starts)
+    corner[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    # Each class's place in its shell, and the flat offset of its block row.
+    shell = np.repeat(np.arange(len(starts)), sizes)
+    pos, row = np.empty_like(order), np.empty_like(order)
+    pos[order] = np.arange(len(occ)) - starts[shell]
+    row[order] = corner[shell] + pos[order] * sizes[shell]
+    flat = np.zeros(int(sizes @ sizes))
+    flat[row + pos] = 1.0 - sum(prob, np.zeros(len(occ)))
+    flat[row[rows] + pos[cols]] = prob[moves, rows]
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        size, first = int(sizes[group[0]]), corner[group[0]]
+        P = flat[first:first + len(group) * size * size].reshape(-1, size, size)
+        yield order[starts[group, None] + np.arange(size)], P
 
 
-def _blocks(P: np.ndarray) -> list:
-    """The classes of each diagonal block of P: the connected components of
-    the graph with an edge wherever P > 0, in either direction.  Each class
-    is labelled with the smallest rank joined to it, propagated along the
-    edges and by jumping to the label's own label until nothing changes."""
-    src, dst = np.nonzero(P)
-    label = np.arange(len(P))
-    while True:
-        low = np.minimum(label[src], label[dst])
-        joined = label.copy()
-        np.minimum.at(joined, src, low)
-        np.minimum.at(joined, dst, low)
-        joined = joined[joined]
-        if np.array_equal(joined, label):
-            break
-        label = joined
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
-def _uniformized(P: np.ndarray, rate_time: float) -> np.ndarray:
-    """exp(rate_time * (P - I)) for a stochastic matrix P, by uniformization.
+def _kac_rows(k: int, n: int, rule: PairRule, rate_time: float) -> tuple:
+    """Entries > 0 (src, dst, prob) of exp(rate_time * (P - I)) in source-rank
+    order, by uniformization on each stack of `_shell_stacks` blocks of P.
 
     With theta = rate_time / 2^s < 1, A = sum_j Pois(theta; j) P^j and the
-    result is A^(2^s), block by diagonal block of P (for the bundled rule,
-    its conserved label sum).  The series stops where the Poisson tail it
-    leaves out is below 2^-(53 + s), so that the 2^s-th power loses less
-    than one unit roundoff of row mass; each squaring's rows are renormalised,
-    so that rounding does not double with each.  Every term and product is
+    result is A^(2^s).  The series stops where the Poisson tail it leaves
+    out is below 2^-(53 + s), so that the 2^s-th power loses less than one
+    unit roundoff of row mass; each squaring's rows are renormalised, so
+    that rounding does not double with each.  Every term and product is
     nonnegative: nothing needs clamping, and rate_time = 0 gives I exactly.
     """
     s = max(0, math.frexp(rate_time)[1])
@@ -235,23 +233,21 @@ def _uniformized(P: np.ndarray, rate_time: float) -> np.ndarray:
     # The tail past term j is at most w_j * theta / (j + 1 - theta).
     while weights[-1] * theta / (len(weights) - theta) > math.ldexp(1.0, -53 - s):
         weights.append(weights[-1] * theta / len(weights))
-    M = np.zeros_like(P)
-    blocks = _blocks(P)
-    for size in sorted(set(map(len, blocks))):
-        # The blocks of one size, stacked: a batch of size x size products.
-        same = np.array([block for block in blocks if len(block) == size])
-        rows, cols = same[:, :, None], same[:, None, :]
-        Pb = P[rows, cols]
-        term = np.broadcast_to(np.eye(size), Pb.shape)
+    entries = []
+    for members, P in _shell_stacks(k, n, rule):
+        term = np.broadcast_to(np.eye(P.shape[-1]), P.shape)
         A = weights[0] * term
         for w in weights[1:]:
-            term = term @ Pb
+            term = term @ P
             A += w * term
         for _ in range(s):
             A = A @ A
             A /= A.sum(axis=2, keepdims=True)
-        M[rows, cols] = A
-    return M
+        b, i, j = np.nonzero(A > 0)
+        entries.append((members[b, i], members[b, j], A[b, i, j]))
+    src, dst, prob = map(np.concatenate, zip(*entries))
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order], prob[order]
 
 
 def kac_collision_kernel(
@@ -268,10 +264,11 @@ def kac_collision_kernel(
     resampled by the pair rule.  The kernel is `exact` for
     n <= KAC_EXACT_MAX_N: its class matrix is that chain's law at time t,
     sum_j Pois(total_rate * t; j) P^j over the one-collision class matrix P,
-    computed as a Poisson series and squarings (`_uniformized`), nonnegative
-    term by term and kept where > 0.  Larger n has no class matrix, only
-    the sampler, which runs `simulate_kac_stack` with the same pair rule.  The
-    limit is the collision ODE of that pair rule run for time t.
+    computed as a Poisson series and squarings on P's blocks (`_kac_rows`),
+    nonnegative term by term and kept where > 0.  Larger n has no class
+    matrix, only the sampler, which runs `simulate_kac_stack` with the same
+    pair rule.  The limit is the collision ODE of that pair rule run for
+    time t.
     """
     check_rate_and_time(lam, t)
     if n < 2:
@@ -283,9 +280,7 @@ def kac_collision_kernel(
         return simulate_kac_stack(starts, lam, t, rngs, rule)
 
     def build_matrix():
-        M = _uniformized(_kac_event_matrix(space.k, n, rule), t * total_rate)
-        src, dst = np.nonzero(M > 0)
-        return src, dst, M[src, dst]
+        return _kac_rows(space.k, n, rule, t * total_rate)
 
     return ExchangeableKernel(
         space,

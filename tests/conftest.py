@@ -455,6 +455,27 @@ def oracle_kac_event_matrix(k, n, rule):
     return P
 
 
+def oracle_blocks(P):
+    """The classes of each diagonal block of P: the connected components of
+    the graph with an edge wherever P > 0, in either direction, each as a
+    sorted rank array.  Each class is labelled with the smallest rank
+    joined to it, propagated along the edges and by jumping to the label's
+    own label until nothing changes."""
+    src, dst = np.nonzero(P)
+    label = np.arange(len(P))
+    while True:
+        low = np.minimum(label[src], label[dst])
+        joined = label.copy()
+        np.minimum.at(joined, src, low)
+        np.minimum.at(joined, dst, low)
+        joined = joined[joined]
+        if np.array_equal(joined, label):
+            break
+        label = joined
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
 # Row-wise references of core's class arithmetic: each per-class quantity
 # as an (S, k) array reduced along its k-wide axis, the form core computed
 # them in before it read occupancy columns and per-count tables.  They read
@@ -522,11 +543,12 @@ def oracle_mixture(components):
     return {m: x for m, x in out.items() if x > 0.0}
 
 
-def oracle_law(rows, masses, n: int) -> dict:
+def oracle_law(rows, masses) -> dict:
     """The classes of a law given row by row, repeats allowed: each class's
-    masses summed in input order, zero sums dropped, in class_index order."""
+    masses summed in input order, zero sums dropped, in canonical order:
+    descending lexicographic order of the count tuples, in Python ints."""
     out = oracle_mixture([({tuple(m): mass}, 1.0) for m, mass in zip(rows, masses)])
-    return dict(sorted(out.items(), key=lambda item: int(class_index(item[0], n))))
+    return dict(sorted(out.items(), reverse=True))
 
 
 def oracle_microcanonical(H, E, delta, n):

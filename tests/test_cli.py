@@ -328,9 +328,8 @@ class TestTheoremProbe:
         import chaoslab.kernels as kernels
 
         calls = []
-        event_matrix = kernels._kac_event_matrix
-        monkeypatch.setattr(kernels, "_kac_event_matrix",
-                            lambda *a: calls.append(a) or event_matrix(*a))
+        build = kernels._shell_stacks
+        monkeypatch.setattr(kernels, "_shell_stacks", lambda *a: calls.append(a) or build(*a))
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
                    "--grid", "6,8", "--seed", "1", "--replicas", "7", "--out", str(tmp_path)])
         assert rc == 2
@@ -344,9 +343,8 @@ class TestTheoremProbe:
         import chaoslab.kernels as kernels
 
         calls = []
-        event_matrix = kernels._kac_event_matrix
-        monkeypatch.setattr(kernels, "_kac_event_matrix",
-                            lambda *a: calls.append(a) or event_matrix(*a))
+        build = kernels._shell_stacks
+        monkeypatch.setattr(kernels, "_shell_stacks", lambda *a: calls.append(a) or build(*a))
         rc = main(["theorem-probe", "--kernel", "kac:1,0.25", "--p", "0.5,0.3,0.2",
                    "--grid", "6,8,13", "--seed", "1", "--replicas", "1",
                    "--out", str(tmp_path)])
@@ -394,9 +392,8 @@ class TestTheoremProbe:
         import chaoslab.kernels as kernels
 
         matrices, probes = [], []
-        event_matrix, probe = kernels._kac_event_matrix, chaoslab.cli.continuity_probe
-        monkeypatch.setattr(kernels, "_kac_event_matrix",
-                            lambda *a: matrices.append(a) or event_matrix(*a))
+        build, probe = kernels._shell_stacks, chaoslab.cli.continuity_probe
+        monkeypatch.setattr(kernels, "_shell_stacks", lambda *a: matrices.append(a) or build(*a))
         monkeypatch.setattr(chaoslab.cli, "continuity_probe",
                             lambda *a, **kw: probes.append(a) or probe(*a, **kw))
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",

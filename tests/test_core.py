@@ -21,6 +21,7 @@ from chaoslab import (
     specific_loglik,
     tv_distance,
 )
+from chaoslab.core import occupancy_array
 from chaoslab.errors import CapacityError, InvalidArgumentError
 
 from conftest import (
@@ -317,6 +318,21 @@ class TestConstructorChecks:
     def test_masses_down_to_the_clamp_are_dropped(self):
         law = SymmetricLaw(S2, 3, [(2, 1), (3, 0)], [-1e-16, 1.0])
         assert law.classes == {(3, 0): 1.0}
+
+    def test_callers_arrays_stay_writeable(self):
+        # The caller's own arrays used to be stored and set read-only, so
+        # writing m[0] afterwards raised ValueError.
+        occ, m = np.array([(2, 0), (1, 1)]), np.array([0.25, 0.75])
+        law = SymmetricLaw(S2, 2, occ, m)
+        occ[0], m[0] = (0, 2), 0.5
+        assert law.occ.tolist() == [[2, 0], [1, 1]] and law.p.tolist() == [0.25, 0.75]
+        assert not law.occ.flags.writeable and not law.p.flags.writeable
+
+    def test_read_only_arrays_are_kept_as_they_are(self):
+        occ, m = occupancy_array(2, 2), np.array([0.25, 0.25, 0.5])
+        m.flags.writeable = False
+        law = SymmetricLaw(S2, 2, occ, m)
+        assert law.occ is occ and law.p is m
 
 
 class TestJsonFormat:

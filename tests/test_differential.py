@@ -55,7 +55,7 @@ from chaoslab.core import (
 )
 from chaoslab.diagnostics import GIBBS_RESIDUAL_TOL, ZERO_GAP, _fit_slope
 from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
-from chaoslab.kernels import _kac_event_matrix
+from chaoslab.kernels import _shell_stacks
 from chaoslab.meanfield import collision_marginal_tensor, default_rule
 
 from conftest import (
@@ -64,6 +64,7 @@ from conftest import (
     oracle_collision_tensor,
     oracle_compositions,
     oracle_fit_gibbs,
+    oracle_blocks,
     oracle_kac_event_matrix,
     oracle_law,
     oracle_mean_empirical_tv,
@@ -391,7 +392,7 @@ def test_constructor_sorts_and_merges_like_the_dict_oracle(shape, seed, ordered)
     masses[rng.integers(len(rows))] += 0.5
     masses /= masses.sum()
     law = SymmetricLaw(StateSpace.of_size(k), n, rows, masses)
-    want = oracle_law(rows.tolist(), masses.tolist(), n)
+    want = oracle_law(rows.tolist(), masses.tolist())
     assert law.occ.tolist() == [list(m) for m in want]
     assert law.p.tolist() == list(want.values())
 
@@ -405,12 +406,77 @@ def test_mixture_of_point_classes_at_large_n():
     assert list(law.classes) == [(n - 2, 1, 1), (0, n, 0)]
 
 
+def test_mixture_of_point_classes_past_int64_ranks():
+    """At n = 10^10, k = 3 class ranks reach 5e19, past int64, so a sort by
+    `class_index` misordered a mixture of 2,000 point classes; the sort is
+    by the counts, and repeated classes add their masses in input order."""
+    n = 10**10
+    rng = np.random.default_rng(29)
+    first = rng.integers(0, n + 1, size=2000)
+    second = rng.integers(0, n - first + 1)
+    rows = np.column_stack([first, second, n - first - second])
+    rows[1000:1100] = rows[:100]  # 100 classes twice
+    masses = rng.random(len(rows))
+    masses /= masses.sum()
+    law = SymmetricLaw.mixture([(SymmetricLaw.point_class(S3, tuple(m)), mass)
+                                for m, mass in zip(rows.tolist(), masses.tolist())])
+    want = oracle_law(rows.tolist(), masses.tolist())
+    assert len(want) == 1900
+    assert law.occ.tolist() == [list(m) for m in want]
+    assert law.p.tolist() == list(want.values())
+
+
+def shell_matrix(k, n, rule):
+    """The one-collision class matrix assembled from its shell blocks, after
+    checking that the shells, each in rank order, hold every class once."""
+    classes = len(occupancy_array(k, n))
+    P, seen = np.zeros((classes, classes)), []
+    for members, blocks in _shell_stacks(k, n, rule):
+        assert blocks.shape == members.shape + members.shape[-1:]
+        assert (np.diff(members, axis=1) > 0).all()
+        P[members[:, :, None], members[:, None, :]] = blocks
+        seen.extend(members.ravel().tolist())
+    assert sorted(seen) == list(range(classes))
+    return P
+
+
 @pytest.mark.parametrize("k, max_n", [(2, 12), (3, 12), (4, 8)])
 def test_kac_event_matrix_is_the_class_loop(k, max_n):
-    """The vectorised one-collision matrix == the per-class loop, bit for bit."""
+    """The one-collision shell blocks == the per-class loop's entries, bit
+    for bit, and the loop's matrix has no entry outside them."""
     for n in range(2, max_n + 1):
         rule = SumConservingRule(k)
-        assert np.array_equal(_kac_event_matrix(k, n, rule), oracle_kac_event_matrix(k, n, rule))
+        assert np.array_equal(shell_matrix(k, n, rule), oracle_kac_event_matrix(k, n, rule))
+
+
+@pytest.mark.parametrize("k, max_n", [(3, 12), (4, 12), (5, 12), (6, 8)])
+def test_label_sum_shells_are_the_components(k, max_n):
+    """For the bundled rule the shells are the label-sum shells, they
+    partition the class space, and each is one connected component of the
+    one-collision matrix: the moves reach every class of a shell."""
+    rule = default_rule(k)
+    for n in range(2, max_n + 1):
+        occ = occupancy_array(k, n)
+        shells = [m for members, _ in _shell_stacks(k, n, rule) for m in members.tolist()]
+        assert sorted(r for m in shells for r in m) == list(range(len(occ)))
+        sums = [set((occ[m] @ np.arange(k)).tolist()) for m in shells]
+        assert all(len(s) == 1 for s in sums) and len(set.union(*sums)) == len(shells)
+        components = oracle_blocks(oracle_kac_event_matrix(k, n, rule))
+        assert sorted(shells) == sorted(c.tolist() for c in components)
+
+
+def test_exact_kac_rows_build_no_class_by_class_array():
+    """k = 5, n = 12 has 1,820 classes, so one dense classes x classes
+    matrix takes 26.5 MB; the shell blocks' peak is held below 16 MB (a
+    dense one-collision matrix and a dense result peaked at 51.5 MB)."""
+    kernel = kac_collision_kernel(StateSpace.of_size(5), 1.0, 1.0, 12)
+    tracemalloc.start()
+    try:
+        kernel.class_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class ResampleRule(PairRule):
@@ -429,7 +495,7 @@ def kac_matrix_and_expm(k, n, lam, t, rule=None):
     scipy's expm of the generator of the same one-collision matrix P."""
     src, dst, prob = kac_collision_kernel(StateSpace.of_size(k), lam, t, n,
                                           pair_rule=rule).class_matrix()
-    P = _kac_event_matrix(k, n, rule or default_rule(k))
+    P = oracle_kac_event_matrix(k, n, rule or default_rule(k))
     M = np.zeros_like(P)
     M[src, dst] = prob
     return M, prob, expm(t * (lam * (n - 1) / 2.0) * (P - np.eye(len(P))))
@@ -510,6 +576,29 @@ class TenthsRule(PairRule):
 RULES = {"sum": SumConservingRule, "swap": lambda k: SwapRule(),
          "zero-first": ZeroFirstRule, "short": ShortRule, "tenths": TenthsRule,
          "resample": ResampleRule}
+
+
+@pytest.mark.parametrize("rule", ["swap", "zero-first", "short", "tenths", "resample"])
+def test_shell_blocks_of_other_rules(rule):
+    """Shell blocks == the per-class loop's entries, bit for bit, for rules
+    that keep the label sum (swap, zero-first), whose shells are label-sum
+    shells, and for rules that leave it, whose one shell is every class."""
+    for k, max_n in [(2, 8), (3, 8), (4, 5)]:
+        for n in range(2, max_n + 1):
+            table = RULES[rule](k)
+            assert np.array_equal(shell_matrix(k, n, table), oracle_kac_event_matrix(k, n, table))
+            shells = sum(len(members) for members, _ in _shell_stacks(k, n, table))
+            assert shells == (1 if rule in ("short", "tenths", "resample") else n * (k - 1) + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_swap_rule_rows_are_the_identity(n):
+    """Swapping colliders never moves a class, so every row of its exact
+    matrix is the row's own class."""
+    src, dst, prob = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule()).class_matrix()
+    classes = len(occupancy_array(3, n))
+    assert np.array_equal(src, np.arange(classes)) and np.array_equal(dst, np.arange(classes))
+    assert np.array_equal(prob, np.ones(classes))
 
 
 @settings(max_examples=150, deadline=None)

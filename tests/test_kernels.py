@@ -27,11 +27,7 @@ from chaoslab.cli import column_laws, monte_carlo_pair_marginal
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.diagnostics import pair_gap
 from chaoslab.errors import CapacityError, InvalidArgumentError
-from chaoslab.kernels import (
-    KAC_EXACT_MAX_N,
-    ExchangeableKernel,
-    _kac_event_matrix,
-)
+from chaoslab.kernels import KAC_EXACT_MAX_N, ExchangeableKernel
 
 from conftest import (
     SwapRule,
@@ -40,6 +36,7 @@ from conftest import (
     equivariance_violation,
     law_tv_distance,
     map_ordered_law,
+    oracle_kac_event_matrix,
     ordered_class_matrix,
     ordered_law_matrix,
     propagate_dense,
@@ -195,9 +192,8 @@ class TestBackend:
         import chaoslab.kernels as kernels
 
         calls = []
-        event_matrix = kernels._kac_event_matrix
-        monkeypatch.setattr(kernels, "_kac_event_matrix",
-                            lambda *a: calls.append(a) or event_matrix(*a))
+        build = kernels._shell_stacks
+        monkeypatch.setattr(kernels, "_shell_stacks", lambda *a: calls.append(a) or build(*a))
         for n in (4, KAC_EXACT_MAX_N, KAC_EXACT_MAX_N + 1):
             assert kac_collision_kernel(S3, 1.0, 0.5, n).exact == (n <= KAC_EXACT_MAX_N)
         assert calls == []
@@ -372,7 +368,7 @@ class TestKacKernel:
     def test_single_event_split(self):
         occs = enumerate_occupancies(S3, 2)
         index = {m: i for i, m in enumerate(occs)}
-        P = _kac_event_matrix(3, 2, SumConservingRule(3))
+        P = oracle_kac_event_matrix(3, 2, SumConservingRule(3))
         i = index[(1, 0, 1)]
         row = {occs[j]: P[i, j] for j in range(len(occs)) if P[i, j] > 0}
         assert row[(1, 0, 1)] == pytest.approx(2 / 3)

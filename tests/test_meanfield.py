@@ -13,6 +13,7 @@ from chaoslab import (
     StateSpace,
     continuity_probe,
     identity_kernel,
+    kac_collision_kernel,
     kac_limit_evolve,
     make_kernel,
     map_kernel,
@@ -20,7 +21,6 @@ from chaoslab import (
 )
 from chaoslab.cli import main
 from chaoslab.errors import InvalidArgumentError
-from chaoslab.kernels import _kac_event_matrix
 from chaoslab.meanfield import collision_marginal_tensor, wild_plan
 
 from conftest import kac_limit_rhs, oracle_kac_limit_evolve, pushforward
@@ -75,7 +75,8 @@ class TestPairRuleCheck:
     READERS = {
         "simulate_kac": lambda rule: simulate_kac(ParticleState((5, 5, 0)), 1, 1, 0, rule),
         "tensor": lambda rule: collision_marginal_tensor(3, rule),
-        "event matrix": lambda rule: _kac_event_matrix(3, 4, rule),
+        "event matrix": lambda rule: kac_collision_kernel(
+            S3, 1.0, 1.0, 4, pair_rule=rule).class_matrix(),
     }
 
     # Label -1 used to move a particle into the last state: simulate_kac
