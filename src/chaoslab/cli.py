@@ -120,7 +120,7 @@ def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) 
 
     Both files are written to temporary names beside their targets and then
     moved into place, so a failed write leaves neither this run's files nor
-    a temporary behind.
+    a temporary behind; its error names the output and the OS reason.
     """
     out, name = Path(config.get("out", ".")), config.get("name", name)
     meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
@@ -130,7 +130,7 @@ def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) 
     texts = {out / f"{name}.csv": "\n".join(lines) + "\n",
              out / f"{name}.meta.json": json.dumps(meta, indent=2, sort_keys=True) + "\n"}
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
-    placed = []
+    placed, path = [], next(iter(texts))
     try:
         out.mkdir(parents=True, exist_ok=True)
         for path, text in texts.items():
@@ -139,10 +139,10 @@ def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) 
             os.replace(temp, path)
             placed.append(path)
     except OSError as exc:
-        for path in [*temps.values(), *placed]:
+        for left in [*temps.values(), *placed]:
             with contextlib.suppress(OSError):
-                path.unlink()
-        raise ConfigError(f"cannot write outputs: {exc}") from exc
+                left.unlink()
+        raise ConfigError(f"cannot write outputs: {path}: {exc.strerror or exc}") from exc
 
 
 def to_value(key: str, value):

@@ -105,6 +105,20 @@ class StateSpace:
         return StateSpace(tuple(str(i) for i in range(k)))
 
 
+def law_rows(P: np.ndarray) -> np.ndarray:
+    """A copy of a (B, k) float array of one-particle laws, entries in
+    [NEG_CLAMP, 0) read as 0, or InvalidArgumentError unless every entry is
+    finite and >= NEG_CLAMP and each row's fsum is within MASS_TOL of 1."""
+    if not np.isfinite(P).all():
+        raise InvalidArgumentError("non-finite probability entry")
+    if (P < NEG_CLAMP).any():
+        raise InvalidArgumentError("negative probability entry")
+    P = np.where(P < 0.0, 0.0, P)
+    if any(abs(math.fsum(row) - 1.0) > MASS_TOL for row in P.tolist()):
+        raise InvalidArgumentError("probabilities do not sum to 1")
+    return P
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability law on a StateSpace."""
@@ -116,14 +130,7 @@ class Distribution:
         p = tuple(float(x) for x in self.p)
         if len(p) != self.space.k:
             raise InvalidArgumentError("probability vector length != k")
-        if not all(math.isfinite(x) for x in p):
-            raise InvalidArgumentError("non-finite probability entry")
-        if any(x < NEG_CLAMP for x in p):
-            raise InvalidArgumentError("negative probability entry")
-        p = tuple(0.0 if x < 0.0 else x for x in p)
-        if abs(math.fsum(p) - 1.0) > MASS_TOL:
-            raise InvalidArgumentError("probabilities do not sum to 1")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", tuple(law_rows(np.array([p]))[0].tolist()))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.p, dtype=float)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import MASS_TOL, NEG_CLAMP, Distribution, as_int
+from .core import MASS_TOL, Distribution, as_int, law_rows
 from .errors import InvalidArgumentError
 
 MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
@@ -169,17 +169,15 @@ def check_rate_and_time(lam: float, t: float) -> None:
 
 
 def _as_stack(p) -> np.ndarray:
-    """A (B, k) stack of laws as a new float array, its rows held to a
-    Distribution's rules: finite, no entry below NEG_CLAMP, mass within
-    MASS_TOL of 1."""
+    """A nonempty (B, k) stack of laws as a new float array, its rows held
+    to a Distribution's rules by `law_rows`."""
     try:
         P = np.array(p, dtype=float)
     except (TypeError, ValueError):
         P = np.zeros(0)
-    if not (P.ndim == 2 and P.size and np.isfinite(P).all() and P.min() >= NEG_CLAMP
-            and np.abs(P.sum(axis=1) - 1.0).max() <= MASS_TOL):
+    if not (P.ndim == 2 and P.size):
         raise InvalidArgumentError("need a nonempty (B, k) stack of laws")
-    return P
+    return law_rows(P)
 
 
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:

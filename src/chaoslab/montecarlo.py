@@ -19,10 +19,9 @@ The stack is exact replica by replica, not only in law: each row makes the
 draws a lone run makes, on its own Generator and in the same order, and
 computes its rates elementwise, adding their terms one by one in a fixed
 order, so its end counts and its Generator's final state do not depend on
-the stack it ran in.  Memory is bounded whatever n, t and R are: at most
-STACK_WIDTH rows step together (a wider stack runs in groups), each holding
-one block of JUMP_BLOCK waits and JUMP_BLOCK picks, 16 bytes per jump
-(128 KB at most), and its k counts and D move rates, 8 (k + D) bytes.
+the stack it ran in.  Memory is per row: one block of JUMP_BLOCK waits and
+JUMP_BLOCK picks, 16 bytes per jump (512 B), and its k counts and D move
+rates, 8 (k + D) bytes; `replica_counts` bounds the rows of a stack.
 Replicas draw their RNG streams from a splittable (master seed, replica
 index) scheme, so reductions are reproducible and order-independent:
 `replica_rngs` builds a chunk's Generators in one pass, each equal in
@@ -42,15 +41,13 @@ from .core import Distribution, as_int, as_rng
 from .errors import InvalidArgumentError
 from .meanfield import CompiledRule, PairRule, check_rate_and_time, default_rule
 
-# Most rows that one lockstep loop advances together; a wider stack runs in groups.
-STACK_WIDTH = 256
 # Jumps per block of each row's draws: a row refills its block when it has spent it.
 JUMP_BLOCK = 32
 # Most particles: counts, and their sum n, are int64.
 MAX_N = 2**63 - 1
-KAC_CHUNK = 1024  # most replicas per stack call: their Generators take about 1 KB each
-# Most jump steps per stack call, bounded before any draw: about 6 s at
-# 30 us a step for one 3-state row (17 s at 85 us for STACK_WIDTH; 2-core VM).
+KAC_CHUNK = 1024  # most rows per stack call: each holds a 1 KB Generator and 512 B of draws
+# Most jump steps per stack call, bounded before any draw: about 4 s at
+# 22 us a step for one 3-state row (21 s at 105 us for KAC_CHUNK rows; 2-core VM).
 MAX_JUMP_STEPS = 200_000
 
 
@@ -167,16 +164,16 @@ def simulate_kac_stack(
 ) -> np.ndarray:
     """Run the Kac collision chain for time t from each row of an (R, k)
     stack of occupancies that share one n, row r on the Generator rngs[r];
-    returns the (R, k) int64 end counts.
+    returns the (R, k) int64 end counts in a new C-ordered array.
 
     Each ordered pair of distinct particles collides at rate lam / (2n) and
     is resampled by the pair rule (default SumConservingRule(k)), so the
     class moves by change d at rate lam / (2n) times its `move_weights`.
-    A row is advanced jump by jump by `_jumps`, in groups of at most
-    STACK_WIDTH rows; collisions that leave the class as it was are not
-    drawn.  A row's expected jumps are at most lam t (n - 1) / 2 times
-    c_max = max over uw of sum_d coeffs[d, uw]; a stack whose groups may
-    step more than MAX_JUMP_STEPS times is InvalidArgumentError.
+    The rows are advanced jump by jump, all in one `_jumps` call;
+    collisions that leave the class as it was are not drawn.  A row's
+    expected jumps are at most lam t (n - 1) / 2 times c_max = max over uw
+    of sum_d coeffs[d, uw]; a stack that may step more than MAX_JUMP_STEPS
+    times is InvalidArgumentError.
     """
     check_rate_and_time(lam, t)
     counts = np.asarray(starts)
@@ -197,17 +194,14 @@ def simulate_kac_stack(
     if not math.isfinite(horizon):
         raise InvalidArgumentError(f"t * lam = {t} * {lam} overflows a float")
     table = (pair_rule or default_rule(counts.shape[1])).compiled(counts.shape[1])
-    groups = -(-len(counts) // STACK_WIDTH)
-    steps = t * lam * (n - 1) / 2 * table.coeffs.sum(axis=0).max() * groups
+    steps = t * lam * (n - 1) / 2 * table.coeffs.sum(axis=0).max()
     if steps > MAX_JUMP_STEPS:
-        raise InvalidArgumentError(f"n = {n}, t * lam = {t * lam:g} and {len(counts)} rows "
-                                   f"may take {steps:.3g} jump steps in expectation, past "
-                                   f"the budget of {MAX_JUMP_STEPS}")
-    out = counts.astype(np.int64)
+        raise InvalidArgumentError(f"n = {n} and t * lam = {t * lam:g} may take {steps:.3g} "
+                                   f"jump steps a row in expectation, past the budget of "
+                                   f"{MAX_JUMP_STEPS}")
+    out = counts.astype(np.int64, order="C")
     if horizon > 0 and len(table.changes):  # else no row can jump, and none draws
-        for first in range(0, len(out), STACK_WIDTH):
-            rows = slice(first, first + STACK_WIDTH)
-            out[rows] = _jumps(out[rows].T, rngs[rows], horizon, table).T
+        out[:] = _jumps(out.T, rngs, horizon, table).T
     return out
 
 

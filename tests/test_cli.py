@@ -1029,6 +1029,17 @@ class TestFileErrors:
         assert [p.name for p in tmp_path.iterdir()] == [taken]
         assert list((tmp_path / taken).iterdir()) == []
 
+    def test_failed_write_names_the_output_not_its_temporary(self, tmp_path, capsys):
+        argv = ["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2",
+                "--name", "sub/x", "--out", str(tmp_path)]
+        errs = []
+        for _ in range(2):
+            assert main(argv) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == (f"config error: cannot write outputs: {tmp_path / 'sub' / 'x.csv'}: "
+                           f"No such file or directory\n")
+        assert errs[1] == errs[0] and ".tmp" not in errs[0]
+
     def test_empty_name_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(chaoslab.kernels, "kac_limit_evolve",

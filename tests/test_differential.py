@@ -651,17 +651,15 @@ def test_simulate_kac_is_the_scan_loop(k, data, lam, t, rule, block, edges, seed
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 5), rows=st.integers(1, 12), data=st.data(), lam=st.floats(0.01, 3.0),
        t=st.floats(0.0, 1.0), rule=st.sampled_from(sorted(RULES)),
-       block=st.sampled_from([2, montecarlo.JUMP_BLOCK]),
-       width=st.sampled_from([3, montecarlo.STACK_WIDTH]), edges=st.booleans(),
+       block=st.sampled_from([2, montecarlo.JUMP_BLOCK]), edges=st.booleans(),
        big=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_simulate_kac_stack_is_the_scan_loop(k, rows, data, lam, t, rule, block, width, edges,
-                                             big, seed):
+def test_simulate_kac_stack_is_the_scan_loop(k, rows, data, lam, t, rule, block, edges, big,
+                                             seed):
     """Each row of the lockstep stack == the scalar per-jump walk on that
     row's Generator: same end counts, and the Generator left in the same
     state.  Rows stop at different steps (absorbed, or past t) beside rows
     still jumping; a big n takes counts past 2^53, where their floats
-    round, with t scaled to about 40 collisions a row; a width of 3 splits
-    the stack into groups."""
+    round, with t scaled to about 40 collisions a row."""
     n = data.draw(st.integers(2**31, montecarlo.MAX_N) if big
                   else st.integers(2, 4) | st.integers(2, 30))
     if big:
@@ -674,7 +672,7 @@ def test_simulate_kac_stack_is_the_scan_loop(k, rows, data, lam, t, rule, block,
     got_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
     want_rngs = [make(np.random.PCG64([seed, r])) for r in range(rows)]
     rule = RULES[rule](k)
-    with mock.patch.multiple(montecarlo, JUMP_BLOCK=block, STACK_WIDTH=width):
+    with mock.patch.object(montecarlo, "JUMP_BLOCK", block):
         got = simulate_kac_stack(np.array(starts), lam, t, got_rngs, rule)
         for r in range(rows):
             want = oracle_simulate_kac(ParticleState(tuple(starts[r])), lam, t, want_rngs[r], rule)

@@ -210,6 +210,24 @@ class TestKacLimitEvolve:
         with pytest.raises(InvalidArgumentError):
             make_kernel("map:0,0,0", S3, 4).limit(np.asarray(P))
 
+    @pytest.mark.parametrize("P, message", [
+        ([0.6, 0.3, 0.1], "need a nonempty (B, k) stack of laws"),
+        (np.zeros((0, 3)), "need a nonempty (B, k) stack of laws"),
+        ([[0.6, 0.4], [1.0]], "need a nonempty (B, k) stack of laws"),
+        ([[0.6, 0.4, 0.0], [np.inf, 0.5, 0.5]], "non-finite probability entry"),
+        ([[1.1, -0.1, 0.0]], "negative probability entry"),
+        ([[0.6, 0.4, 0.0], [0.5, 0.5, 0.5]], "probabilities do not sum to 1"),
+    ])
+    def test_stack_messages_are_a_laws(self, P, message):
+        with pytest.raises(InvalidArgumentError) as caught:
+            kac_limit_evolve(P, 1.0, 1.0)
+        assert str(caught.value) == message
+
+    def test_entries_just_below_zero_read_as_zero(self):
+        row = (0.5, 0.5 + 5e-16, -5e-16)
+        assert kac_limit_evolve([row], 1.0, 0.0)[0].tolist() == list(Distribution(S3, row).p)
+        assert Distribution(S3, row).p[2] == 0.0
+
 
 @st.composite
 def law_stacks(draw):

@@ -205,6 +205,25 @@ class TestSimulateKacStack:
             lone = simulate_kac(ParticleState(start), 1.0, 2.0, replica_rng(4, r))
             assert tuple(ends[r].tolist()) == lone.counts
 
+    def test_end_counts_are_a_new_row_major_array(self):
+        starts = np.asfortranarray([(4, 2, 2), (0, 8, 0), (3, 3, 2)], dtype=np.int64)
+        before = starts.copy()
+        ends = simulate_kac_stack(starts, 1.0, 2.0, replica_rngs(4, 0, 3))
+        assert ends.dtype == np.int64 and ends.flags.c_contiguous
+        assert np.array_equal(starts, before) and not np.shares_memory(ends, starts)
+        assert np.array_equal(ends, simulate_kac_stack(before, 1.0, 2.0, replica_rngs(4, 0, 3)))
+
+    def test_a_stack_is_its_halves(self):
+        starts = np.array([rng.multinomial(40, (0.5, 0.3, 0.2))
+                           for rng in replica_rngs(6, 0, 300)])
+        whole, halves = replica_rngs(5, 0, 300), replica_rngs(5, 0, 300)
+        ends = simulate_kac_stack(starts, 1.0, 1.5, whole)
+        parts = [simulate_kac_stack(starts[rows], 1.0, 1.5, halves[rows])
+                 for rows in (slice(0, 150), slice(150, 300))]
+        assert np.array_equal(ends, np.concatenate(parts))
+        assert ([rng.bit_generator.state for rng in whole]
+                == [rng.bit_generator.state for rng in halves])
+
     @pytest.mark.parametrize("starts, rngs", [
         ([(2, 2)], 2),  # one Generator per row
         ([(3, -1)], 1),  # negative count
@@ -218,11 +237,11 @@ class TestSimulateKacStack:
     def test_jump_budget(self, monkeypatch):
         # The bundled rule at k = 3 moves the class on at most 2/3 of the
         # collisions, so a row of n = 301 makes at most lam * t * 100
-        # jumps in expectation, and each group of STACK_WIDTH rows counts.
+        # jumps in expectation, however many rows the stack has.
         monkeypatch.setattr(montecarlo, "MAX_JUMP_STEPS", 100)
         start = (101, 100, 100)
         simulate_kac_stack([start], 1.0, 1.0, [replica_rng(0, 0)])
-        for rows, lam in [(1, 1.01), (montecarlo.STACK_WIDTH + 1, 1.0)]:
+        for rows, lam in [(1, 1.01), (montecarlo.KAC_CHUNK, 1.01)]:
             rngs = replica_rngs(0, 0, rows)
             before = [rng.bit_generator.state for rng in rngs]
             with pytest.raises(InvalidArgumentError, match="budget"):
