@@ -43,7 +43,7 @@ from .meanfield import (
 from .montecarlo import (
     EstimatorResult,
     ParticleState,
-    estimate_pair_marginal,
+    estimate_pair_marginals,
     iid_state,
     pair_marginal_ustat,
     replica_rng,

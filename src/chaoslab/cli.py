@@ -46,7 +46,7 @@ from .diagnostics import (
 from .errors import CapacityError, ChaoslabError, ConfigError
 from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import continuity_probe, wild_plan
-from .montecarlo import estimate_pair_marginal, iid_state, replica_counts
+from .montecarlo import estimate_pair_marginals, iid_state, replica_counts
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # Every option: (kind, least value, help).  The kind is int, float, str or
@@ -120,7 +120,8 @@ def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) 
 
     Both files are written to temporary names beside their targets and then
     moved into place, so a failed write leaves neither this run's files nor
-    a temporary behind; its error names the output and the OS reason.
+    a temporary behind; its error names the output, or the directory if it
+    cannot be made, and the OS reason.
     """
     out, name = Path(config.get("out", ".")), config.get("name", name)
     meta = {"config": {k: config[k] for k in sorted(config) if k != "out"},
@@ -130,7 +131,7 @@ def write_outputs(config: dict, name: str, header: str, rows: list, meta: dict) 
     texts = {out / f"{name}.csv": "\n".join(lines) + "\n",
              out / f"{name}.meta.json": json.dumps(meta, indent=2, sort_keys=True) + "\n"}
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
-    placed, path = [], next(iter(texts))
+    placed, path = [], out
     try:
         out.mkdir(parents=True, exist_ok=True)
         for path, text in texts.items():
@@ -328,22 +329,26 @@ def column_laws(rho: Distribution, n: int) -> tuple:
     return quota, product, SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
 
 
-def monte_carlo_pair_marginal(law: SymmetricLaw, kernel, replicas: int, seed: int):
-    """`estimate_pair_marginal` of the kernel's image of `law`: its estimate
-    is the ordered k x k pair marginal, as `marginal(image, 2)` gives it
-    exactly.  Run r draws a start class from the law on its stream from
-    replica_rngs(seed, ...), and one sampler call runs every start on its
-    run's stream: every law and every n reuses those streams.  The start is the class that
-    `rng.choice(len(law.p), p=law.p)` picks, from the same one `random()`
-    draw: the first whose cumulative mass, over the total, exceeds it."""
-    cdf = law.p.cumsum()
-    cdf /= cdf[-1]
+def monte_carlo_pair_marginals(laws: list, kernel, replicas: int, seed: int) -> list:
+    """`estimate_pair_marginals` of the kernel's images of `laws`, one
+    column each: each estimate is the ordered k x k pair marginal, as
+    `marginal(image, 2)` gives it exactly.  Run r of each column draws a
+    start class from its law on its stream from replica_rngs(seed, ...),
+    and one sampler call per chunk runs every column's starts, each on its
+    run's stream: every law and every n reuses those streams.  The start is
+    the class that `rng.choice(len(law.p), p=law.p)` picks, from the same
+    one `random()` draw: the first whose cumulative mass, over the total,
+    exceeds it."""
+    cdfs = [cdf / cdf[-1] for cdf in (law.p.cumsum() for law in laws)]
 
     def run(rngs):
-        picks = cdf.searchsorted([rng.random() for rng in rngs], side="right")
-        return kernel.sampler(law.occ[picks], rngs)
+        width, starts = len(rngs) // len(laws), []
+        for c, (law, cdf) in enumerate(zip(laws, cdfs)):
+            draws = [rng.random() for rng in rngs[c * width:(c + 1) * width]]
+            starts.append(law.occ[cdf.searchsorted(draws, side="right")])
+        return kernel.sampler(np.concatenate(starts), rngs)
 
-    return estimate_pair_marginal(run, replicas, seed)
+    return estimate_pair_marginals(run, replicas, seed, len(laws))
 
 
 def cmd_theorem_probe(config: dict) -> int:
@@ -379,7 +384,7 @@ def cmd_theorem_probe(config: dict) -> int:
         if kernel.exact:
             gaps = [pair_gap(marginal(propagate(law, kernel), 2), fp) for law in laws]
         else:
-            estimates = [monte_carlo_pair_marginal(law, kernel, replicas, seed) for law in laws]
+            estimates = monte_carlo_pair_marginals(laws, kernel, replicas, seed)
             gaps = [pair_gap(result.estimate, fp) for result in estimates]
             # A gap within twice the summed standard errors, the scale of
             # the estimator's upward bias, is not told apart from 0.
@@ -425,8 +430,10 @@ def cmd_kac(config: dict) -> int:
         rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
 
     # Each replica draws its start, then its run, on its own stream.
+    row = p0.as_array()
+
     def run(rngs):
-        return kernel.sampler([iid_state(p0, n, rng) for rng in rngs], rngs)
+        return kernel.sampler([iid_state(row, n, rng) for rng in rngs], rngs)
 
     # The replica mean, summed row by row in replica order: one left fold.
     totals = np.zeros(space.k)

@@ -10,17 +10,17 @@ its work is per jump, not per collision, whatever n is: one product per
 nonzero coefficient of the move table and one sum per move.  It runs an
 (R, k) stack of replicas in lockstep, held state-major as k rows of
 counts, with one set of numpy calls on those rows per jump step for all
-replicas: the `kac` subcommand and theorem-probe's columns run their
-replicas through the Kac kernel's batched sampler, chunk by chunk in
-`replica_counts`, the one replica loop.  `simulate_kac` is its one-row
-case.
+replicas: the `kac` subcommand and theorem-probe's columns, all three in
+one stack, run their replicas through the Kac kernel's batched sampler,
+chunk by chunk in `replica_counts`, the one replica loop.  `simulate_kac`
+is its one-row case.
 
 The stack is exact replica by replica, not only in law: each row makes the
 draws a lone run makes, on its own Generator and in the same order, and
 computes its rates elementwise, adding their terms one by one in a fixed
 order, so its end counts and its Generator's final state do not depend on
 the stack it ran in.  Memory is per row: one block of JUMP_BLOCK waits and
-JUMP_BLOCK picks, 16 bytes per jump (512 B), and its k counts and D move
+JUMP_BLOCK picks, 16 bytes per jump (1 KB), and its k counts and D move
 rates, 8 (k + D) bytes; `replica_counts` bounds the rows of a stack.
 Replicas draw their RNG streams from a splittable (master seed, replica
 index) scheme, so reductions are reproducible and order-independent:
@@ -37,17 +37,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, as_int, as_rng
+from .core import as_int, as_rng
 from .errors import InvalidArgumentError
 from .meanfield import CompiledRule, PairRule, check_rate_and_time, default_rule
 
 # Jumps per block of each row's draws: a row refills its block when it has spent it.
-JUMP_BLOCK = 32
+JUMP_BLOCK = 64
 # Most particles: counts, and their sum n, are int64.
 MAX_N = 2**63 - 1
-KAC_CHUNK = 1024  # most rows per stack call: each holds a 1 KB Generator and 512 B of draws
+KAC_CHUNK = 1024  # most rows per stack call: each holds a 1 KB Generator and 1 KB of draws
 # Most jump steps per stack call, bounded before any draw: about 4 s at
-# 22 us a step for one 3-state row (21 s at 105 us for KAC_CHUNK rows; 2-core VM).
+# 20 us a step for one 3-state row (15 s at 75 us for KAC_CHUNK rows; 2-core VM).
 MAX_JUMP_STEPS = 200_000
 
 
@@ -216,17 +216,21 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
     stops without a draw.  Otherwise its clock advances by E / q, E its
     next Exp(1) wait; once the clock is not below the horizon it stops, and
     else it moves by the first change d with S_d > U q, U its next uniform
-    pick.  A replica draws its waits and picks in blocks of JUMP_BLOCK,
-    `standard_exponential` then `random`, the first when it first needs a
-    wait and each next one when it has spent the last.  A stopped replica
-    keeps its column: it is out of `live`, so it draws nothing more and
-    moves by a zero change.  The counts stay int64; move_weights reads them
-    as floats at each step, so counts past 2^53 round as they would alone.
+    pick.  A replica draws its waits and picks in blocks of JUMP_BLOCK, one
+    `random` call of 2 JUMP_BLOCK uniforms, the waits' then the picks', the
+    first when it first needs a wait and each next one when it has spent
+    the last; one numpy call then maps the waits' uniforms U of every row
+    just refilled to Exp(1) draws -log1p(-U), by inversion.  A stopped
+    replica keeps its column: it is out of `live`, so it draws nothing more
+    and moves by a zero change.  The counts stay int64; move_weights reads
+    them as floats at each step, so counts past 2^53 round as they would
+    alone.
     """
     m = counts.copy()
     live = np.ones(m.shape[1], dtype=bool)
-    clock, wait = np.zeros(len(live)), np.zeros(len(live))
+    clock, dt = np.zeros(len(live)), np.zeros(len(live))
     draws = np.zeros((len(live), 2, JUMP_BLOCK))
+    waits = draws[:, 0]
     moves = table.changes.T
     cum = np.add.accumulate(table.move_weights(m), axis=0)
     step = 0
@@ -235,10 +239,13 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
         live &= q > 0  # an absorbed replica stops without a draw
         j = step % JUMP_BLOCK
         if j == 0:
-            for i in np.flatnonzero(live).tolist():
-                rngs[i].standard_exponential(out=draws[i, 0])
-                rngs[i].random(out=draws[i, 1])
-        clock += np.divide(draws[:, 0, j], q, out=wait, where=live)
+            rows = np.flatnonzero(live)
+            for i in rows.tolist():
+                rngs[i].random(out=draws[i])
+            # Only the rows just refilled: a stale block, mapped again, can
+            # hold waits past 1, where log1p(-x) is undefined.
+            waits[rows] = -np.log1p(-waits[rows])
+        clock += np.divide(waits[:, j], q, out=dt, where=live)
         live &= clock < horizon
         # U < 1 keeps U q below q, so the pick reads the first D - 1 sums only.
         pick = (cum[:-1] <= draws[:, 1, j] * q).sum(axis=0)
@@ -262,11 +269,11 @@ def simulate_kac(
     return ParticleState(tuple(end[0].tolist()))
 
 
-def iid_state(p: Distribution, n: int, rng) -> np.ndarray:
-    """The (k,) int64 occupancy of n i.i.d. draws from p; an n past MAX_N
-    is InvalidArgumentError."""
+def iid_state(p: np.ndarray, n: int, rng) -> np.ndarray:
+    """The (k,) int64 occupancy of n i.i.d. draws from the (k,) float row p;
+    an n past MAX_N is InvalidArgumentError."""
     check_particle_count(n)
-    return rng.multinomial(n, p.p)
+    return rng.multinomial(n, p)
 
 
 def pair_marginal_ustat(counts) -> np.ndarray:
@@ -287,25 +294,37 @@ def pair_marginal_ustat(counts) -> np.ndarray:
     return mat / (n * (n - 1))
 
 
-def replica_counts(sampler: Callable[[list], np.ndarray], replicas: int, seed: int):
+def replica_counts(sampler: Callable[[list], np.ndarray], replicas: int, seed: int,
+                   columns: int = 1):
     """The sampler's end counts for replicas 0, ..., replicas - 1, in order:
-    one (len, k) stack per call of `sampler(rngs)` on the Generators
-    replica_rngs(seed, first, last) of at most KAC_CHUNK replicas, which
-    bounds the Generators held at once."""
-    for first in range(0, replicas, KAC_CHUNK):
-        yield sampler(replica_rngs(seed, first, min(first + KAC_CHUNK, replicas)))
+    one stack per call of `sampler(rngs)` on a chunk of at most
+    KAC_CHUNK // columns replicas (at least one), whose rngs are `columns`
+    copies, one after another, of the chunk's Generators
+    replica_rngs(seed, first, last).  So a stack has at most KAC_CHUNK rows
+    (or `columns`, if more), its columns' runs column by column, each
+    column on the same streams."""
+    width = max(KAC_CHUNK // columns, 1)
+    for first in range(0, replicas, width):
+        last = min(first + width, replicas)
+        yield sampler([rng for _ in range(columns) for rng in replica_rngs(seed, first, last)])
 
 
-def estimate_pair_marginal(
+def estimate_pair_marginals(
     sampler: Callable[[list], np.ndarray],
     replicas: int,
     seed: int,
-) -> EstimatorResult:
-    """Replica average of the two-particle U-statistic with standard errors,
-    over the end counts of `replica_counts(sampler, replicas, seed)`."""
+    columns: int = 1,
+) -> list:
+    """Per column of the stacks of `replica_counts(sampler, replicas, seed,
+    columns)`, the replica average of the two-particle U-statistic with
+    standard errors."""
     if replicas < 2:
         raise InvalidArgumentError("need at least two replicas")
-    stack = pair_marginal_ustat(np.concatenate(list(replica_counts(sampler, replicas, seed))))
-    mean = stack.mean(axis=0)
-    stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
-    return EstimatorResult(mean, stderr)
+    chunks = [np.split(np.asarray(chunk), columns)
+              for chunk in replica_counts(sampler, replicas, seed, columns)]
+    results = []
+    for column in range(columns):
+        stack = pair_marginal_ustat(np.concatenate([parts[column] for parts in chunks]))
+        stderr = stack.std(axis=0, ddof=1) / math.sqrt(replicas)
+        results.append(EstimatorResult(stack.mean(axis=0), stderr))
+    return results

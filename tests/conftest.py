@@ -593,8 +593,9 @@ def oracle_simulate_kac(start, lam, t, rng, rule):
             break
         j = step % montecarlo.JUMP_BLOCK
         if j == 0:
-            waits = rng.standard_exponential(montecarlo.JUMP_BLOCK).tolist()
-            picks = rng.random(montecarlo.JUMP_BLOCK).tolist()
+            block = rng.random(2 * montecarlo.JUMP_BLOCK)
+            waits = (-np.log1p(-block[:montecarlo.JUMP_BLOCK])).tolist()
+            picks = block[montecarlo.JUMP_BLOCK:].tolist()
         clock += waits[j] / total
         if not clock < horizon:
             break

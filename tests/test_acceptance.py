@@ -208,7 +208,7 @@ def test_criterion_8_mean_field_consistency():
 
     n, replicas, seed = 2000, 200, 77
     rngs = replica_rngs(seed, 0, replicas)
-    starts = [iid_state(p0, n, rng) for rng in rngs]
+    starts = [iid_state(p0.as_array(), n, rng) for rng in rngs]
     totals = np.zeros(3)
     for counts in simulate_kac_stack(starts, 1.0, 1.0, rngs):
         totals += counts / n

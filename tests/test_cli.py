@@ -254,19 +254,44 @@ class TestTheoremProbe:
 
     def test_bench_argv_columns_are_unresolved(self, tmp_path):
         # 25 runs per column at n = 16: every gap is within twice its
-        # column's summed standard errors (product: 0.019 against 0.17).
+        # column's summed standard errors (product: 0.035 against 0.18).
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
                    "--replicas", "25", "--grid", "6,8,10,12,16", "--seed", "0",
                    "--out", str(tmp_path)])
         assert rc == 0
         csv, meta = read_run(tmp_path, "theorem-probe")
         assert [entry.get("resolved") for entry in meta["backend"]] == [None] * 4 + [[False] * 3]
-        assert csv.splitlines()[-1].startswith("16,0.0335")
+        assert csv.splitlines()[-1].startswith("16,0.0286")
+
+    def test_columns_in_one_stack_equal_three_runs(self, tmp_path, monkeypatch):
+        # 7 replicas a column at n = 14, in stacks of at most 10 rows: 3
+        # replicas of each of the 3 columns, or 7 of one column run apart.
+        # The files are those of one run per column.
+        monkeypatch.setattr(chaoslab.montecarlo, "KAC_CHUNK", 10)
+        widths, stack = [], chaoslab.kernels.simulate_kac_stack
+
+        def counted(starts, *args):
+            widths.append(len(starts))
+            return stack(starts, *args)
+
+        monkeypatch.setattr(chaoslab.kernels, "simulate_kac_stack", counted)
+        argv = ["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2", "--grid", "8,14",
+                "--replicas", "7", "--seed", "3", "--out"]
+        assert main(argv + [str(tmp_path / "stacked")]) == 0
+        assert widths == [9, 9, 3]
+        marginals = chaoslab.cli.monte_carlo_pair_marginals
+        monkeypatch.setattr(chaoslab.cli, "monte_carlo_pair_marginals",
+                            lambda laws, *args: [marginals([law], *args)[0] for law in laws])
+        assert main(argv + [str(tmp_path / "apart")]) == 0
+        assert widths[3:] == [7, 7, 7]
+        for name in ("theorem-probe.csv", "theorem-probe.meta.json"):
+            assert ((tmp_path / "stacked" / name).read_bytes()
+                    == (tmp_path / "apart" / name).read_bytes())
 
     def test_many_replicas_resolve_the_chaotic_gaps(self, tmp_path):
         # 4,000 runs at n = 13: the row gap (0.060) and the damped gap
-        # (0.033) clear twice their summed standard errors (0.0095, 0.019);
-        # the product gap (0.0040, against 0.018) stays within its noise.
+        # (0.032) clear twice their summed standard errors (0.0094, 0.019);
+        # the product gap (0.0042, against 0.018) stays within its noise.
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
                    "--replicas", "4000", "--grid", "13", "--seed", "0", "--out", str(tmp_path)])
         assert rc == 0
@@ -430,7 +455,7 @@ class TestKacCommand:
         assert rc == 0
         csv, _ = read_run(tmp_path, "kac")
         mc = next(line for line in csv.splitlines() if line.startswith("mc,"))
-        p0 = Distribution(S3, (0.6, 0.3, 0.1))
+        p0 = np.array([0.6, 0.3, 0.1])
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n)
         totals = np.zeros(3)
         for chunk in replica_counts(
@@ -1039,6 +1064,16 @@ class TestFileErrors:
         assert errs[0] == (f"config error: cannot write outputs: {tmp_path / 'sub' / 'x.csv'}: "
                            f"No such file or directory\n")
         assert errs[1] == errs[0] and ".tmp" not in errs[0]
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_failed_mkdir_names_the_directory(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("kept\n")
+        rc = main(["kac", "--p", "0.5,0.5", "--n", "8", "--seed", "1", "--replicas", "2",
+                   "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: cannot write outputs: {tmp_path / out}: ")
+        assert err.count("\n") == 1 and "kac.csv" not in err
 
     def test_empty_name_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -41,7 +41,7 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab import core, montecarlo
-from chaoslab.cli import monte_carlo_pair_marginal
+from chaoslab.cli import monte_carlo_pair_marginals
 from chaoslab.core import (
     PASCAL_ROWS,
     SUM_BLOCK,
@@ -771,7 +771,7 @@ def test_probe_starts_are_generator_choice(k, n, replicas, kind, seed, data):
         seen.append((starts, states(rngs)))
         return starts
 
-    monte_carlo_pair_marginal(law, SimpleNamespace(sampler=sampler), replicas, seed)
+    monte_carlo_pair_marginals([law], SimpleNamespace(sampler=sampler), replicas, seed)
     rngs = replica_rngs(seed, 0, replicas)
     want = law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]]
     [(starts, after)] = seen

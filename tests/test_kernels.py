@@ -23,7 +23,7 @@ from chaoslab import (
     propagate,
     symmetrized_class_kernel,
 )
-from chaoslab.cli import column_laws, monte_carlo_pair_marginal
+from chaoslab.cli import column_laws, monte_carlo_pair_marginals
 from chaoslab.core import class_index, occupancy_array
 from chaoslab.diagnostics import pair_gap
 from chaoslab.errors import CapacityError, InvalidArgumentError
@@ -89,8 +89,8 @@ def assert_pair_marginals_close_to_exact(kernel, rho, replicas, seed):
     """theorem-probe's Monte Carlo pair marginal of each column law, from
     the kernel's sampler, lies within 4 standard errors per entry of the
     exact pair marginal of the law's image under the kernel's class matrix."""
-    for law in column_laws(rho, kernel.n):
-        result = monte_carlo_pair_marginal(law, kernel, replicas, seed)
+    laws = column_laws(rho, kernel.n)
+    for law, result in zip(laws, monte_carlo_pair_marginals(laws, kernel, replicas, seed)):
         exact = marginal(propagate(law, kernel), 2)
         assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
 
@@ -159,7 +159,7 @@ class TestSymmetrizedClassKernel:
         n = KAC_EXACT_MAX_N + 1
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule())
         for law in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
-            result = monte_carlo_pair_marginal(law, kernel, 200, seed=2)
+            [result] = monte_carlo_pair_marginals([law], kernel, 200, seed=2)
             exact = marginal(law, 2)
             assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-12)
             if len(law.p) == 1:  # the point law on the quota class

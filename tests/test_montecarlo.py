@@ -8,7 +8,7 @@ from chaoslab import (
     ParticleState,
     StateSpace,
     SymmetricLaw,
-    estimate_pair_marginal,
+    estimate_pair_marginals,
     iid_state,
     kac_collision_kernel,
     marginal,
@@ -99,22 +99,18 @@ class TestSimulateKac:
 
 
 class FixedDraws(np.random.Generator):
-    """A Generator whose waits all read `wait` and whose picks all read `pick`."""
+    """A Generator whose (2, JUMP_BLOCK) blocks of draws all read the
+    uniform `uniform` for the waits and `pick` for the picks; `wait()` is
+    the Exp(1) wait that simulate_kac maps `uniform` to."""
 
-    wait, pick = 1.0, 0.5
+    uniform, pick = 1.0 - math.exp(-1.0), 0.5
 
-    @staticmethod
-    def _fill(value, size, out):
-        if out is None:
-            return np.full(size, value)
-        out[...] = value
-        return out
-
-    def standard_exponential(self, size=None, out=None):
-        return self._fill(self.wait, size, out)
+    def wait(self):
+        return float(-np.log1p(-np.full(montecarlo.JUMP_BLOCK, self.uniform))[0])
 
     def random(self, size=None, out=None):
-        return self._fill(self.pick, size, out)
+        out[0], out[1] = self.uniform, self.pick
+        return out
 
 
 class TestEventBlocks:
@@ -143,7 +139,7 @@ class TestEventBlocks:
         # Every collision of the stepping rule changes the class, so the
         # chain makes J jumps and draws J + 1 waits, the last one past t:
         # the generator ends where one that drew ceil((J + 1) / JUMP_BLOCK)
-        # blocks of waits then picks ends, and the label sum moves by 1
+        # blocks of 2 JUMP_BLOCK uniforms ends, and the label sum moves by 1
         # mod 16 per jump.
         import chaoslab.montecarlo as montecarlo
 
@@ -157,7 +153,7 @@ class TestEventBlocks:
             end = simulate_kac(start, 1.0, 1.0, rng, StepRule())
             jumps = (sum(v * c for v, c in enumerate(end.counts)) - 9) % 16
             for _ in range(math.ceil((jumps + 1) / montecarlo.JUMP_BLOCK)):
-                ref.standard_exponential(montecarlo.JUMP_BLOCK), ref.random(montecarlo.JUMP_BLOCK)
+                ref.random(2 * montecarlo.JUMP_BLOCK)
             assert rng.bit_generator.state == ref.bit_generator.state
             assert jumps > 2
 
@@ -165,8 +161,9 @@ class TestEventBlocks:
         # At (2, 2, 1) both moves of SumConservingRule(3), (-1, 2, -1) and
         # (1, -2, 1), weigh 4 * (1/3) exactly, so a pick of 1/2 lands on the
         # first running sum: the first move whose sum exceeds it is the
-        # second.  A wait of 1 is 3/8 of the horizon 0.45 (t = 4.5 at n = 5),
-        # and the next one passes it from either end class.
+        # second.  A wait of about 1 takes 3/8 of the time, below the
+        # horizon 0.45 (t = 4.5 at n = 5), and the next one passes it from
+        # either end class.
         start = ParticleState((2, 2, 1))
         rng = FixedDraws(np.random.PCG64(0))
         assert simulate_kac(start, 1.0, 4.5, rng).counts == (3, 0, 2)
@@ -175,12 +172,39 @@ class TestEventBlocks:
 
     def test_wait_on_the_horizon_stops_the_row(self):
         # At (1, 0, 1) the one move weighs q = 2 * (1/3); with lam = 4 and
-        # n = 2 the horizon is t itself, so a wait of 1 lands on it at
-        # t = 1 / q: a jump at t is not made, and one just before t is.
+        # n = 2 the horizon is t itself, so a wait w lands on it at
+        # t = w / q: a jump at t is not made, and one just before t is.
         start, rng = ParticleState((1, 0, 1)), FixedDraws(np.random.PCG64(0))
-        t = 1.0 / (2 * (1 / 3))
+        t = rng.wait() / (2 * (1 / 3))
         assert simulate_kac(start, 4.0, t, rng).counts == (1, 0, 1)
         assert simulate_kac(start, 4.0, np.nextafter(t, 2 * t), rng).counts == (0, 2, 0)
+
+    def test_a_refill_is_one_random_call_per_live_row(self):
+        # The absorbed row draws nothing; every other row refills each block
+        # with one random call, the Generator ending where one that drew as
+        # many blocks of 2 JUMP_BLOCK uniforms ends.
+        class Counting(np.random.Generator):
+            def random(self, *args, **kwargs):
+                self.calls.append(("random", kwargs["out"].shape))
+                return super().random(*args, **kwargs)
+
+            def standard_exponential(self, *args, **kwargs):
+                self.calls.append(("standard_exponential",))
+                return super().standard_exponential(*args, **kwargs)
+
+        starts = [(12, 0, 0), (6, 3, 3), (5, 4, 3), (10, 1, 1), (4, 4, 4)]
+        rngs = [Counting(np.random.PCG64(seed)) for seed in range(len(starts))]
+        for rng in rngs:
+            rng.calls = []
+        simulate_kac_stack(starts, 1.0, 6.0, rngs)
+        assert rngs[0].calls == []
+        for seed, rng in enumerate(rngs[1:], 1):
+            assert set(rng.calls) == {("random", (2, montecarlo.JUMP_BLOCK))}
+            ref = np.random.Generator(np.random.PCG64(seed))
+            for _ in rng.calls:
+                ref.random(2 * montecarlo.JUMP_BLOCK)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert max(len(rng.calls) for rng in rngs) > 2
 
     def test_zero_events(self):
         start = ParticleState((4, 2, 2))
@@ -204,6 +228,20 @@ class TestSimulateKacStack:
         for r, start in enumerate(starts):
             lone = simulate_kac(ParticleState(start), 1.0, 2.0, replica_rng(4, r))
             assert tuple(ends[r].tolist()) == lone.counts
+
+    @pytest.mark.parametrize("block", [2, montecarlo.JUMP_BLOCK])
+    @pytest.mark.parametrize("width", [13, 37])
+    def test_rows_are_lone_runs_at_any_block_and_width(self, monkeypatch, block, width):
+        monkeypatch.setattr(montecarlo, "JUMP_BLOCK", block)
+        starts = [rng.multinomial(30, (0.5, 0.3, 0.2)) for rng in replica_rngs(8, 0, width)]
+        starts[width // 2] = np.array([30, 0, 0])  # absorbed beside live rows
+        rngs = replica_rngs(9, 0, width)
+        ends = simulate_kac_stack(starts, 1.0, 1.5, rngs)
+        for r, start in enumerate(starts):
+            lone = replica_rng(9, r)
+            end = simulate_kac(ParticleState(tuple(start)), 1.0, 1.5, lone)
+            assert end.counts == tuple(ends[r].tolist())
+            assert lone.bit_generator.state == rngs[r].bit_generator.state
 
     def test_end_counts_are_a_new_row_major_array(self):
         starts = np.asfortranarray([(4, 2, 2), (0, 8, 0), (3, 3, 2)], dtype=np.int64)
@@ -251,7 +289,7 @@ class TestSimulateKacStack:
     def test_iid_state_n_past_max(self):
         p = Distribution(S2, (0.5, 0.5))
         with pytest.raises(InvalidArgumentError, match="MAX_N"):
-            iid_state(p, montecarlo.MAX_N + 1, replica_rng(0, 0))
+            iid_state(p.as_array(), montecarlo.MAX_N + 1, replica_rng(0, 0))
 
 
 class TestPairMarginalUstat:
@@ -285,14 +323,14 @@ class TestPairMarginalUstat:
 
 class TestEstimatePairMarginal:
     def test_constant_sampler_zero_error(self):
-        res = estimate_pair_marginal(lambda rngs: np.tile((3, 3), (len(rngs), 1)), 10, seed=0)
+        [res] = estimate_pair_marginals(lambda rngs: np.tile((3, 3), (len(rngs), 1)), 10, seed=0)
         assert np.abs(res.std_error).max() < 1e-16
         assert res.estimate == pytest.approx(pair_marginal_ustat([(3, 3)])[0])
 
     def test_iid_unbiased(self):
         p = Distribution(S3, (0.5, 0.3, 0.2))
-        res = estimate_pair_marginal(
-            lambda rngs: [iid_state(p, 100, rng) for rng in rngs], 10_000, seed=7)
+        [res] = estimate_pair_marginals(
+            lambda rngs: [iid_state(p.as_array(), 100, rng) for rng in rngs], 10_000, seed=7)
         truth = np.outer(p.p, p.p)
         z = np.abs(res.estimate - truth) / np.where(res.std_error > 0, res.std_error, 1.0)
         assert z.max() < 4.0
@@ -302,7 +340,7 @@ class TestEstimatePairMarginal:
         start = ParticleState((3, 2, 1))
         kernel = kac_collision_kernel(S3, lam, t, n)
         exact = marginal(propagate(SymmetricLaw(S3, n, [start.counts], [1.0]), kernel), 2)
-        res = estimate_pair_marginal(
+        [res] = estimate_pair_marginals(
             lambda rngs: simulate_kac_stack([start.counts] * len(rngs), lam, t, rngs),
             20_000, seed=11,
         )
@@ -311,7 +349,7 @@ class TestEstimatePairMarginal:
 
     def test_needs_replicas(self):
         with pytest.raises(InvalidArgumentError):
-            estimate_pair_marginal(lambda rngs: [(3, 3)] * len(rngs), 1, seed=0)
+            estimate_pair_marginals(lambda rngs: [(3, 3)] * len(rngs), 1, seed=0)
 
     def test_chunked_calls_equal_one_call(self, monkeypatch):
         p = Distribution(S3, (0.5, 0.3, 0.2))
@@ -319,12 +357,12 @@ class TestEstimatePairMarginal:
 
         def sampler(rngs):
             sizes.append(len(rngs))
-            starts = [iid_state(p, 9, rng) for rng in rngs]
+            starts = [iid_state(p.as_array(), 9, rng) for rng in rngs]
             return simulate_kac_stack(starts, 1.0, 0.7, rngs)
 
-        one = estimate_pair_marginal(sampler, 50, seed=4)
+        [one] = estimate_pair_marginals(sampler, 50, seed=4)
         monkeypatch.setattr(montecarlo, "KAC_CHUNK", 7)
-        chunked = estimate_pair_marginal(sampler, 50, seed=4)
+        [chunked] = estimate_pair_marginals(sampler, 50, seed=4)
         assert sizes == [50] + [7] * 7 + [1]
         assert one.estimate.tobytes() == chunked.estimate.tobytes()
         assert one.std_error.tobytes() == chunked.std_error.tobytes()
