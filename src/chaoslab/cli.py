@@ -46,7 +46,7 @@ from .diagnostics import (
 from .errors import CapacityError, ChaoslabError, ConfigError
 from .kernels import kac_collision_kernel, make_kernel, propagate
 from .meanfield import continuity_probe, wild_plan
-from .montecarlo import estimate_pair_marginals, iid_state, replica_counts
+from .montecarlo import check_particle_count, estimate_pair_marginals, iid_state, replica_counts
 
 FMT = "%.17g"  # 17 significant digits: every double reads back exactly
 # Every option: (kind, least value, help).  The kind is int, float, str or
@@ -87,6 +87,8 @@ def parse_grid(text: str) -> list:
         raise ConfigError(f"bad grid {text!r}") from exc
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("grid must be strictly increasing")
+    for n in grid:
+        check_particle_count(n)
     return grid
 
 
@@ -321,11 +323,13 @@ def cmd_counterexample(config: dict) -> int:
 def column_laws(rho: Distribution, n: int) -> tuple:
     """theorem-probe's column laws: the point law on the quota class, the
     product law, and a damped law, rho-chaotic but not product (vanishing
-    contamination by a fixed class)."""
+    contamination by a fixed class).  The product law is built first: at an
+    n too large to enumerate it fails as a capacity error, before the
+    float-rounded quota classes can miss n."""
+    product = product_law(rho, n)
     quota = SymmetricLaw.point_class(rho.space, quota_occupancy(rho, n))
     flipped = Distribution(rho.space, tuple(reversed(rho.p)))
     other = SymmetricLaw.point_class(rho.space, quota_occupancy(flipped, n))
-    product = product_law(rho, n)
     return quota, product, SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
 
 

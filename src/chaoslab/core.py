@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 
 # Probability-mass bookkeeping tolerances.
 MASS_TOL = 1e-12
@@ -63,6 +63,10 @@ PASCAL_ROWS = 1029
 # O(log SUM_BLOCK) unit roundoffs of its absolute sum, and math.fsum adds
 # the partials with no growth in their number.
 SUM_BLOCK = 256
+
+# Most classes one enumeration step builds: each is an int64 entry of an array.
+MAX_CLASSES = np.iinfo(np.intp).max // 8
+
 
 def as_int(x) -> int:
     """x as an int: Python and numpy integers and integral floats pass;
@@ -140,7 +144,13 @@ def _expand(rows: list, c_lo, c_hi):
     """One more state's count for each prefix: prefix r, entry r of each
     array in `rows`, gets one child per count c_hi[r], c_hi[r] - 1, ...,
     c_lo[r], none where c_hi[r] < c_lo[r].  Returns the children's copies
-    of `rows`, their counts, and how far each lies below its c_hi."""
+    of `rows`, their counts, and how far each lies below its c_hi.
+    CapacityError if there would be more than MAX_CLASSES children: counted
+    in floats first, which do not wrap, so no int64 count is formed that
+    wraps or that no array can hold."""
+    children = np.maximum(c_hi - np.asarray(c_lo, dtype=float) + 1.0, 0.0).sum()
+    if children > MAX_CLASSES:
+        raise CapacityError(f"more than the {MAX_CLASSES} occupancy classes an array can hold")
     sizes = np.maximum(c_hi - c_lo + 1, 0)
     step = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return [np.repeat(x, sizes) for x in rows], np.repeat(c_hi, sizes) - step, step
@@ -230,6 +240,14 @@ def class_index(occ, n: int) -> np.ndarray:
     Combinatorial number system: the classes before m agree with m up to a
     state i and hold more particles in it; with r particles in the states
     after i there are C(r + d - 1, d) of those, d = k - 1 - i.
+
+    Ranks are int64 and unchecked: they would wrap past 2**63 classes, but
+    no caller can form a wrapped one, since each first holds the whole
+    class space.  The class-map kernels and `kernels._shell_stacks`
+    enumerate occupancy_array(k, n), whose `_expand` raises CapacityError
+    past MAX_CLASSES classes, and `SymmetricLaw.vector()` first allocates
+    its C(n + k - 1, k - 1)-entry vector, which numpy refuses past
+    MAX_CLASSES entries.
     """
     occ = np.asarray(occ, dtype=np.int64)
     k = occ.shape[-1]

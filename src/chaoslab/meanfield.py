@@ -86,15 +86,23 @@ class CompiledRule(NamedTuple):
         """The (D, B) weights of the class moves at each column m of a (k, B)
         stack of occupancies: sum_uw coeffs[d, uw] * (m_u * (m_w - [u == w])),
         the probability of change d times the n (n - 1) ordered pairs of
-        distinct particles, in float.  The nonzero terms are added one by one
-        in (u, w) order, so a column's weights do not depend on the stack,
-        and the zero terms they skip would leave the sum as it is, up to the
+        distinct particles, in float.  Each change's first nonzero term is
+        written into its row and the later ones are added one by one in
+        (u, w) order, so a column's weights do not depend on the stack, and
+        the zero terms they skip would leave the sum as it is, up to the
         sign of a zero weight."""
         M = np.asarray(M, dtype=float)
-        out = np.zeros((len(self.changes), M.shape[1]))
+        out = np.empty((len(self.changes), M.shape[1]))
+        written = -1  # the last change whose row holds its first term
         for d, u, w, c in self.terms:
-            row = out[d]  # a view: += adds in place
-            row += c * (M[u] * (M[w] - 1.0 if u == w else M[w]))
+            pairs = M[u] * (M[w] - 1.0) if u == w else M[u] * M[w]
+            row = out[d]  # a view: both branches write it in place
+            if d == written:
+                pairs *= c
+                row += pairs
+            else:  # every change has a term, so this writes each row once
+                np.multiply(pairs, c, out=row)
+                written = d
         return out
 
 

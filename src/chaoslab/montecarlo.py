@@ -46,8 +46,9 @@ JUMP_BLOCK = 64
 # Most particles: counts, and their sum n, are int64.
 MAX_N = 2**63 - 1
 KAC_CHUNK = 1024  # most rows per stack call: each holds a 1 KB Generator and 1 KB of draws
-# Most jump steps per stack call, bounded before any draw: about 4 s at
-# 20 us a step for one 3-state row (15 s at 75 us for KAC_CHUNK rows; 2-core VM).
+# Most jump steps per stack call, bounded before any draw: about 4.4 s at
+# 22 us a step for one 3-state row (5 s at 25 us for 200 rows, 11 s at 55 us
+# for KAC_CHUNK rows; n = 200,000, 2-core VM).
 MAX_JUMP_STEPS = 200_000
 
 
@@ -211,20 +212,20 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
     2n / lam.
 
     At class m a replica's cumulative weights are S_d = sum of
-    move_weights(m) over the moves up to d, added in order along the (D, w)
-    weights, and q = S_D its total.  A replica with q = 0 is absorbed and
-    stops without a draw.  Otherwise its clock advances by E / q, E its
-    next Exp(1) wait; once the clock is not below the horizon it stops, and
-    else it moves by the first change d with S_d > U q, U its next uniform
-    pick.  A replica draws its waits and picks in blocks of JUMP_BLOCK, one
-    `random` call of 2 JUMP_BLOCK uniforms, the waits' then the picks', the
-    first when it first needs a wait and each next one when it has spent
-    the last; one numpy call then maps the waits' uniforms U of every row
-    just refilled to Exp(1) draws -log1p(-U), by inversion.  A stopped
-    replica keeps its column: it is out of `live`, so it draws nothing more
-    and moves by a zero change.  The counts stay int64; move_weights reads
-    them as floats at each step, so counts past 2^53 round as they would
-    alone.
+    move_weights(m) over the moves up to d, formed in place in the (D, w)
+    weights as S_d = S_(d-1) + w_d, and q = S_D its total.  A replica with
+    q = 0 is absorbed and stops without a draw.  Otherwise its clock
+    advances by E / q, E its next Exp(1) wait; once the clock is not below
+    the horizon it stops, and else it moves by the first change d with
+    S_d > U q, U its next uniform pick.  A replica draws its waits and
+    picks in blocks of JUMP_BLOCK, one `random` call of 2 JUMP_BLOCK
+    uniforms, the waits' then the picks', the first when it first needs a
+    wait and each next one when it has spent the last; one numpy call then
+    maps the waits' uniforms U of every row just refilled to Exp(1) draws
+    -log1p(-U), by inversion.  A stopped replica keeps its column: it is
+    out of `live`, so it draws nothing more and its move is masked out.
+    The counts stay int64; move_weights reads them as floats at each step,
+    so counts past 2^53 round as they would alone.
     """
     m = counts.copy()
     live = np.ones(m.shape[1], dtype=bool)
@@ -232,9 +233,12 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
     draws = np.zeros((len(live), 2, JUMP_BLOCK))
     waits = draws[:, 0]
     moves = table.changes.T
-    cum = np.add.accumulate(table.move_weights(m), axis=0)
     step = 0
     while live.any():
+        cum = table.move_weights(m)
+        for d in range(1, len(cum)):
+            row = cum[d]  # a view: += adds in place
+            row += cum[d - 1]
         q = cum[-1]
         live &= q > 0  # an absorbed replica stops without a draw
         j = step % JUMP_BLOCK
@@ -249,8 +253,7 @@ def _jumps(counts: np.ndarray, rngs: list, horizon: float, table: CompiledRule) 
         live &= clock < horizon
         # U < 1 keeps U q below q, so the pick reads the first D - 1 sums only.
         pick = (cum[:-1] <= draws[:, 1, j] * q).sum(axis=0)
-        m += moves.take(pick, axis=1) * live
-        cum = np.add.accumulate(table.move_weights(m), axis=0)
+        np.add(m, moves.take(pick, axis=1), out=m, where=live)
         step += 1
     return m
 

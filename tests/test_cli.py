@@ -1043,6 +1043,25 @@ class TestFileErrors:
         assert err == f"capacity error: {message or 'out of memory'}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--family", "product", "--p", "0.5,0.5"],
+        ["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2"],
+        ["counterexample"],
+        ["theorem-probe", "--kernel", "identity", "--p", "0.5,0.5"],
+    ], ids=["diagnose", "microcanonical", "counterexample", "theorem-probe"])
+    @pytest.mark.parametrize("n, rc, message", [
+        (2**62, 4, "capacity error: "),  # no array holds its classes
+        (10**19, 2, "config error: n=10000000000000000000 is more particles than MAX_N"),
+        (2**63 - 1, 4, "capacity error: "),  # its class count wraps int64
+    ], ids=["2^62", "10^19", "2^63-1"])
+    def test_huge_grid_n_is_refused(self, tmp_path, capsys, argv, n, rc, message):
+        assert main(argv + ["--grid", f"4,8,{n}", "--out", str(tmp_path / "out")]) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        if rc == 4:
+            assert err.endswith("occupancy classes an array can hold\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("taken", ["kac.meta.json", "kac.csv"])
     def test_failed_write_leaves_no_partial_output(self, tmp_path, capsys, taken):
         (tmp_path / taken).mkdir()

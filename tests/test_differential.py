@@ -601,6 +601,18 @@ def test_swap_rule_rows_are_the_identity(n):
     assert np.array_equal(prob, np.ones(classes))
 
 
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_every_change_has_a_term(rule):
+    """The changes named in `terms`, in order, run through range(len(changes))
+    with no gaps, so `move_weights` writes each row it allocates first and
+    then adds to it; zero-first, whose zero-probability outcomes come
+    first, would be the rule to break it."""
+    for k in range(2, 8):
+        table = RULES[rule](k).compiled(k)
+        named = [d for d, _, _, _ in table.terms]
+        assert sorted(set(named)) == list(range(len(table.changes))) and named == sorted(named)
+
+
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(2, 6), rule=st.sampled_from(sorted(RULES)), data=st.data())
 def test_move_weights_are_the_dense_form(k, rule, data):
