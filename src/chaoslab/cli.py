@@ -30,8 +30,10 @@ from .core import (
     Distribution,
     StateSpace,
     SymmetricLaw,
+    class_index,
     law_from_json,
     marginal,
+    occupancy_array,
     product_law,
     tv_distance,
 )
@@ -44,7 +46,7 @@ from .diagnostics import (
     pair_gap,
 )
 from .errors import CapacityError, ChaoslabError, ConfigError
-from .kernels import kac_collision_kernel, make_kernel, propagate
+from .kernels import kac_collision_kernel, make_kernel, propagate, push
 from .meanfield import continuity_probe, wild_plan
 from .montecarlo import check_particle_count, estimate_pair_marginals, iid_state, replica_counts
 
@@ -93,10 +95,19 @@ def parse_grid(text: str) -> list:
 
 
 def quota_occupancy(p: Distribution, n: int) -> tuple:
-    """Deterministic occupancy closest to n*p: floors plus largest remainders."""
+    """Deterministic occupancy closest to n*p: floors plus largest remainders,
+    of the doubles n * p_i below 2**53 when their floors fall short of n by
+    0 to k - 1, else of the exact quotas n * c_i / sum(c), p_i = c_i / D, so
+    the class always holds n particles."""
     raw = [n * x for x in p.p]
     m = [int(x) for x in raw]
-    order = sorted(range(len(m)), key=lambda i: (-(raw[i] - m[i]), i))
+    rem = [x - c for x, c in zip(raw, m)]
+    if not (n < 2**53 and 0 <= n - sum(m) < len(m)):
+        ratios = [x.as_integer_ratio() for x in p.p]
+        D = max(b for _, b in ratios)
+        c = [a * (D // b) for a, b in ratios]
+        m, rem = map(list, zip(*(divmod(n * ci, sum(c)) for ci in c)))
+    order = sorted(range(len(m)), key=lambda i: (-rem[i], i))
     for i in order[: n - sum(m)]:
         m[i] += 1
     return tuple(m)
@@ -320,39 +331,42 @@ def cmd_counterexample(config: dict) -> int:
     return 0 if both_expected else 3
 
 
-def column_laws(rho: Distribution, n: int) -> tuple:
-    """theorem-probe's column laws: the point law on the quota class, the
-    product law, and a damped law, rho-chaotic but not product (vanishing
-    contamination by a fixed class).  The product law is built first: at an
-    n too large to enumerate it fails as a capacity error, before the
-    float-rounded quota classes can miss n."""
-    product = product_law(rho, n)
-    quota = SymmetricLaw.point_class(rho.space, quota_occupancy(rho, n))
+def column_laws(rho: Distribution, n: int) -> np.ndarray:
+    """theorem-probe's column laws, a (3, classes) array of masses by class
+    rank: the quota point class, the product law, and a damped law,
+    rho-chaotic but not product, the product law times 1 - 1/n plus 1/n at
+    reversed rho's quota class.  The product law comes first: at too large
+    an n it is a capacity error."""
+    product = product_law(rho, n).vector()
     flipped = Distribution(rho.space, tuple(reversed(rho.p)))
-    other = SymmetricLaw.point_class(rho.space, quota_occupancy(flipped, n))
-    return quota, product, SymmetricLaw.mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])
+    quota, other = class_index([quota_occupancy(rho, n), quota_occupancy(flipped, n)], n)
+    columns = np.array([np.zeros_like(product), product, (1.0 - 1.0 / n) * product])
+    columns[0, quota] = 1.0
+    columns[2, other] += 1.0 / n
+    return columns
 
 
-def monte_carlo_pair_marginals(laws: list, kernel, replicas: int, seed: int) -> list:
-    """`estimate_pair_marginals` of the kernel's images of `laws`, one
-    column each: each estimate is the ordered k x k pair marginal, as
-    `marginal(image, 2)` gives it exactly.  Run r of each column draws a
-    start class from its law on its stream from replica_rngs(seed, ...),
-    and one sampler call per chunk runs every column's starts, each on its
-    run's stream: every law and every n reuses those streams.  The start is
-    the class that `rng.choice(len(law.p), p=law.p)` picks, from the same
-    one `random()` draw: the first whose cumulative mass, over the total,
+def monte_carlo_pair_marginals(columns: np.ndarray, kernel, replicas: int, seed: int) -> list:
+    """`estimate_pair_marginals` of the kernel's images of the rows of
+    `columns` (laws, masses by class rank): ordered k x k pair marginals,
+    as `marginal(image, 2)` gives them exactly.  Run r of each column
+    starts from a class drawn on its stream from replica_rngs(seed, ...),
+    which every column and n reuse, one sampler call per chunk for all
+    columns; the class `rng.choice` over the masses picks from the same one
+    `random()` draw: the first whose cumulative mass, over the total,
     exceeds it."""
-    cdfs = [cdf / cdf[-1] for cdf in (law.p.cumsum() for law in laws)]
+    occ = occupancy_array(kernel.source.k, kernel.n)
+    cdfs = columns.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
 
     def run(rngs):
-        width, starts = len(rngs) // len(laws), []
-        for c, (law, cdf) in enumerate(zip(laws, cdfs)):
+        width, starts = len(rngs) // len(columns), []
+        for c, cdf in enumerate(cdfs):
             draws = [rng.random() for rng in rngs[c * width:(c + 1) * width]]
-            starts.append(law.occ[cdf.searchsorted(draws, side="right")])
+            starts.append(occ[cdf.searchsorted(draws, side="right")])
         return kernel.sampler(np.concatenate(starts), rngs)
 
-    return estimate_pair_marginals(run, replicas, seed, len(laws))
+    return estimate_pair_marginals(run, replicas, seed, len(columns))
 
 
 def cmd_theorem_probe(config: dict) -> int:
@@ -382,13 +396,15 @@ def cmd_theorem_probe(config: dict) -> int:
     backend, rows = [], []
     for n in grid:
         kernel = kernels.pop(0)  # so that each n's matrix is freed after it
-        laws = column_laws(rho, n)
+        columns = column_laws(rho, n)
         entry = {"n": n, "kind": "exact" if kernel.exact else "monte-carlo",
-                 "classes": math.comb(n + space.k - 1, space.k - 1)}
+                 "classes": columns.shape[1]}
         if kernel.exact:
-            gaps = [pair_gap(marginal(propagate(law, kernel), 2), fp) for law in laws]
+            occ = occupancy_array(kernel.target.k, n)
+            gaps = [pair_gap(marginal(SymmetricLaw(kernel.target, n, occ, image), 2), fp)
+                    for image in push(columns, kernel)]
         else:
-            estimates = monte_carlo_pair_marginals(laws, kernel, replicas, seed)
+            estimates = monte_carlo_pair_marginals(columns, kernel, replicas, seed)
             gaps = [pair_gap(result.estimate, fp) for result in estimates]
             # A gap within twice the summed standard errors, the scale of
             # the estimator's upward bias, is not told apart from 0.

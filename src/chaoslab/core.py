@@ -12,8 +12,7 @@ checks them as whole arrays, and sorts and merges only rows that are not
 already in canonical order, as the enumerations below build them.
 `class_index` gives an occupancy its rank, its row in
 `occupancy_array(k, n)`; `SymmetricLaw.vector()` scatters a law's masses
-into the full rank-indexed vector that kernels act on, and `mixture`
-joins supports without it.
+into the full rank-indexed vector that kernels act on.
 
 Occupancies are enumerated state by state by one expansion step, each
 prefix's children taking the counts of a per-prefix interval of the next
@@ -181,12 +180,16 @@ def occupancy_array(k: int, n: int) -> np.ndarray:
 
 def _solve(s: int, r: np.ndarray, c_lo, c_hi):
     """Narrow the count intervals [c_lo, c_hi] to the integers c with
-    s * c <= r.  The new ends stay within the old ones, or one past the
-    other end where an interval empties, so they are int64 counts."""
+    s * c <= r.  The new ends stay within the old ones, or where an
+    interval empties its upper end is c_lo - 1 (c_lo >= 0, so no int64
+    wraps, as c_hi + 1 could), so they are int64 counts."""
     if s > 0:
         return c_lo, np.clip(r // s, c_lo - 1, c_hi).astype(np.int64, copy=False)
     if s < 0:
-        return np.clip(-(r // -s), c_lo, c_hi + 1).astype(np.int64, copy=False), c_hi
+        least = -(r // -s)
+        empty = least > c_hi
+        return (np.where(empty, c_lo, np.maximum(least, c_lo)).astype(np.int64, copy=False),
+                np.where(empty, c_lo - 1, c_hi))
     return c_lo, np.where(r >= 0, c_hi, c_lo - 1)
 
 
@@ -397,21 +400,6 @@ class SymmetricLaw:
     @functools.cached_property
     def classes(self) -> dict:
         return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
-
-    @staticmethod
-    def point_class(space: StateSpace, m: tuple) -> "SymmetricLaw":
-        return SymmetricLaw(space, sum(m), [m], [1.0])
-
-    @staticmethod
-    def mixture(components) -> "SymmetricLaw":
-        """Convex combination of symmetric laws on the same space and n,
-        over the union of their supports."""
-        components = list(components)
-        space, n = components[0][0].space, components[0][0].n
-        if any(law.space != space or law.n != n for law, _ in components):
-            raise InvalidArgumentError("mixture components live on different spaces")
-        return SymmetricLaw(space, n, np.concatenate([law.occ for law, _ in components]),
-                            np.concatenate([weight * law.p for law, weight in components]))
 
 
 def _bad_key(m, n: int, k: int) -> InvalidArgumentError:

@@ -1,36 +1,28 @@
 """Permutation-equivariant Markov kernels between finite product spaces.
 
-A kernel K_n from S^n to T^n with K_n(pi.s, pi.A) = K_n(s, A) has a
-symmetrized class form: one row per source occupancy, each row a law over
-target occupancies.  In occupancy form an empirical measure is its class
-m <-> m/n, so that class matrix is also the induced transition on
-empirical measures, and mixing a symmetric input law against it
-(`propagate`, one `np.bincount`) is the exact propagation step.
+A kernel K_n from S^n to T^n with K_n(pi.s, pi.A) = K_n(s, A) has a class
+form: one row per source occupancy, a law over target occupancies.  As an
+empirical measure is its class m <-> m/n, that is also the induced
+transition on empirical measures.  Its forward action, `push`, mixes a
+stack of symmetric laws (masses by class rank) through it in one
+`np.bincount`; `propagate` is the one-law case.
 
-Each constructor here is the one spec of its dynamics: next to the
-n-particle form it sets `kernel.limit`, the one-particle map P(S) -> P(T)
-the kernel must propagate chaos toward.  A limit takes a (B, k) stack of
-source laws, one per row, and returns a new (B, k_target) float stack of
-their images.  `make_kernel` is the only parser of the kernel names.
+Each constructor is the one spec of its dynamics: it also sets
+`kernel.limit`, the one-particle map P(S) -> P(T) the kernel must propagate
+chaos toward, from a (B, k) stack of laws to a new (B, k_target) stack.
+`make_kernel` is the only parser of the kernel names.
 
-A kernel's one computed form is its exact class matrix, `class_matrix()`:
-nonzero entries (src, dst, prob) over class ranks (`core.class_index`).  A
-kernel without one has only a `sampler`, seeded n-particle draws from a
-stack of source classes, which theorem-probe averages into pair marginals;
-`kernel.exact`, fixed when the kernel is built, says which.
-The exact matrix comes only from the constructor's `matrix_builder`.  The
-deterministic kernels (identity, maps, the counterexample) are each one
-class map passed to `_class_map_kernel`, which derives both the class rows
-(the point class of each occupancy's image) and the limit (the same map
-applied to laws, as occupancies of total 1).  The Kac chain's matrix is its
-uniformization up to `KAC_EXACT_MAX_N` (a Poisson series in the
-one-collision matrix and squarings of it, all terms nonnegative to
-rounding, so nothing is clamped), one diagonal block of the one-collision
-matrix per shell of classes, scattered from the same table that the Kac
-kernel's sampler, `montecarlo.simulate_kac_stack` at every n, reads: the
-class moves of its pair rule (`CompiledRule.changes`, `.coeffs`).  Every
-kernel here is built on occupancy classes, so it is permutation-equivariant
-by construction.
+A kernel's one computed form is its exact class matrix, `class_matrix()`,
+the nonzero entries (src, dst, prob) over class ranks, from the
+constructor's `matrix_builder`.  A kernel without one has only a `sampler`
+of n-particle draws from a stack of source classes; `kernel.exact` says
+which.  Identity, maps and the counterexample are each one class map given
+to `_class_map_kernel`, which derives the class rows and the limit.  The
+Kac chain's matrix, up to `KAC_EXACT_MAX_N`, is its uniformization (a
+Poisson series in the one-collision matrix, then squarings, every term
+nonnegative), run on the matrix's diagonal blocks, one per shell of
+classes, scattered from the pair rule's class moves (`CompiledRule`), the
+table that its sampler, `montecarlo.simulate_kac_stack`, reads.
 """
 
 from __future__ import annotations
@@ -47,6 +39,9 @@ from .montecarlo import simulate_kac_stack
 
 # Largest n for which the exact Kac class matrix is built.
 KAC_EXACT_MAX_N = 12
+# Kac shells of fewer classes are zero-padded into one stack: numpy sums a
+# row of under 8 entries left to right, so the pad leaves every bit.
+PAD_BELOW = 8
 
 
 class ExchangeableKernel:
@@ -60,11 +55,8 @@ class ExchangeableKernel:
     `exact` builds nothing.  A sampler takes an (R, k) stack of source
     occupancies and one Generator per row, and draws row r's target
     occupancy on rngs[r].  Both work on occupancy classes, so the kernel is
-    permutation-equivariant by construction.
-
-    `limit`, when set, is the one-particle limit map P(S) -> P(T) that the
-    kernel propagates chaos toward, applied row by row to a (B, S.k) stack
-    of laws and returning a (B, T.k) stack.
+    permutation-equivariant by construction.  `limit`, when set, is its
+    one-particle limit map on a (B, S.k) stack of laws.
     """
 
     def __init__(
@@ -117,15 +109,22 @@ def symmetrized_class_kernel(kernel: ExchangeableKernel) -> dict:
     return rows
 
 
+def push(columns: np.ndarray, kernel: ExchangeableKernel) -> np.ndarray:
+    """The (B, target classes) images of a (B, source classes) stack of laws,
+    masses by rank; each target's terms are added in source-rank order."""
+    src, dst, prob = kernel.class_matrix()
+    size = len(occupancy_array(kernel.target.k, kernel.n))
+    bins = dst + size * np.arange(len(columns))[:, None]
+    return np.bincount(bins.ravel(), weights=(columns[:, src] * prob).ravel(),
+                       minlength=size * len(columns)).reshape(-1, size)
+
+
 def propagate(law: SymmetricLaw, kernel: ExchangeableKernel) -> SymmetricLaw:
-    """Mix a symmetric law through the kernel: the output law on T^n.  The
-    bincount adds each target class's terms in source-rank order."""
+    """The kernel's image of a symmetric law, by `push`."""
     if law.space != kernel.source or law.n != kernel.n:
         raise InvalidArgumentError("law and kernel dimensions do not match")
-    src, dst, prob = kernel.class_matrix()
     occ = occupancy_array(kernel.target.k, kernel.n)
-    mass = np.bincount(dst, weights=law.vector()[src] * prob, minlength=len(occ))
-    return SymmetricLaw(kernel.target, kernel.n, occ, mass)
+    return SymmetricLaw(kernel.target, kernel.n, occ, push(law.vector()[None], kernel)[0])
 
 
 def _class_map_kernel(source: StateSpace, target: StateSpace, n: int, name: str,
@@ -179,15 +178,15 @@ def counterexample_kernel(n: int) -> ExchangeableKernel:
 
 
 def _shell_stacks(k: int, n: int, rule: PairRule):
-    """The one-collision class matrix by shells: per shell size, the (B,
-    size) ranks of the B shells of that size and their (B, size, size)
-    diagonal blocks.  A shell's classes share a key, the label sum
-    m @ range(k) when every change keeps it, else 0, so no move leaves its
-    shell; a stable sort keeps each shell in rank order.  A uniform ordered
-    pair of distinct particles moves m to m + d with probability
-    w_d(m) / (n (n - 1)), w_d its `move_weights`, and the diagonal takes 1
-    minus the moves' probabilities added in change order, which is 0 to a
-    unit of roundoff, either side, where every collision moves the class."""
+    """The one-collision class matrix by shells: stacks of the (B, w) ranks
+    of B shells and their (B, w, w) diagonal blocks.  A shell's classes
+    share a key, the label sum m @ range(k) when every change keeps it, else
+    0, so no move leaves it; a stable sort keeps it in rank order.  Shells
+    of under PAD_BELOW classes are one stack, zero-padded to the widest,
+    pad slots ranked -1; larger ones are one stack per size.  Class m moves
+    to m + d with probability w_d(m) / (n (n - 1)), w_d its `move_weights`,
+    and keeps 1 minus its moves' probabilities added in change order (0 to
+    a unit of roundoff, either side, where every collision moves it)."""
     occ = occupancy_array(k, n)
     table = rule.compiled(k)
     labels = np.arange(k)
@@ -198,22 +197,26 @@ def _shell_stacks(k: int, n: int, rule: PairRule):
     order = np.argsort(key, kind="stable")
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     sizes = np.diff(starts, append=len(occ))
-    # The blocks lie in one flat array, each size's shells one run of it.
-    by_size = np.argsort(sizes, kind="stable")
+    small = sizes < PAD_BELOW
+    width = np.where(small, sizes[small].max(initial=0), sizes)
+    # The blocks lie in one flat array, each width's shells one run of it.
+    by_width = np.argsort(width, kind="stable")
     corner = np.empty_like(starts)
-    corner[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    corner[by_width] = np.cumsum(width[by_width] ** 2) - width[by_width] ** 2
     # Each class's place in its shell, and the flat offset of its block row.
     shell = np.repeat(np.arange(len(starts)), sizes)
     pos, row = np.empty_like(order), np.empty_like(order)
     pos[order] = np.arange(len(occ)) - starts[shell]
-    row[order] = corner[shell] + pos[order] * sizes[shell]
-    flat = np.zeros(int(sizes @ sizes))
+    row[order] = corner[shell] + pos[order] * width[shell]
+    flat = np.zeros(int(width @ width))
     flat[row + pos] = 1.0 - sum(prob, np.zeros(len(occ)))
     flat[row[rows] + pos[cols]] = prob[moves, rows]
-    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-        size, first = int(sizes[group[0]]), corner[group[0]]
+    ranks = np.append(order, -1)  # a slot past its shell's size reads -1
+    for group in np.split(by_width, np.flatnonzero(np.diff(width[by_width])) + 1):
+        size, first = int(width[group[0]]), corner[group[0]]
         P = flat[first:first + len(group) * size * size].reshape(-1, size, size)
-        yield order[starts[group, None] + np.arange(size)], P
+        slot = np.arange(size)
+        yield ranks[np.where(slot < sizes[group, None], starts[group, None] + slot, -1)], P
 
 
 def _kac_rows(k: int, n: int, rule: PairRule, rate_time: float) -> tuple:
@@ -226,6 +229,7 @@ def _kac_rows(k: int, n: int, rule: PairRule, rate_time: float) -> tuple:
     unit roundoff of row mass; each squaring's rows are renormalised, so
     that rounding does not double with each.  Every term and product is
     nonnegative: nothing needs clamping, and rate_time = 0 gives I exactly.
+    Pad slots add exact zeros to the products, and their rows are dropped.
     """
     s = max(0, math.frexp(rate_time)[1])
     theta = math.ldexp(rate_time, -s)
@@ -243,7 +247,7 @@ def _kac_rows(k: int, n: int, rule: PairRule, rate_time: float) -> tuple:
         for _ in range(s):
             A = A @ A
             A /= A.sum(axis=2, keepdims=True)
-        b, i, j = np.nonzero(A > 0)
+        b, i, j = np.nonzero((A > 0) & (members >= 0)[:, :, None])
         entries.append((members[b, i], members[b, j], A[b, i, j]))
     src, dst, prob = map(np.concatenate, zip(*entries))
     order = np.argsort(src, kind="stable")

@@ -476,6 +476,79 @@ def oracle_blocks(P):
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def per_size_shell_stacks(k, n, rule):
+    """The one-collision class matrix's shell blocks one stack per shell
+    size, unpadded: per size, the (B, size) ranks of its B shells and their
+    (B, size, size) blocks, each shell in rank order."""
+    occ = occupancy_array(k, n)
+    table = rule.compiled(k)
+    labels = np.arange(k)
+    key = occ @ labels if not (table.changes @ labels).any() else np.zeros(len(occ), np.int64)
+    prob = table.move_weights(occ.T) / (n * (n - 1))
+    moves, rows = np.nonzero(prob)
+    cols = class_index(occ[rows] + table.changes[moves], n)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(starts, append=len(occ))
+    by_size = np.argsort(sizes, kind="stable")
+    corner = np.empty_like(starts)
+    corner[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    shell = np.repeat(np.arange(len(starts)), sizes)
+    pos, row = np.empty_like(order), np.empty_like(order)
+    pos[order] = np.arange(len(occ)) - starts[shell]
+    row[order] = corner[shell] + pos[order] * sizes[shell]
+    flat = np.zeros(int(sizes @ sizes))
+    flat[row + pos] = 1.0 - sum(prob, np.zeros(len(occ)))
+    flat[row[rows] + pos[cols]] = prob[moves, rows]
+    for group in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        size, first = int(sizes[group[0]]), corner[group[0]]
+        P = flat[first:first + len(group) * size * size].reshape(-1, size, size)
+        yield order[starts[group, None] + np.arange(size)], P
+
+
+def per_size_kac_rows(k, n, rule, rate_time):
+    """The exact Kac rows (src, dst, prob) by the same Poisson series and
+    renormalised squarings as `kernels._kac_rows`, run once per shell size
+    on the unpadded stacks of `per_size_shell_stacks`."""
+    s = max(0, math.frexp(rate_time)[1])
+    theta = math.ldexp(rate_time, -s)
+    weights = [math.exp(-theta)]
+    while weights[-1] * theta / (len(weights) - theta) > math.ldexp(1.0, -53 - s):
+        weights.append(weights[-1] * theta / len(weights))
+    entries = []
+    for members, P in per_size_shell_stacks(k, n, rule):
+        term = np.broadcast_to(np.eye(P.shape[-1]), P.shape)
+        A = weights[0] * term
+        for w in weights[1:]:
+            term = term @ P
+            A += w * term
+        for _ in range(s):
+            A = A @ A
+            A /= A.sum(axis=2, keepdims=True)
+        b, i, j = np.nonzero(A > 0)
+        entries.append((members[b, i], members[b, j], A[b, i, j]))
+    src, dst, prob = map(np.concatenate, zip(*entries))
+    order = np.argsort(src, kind="stable")
+    return src[order], dst[order], prob[order]
+
+
+def point_class(space: StateSpace, m) -> SymmetricLaw:
+    """The law with all its mass on the class m."""
+    return SymmetricLaw(space, sum(m), [m], [1.0])
+
+
+def mixture(components) -> SymmetricLaw:
+    """Convex combination of symmetric laws on the same space and n, over
+    the union of their supports: their rows and weighted masses given to
+    the constructor, which sorts and merges them."""
+    components = list(components)
+    space, n = components[0][0].space, components[0][0].n
+    if any(law.space != space or law.n != n for law, _ in components):
+        raise InvalidArgumentError("mixture components live on different spaces")
+    return SymmetricLaw(space, n, np.concatenate([law.occ for law, _ in components]),
+                        np.concatenate([weight * law.p for law, weight in components]))
+
+
 # Row-wise references of core's class arithmetic: each per-class quantity
 # as an (S, k) array reduced along its k-wide axis, the form core computed
 # them in before it read occupancy columns and per-count tables.  They read

@@ -4,26 +4,32 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chaoslab.cli
 import chaoslab.kernels
 import chaoslab.montecarlo
 from chaoslab.cli import main, parse_grid, quota_occupancy
-from chaoslab.core import Distribution, StateSpace, law_to_json, product_law
+from chaoslab.core import Distribution, StateSpace, law_to_json, marginal, product_law
 from chaoslab.diagnostics import (
     EnergyModel,
     entropy_convergence,
     microcanonical,
     microcanonical_limit,
+    pair_gap,
 )
 from chaoslab.errors import ConfigError
-from chaoslab.kernels import kac_collision_kernel
+from chaoslab.kernels import kac_collision_kernel, make_kernel, propagate
 from chaoslab.meanfield import wild_plan
 from chaoslab.montecarlo import iid_state, replica_counts
+
+from conftest import mixture, point_class
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -49,6 +55,54 @@ class TestHelpers:
         # remainders 0.5/0.1/0.4 with one unit to spread: largest wins
         assert quota_occupancy(Distribution(S3, (0.5, 0.3, 0.2)), 7) == (4, 2, 1)
         assert sum(quota_occupancy(Distribution(S3, (1 / 3, 1 / 3, 1 / 3)), 8)) == 8
+
+    @pytest.mark.parametrize("n", [2**60 + 3, 2**63 - 1])
+    def test_quota_occupancy_past_double_precision(self, n):
+        # The doubles n * 0.5 drop n's last bits: floors and remainders of
+        # them gave a class of n - 1 particles at 2^60 + 3, of n + 2 at 2^63 - 1.
+        assert quota_occupancy(Distribution(S2, (0.5, 0.5)), n) == ((n + 1) // 2, n // 2)
+
+    def test_quota_occupancy_ties_below_2_53_as_before(self):
+        # The doubles 5 * 0.7 and 5 * 0.3 are 3.5 and 1.5, a tie that the
+        # lower index takes; the exact products of the doubles 0.7 and 0.3
+        # would give it to state 1.
+        assert quota_occupancy(Distribution(S2, (0.7, 0.3)), 5) == (4, 1)
+        assert quota_occupancy(Distribution(S2, (1 / 6, 5 / 6)), 3) == (1, 2)
+
+
+@st.composite
+def dyadic_laws(draw):
+    """p_i = c_i / 2^j with integer c_i summing to 2^j: doubles that sum to
+    1 exactly."""
+    k, j = draw(st.integers(2, 5)), draw(st.integers(1, 52))
+    cuts = sorted(draw(st.lists(st.integers(0, 2**j), min_size=k - 1, max_size=k - 1)))
+    return [(b - a) / 2**j for a, b in zip([0, *cuts], [*cuts, 2**j])]
+
+
+N_PAST_INT = (st.integers(1, 1000) | st.integers(2**53 - 2**12, 2**53 + 2**12)
+              | st.integers(1, 2**63 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=dyadic_laws(), n=N_PAST_INT)
+@example(p=[0.5, 0.5], n=2**63 - 1)
+def test_quota_occupancy_is_within_one_of_each_quota(p, n):
+    """For p summing to 1 exactly the class holds n particles, and each
+    count is within 1 of n p_i in exact rationals, on both sides of 2^53."""
+    m = quota_occupancy(Distribution(StateSpace.of_size(len(p)), p), n)
+    assert sum(m) == n
+    assert all(abs(mi - n * Fraction(pi)) < 1 for mi, pi in zip(m, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).filter(lambda w: sum(w) > 0.1),
+       n=N_PAST_INT)
+def test_quota_occupancy_holds_n_particles(w, n):
+    """Any p whose doubles sum to 1 within the tolerance gives a class of n
+    particles, never a negative count."""
+    p = Distribution(StateSpace.of_size(len(w)), tuple(x / math.fsum(w) for x in w))
+    m = quota_occupancy(p, n)
+    assert sum(m) == n and min(m) >= 0
 
 
 class TestDiagnose:
@@ -252,6 +306,33 @@ class TestTheoremProbe:
         assert len(std_error) == 3 and all(0.0 <= se < 1.0 for se in std_error)
         assert len(resolved) == 3 and all(isinstance(r, bool) for r in resolved)
 
+    @pytest.mark.parametrize("kernel, p", [
+        ("kac:1,1", "0.5,0.3,0.2"), ("kac:1,1", "0.4,0.3,0.2,0.1"), ("kac:1,1", "0.6,0.4,0"),
+        ("identity", "0.5,0.3,0.2"), ("map:1,1,0", "0.5,0.3,0.2"), ("counterexample", "1,0"),
+    ], ids=["kac-k3", "kac-k4", "kac-zero-entry", "identity", "map", "counterexample"])
+    def test_pushed_gaps_are_the_propagated_laws_gaps(self, tmp_path, kernel, p):
+        # The three columns pushed through the class rows at once give,
+        # bit for bit, the gaps of the column laws built as laws and
+        # propagated one at a time: the quota point class, the product law,
+        # and its mixture with the reversed quota class.  k = 4 at n = 12
+        # has 455 classes, past one fsum block of the pair marginal.
+        grid = [2, 5, 8, 12]
+        rc = main(["theorem-probe", "--kernel", kernel, "--p", p,
+                   "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)])
+        assert rc == 0
+        csv, meta = read_run(tmp_path, "theorem-probe")
+        rho = Distribution(StateSpace.of_size(p.count(",") + 1), tuple(map(float, p.split(","))))
+        flipped = Distribution(rho.space, tuple(reversed(rho.p)))
+        for n, line in zip(grid, csv.splitlines()[1:], strict=True):
+            kernel_n = make_kernel(kernel, rho.space, n)
+            fp = Distribution(kernel_n.target, tuple(meta["limit"]))
+            product = product_law(rho, n)
+            other = point_class(rho.space, quota_occupancy(flipped, n))
+            laws = [point_class(rho.space, quota_occupancy(rho, n)), product,
+                    mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])]
+            want = [pair_gap(marginal(propagate(law, kernel_n), 2), fp) for law in laws]
+            assert [float(x) for x in line.split(",")] == [n, *want]
+
     def test_bench_argv_columns_are_unresolved(self, tmp_path):
         # 25 runs per column at n = 16: every gap is within twice its
         # column's summed standard errors (product: 0.035 against 0.18).
@@ -281,7 +362,7 @@ class TestTheoremProbe:
         assert widths == [9, 9, 3]
         marginals = chaoslab.cli.monte_carlo_pair_marginals
         monkeypatch.setattr(chaoslab.cli, "monte_carlo_pair_marginals",
-                            lambda laws, *args: [marginals([law], *args)[0] for law in laws])
+                            lambda laws, *args: [marginals(law[None], *args)[0] for law in laws])
         assert main(argv + [str(tmp_path / "apart")]) == 0
         assert widths[3:] == [7, 7, 7]
         for name in ("theorem-probe.csv", "theorem-probe.meta.json"):

@@ -54,13 +54,14 @@ from chaoslab.core import (
     window_occupancies,
 )
 from chaoslab.diagnostics import GIBBS_RESIDUAL_TOL, ZERO_GAP, _fit_slope
-from chaoslab.errors import EmptyEnsembleError, InvalidArgumentError
-from chaoslab.kernels import _shell_stacks
+from chaoslab.errors import CapacityError, EmptyEnsembleError, InvalidArgumentError
+from chaoslab.kernels import PAD_BELOW, _kac_rows, _shell_stacks
 from chaoslab.meanfield import collision_marginal_tensor, default_rule
 
 from conftest import (
     SwapRule,
     law_tv_distance,
+    mixture,
     oracle_collision_tensor,
     oracle_compositions,
     oracle_fit_gibbs,
@@ -78,6 +79,9 @@ from conftest import (
     oracle_simulate_kac,
     oracle_specific_loglik,
     oracle_tv_distance,
+    per_size_kac_rows,
+    per_size_shell_stacks,
+    point_class,
     rowwise_class_sizes,
     rowwise_mean_empirical_tv,
     rowwise_product_law,
@@ -189,6 +193,25 @@ def test_window_occupancies_empty_and_full_windows(weights, n):
     assert len(assert_window(weights, low, low + 1, n)) == 0
 
 
+def test_solve_at_the_int64_bound(monkeypatch):
+    """Counts up to 2**63 - 1 narrow without wrapping: c >= -5 within
+    [0, 2**63 - 1] keeps both ends (c_hi + 1 once wrapped the lower end to
+    -2**63), and an interval that empties ends one below its lower end.
+    microcanonical at that n is still refused by `_expand`, now given
+    lower count bounds >= 0."""
+    lo, hi = core._solve(-1, np.array([5]), np.array([0]), np.array([2**63 - 1]))
+    assert lo.dtype == hi.dtype == np.int64
+    assert lo.tolist() == [0] and hi.tolist() == [2**63 - 1]
+    lo, hi = core._solve(-1, np.array([-9, -9]), np.array([2, 2]), np.array([2**63 - 1, 8]))
+    assert lo.tolist() == [9, 2] and hi.tolist() == [2**63 - 1, 1]
+    lows, expand = [], core._expand
+    monkeypatch.setattr(core, "_expand",
+                        lambda rows, lo, hi: lows.append(np.min(lo)) or expand(rows, lo, hi))
+    with pytest.raises(CapacityError, match="occupancy classes an array can hold"):
+        microcanonical(EnergyModel(StateSpace.of_size(3), (0, 1, 2), 0.8, 0.2), 2**63 - 1)
+    assert lows and min(lows) >= 0
+
+
 @pytest.mark.parametrize("offset, dtype", [(0, np.int64), (1, object)])
 @pytest.mark.parametrize("weights", [(0, 1, 2), (2**57, 2**57 + 1, 2**57 + 3)])
 def test_window_occupancies_on_each_side_of_int64(weights, offset, dtype, monkeypatch):
@@ -228,7 +251,7 @@ def test_marginal(shape, seed, sparse, j):
 def test_point_class_marginals_are_exact_fractions(k, n, seed):
     # One exact integer product over an exact count of draws, rounded once.
     m = composition(np.random.default_rng(seed), k, n)
-    law = SymmetricLaw.point_class(StateSpace.of_size(k), m)
+    law = point_class(StateSpace.of_size(k), m)
     assert marginal(law, 1).tolist() == [float(Fraction(mu, n)) for mu in m]
     assert marginal(law, 2).tolist() == [
         [float(Fraction(mu * (mw - (u == w)), n * (n - 1))) for w, mw in enumerate(m)]
@@ -278,7 +301,7 @@ def class_laws(draw):
         E = float(np.dot(composition(rng, k, n), H)) / n
         law = microcanonical(EnergyModel(space, H, E, draw(st.floats(0.05, 2.0))), n)
     elif kind == "point":
-        law = SymmetricLaw.point_class(space, composition(rng, k, n))
+        law = point_class(space, composition(rng, k, n))
     else:
         a, b, w = composition(rng, k, n), composition(rng, k, n), rng.random()
         law = SymmetricLaw(space, n, [a, b], [w, 1 - w])
@@ -326,7 +349,7 @@ def test_grown_pascal_table_is_the_built_one(grid):
 
 def test_point_class_at_large_n_builds_no_count_array():
     # A table over the counts 0..n would take 8 MB at n = 10^6.
-    law = SymmetricLaw.point_class(S3, (400_000, 350_001, 249_999))
+    law = point_class(S3, (400_000, 350_001, 249_999))
     rho = Distribution(S3, (0.4, 0.35, 0.25))
     tracemalloc.start()
     try:
@@ -369,7 +392,7 @@ def test_mixture(shape, seed, sparse):
     k, n = shape
     rng = np.random.default_rng(seed)
     a, b, w = random_law(rng, k, n, sparse), random_law(rng, k, n, True), rng.random()
-    got = SymmetricLaw.mixture([(a, w), (b, 1 - w)]).classes
+    got = mixture([(a, w), (b, 1 - w)]).classes
     want = oracle_mixture([(a.classes, w), (b.classes, 1 - w)])
     assert got == want
     assert list(got) == canonical(want, n, k)
@@ -400,8 +423,8 @@ def test_constructor_sorts_and_merges_like_the_dict_oracle(shape, seed, ordered)
 def test_mixture_of_point_classes_at_large_n():
     # Summing full-class-space vectors would need C(10^6 + 2, 2) doubles, 3.64 TiB.
     n = 10**6
-    a, b = (SymmetricLaw.point_class(S3, m) for m in [(0, n, 0), (n - 2, 1, 1)])
-    law = SymmetricLaw.mixture([(a, 0.25), (b, 0.75)])
+    a, b = (point_class(S3, m) for m in [(0, n, 0), (n - 2, 1, 1)])
+    law = mixture([(a, 0.25), (b, 0.75)])
     assert law.classes == {(n - 2, 1, 1): 0.75, (0, n, 0): 0.25}
     assert list(law.classes) == [(n - 2, 1, 1), (0, n, 0)]
 
@@ -418,7 +441,7 @@ def test_mixture_of_point_classes_past_int64_ranks():
     rows[1000:1100] = rows[:100]  # 100 classes twice
     masses = rng.random(len(rows))
     masses /= masses.sum()
-    law = SymmetricLaw.mixture([(SymmetricLaw.point_class(S3, tuple(m)), mass)
+    law = mixture([(point_class(S3, tuple(m)), mass)
                                 for m, mass in zip(rows.tolist(), masses.tolist())])
     want = oracle_law(rows.tolist(), masses.tolist())
     assert len(want) == 1900
@@ -428,14 +451,18 @@ def test_mixture_of_point_classes_past_int64_ranks():
 
 def shell_matrix(k, n, rule):
     """The one-collision class matrix assembled from its shell blocks, after
-    checking that the shells, each in rank order, hold every class once."""
+    checking that the shells, each in rank order, hold every class once,
+    and that pad slots (rank -1) close each shell and hold only zeros."""
     classes = len(occupancy_array(k, n))
     P, seen = np.zeros((classes, classes)), []
     for members, blocks in _shell_stacks(k, n, rule):
         assert blocks.shape == members.shape + members.shape[-1:]
-        assert (np.diff(members, axis=1) > 0).all()
-        P[members[:, :, None], members[:, None, :]] = blocks
-        seen.extend(members.ravel().tolist())
+        for shell, block in zip(members, blocks):
+            size = int((shell >= 0).sum())
+            assert (shell[size:] == -1).all() and (np.diff(shell[:size]) > 0).all()
+            assert not block[size:].any() and not block[:, size:].any()
+            P[shell[:size, None], shell[None, :size]] = block[:size, :size]
+            seen.extend(shell[:size].tolist())
     assert sorted(seen) == list(range(classes))
     return P
 
@@ -457,7 +484,8 @@ def test_label_sum_shells_are_the_components(k, max_n):
     rule = default_rule(k)
     for n in range(2, max_n + 1):
         occ = occupancy_array(k, n)
-        shells = [m for members, _ in _shell_stacks(k, n, rule) for m in members.tolist()]
+        shells = [[r for r in m if r >= 0]
+                  for members, _ in _shell_stacks(k, n, rule) for m in members.tolist()]
         assert sorted(r for m in shells for r in m) == list(range(len(occ)))
         sums = [set((occ[m] @ np.arange(k)).tolist()) for m in shells]
         assert all(len(s) == 1 for s in sums) and len(set.union(*sums)) == len(shells)
@@ -589,6 +617,65 @@ def test_shell_blocks_of_other_rules(rule):
             assert np.array_equal(shell_matrix(k, n, table), oracle_kac_event_matrix(k, n, table))
             shells = sum(len(members) for members, _ in _shell_stacks(k, n, table))
             assert shells == (1 if rule in ("short", "tenths", "resample") else n * (k - 1) + 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_padded_kac_rows_are_the_per_size_rows(k):
+    """`_kac_rows`, its shells of fewer than PAD_BELOW classes padded into
+    one stack, == the per-size stacks' rows bit for bit, for n <= 12, five
+    rate times from 0 to 1000 (n - 1) / 2 and the rules sum, swap and
+    zero-first (label-sum shells), and tenths (one shell) for k <= 3."""
+    for rule in ["sum", "swap", "zero-first"] + (["tenths"] if k <= 3 else []):
+        table = RULES[rule](k)
+        for n in range(2, 13):
+            for t in (0.0, 0.3, 1.0, 26.0, 1000.0):
+                rate_time = t * (n - 1) / 2.0
+                got = _kac_rows(k, n, table, rate_time)
+                want = per_size_kac_rows(k, n, table, rate_time)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rule, n, t)
+
+
+def test_small_kac_shells_run_as_one_stack(monkeypatch):
+    """k = 3, n <= 12: every label-sum shell has at most 7 classes, so the
+    exact rows run one uniformization stack per n, where one stack per
+    shell size ran n // 2 + 1 of them."""
+    import chaoslab.kernels as kernels
+
+    stacks, build = [], kernels._shell_stacks
+
+    def counted(*args):
+        for members, P in build(*args):
+            stacks.append(len(members))
+            yield members, P
+
+    monkeypatch.setattr(kernels, "_shell_stacks", counted)
+    for n in range(2, 13):
+        stacks.clear()
+        kac_collision_kernel(S3, 1.0, 1.0, n).class_matrix()
+        assert stacks == [2 * n + 1]
+        assert len(list(per_size_shell_stacks(3, n, default_rule(3)))) == n // 2 + 1
+
+
+def test_zero_padding_keeps_sums_and_products():
+    """The padded stack of `_kac_rows` has the per-size bits because numpy
+    sums a float row of fewer than 8 entries left to right, so zeros
+    appended up to 7 entries leave its sum's bits, and a stacked @ over
+    zero-padded blocks only adds exact zeros.  A numpy or BLAS change that
+    breaks either fails here, not in the last bits of the Kac rows."""
+    rng = np.random.default_rng(33)
+    for size in range(1, PAD_BELOW):
+        for width in range(size, PAD_BELOW):
+            # Spread magnitudes, so that another summation order shows.
+            a, b = rng.random((2, 40, size, size)) * 10.0 ** rng.integers(-8, 9, (2, 40, 1, size))
+            pa, pb = np.zeros((2, 40, width, width))
+            pa[:, :size, :size], pb[:, :size, :size] = a, b
+            assert np.array_equal(pa.sum(axis=2)[:, :size], a.sum(axis=2))
+            for row, padded in zip(a[:, 0], pa[:, 0]):
+                assert np.array_equal(padded.sum(), row.sum())
+            assert np.array_equal((pa @ pb)[:, :size, :size], a @ b)
+            inner = np.zeros((40, size, width))
+            inner[:, :, :size] = a
+            assert np.array_equal(inner @ pb[:, :, :size], a @ b)
 
 
 @pytest.mark.parametrize("n", [2, 3, 12])
@@ -765,10 +852,11 @@ def test_probe_starts_are_generator_choice(k, n, replicas, kind, seed, data):
     """theorem-probe's start classes == Generator.choice over the law's
     masses, run by run, and each run's Generator is left in the state
     choice leaves it in: for point classes, product laws and masses with
-    zero entries (which a SymmetricLaw drops, so they come as bare arrays)."""
+    zero entries (which a SymmetricLaw drops, so they come as bare arrays).
+    The starts are drawn from the laws' masses over every class by rank."""
     space, occ = StateSpace.of_size(k), occupancy_array(k, n)
     if kind == "point":
-        law = SymmetricLaw.point_class(space, tuple(occ[data.draw(st.integers(0, len(occ) - 1))]))
+        law = point_class(space, tuple(occ[data.draw(st.integers(0, len(occ) - 1))]))
     elif kind == "product":
         w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
         law = product_law(Distribution(space, tuple(w / w.sum())), n)
@@ -777,13 +865,15 @@ def test_probe_starts_are_generator_choice(k, n, replicas, kind, seed, data):
                                         min_size=len(occ), max_size=len(occ))))
         w[data.draw(st.integers(0, len(w) - 1))] += 1.0
         law = SimpleNamespace(occ=occ, p=w / w.sum())
+    column = law.p if kind == "zeros" else law.vector()
     seen = []
 
     def sampler(starts, rngs):
         seen.append((starts, states(rngs)))
         return starts
 
-    monte_carlo_pair_marginals([law], SimpleNamespace(sampler=sampler), replicas, seed)
+    kernel = SimpleNamespace(sampler=sampler, source=space, n=n)
+    monte_carlo_pair_marginals(column[None], kernel, replicas, seed)
     rngs = replica_rngs(seed, 0, replicas)
     want = law.occ[[rng.choice(len(law.p), p=law.p) for rng in rngs]]
     [(starts, after)] = seen
@@ -945,7 +1035,7 @@ def test_big_n_class_index():
 def test_big_n_point_class_pair_gap(m):
     q = Distribution(S3, tuple(mi / BIG_N for mi in m))
     want = (1 - math.fsum(x * x for x in q.p)) / (BIG_N - 1)
-    assert abs(pair_gap(marginal(SymmetricLaw.point_class(S3, m), 2), q) - want) < 1e-14
+    assert abs(pair_gap(marginal(point_class(S3, m), 2), q) - want) < 1e-14
 
 
 def test_big_n_product_pair_gap(big_product):

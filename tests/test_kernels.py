@@ -36,9 +36,11 @@ from conftest import (
     equivariance_violation,
     law_tv_distance,
     map_ordered_law,
+    mixture,
     oracle_kac_event_matrix,
     ordered_class_matrix,
     ordered_law_matrix,
+    point_class,
     propagate_dense,
     pushforward,
     random_symmetric_law,
@@ -85,12 +87,18 @@ def noisy_relabel_kernel(n, flip=0.3):
     return kernel
 
 
+def laws_of(columns, space, n):
+    """The symmetric laws whose masses by class rank are the rows of `columns`."""
+    return [SymmetricLaw(space, n, occupancy_array(space.k, n), row) for row in columns]
+
+
 def assert_pair_marginals_close_to_exact(kernel, rho, replicas, seed):
     """theorem-probe's Monte Carlo pair marginal of each column law, from
     the kernel's sampler, lies within 4 standard errors per entry of the
     exact pair marginal of the law's image under the kernel's class matrix."""
-    laws = column_laws(rho, kernel.n)
-    for law, result in zip(laws, monte_carlo_pair_marginals(laws, kernel, replicas, seed)):
+    columns = column_laws(rho, kernel.n)
+    laws = laws_of(columns, rho.space, kernel.n)
+    for law, result in zip(laws, monte_carlo_pair_marginals(columns, kernel, replicas, seed)):
         exact = marginal(propagate(law, kernel), 2)
         assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
 
@@ -158,8 +166,9 @@ class TestSymmetrizedClassKernel:
         # start class's, and a point law's estimate spreads only by roundoff.
         n = KAC_EXACT_MAX_N + 1
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule())
-        for law in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
-            [result] = monte_carlo_pair_marginals([law], kernel, 200, seed=2)
+        for column in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
+            [law] = laws_of([column], S3, n)
+            [result] = monte_carlo_pair_marginals(column[None], kernel, 200, seed=2)
             exact = marginal(law, 2)
             assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-12)
             if len(law.p) == 1:  # the point law on the quota class
@@ -265,8 +274,8 @@ class TestPropagate:
         a = random_symmetric_law(rng, n=4, k=2)
         b = random_symmetric_law(rng, n=4, k=2)
         alpha = 0.3
-        mixed = propagate(SymmetricLaw.mixture([(a, alpha), (b, 1 - alpha)]), kernel)
-        parts = SymmetricLaw.mixture(
+        mixed = propagate(mixture([(a, alpha), (b, 1 - alpha)]), kernel)
+        parts = mixture(
             [(propagate(a, kernel), alpha), (propagate(b, kernel), 1 - alpha)]
         )
         assert law_tv_distance(mixed, parts) < 1e-12
@@ -358,7 +367,7 @@ class TestClassMapRows:
         for row in np.random.default_rng(n).choice(len(occ), size=min(len(occ), 12),
                                                    replace=False):
             q = Distribution(kernel.target, tuple(images[row] / n))
-            row_law = SymmetricLaw.point_class(kernel.target, tuple(images[row]))
+            row_law = point_class(kernel.target, tuple(images[row]))
             gap = pair_gap(marginal(row_law, 2), q)
             want = Fraction(n * n - int(images[row] @ images[row]), n * n * (n - 1))
             assert abs(Fraction(gap) - want) <= max(1e-12 * want, 2 * 2.0**-53)
