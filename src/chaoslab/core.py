@@ -28,12 +28,15 @@ combines, left to right over the states, a function of one count m_i in
 gives the bits of numpy's row-wise reduction of an (S, k) array (which
 adds rows of 8 or more entries pairwise) without its temporaries.
 Class sizes are doubles: products of binomial coefficients from a cached
-Pascal triangle, grown by its missing rows, exact below 2**53, with a
-log-factorial fallback where they overflow.  Sums over classes that feed
-gaps and likelihoods go through `_sum`: numpy pairwise sums over blocks of
-SUM_BLOCK classes, then math.fsum over the block partials, and plain
-math.fsum up to one block.  The one- and two-particle marginals are
-moments of the occupancy columns, a (k,) vector and a (k, k) matrix.
+Pascal table, exact below 2**53, with a log-factorial fallback where they
+overflow.  The table is diagonal-major, C(i + j, j) at [i, j], so classes
+that share their earlier counts read one table row.  A law carries its
+sizes, `SymmetricLaw.class_sizes`, seeded by the builders that compute
+them.  Sums over classes that feed gaps and likelihoods go through
+`_sum`: numpy pairwise sums over blocks of SUM_BLOCK classes, then
+math.fsum over the block partials, and plain math.fsum up to one block.
+The one- and two-particle marginals are moments of the occupancy
+columns, a (k,) vector and a (k, k) matrix.
 The dense ordered and big-integer oracles that check these live with the
 tests, not here.
 """
@@ -276,21 +279,29 @@ def _sum(x: np.ndarray) -> float:
 
 
 def _build_pascal(rows: int, start: np.ndarray | None = None) -> np.ndarray:
-    """Pascal's triangle to row `rows`, C(a, b) at [a, b] and 0 for b > a:
-    the rows of the smaller triangle `start` copied, the rest added."""
-    table = np.zeros((rows + 1, rows + 1))
+    """Pascal's triangle to row `rows`, diagonal-major: C(i + j, j) at
+    [i, j] for i + j <= rows and 0 past it, so triangle row a is the
+    anti-diagonal i + j = a.  Those of the smaller table `start` are
+    copied and the rest added, each entry from the same two doubles as in
+    the row-major triangle, C(a - 1, j) + C(a - 1, j - 1): the same bits."""
+    width = rows + 1
+    table = np.zeros((width, width))
     done = 1 if start is None else len(start)
     if start is not None:
         table[:done, :done] = start
-    table[:, 0] = 1.0
-    for a in range(done, rows + 1):
-        table[a, 1:a + 1] = table[a - 1, 1:a + 1] + table[a - 1, :a]
+    table[0] = table[:, 0] = 1.0
+    # Anti-diagonal a runs in the flat table from [0, a] to [a, 0] in steps
+    # of width - 1; entry [i, j] inside it adds [i - 1, j] and [i, j - 1].
+    flat, step = table.reshape(-1), width - 1
+    for a in range(max(done, 2), width):
+        np.add(flat[a - 1:(a - 1) * width:step], flat[a - 1 + step:(a - 1) * width + 1:step],
+               out=flat[a + step:a * width:step])
     table.flags.writeable = False
     return table
 
 
 # One Pascal table serves every n up to its size; a larger n grows it by
-# the missing rows only, so a grid of n values builds each row once.
+# the missing anti-diagonals only, so a grid of n values builds each once.
 _pascal = _build_pascal(0)
 
 
@@ -319,24 +330,31 @@ def _log_factorials(m: np.ndarray) -> np.ndarray:
 def _class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
     """n! / prod(m_i!) per row as doubles, inf where it may overflow.
 
-    The multinomial is the product over i >= 1 of C(m_0 + ... + m_i, m_i),
-    each binomial from Pascal's triangle, exact below 2**53.
+    The multinomial is the product, left to right over i >= 1, of the
+    binomials C(m_0 + ... + m_i, m_i), exact below 2**53.  The Pascal
+    table of width W holds that binomial at flat position
+    (m_0 + ... + m_(i-1)) * W + m_i: one gather per state, in which a
+    block of classes that share their earlier counts reads one table row.
     """
     if n > PASCAL_ROWS:
         return np.full(len(occ), np.inf)
-    binom = _binomials(n)
-    partial = occ[:, 0]
+    table = _binomials(n)
+    flat, width = table.reshape(-1), len(table)
+    partial = occ[:, 0].copy()
+    at = np.empty_like(partial)
     sizes = np.ones(len(occ))
     with np.errstate(over="ignore"):
         for m in occ.T[1:]:
-            partial = partial + m
-            sizes *= binom[partial, m]
+            np.multiply(partial, width, out=at)
+            at += m
+            sizes *= flat.take(at)
+            partial += m
     return sizes
 
 
-def _log_class_sizes(occ: np.ndarray, n: int) -> np.ndarray:
-    """Natural log of the class sizes, via log-factorials where they overflow."""
-    sizes = _class_sizes(occ, n)
+def _log_class_sizes(occ: np.ndarray, n: int, sizes: np.ndarray) -> np.ndarray:
+    """Natural log of the class sizes `sizes` of the rows `occ`, via
+    log-factorials where they overflow."""
     logs = np.log(sizes)
     big = np.isinf(sizes)
     if big.any():
@@ -365,8 +383,7 @@ class SymmetricLaw:
         occ, p = np.asarray(occ), np.asarray(p, dtype=float)
         if occ.ndim != 2 or p.shape != occ.shape[:1]:
             raise InvalidArgumentError(f"{occ.shape} occupancies for {p.shape} masses")
-        bad = ((occ.dtype.kind not in "iu") | (occ.shape[1] != space.k)
-               | (occ.min(axis=1, initial=0) < 0) | (occ.sum(axis=1) != n))
+        bad = _bad_rows(occ, n, space.k)
         if bad.any():
             raise _bad_key(occ[bad.argmax()].tolist(), n, space.k)
         occ = occ.astype(np.int64, copy=False)
@@ -401,9 +418,33 @@ class SymmetricLaw:
     def classes(self) -> dict:
         return dict(zip(map(tuple, self.occ.tolist()), self.p.tolist()))
 
+    @functools.cached_property
+    def class_sizes(self) -> np.ndarray:
+        """`_class_sizes` of the classes, read-only."""
+        sizes = _class_sizes(self.occ, self.n)
+        sizes.flags.writeable = False
+        return sizes
+
 
 def _bad_key(m, n: int, k: int) -> InvalidArgumentError:
     return InvalidArgumentError(f"bad occupancy key {tuple(m)} for n={n}, k={k}")
+
+
+def _bad_rows(occ: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Which rows of the 2-d `occ` are not k integer counts >= 0 adding to
+    n.  Each count but the last is at most what its row has left of n, and
+    the last is what is left, so no sum is formed that could wrap to n.
+    As uint64 a negative count, or an unsigned one past 2**63 - 1 read as
+    int64, is past any n."""
+    if occ.dtype.kind not in "iu" or occ.shape[1] != k or n > np.iinfo(np.int64).max:
+        return np.ones(len(occ), dtype=bool)
+    cols = occ.astype(np.int64, copy=False).T
+    left, bad = np.full(len(occ), n, dtype=np.int64), np.zeros(len(occ), dtype=bool)
+    for m in cols[:-1]:
+        bad |= m.view(np.uint64) > left.view(np.uint64)
+        left -= m
+    bad |= cols[-1] != left  # the last count takes what is left
+    return bad
 
 
 def _strictly_decreasing(occ: np.ndarray) -> bool:
@@ -431,22 +472,23 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
     occ = occupancy_array(p.space.k, n)
     q = p.as_array()
     sizes = _class_sizes(occ, n)
-    powers = np.ones(len(occ))  # prod_i q_i^m_i, multiplied left to right
+    mass = np.ones(len(occ))  # prod_i q_i^m_i, multiplied left to right, then sizes
     for qi, m in zip(q, occ.T):
-        powers *= _per_count(lambda c: qi ** c, m, n)
-    possible = ~(occ[:, q == 0.0] > 0).any(axis=1)
-    with np.errstate(invalid="ignore"):  # inf * 0 on impossible rows
-        mass = np.where(possible, sizes * powers, 0.0)
+        mass *= _per_count(lambda c: qi ** c, m, n)
+    impossible = (occ[:, q == 0.0] > 0).any(axis=1)
     # Factors are <= 1, so a product of powers above the smallest normal
     # double never passed through a subnormal on the way.
-    lost = possible & (np.isinf(sizes) | (powers < np.finfo(float).tiny))
+    lost = ~impossible & (np.isinf(sizes) | (mass < np.finfo(float).tiny))
+    with np.errstate(invalid="ignore"):  # inf * 0 on impossible rows
+        mass *= sizes
+    mass[impossible] = 0.0
     if lost.any():
         sub = occ[lost]
         with np.errstate(divide="ignore"):
             log_q = np.where(q > 0.0, np.log(q), 0.0)
-        mass[lost] = np.exp(_log_class_sizes(sub, n) + sub @ log_q)
+        mass[lost] = np.exp(_log_class_sizes(sub, n, sizes[lost]) + sub @ log_q)
     mass /= _sum(mass)
-    return SymmetricLaw(p.space, n, occ, mass)
+    return _law_with_sizes(p.space, n, occ, mass, sizes)
 
 
 def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> SymmetricLaw:
@@ -455,12 +497,25 @@ def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> Symmetric
     `occ` holds distinct classes in canonical order; each gets mass
     proportional to its class size.
     """
-    sizes = _class_sizes(occ, n)
+    sizes = weights = _class_sizes(occ, n)
     # Rescale in log space when a size, or only their sum, would overflow.
     if not sizes.max() <= np.finfo(float).max / len(sizes):
-        logs = _log_class_sizes(occ, n)
-        sizes = np.exp(logs - logs.max())
-    return SymmetricLaw(space, n, occ, sizes / _sum(sizes))
+        logs = _log_class_sizes(occ, n, sizes)
+        weights = np.exp(logs - logs.max())
+    return _law_with_sizes(space, n, occ, weights / _sum(weights), sizes)
+
+
+def _law_with_sizes(space: StateSpace, n: int, occ: np.ndarray, mass: np.ndarray,
+                    sizes: np.ndarray) -> SymmetricLaw:
+    """The law of distinct canonical rows `occ` and a new `mass` array,
+    kept without a copy, seeded with their class sizes when it keeps every
+    row."""
+    mass.flags.writeable = False
+    law = SymmetricLaw(space, n, occ, mass)
+    if len(law.p) == len(occ):
+        sizes.flags.writeable = False
+        law.class_sizes = sizes
+    return law
 
 
 def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
@@ -471,7 +526,8 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
         sum_m mass(m) m_u (m_w - [u = w]) / (n (n - 1)),
     the chance of drawing u then w without replacement from the class.
     Each entry is one class sum of the masses times exact integer column
-    products, divided by the exact count of ordered draws.
+    products, int64 while n(n - 1) < 2**63 and Python ints past that,
+    divided by the exact count of ordered draws.
     """
     n, k = law.n, law.space.k
     if j not in (1, 2):
@@ -481,11 +537,15 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
     cols = law.occ.T
     if j == 1:
         return np.array([_sum(law.p * m) for m in cols]) / n
+    wide = n * (n - 1) >= 2**63
+    if wide:
+        cols = cols.astype(object)
     pair = np.empty((k, k))
     for u in range(k):
         for w in range(u, k):
             draws = cols[u] * (cols[w] - (u == w))
-            pair[u, w] = pair[w, u] = _sum(law.p * draws) / (n * (n - 1))
+            terms = law.p * (draws.astype(float) if wide else draws)
+            pair[u, w] = pair[w, u] = _sum(terms) / (n * (n - 1))
     return pair
 
 
@@ -502,7 +562,9 @@ def specific_loglik(law: SymmetricLaw) -> float:
     In class form this is (1/n) * sum_m mass(m) log(mass(m) / |m|), with
     |m| = n! / prod_i m_i! the number of ordered points in class m.
     """
-    terms = law.p * (np.log(law.p) - _log_class_sizes(law.occ, law.n))
+    terms = np.log(law.p)
+    terms -= _log_class_sizes(law.occ, law.n, law.class_sizes)
+    terms *= law.p
     return _sum(terms) / law.n
 
 

@@ -105,9 +105,10 @@ def pair_gap(pair: np.ndarray, rho: Distribution) -> float:
 
 def _fit_slope(grid, gaps) -> Optional[float]:
     """Least-squares slope of log gap on log n over the gaps above ZERO_GAP,
-    from centred sums; None when fewer than two are kept."""
+    from centred sums; None when they hold fewer than two distinct log n
+    (log n = log(n + 1) in doubles from about n = 10**15)."""
     pts = [(math.log(n), math.log(g)) for n, g in zip(grid, gaps) if g > ZERO_GAP]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     x0 = math.fsum(x for x, _ in pts) / len(pts)
     y0 = math.fsum(y for _, y in pts) / len(pts)

@@ -18,7 +18,6 @@ from chaoslab.core import (
     MASS_TOL,
     NEG_CLAMP,
     PASCAL_ROWS,
-    _build_pascal,
     _sum,
     class_index,
     occupancy_array,
@@ -556,11 +555,20 @@ def mixture(components) -> SymmetricLaw:
 # test_differential requires core to give the same bits.
 
 
+def rowwise_pascal(rows):
+    """Pascal's triangle to row `rows`, row-major: C(a, b) at [a, b], 0 for b > a."""
+    table = np.zeros((rows + 1, rows + 1))
+    table[:, 0] = 1.0
+    for a in range(1, rows + 1):
+        table[a, 1:a + 1] = table[a - 1, 1:a + 1] + table[a - 1, :a]
+    return table
+
+
 def rowwise_class_sizes(occ, n):
     if n > PASCAL_ROWS:
         return np.full(len(occ), np.inf)
     occ = np.ascontiguousarray(occ)
-    binom = _build_pascal(n)
+    binom = rowwise_pascal(n)
     partial = np.cumsum(occ, axis=1)
     sizes = np.ones(len(occ))
     with np.errstate(over="ignore"):

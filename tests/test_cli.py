@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoslab.cli
+import chaoslab.core
 import chaoslab.kernels
 import chaoslab.montecarlo
 from chaoslab.cli import main, parse_grid, quota_occupancy
@@ -118,6 +119,22 @@ class TestDiagnose:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) < 1e-13
         assert meta["verdict"] == "chaotic"
+
+    @pytest.mark.parametrize("grid, slope", [
+        ([10, 100, 4 * 10**9, 5 * 10**9], 0.0),
+        # From about n = 10**15 log n and log(n + 1) are one double.
+        ([10**18, 10**18 + 1, 10**18 + 2], None),
+    ], ids=["past-int64-draws", "equal-logs"])
+    def test_mixture_pair_gap_at_large_n(self, tmp_path, grid, slope):
+        """The pair gap of the two point classes is 1/2 at every n, also
+        where n(n - 1) passes 2**63, and a grid whose log n are equal
+        doubles has no slope."""
+        rc = main(["diagnose", "--family", "mixture", "--grid", ",".join(map(str, grid)),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        csv, meta = read_run(tmp_path, "diagnose")
+        assert [line.split(",")[1] for line in csv.strip().split("\n")[1:]] == ["0.5"] * len(grid)
+        assert meta["slope"] == slope
 
     def test_slope_fit_drops_every_product_gap(self, tmp_path):
         """A product law's pair gap is rounding error at every n, so the
@@ -718,6 +735,19 @@ class TestMicrocanonicalCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--family", "product", "--p", "0.2,0.3,0.5"],
+    ["microcanonical", "--H", "0,1,2", "--E", "0.8", "--delta", "0.2", "--tol", "0.05"],
+], ids=["product", "microcanonical"])
+def test_class_sizes_once_per_law(tmp_path, monkeypatch, argv):
+    # The builder seeds the law's sizes; specific_loglik reads them.
+    sized, original = [], chaoslab.core._class_sizes
+    monkeypatch.setattr(chaoslab.core, "_class_sizes",
+                        lambda occ, n: sized.append(n) or original(occ, n))
+    assert main(argv + ["--grid", "20,40,80", "--out", str(tmp_path)]) == 0
+    assert sized == [20, 40, 80]
+
+
 class TestFamilyErrors:
     def test_empty_microcanonical_family_is_config_error(self, tmp_path, capsys):
         rc = main(["diagnose", "--family", "microcanonical", "--H", "0,1,2", "--E", "0.05",
@@ -830,6 +860,23 @@ class TestNumericOptions:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "4.json" in err
+        assert not out.exists()
+
+    def test_custom_law_whose_counts_wrap_int64(self, tmp_path, capsys):
+        # Two counts of 2**63 - 1 and one of n + 2 add up to n in int64.
+        law_dir = tmp_path / "laws"
+        law_dir.mkdir()
+        grid = [2**63 - 5, 2**63 - 4, 2**63 - 3]
+        for n in grid:
+            m = [2**63 - 1, 2**63 - 1, n + 2]
+            (law_dir / f"{n}.json").write_text(
+                '{"labels":["0","1","2"],"n":%d,"classes":[{"m":%s,"mass":1.0}]}' % (n, m))
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
+                   "--p", "0.2,0.3,0.5", "--grid", ",".join(map(str, grid)), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "bad occupancy key" in err
         assert not out.exists()
 
     def test_custom_family_reads_labelled_laws(self, tmp_path):

@@ -315,6 +315,18 @@ class TestConstructorChecks:
             SymmetricLaw(S2, n, occ, p)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("space, n, occ", [
+        # Three counts of 2**63 - 1 add up to n in int64.
+        (StateSpace.of_size(3), 2**63 - 3, [[2**63 - 1] * 3]),
+        # As int64 these uint64 counts are (-1, 3), which add up to n.
+        (S2, 2, np.array([[2**64 - 1, 3]], dtype=np.uint64)),
+    ], ids=["wrapping-sum", "wrapping-count"])
+    def test_row_sums_are_exact(self, space, n, occ):
+        with pytest.raises(InvalidArgumentError) as exc:
+            SymmetricLaw(space, n, occ, [1.0])
+        m = tuple(np.asarray(occ)[0].tolist())
+        assert str(exc.value) == f"bad occupancy key {m} for n={n}, k={space.k}"
+
     def test_masses_down_to_the_clamp_are_dropped(self):
         law = SymmetricLaw(S2, 3, [(2, 1), (3, 0)], [-1e-16, 1.0])
         assert law.classes == {(3, 0): 1.0}

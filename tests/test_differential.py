@@ -3,6 +3,7 @@ oracles in conftest, and closed-form pins at n where no oracle can
 enumerate."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -84,6 +85,7 @@ from conftest import (
     point_class,
     rowwise_class_sizes,
     rowwise_mean_empirical_tv,
+    rowwise_pascal,
     rowwise_product_law,
     rowwise_specific_loglik,
 )
@@ -258,6 +260,39 @@ def test_point_class_marginals_are_exact_fractions(k, n, seed):
         for u, mu in enumerate(m)]
 
 
+def big_composition(rnd, k, n):
+    cuts = sorted(rnd.randint(0, n) for _ in range(k - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
+# A marginal entry rounds at most five times: a count or count product to a
+# double, its product with a mass, the class sum, the count of draws to a
+# double and the division.  Its terms are >= 0, so nothing cancels.
+MARGINAL_REL_ERR = (1 + Fraction(1, 2**53)) ** 5 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), classes=st.integers(1, 2),
+       n=st.integers(2, 2**63 - 1) | st.sampled_from([3037000499, 3037000500, 3037000501]))
+@example(k=3, seed=0, classes=2, n=2**63 - 1)
+@example(k=2, seed=1, classes=1, n=4 * 10**9)
+def test_marginals_are_fractions_to_int64_n(k, seed, classes, n):
+    """A point class or a two-class mixture, against exact fractions of its
+    masses, at n up to 2**63 - 1: past n(n - 1) = 2**63 the column
+    products are Python ints, not wrapped int64."""
+    rnd = random.Random(seed)
+    w = rnd.random()
+    law = SymmetricLaw(StateSpace.of_size(k), n, [big_composition(rnd, k, n) for _ in range(classes)],
+                       [w, 1 - w][2 - classes:] if classes == 2 else [1.0])
+    masses, cols = [Fraction(x) for x in law.p.tolist()], law.occ.T.tolist()
+    want = [[sum(x * mu for x, mu in zip(masses, cols[u])) / n for u in range(k)],
+            [sum(x * mu * (mw - (u == w)) for x, mu, mw in zip(masses, cols[u], cols[w]))
+             / (n * (n - 1)) for u in range(k) for w in range(k)]]
+    for j in (1, 2):
+        for got, exact in zip(marginal(law, j).ravel().tolist(), want[j - 1]):
+            assert abs(Fraction(got) - exact) <= MARGINAL_REL_ERR * exact
+
+
 @settings(max_examples=40, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_specific_loglik_and_mean_empirical_tv(shape, seed, sparse):
@@ -345,6 +380,40 @@ def test_grown_pascal_table_is_the_built_one(grid):
             table = _binomials(n)
             assert len(table) > n
             assert np.array_equal(table, _build_pascal(len(table) - 1))
+
+
+def test_pascal_table_is_the_rowwise_triangle_on_its_anti_diagonals():
+    table, triangle = _build_pascal(PASCAL_ROWS), rowwise_pascal(PASCAL_ROWS)
+    i, j = np.indices(table.shape)
+    inside = i + j <= PASCAL_ROWS
+    assert np.array_equal(table[inside], triangle[(i + j)[inside], j[inside]])
+    assert not table[~inside].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 7), n=st.integers(1, PASCAL_ROWS + 1), seed=st.integers(0, 2**32 - 1))
+@example(k=3, n=PASCAL_ROWS, seed=0)
+@example(k=7, n=PASCAL_ROWS, seed=1)
+def test_class_sizes_are_the_rowwise_form(k, n, seed):
+    """Bit for bit on the whole class space where it fits, else on an
+    energy window of it, and on row subsets of either and on random
+    classes, up to the first n past the table."""
+    rng = np.random.default_rng(seed)
+    if math.comb(n + k - 1, k - 1) <= 50_000:
+        occ = occupancy_array(k, n)
+        w = rng.integers(-3, 4, k)
+    else:
+        # Mixed-radix weights, largest first so that each prefix can reach
+        # few energies: each energy is at most one class.
+        w = np.array([(n + 1) ** i for i in range(k - 2, -1, -1)] + [0])
+    e = int(np.dot(composition(rng, k, n), w))
+    window = window_occupancies(w, e - 400, e + 400, n)
+    if math.comb(n + k - 1, k - 1) > 50_000:
+        occ = window
+    picked = occ[rng.random(len(occ)) < 0.3]
+    drawn = np.array([composition(rng, k, n) for _ in range(200)])
+    for rows in (occ, window, picked, occ[::3], drawn):
+        assert np.array_equal(_class_sizes(rows, n), rowwise_class_sizes(rows, n))
 
 
 def test_point_class_at_large_n_builds_no_count_array():
