@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .core import (
-    Distribution,
     StateSpace,
     SymmetricLaw,
     enumerate_occupancies,
     law_from_json,
-    law_to_json,
     marginal,
     mean_empirical_tv,
     product_law,

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    Distribution,
     StateSpace,
     SymmetricLaw,
     class_index,
     law_from_json,
+    law_rows,
     marginal,
     occupancy_array,
     product_law,
@@ -82,6 +82,11 @@ def parse_floats(text: str) -> tuple:
         raise ConfigError(f"bad float list {text!r}") from exc
 
 
+def parse_law(text: str) -> np.ndarray:
+    """A comma-separated one-particle law as a (k,) row checked by `law_rows`."""
+    return law_rows([parse_floats(text)])[0]
+
+
 def parse_grid(text: str) -> list:
     try:
         grid = [int(x) for x in text.split(",")]
@@ -94,16 +99,16 @@ def parse_grid(text: str) -> list:
     return grid
 
 
-def quota_occupancy(p: Distribution, n: int) -> tuple:
-    """Deterministic occupancy closest to n*p: floors plus largest remainders,
-    of the doubles n * p_i below 2**53 when their floors fall short of n by
-    0 to k - 1, else of the exact quotas n * c_i / sum(c), p_i = c_i / D, so
-    the class always holds n particles."""
-    raw = [n * x for x in p.p]
+def quota_occupancy(p, n: int) -> tuple:
+    """Deterministic occupancy closest to n*p, p a (k,) row: floors plus
+    largest remainders, of the doubles n * p_i below 2**53 when their floors
+    fall short of n by 0 to k - 1, else of the exact quotas n * c_i / sum(c),
+    p_i = c_i / D, so the class always holds n particles."""
+    raw = [n * x for x in map(float, p)]
     m = [int(x) for x in raw]
     rem = [x - c for x, c in zip(raw, m)]
     if not (n < 2**53 and 0 <= n - sum(m) < len(m)):
-        ratios = [x.as_integer_ratio() for x in p.p]
+        ratios = [x.as_integer_ratio() for x in map(float, p)]
         D = max(b for _, b in ratios)
         c = [a * (D // b) for a, b in ratios]
         m, rem = map(list, zip(*(divmod(n * ci, sum(c)) for ci in c)))
@@ -269,12 +274,10 @@ def cmd_diagnose(config: dict) -> int:
     tol = config.get("tol", DEFAULT_TOL)
 
     if family_name == "product":
-        p = parse_floats(require(config, "p"))
-        space = StateSpace.of_size(len(p))
-        rho = Distribution(space, p)
+        rho = parse_law(require(config, "p"))
         family = lambda n: product_law(rho, n)
     elif family_name == "mixture":
-        rho = Distribution(StateSpace.of_size(2), (0.5, 0.5))
+        rho = np.array([0.5, 0.5])
         family = mixture_family
     elif family_name == "microcanonical":
         model = energy_model(config)
@@ -282,17 +285,15 @@ def cmd_diagnose(config: dict) -> int:
         family = lambda n: microcanonical(model, n)
     else:  # custom
         law_dir = Path(require(config, "law-dir"))
-        p = parse_floats(require(config, "p"))
-        rho = Distribution(StateSpace.of_size(len(p)), p)
+        rho = parse_law(require(config, "p"))
 
         def family(n):
-            # --p is given by state index, so each law is read onto the index space.
+            # --p is a row over the law file's states in their listed order.
             path = law_dir / f"{n}.json"
             try:
-                law = law_from_json(path.read_text())
+                return law_from_json(path.read_text())
             except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"cannot read law file {path}: {exc}") from exc
-            return SymmetricLaw(StateSpace.of_size(law.space.k), law.n, law.occ, law.p)
 
     report = chaos_verdict(family, rho, grid, tol=tol)
     rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik) for r in report.rows]
@@ -308,11 +309,11 @@ def cmd_counterexample(config: dict) -> int:
     if any(n < 2 for n in grid):
         raise ConfigError("counterexample needs n >= 2 throughout the grid")
     tol = config.get("tol", DEFAULT_TOL)
-    p = parse_floats(config.get("p", "0.9,0.1"))
+    rho_in = parse_law(config.get("p", "0.9,0.1"))
+    if len(rho_in) != 2:
+        raise ConfigError("probability vector length != k")
     space = StateSpace.of_size(2)
-    rho_in = Distribution(space, p)
-    rho_out = Distribution(space, (0.5, 0.5))
-    delta1 = Distribution(space, (0.0, 1.0))
+    rho_out, delta1 = np.array([0.5, 0.5]), np.array([0.0, 1.0])
 
     def product_branch(n):
         return propagate(product_law(rho_in, n), make_kernel("counterexample", space, n))
@@ -331,15 +332,14 @@ def cmd_counterexample(config: dict) -> int:
     return 0 if both_expected else 3
 
 
-def column_laws(rho: Distribution, n: int) -> np.ndarray:
-    """theorem-probe's column laws, a (3, classes) array of masses by class
-    rank: the quota point class, the product law, and a damped law,
-    rho-chaotic but not product, the product law times 1 - 1/n plus 1/n at
-    reversed rho's quota class.  The product law comes first: at too large
-    an n it is a capacity error."""
+def column_laws(rho: np.ndarray, n: int) -> np.ndarray:
+    """theorem-probe's column laws for a (k,) row rho, a (3, classes) array
+    of masses by class rank: the quota point class, the product law, and a
+    damped law, rho-chaotic but not product, the product law times 1 - 1/n
+    plus 1/n at reversed rho's quota class.  The product law comes first: at
+    too large an n it is a capacity error."""
     product = product_law(rho, n).vector()
-    flipped = Distribution(rho.space, tuple(reversed(rho.p)))
-    quota, other = class_index([quota_occupancy(rho, n), quota_occupancy(flipped, n)], n)
+    quota, other = class_index([quota_occupancy(rho, n), quota_occupancy(rho[::-1], n)], n)
     columns = np.array([np.zeros_like(product), product, (1.0 - 1.0 / n) * product])
     columns[0, quota] = 1.0
     columns[2, other] += 1.0 / n
@@ -371,11 +371,10 @@ def monte_carlo_pair_marginals(columns: np.ndarray, kernel, replicas: int, seed:
 
 def cmd_theorem_probe(config: dict) -> int:
     kernel_name = require(config, "kernel")
-    p = parse_floats(require(config, "p"))
+    rho = parse_law(require(config, "p"))
     grid = parse_grid(require(config, "grid"))
     seed = config.get("seed")
-    space = StateSpace.of_size(len(p))
-    rho = Distribution(space, p)
+    space = StateSpace.of_size(len(rho))
     replicas = config.get("replicas", 4000)
     kernels = [make_kernel(kernel_name, space, n) for n in grid]
     sampled = [kernel for kernel in kernels if not kernel.exact]
@@ -391,7 +390,7 @@ def cmd_theorem_probe(config: dict) -> int:
     # the limit law fp.
     first = kernels[0]
     probe = continuity_probe(first.limit, rho, radius=0.1)
-    fp = Distribution(first.target, tuple(probe.image[0]))
+    fp = law_rows(probe.image[:1])[0]
 
     backend, rows = [], []
     for n in grid:
@@ -418,7 +417,7 @@ def cmd_theorem_probe(config: dict) -> int:
     row_gaps = [row[1] for row in rows]
     meta = {
         "backend": backend,
-        "limit": list(fp.p),
+        "limit": fp.tolist(),
         "final_row_gap": row_gaps[-1],
         "row_gap_decreasing": all(b < a for a, b in zip(row_gaps, row_gaps[1:])),
         "continuity_modulus": probe.modulus,
@@ -430,40 +429,37 @@ def cmd_theorem_probe(config: dict) -> int:
 
 
 def cmd_kac(config: dict) -> int:
-    p = parse_floats(require(config, "p"))
+    p0 = parse_law(require(config, "p"))
     n = require(config, "n")
     lam = config.get("lam", 1.0)
     t = config.get("t", 1.0)
     replicas = config.get("replicas", 200)
     seed = require(config, "seed")
-    space = StateSpace.of_size(len(p))
-    p0 = Distribution(space, p)
+    space = StateSpace.of_size(len(p0))
     kernel = kac_collision_kernel(space, lam, t, n)
-    ode = Distribution(space, tuple(kernel.limit(p0.as_array()[None])[0]))
+    ode = law_rows(kernel.limit(p0[None]))[0]
 
     header = "method,tv_to_ode," + ",".join(f"p{i}" for i in range(space.k))
-    rows = [("ode", 0, *ode.p)]
+    rows = [("ode", 0, *ode.tolist())]
 
     # Only an exact kernel gets a row, which keeps product_law off the large-n path.
     if kernel.exact:
-        exact_p = Distribution(space, marginal(propagate(product_law(p0, n), kernel), 1))
-        rows.append(("exact", tv_distance(exact_p, ode), *exact_p.p))
+        exact_p = law_rows([marginal(propagate(product_law(p0, n), kernel), 1)])[0]
+        rows.append(("exact", tv_distance(exact_p, ode), *exact_p.tolist()))
 
     # Each replica draws its start, then its run, on its own stream.
-    row = p0.as_array()
-
     def run(rngs):
-        return kernel.sampler([iid_state(row, n, rng) for rng in rngs], rngs)
+        return kernel.sampler([iid_state(p0, n, rng) for rng in rngs], rngs)
 
     # The replica mean, summed row by row in replica order: one left fold.
     totals = np.zeros(space.k)
     for chunk in replica_counts(run, replicas, seed):
         totals = np.add.accumulate(np.vstack([totals, chunk / n]))[-1]
-    mc_p = Distribution(space, tuple(totals / replicas))
-    rows.append(("mc", tv_distance(mc_p, ode), *mc_p.p))
+    mc_p = law_rows([totals / replicas])[0]
+    rows.append(("mc", tv_distance(mc_p, ode), *mc_p.tolist()))
 
     write_outputs(config, "kac", header, rows,
-                  {"ode": list(ode.p), "ode_plan": wild_plan(lam, t)._asdict()})
+                  {"ode": ode.tolist(), "ode_plan": wild_plan(lam, t)._asdict()})
     return 0
 
 
@@ -473,12 +469,12 @@ def cmd_microcanonical(config: dict) -> int:
     tol = config.get("tol", DEFAULT_TOL)
     beta, gamma = microcanonical_limit(model)
     report = chaos_verdict(lambda n: microcanonical(model, n), gamma, grid, tol=tol)
-    limit = math.fsum(g * math.log(g) for g in gamma.p if g > 0.0)
+    limit = math.fsum(g * math.log(g) for g in gamma.tolist() if g > 0.0)
     rows = [(r.n, r.pair_gap, r.concentration_gap, r.specific_loglik,
              abs(r.specific_loglik - limit)) for r in report.rows]
     meta = {
         "beta": beta,
-        "gamma": list(gamma.p),
+        "gamma": gamma.tolist(),
         "verdict": report.verdict,
         "slope": report.slope,
         "slope_dropped": report.slope_dropped,

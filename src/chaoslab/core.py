@@ -111,10 +111,17 @@ class StateSpace:
         return StateSpace(tuple(str(i) for i in range(k)))
 
 
-def law_rows(P: np.ndarray) -> np.ndarray:
-    """A copy of a (B, k) float array of one-particle laws, entries in
-    [NEG_CLAMP, 0) read as 0, or InvalidArgumentError unless every entry is
-    finite and >= NEG_CLAMP and each row's fsum is within MASS_TOL of 1."""
+def law_rows(P) -> np.ndarray:
+    """P, a nonempty (B, k) stack of one-particle laws, as a new float
+    array, entries in [NEG_CLAMP, 0) read as 0, or InvalidArgumentError
+    unless every entry is finite and >= NEG_CLAMP and each row's fsum is
+    within MASS_TOL of 1.  A single law p is the one-row stack [p]."""
+    try:
+        P = np.array(P, dtype=float)
+    except (TypeError, ValueError):
+        P = np.zeros(0)
+    if not (P.ndim == 2 and P.size):
+        raise InvalidArgumentError("need a nonempty (B, k) stack of laws")
     if not np.isfinite(P).all():
         raise InvalidArgumentError("non-finite probability entry")
     if (P < NEG_CLAMP).any():
@@ -123,23 +130,6 @@ def law_rows(P: np.ndarray) -> np.ndarray:
     if any(abs(math.fsum(row) - 1.0) > MASS_TOL for row in P.tolist()):
         raise InvalidArgumentError("probabilities do not sum to 1")
     return P
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability law on a StateSpace."""
-
-    space: StateSpace
-    p: tuple
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.p)
-        if len(p) != self.space.k:
-            raise InvalidArgumentError("probability vector length != k")
-        object.__setattr__(self, "p", tuple(law_rows(np.array([p]))[0].tolist()))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.p, dtype=float)
 
 
 def _expand(rows: list, c_lo, c_hi):
@@ -459,8 +449,9 @@ def _strictly_decreasing(occ: np.ndarray) -> bool:
     return not tie.any()
 
 
-def product_law(p: Distribution, n: int) -> SymmetricLaw:
-    """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p).
+def product_law(p, n: int) -> SymmetricLaw:
+    """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p), for a
+    one-particle law p, a (k,) row checked by `law_rows`.
 
     Class size times prod p_i^m_i in doubles; rows where the class size
     overflows or a power underflows are redone in log space.  The whole law
@@ -469,8 +460,8 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
     """
     if n < 1:
         raise InvalidArgumentError("particle count must be >= 1")
-    occ = occupancy_array(p.space.k, n)
-    q = p.as_array()
+    q = law_rows([p])[0]
+    occ = occupancy_array(len(q), n)
     sizes = _class_sizes(occ, n)
     mass = np.ones(len(occ))  # prod_i q_i^m_i, multiplied left to right, then sizes
     for qi, m in zip(q, occ.T):
@@ -488,7 +479,7 @@ def product_law(p: Distribution, n: int) -> SymmetricLaw:
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(_log_class_sizes(sub, n, sizes[lost]) + sub @ log_q)
     mass /= _sum(mass)
-    return _law_with_sizes(p.space, n, occ, mass, sizes)
+    return _law_with_sizes(StateSpace.of_size(len(q)), n, occ, mass, sizes)
 
 
 def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> SymmetricLaw:
@@ -549,11 +540,11 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
     return pair
 
 
-def tv_distance(a: Distribution, b: Distribution) -> float:
-    """Total variation distance between two Distributions on one space."""
-    if not (isinstance(a, Distribution) and isinstance(b, Distribution) and a.space == b.space):
-        raise InvalidArgumentError("tv_distance needs two Distributions on one space")
-    return 0.5 * math.fsum(abs(x - y) for x, y in zip(a.p, b.p))
+def tv_distance(a, b) -> float:
+    """Total variation distance between two one-particle laws, (k,) rows
+    of one length checked by `law_rows`."""
+    a, b = law_rows([a, b])
+    return 0.5 * math.fsum(np.abs(a - b).tolist())
 
 
 def specific_loglik(law: SymmetricLaw) -> float:
@@ -568,13 +559,14 @@ def specific_loglik(law: SymmetricLaw) -> float:
     return _sum(terms) / law.n
 
 
-def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
-    """Expected TV distance between the empirical measure and p under the law."""
-    if law.space != p.space:
+def mean_empirical_tv(law: SymmetricLaw, p) -> float:
+    """Expected TV distance between the empirical measure and p, a (k,)
+    row, under the law."""
+    if np.shape(p) != (law.space.k,):
         raise InvalidArgumentError("law and target on different spaces")
     n = law.n
     dist = np.zeros(len(law.p))  # sum_i |m_i / n - p_i|, added left to right
-    for pi, m in zip(p.as_array(), law.occ.T):
+    for pi, m in zip(np.asarray(p, dtype=float), law.occ.T):
         dist += _per_count(lambda c: np.abs(c / n - pi), m, n)
     dist *= 0.5
     return _sum(law.p * dist)
@@ -582,22 +574,19 @@ def mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
 
 # JSON wire format for symmetric laws:
 #   {"labels": [...], "n": N, "classes": [{"m": [...], "mass": x}, ...]}
-# with classes in the canonical enumeration order and 17-significant-digit
-# masses (so serialization round-trips doubles exactly).
-
-
-def law_to_json(law: SymmetricLaw) -> str:
-    labels = ",".join(f'"{x}"' for x in law.space.labels)
-    rows = ['{"m":[%s],"mass":%.17g}' % (",".join(map(str, m)), mass)
-            for m, mass in zip(law.occ.tolist(), law.p.tolist())]
-    return '{"labels":[%s],"n":%d,"classes":[%s]}' % (labels, law.n, ",".join(rows))
+# with a nonempty array of distinct string labels, and classes in the
+# canonical enumeration order with 17-significant-digit masses (so
+# serialization round-trips doubles exactly).
 
 
 def law_from_json(text: str) -> SymmetricLaw:
     import json
 
     doc = json.loads(text)
-    space = StateSpace(tuple(doc["labels"]))
+    labels = doc["labels"]
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise InvalidArgumentError("state labels must be a JSON array of strings")
+    space = StateSpace(tuple(labels))
     rows = [(tuple(row["m"]), row["mass"]) for row in doc["classes"]]
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for _, x in rows):
         raise InvalidArgumentError("a class mass must be a JSON number")

@@ -20,10 +20,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    Distribution,
     StateSpace,
     SymmetricLaw,
     _uniform_on_classes,
+    as_int,
+    law_rows,
     marginal,
     mean_empirical_tv,
     specific_loglik,
@@ -79,7 +80,7 @@ class ReportRow:
 @dataclass
 class ChaosReport:
     rows: list
-    limit: Distribution
+    limit: np.ndarray  # the candidate one-particle limit, a (k,) row
     verdict: str
     slope: Optional[float]
     slope_dropped: list  # the grid n whose pair gap the slope fit left out
@@ -89,15 +90,16 @@ class ChaosReport:
             "verdict": self.verdict,
             "slope": self.slope,
             "slope_dropped": self.slope_dropped,
-            "limit": list(self.limit.p),
+            "limit": self.limit.tolist(),
         }
 
 
-def pair_gap(pair: np.ndarray, rho: Distribution) -> float:
+def pair_gap(pair: np.ndarray, rho) -> float:
     """TV gap between an ordered (k, k) pair marginal, such as
-    `marginal(law, 2)` or a Monte Carlo estimate of it, and rho x rho:
-    half the sum of |pair - rho rho^T| over the ordered pairs."""
-    q = rho.as_array()
+    `marginal(law, 2)` or a Monte Carlo estimate of it, and rho x rho, for
+    a (k,) row rho: half the sum of |pair - rho rho^T| over the ordered
+    pairs."""
+    q = np.asarray(rho, dtype=float)
     if np.shape(pair) != (len(q), len(q)):
         raise InvalidArgumentError(f"pair marginal of shape {np.shape(pair)} for k={len(q)}")
     return 0.5 * math.fsum(np.abs(pair - np.outer(q, q)).ravel().tolist())
@@ -128,19 +130,19 @@ def _verdict(final_gap: float, slope: Optional[float], tol: float) -> str:
 
 def chaos_verdict(
     family: Callable[[int], SymmetricLaw],
-    rho: Distribution,
+    rho,
     grid: Sequence,
     tol: float = DEFAULT_TOL,
 ) -> ChaosReport:
     """Evaluate the chaos criteria for a law family over an n-grid.
 
     `family` maps n to a symmetric law on S^n and is called once per n;
-    `rho` is the candidate one-particle limit.  Each row holds that law's
-    pair gap, concentration gap and specific log-likelihood.  The verdict
-    combines the final pair gap with the fitted log-log decay slope; `tol`
-    must be finite and > 0.
+    `rho` is the candidate one-particle limit, a (k,) row.  Each row holds
+    that law's pair gap, concentration gap and specific log-likelihood.  The
+    verdict combines the final pair gap with the fitted log-log decay slope;
+    `tol` must be finite and > 0.
     """
-    grid = [int(n) for n in grid]
+    rho, grid = np.asarray(rho, dtype=float), [as_int(n) for n in grid]
     if len(grid) < 3 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidArgumentError("grid must be strictly increasing with length >= 3")
     if not 0.0 < tol < math.inf:
@@ -212,7 +214,8 @@ def _gibbs_mean_energy(H: np.ndarray, beta: float) -> float:
 
 
 def fit_gibbs(model: EnergyModel):
-    """Inverse temperature and one-particle Gibbs law matching mean energy E.
+    """Inverse temperature and one-particle Gibbs law, a (k,) row checked by
+    `law_rows`, matching mean energy E.
 
     beta solves sum_s gamma_beta(s) H(s) = E by bisection; the map
     beta -> mean energy is strictly decreasing for non-constant H.
@@ -240,8 +243,8 @@ def fit_gibbs(model: EnergyModel):
             lo = beta
         else:
             hi = beta
-    gamma = Distribution(model.space, tuple(_gibbs_weights(H, beta)))
-    residual = math.fsum(g * h for g, h in zip(gamma.p, model.H)) - model.E
+    gamma = law_rows([_gibbs_weights(H, beta)])[0]
+    residual = math.fsum(g * h for g, h in zip(gamma.tolist(), model.H)) - model.E
     if not abs(residual) < GIBBS_RESIDUAL_TOL:
         raise InfeasibleEnergyError(
             f"Gibbs fit misses mean energy {model.E:g}: residual {residual:.3g} "
@@ -269,13 +272,14 @@ def microcanonical_limit(model: EnergyModel):
 
 
 def entropy_convergence(
-    family: Callable[[int], SymmetricLaw], p: Distribution, grid: Sequence
+    family: Callable[[int], SymmetricLaw], p, grid: Sequence
 ) -> list:
-    """Per-n specific log-likelihood and its deviation from sum p log p."""
-    grid = [int(n) for n in grid]
+    """Per-n specific log-likelihood and its deviation from sum p log p,
+    for a (k,) row p."""
+    grid = [as_int(n) for n in grid]
     if not grid:
         raise InvalidArgumentError("grid must be nonempty")
-    limit = math.fsum(pi * math.log(pi) for pi in p.p if pi > 0.0)
+    limit = math.fsum(pi * math.log(pi) for pi in map(float, p) if pi > 0.0)
     rows = []
     for n in grid:
         sll = specific_loglik(family(n))

@@ -32,9 +32,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateSpace, SymmetricLaw, class_index, enumerate_occupancies, occupancy_array
+from .core import (StateSpace, SymmetricLaw, class_index, enumerate_occupancies, law_rows,
+                   occupancy_array)
 from .errors import CapacityError, InvalidArgumentError
-from .meanfield import PairRule, _as_stack, check_rate_and_time, default_rule, kac_limit_evolve
+from .meanfield import PairRule, check_rate_and_time, default_rule, kac_limit_evolve
 from .montecarlo import simulate_kac_stack
 
 # Largest n for which the exact Kac class matrix is built.
@@ -139,7 +140,7 @@ def _class_map_kernel(source: StateSpace, target: StateSpace, n: int, name: str,
         return np.arange(len(dst)), dst, np.ones(len(dst))
 
     return ExchangeableKernel(source, target, n, name, matrix_builder=build_matrix,
-                              limit=lambda P: image(_as_stack(P), 1.0))
+                              limit=lambda P: image(law_rows(P), 1.0))
 
 
 def map_kernel(

@@ -11,7 +11,7 @@ chain's jump rates (Kurtz 1970), validated against particle simulation.
 the uniformized n-particle kernel, to unit roundoff.
 
 A limit map takes a (B, k) stack of one-particle laws, one per row, checked
-by `_as_stack`, and returns a new (B, k_target) float stack of their
+by `core.law_rows`, and returns a new (B, k_target) float stack of their
 images, so that a caller with many laws (`continuity_probe`, which reads
 the k + 1 rows [p, (1 - r) p + r I]) evaluates it, and integrates the ODE,
 once.  A single law is the one-row stack.
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import MASS_TOL, Distribution, as_int, law_rows
+from .core import MASS_TOL, as_int, law_rows
 from .errors import InvalidArgumentError
 
 MAX_SLICE_LAM_T = 0.5  # lam*tau of a limit ODE slice: about 40 series terms
@@ -176,18 +176,6 @@ def check_rate_and_time(lam: float, t: float) -> None:
         raise InvalidArgumentError(f"need finite lam > 0 and t >= 0, got lam={lam}, t={t}")
 
 
-def _as_stack(p) -> np.ndarray:
-    """A nonempty (B, k) stack of laws as a new float array, its rows held
-    to a Distribution's rules by `law_rows`."""
-    try:
-        P = np.array(p, dtype=float)
-    except (TypeError, ValueError):
-        P = np.zeros(0)
-    if not (P.ndim == 2 and P.size):
-        raise InvalidArgumentError("need a nonempty (B, k) stack of laws")
-    return law_rows(P)
-
-
 def collision_marginal_tensor(k: int, rule: Optional[PairRule] = None) -> np.ndarray:
     """kappa[v, u, w]: chance a uniformly chosen output slot of the pair
     (u, w) lands on v, read off the move table as
@@ -246,11 +234,11 @@ def kac_limit_evolve(
     sum_{j<n} Q(q_j, q_{n-j}).  It is added to p as the change
     sum_{n >= 2} w_n (q_n - p), whose rounding shrinks with the slice, and
     each row is then renormalised once.  No term is negative, so no row
-    leaves the simplex.  p0 is a (B, k) stack of laws, as in `_as_stack`,
+    leaves the simplex.  p0 is a (B, k) stack of laws, as in `law_rows`,
     and the result a new (B, k) array; the einsums give each row of a stack
     the arithmetic it gets alone.
     """
-    P = _as_stack(p0)
+    P = law_rows(p0)
     plan = wild_plan(lam, t, dt, len(P))
     if t == 0:
         return P
@@ -278,11 +266,12 @@ class ContinuityReport:
 
 def continuity_probe(
     F: Callable[[np.ndarray], np.ndarray],
-    p: Distribution,
+    p,
     radius: float,
 ) -> ContinuityReport:
-    """Local modulus of continuity of a limit map F at p, read on Huber's
-    r-contamination neighbourhood {(1 - a) p + a q : a <= radius} of p.
+    """Local modulus of continuity of a limit map F at p, a (k,) row, read
+    on Huber's r-contamination neighbourhood {(1 - a) p + a q : a <= radius}
+    of p.
 
     Evaluates the stack map F once on [p, q_1, ..., q_k], q_i = (1 - radius)
     p + radius e_i, and reports the largest tv(F(p), F(q_i)).  The
@@ -291,7 +280,7 @@ def continuity_probe(
     """
     if not 0 < radius <= 1:
         raise InvalidArgumentError("radius must lie in (0, 1]")
-    base = p.as_array()
-    image = F(np.vstack([base, (1 - radius) * base + radius * np.eye(p.space.k)]))
+    base = np.asarray(p, dtype=float)
+    image = F(np.vstack([base, (1 - radius) * base + radius * np.eye(len(base))]))
     modulus = max(0.5 * math.fsum(np.abs(row - image[0])) for row in image[1:])
     return ContinuityReport(radius=radius, modulus=modulus, image=image)

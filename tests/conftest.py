@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from chaoslab import (
-    Distribution,
     PairRule,
     StateSpace,
     SumConservingRule,
@@ -153,13 +152,14 @@ def oracle_collision_tensor(k: int, rule=None) -> np.ndarray:
     return kappa
 
 
-def kac_limit_rhs(p: Distribution, lam: float, rule=None) -> np.ndarray:
-    """Right-hand side lam * (Q(p) - p) of the collision limit equation, for one law.
+def kac_limit_rhs(p: np.ndarray, lam: float, rule=None) -> np.ndarray:
+    """Right-hand side lam * (Q(p) - p) of the collision limit equation, for
+    one law, a (k,) row.
 
     Q(p)(v) = sum_{u,w} p(u) p(w) kappa(v | u, w); the output sums to zero.
     """
-    kappa = oracle_collision_tensor(p.space.k, rule)
-    return _rhs_from_tensor(p.as_array()[None, :], lam, kappa)[0]
+    kappa = oracle_collision_tensor(len(p), rule)
+    return _rhs_from_tensor(p[None, :], lam, kappa)[0]
 
 
 def oracle_kac_limit_evolve(P, lam: float, t: float, dt: float = 1e-3, rule=None) -> np.ndarray:
@@ -189,10 +189,6 @@ class SwapRule(PairRule):
 
     def outcomes(self, u, w):
         return [((w, u), 1.0)]
-
-
-def random_distribution(space, rng):
-    return Distribution(space, tuple(rng.dirichlet(np.ones(space.k))))
 
 
 def random_symmetric_law(rng, n=None, k=None, max_n=6, max_k=3):
@@ -548,6 +544,15 @@ def mixture(components) -> SymmetricLaw:
                         np.concatenate([weight * law.p for law, weight in components]))
 
 
+def law_to_json(law: SymmetricLaw) -> str:
+    """The law in the JSON format that `core.law_from_json` reads, its
+    masses to 17 significant digits, so that they read back exactly."""
+    labels = ",".join(f'"{x}"' for x in law.space.labels)
+    rows = ['{"m":[%s],"mass":%.17g}' % (",".join(map(str, m)), mass)
+            for m, mass in zip(law.occ.tolist(), law.p.tolist())]
+    return '{"labels":[%s],"n":%d,"classes":[%s]}' % (labels, law.n, ",".join(rows))
+
+
 # Row-wise references of core's class arithmetic: each per-class quantity
 # as an (S, k) array reduced along its k-wide axis, the form core computed
 # them in before it read occupancy columns and per-count tables.  They read
@@ -588,9 +593,8 @@ def rowwise_log_class_sizes(occ, n):
     return logs
 
 
-def rowwise_product_law(p: Distribution, n: int) -> SymmetricLaw:
-    occ = np.ascontiguousarray(occupancy_array(p.space.k, n))
-    q = p.as_array()
+def rowwise_product_law(q: np.ndarray, n: int) -> SymmetricLaw:
+    occ = np.ascontiguousarray(occupancy_array(len(q), n))
     sizes = rowwise_class_sizes(occ, n)
     powers = np.prod(q ** occ, axis=1)
     possible = ~(occ[:, q == 0.0] > 0).any(axis=1)
@@ -603,11 +607,11 @@ def rowwise_product_law(p: Distribution, n: int) -> SymmetricLaw:
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(rowwise_log_class_sizes(sub, n) + sub @ log_q)
     mass /= _sum(mass)
-    return SymmetricLaw(p.space, n, occ, mass)
+    return SymmetricLaw(StateSpace.of_size(len(q)), n, occ, mass)
 
 
-def rowwise_mean_empirical_tv(law: SymmetricLaw, p: Distribution) -> float:
-    dist = 0.5 * np.abs(np.ascontiguousarray(law.occ) / law.n - p.as_array()).sum(axis=1)
+def rowwise_mean_empirical_tv(law: SymmetricLaw, p: np.ndarray) -> float:
+    dist = 0.5 * np.abs(np.ascontiguousarray(law.occ) / law.n - p).sum(axis=1)
     return _sum(law.p * dist)
 
 

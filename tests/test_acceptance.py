@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from chaoslab import (
-    Distribution,
     EnergyModel,
     ParticleState,
     StateSpace,
@@ -77,7 +76,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_product_chaos_exactness():
     start = time.perf_counter()
-    p = Distribution(S3, (0.2, 0.3, 0.5))
+    p = np.array([0.2, 0.3, 0.5])
     worst = 0.0
     for n in (10, 50, 100, 200):
         worst = max(worst, pair_gap(marginal(product_law(p, n), 2), p))
@@ -95,7 +94,7 @@ def test_criterion_3_microcanonical_to_gibbs():
     start = time.perf_counter()
     _, gamma = microcanonical_limit(MODEL)
     gaps = [pair_gap(marginal(microcanonical(MODEL, n), 2), gamma) for n in GRID]
-    one_p = Distribution(S3, marginal(microcanonical(MODEL, 160), 1))
+    one_p = marginal(microcanonical(MODEL, 160), 1)
     tv1 = tv_distance(one_p, gamma)
     elapsed = time.perf_counter() - start
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -123,11 +122,11 @@ def test_criterion_4_specific_entropy_limit():
 
 
 def test_criterion_5_weak_vs_strong_propagation():
-    delta1 = Distribution(S2, (0.0, 1.0))
-    rho_out = Distribution(S2, (0.5, 0.5))
+    delta1 = np.array([0.0, 1.0])
+    rho_out = np.array([0.5, 0.5])
     verdict_grid = [4, 8, 16, 32, 64, 128]
     for p0 in (0.9, 0.7, 0.5, 0.2):
-        rho_in = Distribution(S2, (p0, 1.0 - p0))
+        rho_in = np.array([p0, 1.0 - p0])
         report = chaos_verdict(
             lambda n: propagate(product_law(rho_in, n), make_kernel("counterexample", S2, n)),
             delta1,
@@ -178,8 +177,8 @@ def test_criterion_6_commuting_diagram():
 
 
 def test_criterion_7_theorem_condition_probe():
-    p = Distribution(S3, (1 / 3, 1 / 3, 1 / 3))
-    fp = Distribution(S3, tuple(kac_limit_evolve(p.as_array()[None], 1.0, 1.0)[0]))
+    p = np.array([1 / 3, 1 / 3, 1 / 3])
+    fp = kac_limit_evolve(p[None], 1.0, 1.0)[0]
     grid = [6, 8, 10, 12]
     gaps = []
     for n in grid:
@@ -203,16 +202,16 @@ def test_criterion_7_theorem_condition_probe():
 
 def test_criterion_8_mean_field_consistency():
     start = time.perf_counter()
-    p0 = Distribution(S3, (0.6, 0.3, 0.1))
-    ode = Distribution(S3, tuple(kac_limit_evolve(p0.as_array()[None], 1.0, 1.0)[0]))
+    p0 = np.array([0.6, 0.3, 0.1])
+    ode = kac_limit_evolve(p0[None], 1.0, 1.0)[0]
 
     n, replicas, seed = 2000, 200, 77
     rngs = replica_rngs(seed, 0, replicas)
-    starts = [iid_state(p0.as_array(), n, rng) for rng in rngs]
+    starts = [iid_state(p0, n, rng) for rng in rngs]
     totals = np.zeros(3)
     for counts in simulate_kac_stack(starts, 1.0, 1.0, rngs):
         totals += counts / n
-    mc_p = Distribution(S3, tuple(totals / replicas))
+    mc_p = totals / replicas
     tv = tv_distance(mc_p, ode)
     assert tv < 0.02
 
@@ -240,7 +239,7 @@ def test_criterion_8_mean_field_consistency():
 
 
 def test_criterion_9_concentration_rate():
-    half = Distribution(S2, (0.5, 0.5))
+    half = np.array([0.5, 0.5])
     base = mean_empirical_tv(product_law(half, 4), half)
     assert abs(base - 3 / 16) < 1e-12
     ratios = []

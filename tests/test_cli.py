@@ -17,7 +17,7 @@ import chaoslab.core
 import chaoslab.kernels
 import chaoslab.montecarlo
 from chaoslab.cli import main, parse_grid, quota_occupancy
-from chaoslab.core import Distribution, StateSpace, law_to_json, marginal, product_law
+from chaoslab.core import StateSpace, SymmetricLaw, law_rows, marginal, product_law
 from chaoslab.diagnostics import (
     EnergyModel,
     entropy_convergence,
@@ -30,7 +30,7 @@ from chaoslab.kernels import kac_collision_kernel, make_kernel, propagate
 from chaoslab.meanfield import wild_plan
 from chaoslab.montecarlo import iid_state, replica_counts
 
-from conftest import mixture, point_class
+from conftest import law_to_json, mixture, point_class
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
@@ -51,24 +51,24 @@ class TestHelpers:
             parse_grid("4,x")
 
     def test_quota_occupancy(self):
-        assert quota_occupancy(Distribution(S2, (0.5, 0.5)), 4) == (2, 2)
-        assert quota_occupancy(Distribution(S3, (0.5, 0.3, 0.2)), 10) == (5, 3, 2)
+        assert quota_occupancy(np.array([0.5, 0.5]), 4) == (2, 2)
+        assert quota_occupancy(np.array([0.5, 0.3, 0.2]), 10) == (5, 3, 2)
         # remainders 0.5/0.1/0.4 with one unit to spread: largest wins
-        assert quota_occupancy(Distribution(S3, (0.5, 0.3, 0.2)), 7) == (4, 2, 1)
-        assert sum(quota_occupancy(Distribution(S3, (1 / 3, 1 / 3, 1 / 3)), 8)) == 8
+        assert quota_occupancy(np.array([0.5, 0.3, 0.2]), 7) == (4, 2, 1)
+        assert sum(quota_occupancy(np.array([1 / 3, 1 / 3, 1 / 3]), 8)) == 8
 
     @pytest.mark.parametrize("n", [2**60 + 3, 2**63 - 1])
     def test_quota_occupancy_past_double_precision(self, n):
         # The doubles n * 0.5 drop n's last bits: floors and remainders of
         # them gave a class of n - 1 particles at 2^60 + 3, of n + 2 at 2^63 - 1.
-        assert quota_occupancy(Distribution(S2, (0.5, 0.5)), n) == ((n + 1) // 2, n // 2)
+        assert quota_occupancy(np.array([0.5, 0.5]), n) == ((n + 1) // 2, n // 2)
 
     def test_quota_occupancy_ties_below_2_53_as_before(self):
         # The doubles 5 * 0.7 and 5 * 0.3 are 3.5 and 1.5, a tie that the
         # lower index takes; the exact products of the doubles 0.7 and 0.3
         # would give it to state 1.
-        assert quota_occupancy(Distribution(S2, (0.7, 0.3)), 5) == (4, 1)
-        assert quota_occupancy(Distribution(S2, (1 / 6, 5 / 6)), 3) == (1, 2)
+        assert quota_occupancy(np.array([0.7, 0.3]), 5) == (4, 1)
+        assert quota_occupancy(np.array([1 / 6, 5 / 6]), 3) == (1, 2)
 
 
 @st.composite
@@ -90,7 +90,7 @@ N_PAST_INT = (st.integers(1, 1000) | st.integers(2**53 - 2**12, 2**53 + 2**12)
 def test_quota_occupancy_is_within_one_of_each_quota(p, n):
     """For p summing to 1 exactly the class holds n particles, and each
     count is within 1 of n p_i in exact rationals, on both sides of 2^53."""
-    m = quota_occupancy(Distribution(StateSpace.of_size(len(p)), p), n)
+    m = quota_occupancy(law_rows([p])[0], n)
     assert sum(m) == n
     assert all(abs(mi - n * Fraction(pi)) < 1 for mi, pi in zip(m, p))
 
@@ -101,7 +101,7 @@ def test_quota_occupancy_is_within_one_of_each_quota(p, n):
 def test_quota_occupancy_holds_n_particles(w, n):
     """Any p whose doubles sum to 1 within the tolerance gives a class of n
     particles, never a negative count."""
-    p = Distribution(StateSpace.of_size(len(w)), tuple(x / math.fsum(w) for x in w))
+    p = law_rows([[x / math.fsum(w) for x in w]])[0]
     m = quota_occupancy(p, n)
     assert sum(m) == n and min(m) >= 0
 
@@ -338,14 +338,13 @@ class TestTheoremProbe:
                    "--grid", ",".join(map(str, grid)), "--out", str(tmp_path)])
         assert rc == 0
         csv, meta = read_run(tmp_path, "theorem-probe")
-        rho = Distribution(StateSpace.of_size(p.count(",") + 1), tuple(map(float, p.split(","))))
-        flipped = Distribution(rho.space, tuple(reversed(rho.p)))
+        rho = np.array(p.split(","), dtype=float)
+        space, fp = StateSpace.of_size(len(rho)), np.array(meta["limit"])
         for n, line in zip(grid, csv.splitlines()[1:], strict=True):
-            kernel_n = make_kernel(kernel, rho.space, n)
-            fp = Distribution(kernel_n.target, tuple(meta["limit"]))
+            kernel_n = make_kernel(kernel, space, n)
             product = product_law(rho, n)
-            other = point_class(rho.space, quota_occupancy(flipped, n))
-            laws = [point_class(rho.space, quota_occupancy(rho, n)), product,
+            other = point_class(space, quota_occupancy(rho[::-1], n))
+            laws = [point_class(space, quota_occupancy(rho, n)), product,
                     mixture([(product, 1.0 - 1.0 / n), (other, 1.0 / n)])]
             want = [pair_gap(marginal(propagate(law, kernel_n), 2), fp) for law in laws]
             assert [float(x) for x in line.split(",")] == [n, *want]
@@ -561,8 +560,8 @@ class TestKacCommand:
                 replicas, seed):
             for counts in chunk:
                 totals += counts / n
-        want = Distribution(S3, tuple(totals / replicas))
-        assert tuple(map(float, mc.split(",")[2:])) == want.p
+        want = law_rows([totals / replicas])[0]
+        assert list(map(float, mc.split(",")[2:])) == want.tolist()
 
     def test_meta_records_the_ode_plan(self, tmp_path):
         rc = main(["kac", "--p", "0.6,0.3,0.1", "--n", "8", "--replicas", "2",
@@ -783,6 +782,38 @@ class TestFamilyErrors:
         assert rc == 2
 
 
+LAW_READERS = {
+    "diagnose-product": ["diagnose", "--family", "product", "--grid", "4,8,16"],
+    "diagnose-custom": ["diagnose", "--family", "custom", "--law-dir", "absent",
+                        "--grid", "4,8,16"],
+    "counterexample": ["counterexample"],
+    "theorem-probe": ["theorem-probe", "--kernel", "identity", "--grid", "4,8,16"],
+    "kac": ["kac", "--n", "8", "--seed", "1"],
+}
+BAD_LAWS = {
+    "nan": ("nan,1", "non-finite probability entry"),
+    "negative": ("-0.1,1.1", "negative probability entry"),
+    "sum": ("0.5,0.6", "probabilities do not sum to 1"),
+}
+BAD_LAW_CASES = {f"{command}-{fault}": (argv, *BAD_LAWS[fault])
+                 for command, argv in LAW_READERS.items() for fault in BAD_LAWS}
+BAD_LAW_CASES["counterexample-length"] = (["counterexample"], "0.5,0.3,0.2",
+                                          "probability vector length != k")
+
+
+class TestBadLaw:
+    """A --p that is not a one-particle law is a config error, exit 2, with
+    one message per fault, before any output is written."""
+
+    @pytest.mark.parametrize("argv, p, message", BAD_LAW_CASES.values(),
+                             ids=BAD_LAW_CASES.keys())
+    def test_message_and_exit_code(self, tmp_path, capsys, argv, p, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--p", p, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 class TestNumericOptions:
     """Seeds and numeric config values are checked once, in load_config."""
 
@@ -880,12 +911,13 @@ class TestNumericOptions:
         assert not out.exists()
 
     def test_custom_family_reads_labelled_laws(self, tmp_path):
-        # law_to_json keeps the state labels; --p is given by state index.
+        # law_to_json keeps the state labels; --p is a row over them in order.
         law_dir = tmp_path / "laws"
         law_dir.mkdir()
-        rho = Distribution(StateSpace(("a", "b")), (0.7, 0.3))
         for n in (4, 8, 16):
-            (law_dir / f"{n}.json").write_text(law_to_json(product_law(rho, n)))
+            law = product_law(np.array([0.7, 0.3]), n)
+            labelled = SymmetricLaw(StateSpace(("a", "b")), n, law.occ, law.p)
+            (law_dir / f"{n}.json").write_text(law_to_json(labelled))
         out = tmp_path / "out"
         rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
                    "--p", "0.7,0.3", "--grid", "4,8,16", "--out", str(out)])
@@ -896,7 +928,7 @@ class TestNumericOptions:
     def test_custom_law_of_the_wrong_n(self, tmp_path, capsys):
         law_dir = tmp_path / "laws"
         law_dir.mkdir()
-        rho = Distribution(S2, (0.7, 0.3))
+        rho = np.array([0.7, 0.3])
         for n, law_n in [(4, 4), (8, 20), (16, 16)]:
             (law_dir / f"{n}.json").write_text(law_to_json(product_law(rho, law_n)))
         out = tmp_path / "out"
@@ -904,6 +936,22 @@ class TestNumericOptions:
                    "--p", "0.7,0.3", "--grid", "4,8,16", "--out", str(out)])
         assert rc == 2
         assert "n=20 at n=8" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", ['"ab"', '{"a":1,"b":2}', "[1,2]"],
+                             ids=["string", "object", "numbers"])
+    def test_custom_law_labels_must_be_an_array_of_strings(self, tmp_path, capsys, labels):
+        law_dir = tmp_path / "laws"
+        law_dir.mkdir()
+        (law_dir / "4.json").write_text(
+            '{"labels":%s,"n":4,"classes":[{"m":[4,0],"mass":1.0}]}' % labels)
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--family", "custom", "--law-dir", str(law_dir),
+                   "--p", "0.7,0.3", "--grid", "4,8,16", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: law family failed at n=4: cannot read law file {law_dir / '4.json'}: "
+            "state labels must be a JSON array of strings\n")
         assert not out.exists()
 
 

@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
-    Distribution,
     StateSpace,
     SymmetricLaw,
     enumerate_occupancies,
     law_from_json,
-    law_to_json,
     marginal,
     mean_empirical_tv,
     pair_gap,
@@ -21,7 +19,7 @@ from chaoslab import (
     specific_loglik,
     tv_distance,
 )
-from chaoslab.core import occupancy_array
+from chaoslab.core import law_rows, occupancy_array
 from chaoslab.errors import CapacityError, InvalidArgumentError
 
 from conftest import (
@@ -29,6 +27,7 @@ from conftest import (
     class_size,
     dense_marginal_probs,
     dense_specific_loglik,
+    law_to_json,
     law_tv_distance,
     marginal_law,
     random_symmetric_law,
@@ -38,7 +37,7 @@ from conftest import (
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
-HALF = Distribution(S2, (0.5, 0.5))
+HALF = np.array([0.5, 0.5])
 
 
 class TestEnumerateOccupancies:
@@ -83,23 +82,23 @@ class TestProductLaw:
         assert law.classes == {(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}
 
     def test_point_mass(self):
-        law = product_law(Distribution(S2, (1.0, 0.0)), 5)
+        law = product_law(np.array([1.0, 0.0]), 5)
         assert law.classes == {(5, 0): 1.0}
 
     def test_uniform_law_is_renormalised(self):
         # Three doubles 1/3 sum to 1 - 5.6e-17; left unnormalised, that defect
         # grows the pair gap with n, to 1.8e-14 at n = 640.
         u = 1 / 3
-        p = Distribution(S3, (u, u, u))
+        p = np.array([u, u, u])
         assert pair_gap(marginal(product_law(p, 640), 2), p) < 1e-14
 
     def test_two_thirds_vs_dense_oracle(self):
-        p = Distribution(S2, (2 / 3, 1 / 3))
+        p = np.array([2 / 3, 1 / 3])
         law = product_law(p, 3)
         assert law.classes[(2, 1)] == pytest.approx(4 / 9, abs=1e-15)
         dense = to_dense(law)
         for idx, s in enumerate(dense.tuples()):
-            expected = math.prod(p.p[si] for si in s)
+            expected = math.prod(p[si] for si in s)
             assert dense.probs[idx] == pytest.approx(expected, abs=1e-15)
 
 
@@ -144,9 +143,9 @@ class TestToDense:
 
 class TestMarginal:
     def test_product_marginal_is_product(self):
-        p = Distribution(S3, (0.2, 0.3, 0.5))
+        p = np.array([0.2, 0.3, 0.5])
         law = product_law(p, 7)
-        q = p.as_array()
+        q = p
         assert np.abs(marginal(law, 1) - q).max() < 1e-13
         assert np.abs(marginal(law, 2) - np.outer(q, q)).max() < 1e-13
         assert law_tv_distance(marginal_law(law, 3), product_law(p, 3)) < 1e-13
@@ -206,12 +205,12 @@ class TestMarginal:
 
 class TestTvDistance:
     def test_disjoint_point_masses(self):
-        a = Distribution(S2, (1.0, 0.0))
-        b = Distribution(S2, (0.0, 1.0))
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 1.0])
         assert tv_distance(a, b) == 1.0
 
     def test_identity(self, rng):
-        p = Distribution(S3, tuple(rng.dirichlet(np.ones(3))))
+        p = rng.dirichlet(np.ones(3))
         assert tv_distance(p, p) == 0.0
 
     def test_pair_law_vs_product(self):
@@ -220,7 +219,7 @@ class TestTvDistance:
 
     def test_mismatched_spaces(self):
         with pytest.raises(InvalidArgumentError):
-            tv_distance(Distribution(S2, (1, 0)), Distribution(S3, (1, 0, 0)))
+            tv_distance(np.array([1, 0]), np.array([1, 0, 0]))
 
     def test_distributions_only(self, rng):
         law = random_symmetric_law(rng)
@@ -230,8 +229,8 @@ class TestTvDistance:
 
 class TestSpecificLoglik:
     def test_product_factorizes(self):
-        p = Distribution(S3, (0.2, 0.3, 0.5))
-        expected = math.fsum(x * math.log(x) for x in p.p)
+        p = np.array([0.2, 0.3, 0.5])
+        expected = math.fsum(x * math.log(x) for x in p.tolist())
         for n in (1, 3, 10, 40):
             assert specific_loglik(product_law(p, n)) == pytest.approx(expected, abs=1e-12)
 
@@ -262,23 +261,48 @@ class TestMeanEmpiricalTv:
         assert mean_empirical_tv(law, HALF) == 0.0
 
     def test_degenerate(self):
-        point = Distribution(S2, (1.0, 0.0))
+        point = np.array([1.0, 0.0])
         for n in (1, 5, 17):
             assert mean_empirical_tv(product_law(point, n), point) == 0.0
 
 
-class TestDistribution:
-    @pytest.mark.parametrize("p", [(math.nan, 1.0), (math.inf, 1.0), (0.5, -math.inf),
-                                   (1.0, 0.2), (-0.1, 1.1)])
-    def test_rejects_bad_entries(self, p):
-        with pytest.raises(InvalidArgumentError):
-            Distribution(S2, p)
+class TestLawRows:
+    """A one-particle law is a float row; `law_rows` is its one check, and
+    product_law applies it to the row it is given."""
+
+    @pytest.mark.parametrize("p, message", [
+        ((math.nan, 1.0), "non-finite probability entry"),
+        ((math.inf, 1.0), "non-finite probability entry"),
+        ((0.5, -math.inf), "non-finite probability entry"),
+        ((1.0, 0.2), "probabilities do not sum to 1"),
+        ((-0.1, 1.1), "negative probability entry"),
+    ], ids=["nan", "inf", "minus-inf", "sum-1.2", "negative"])
+    def test_rejects_bad_entries(self, p, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            law_rows([p])
+        with pytest.raises(InvalidArgumentError, match=message):
+            law_rows(np.array([[0.5, 0.5], p]))
+        with pytest.raises(InvalidArgumentError, match=message):
+            product_law(np.array(p), 3)
+
+    @pytest.mark.parametrize("P", [[0.5, 0.5], [[[0.5, 0.5]]], np.zeros((0, 2)),
+                                   [[0.5, 0.5], [1.0]], "0.5,0.5", None])
+    def test_rejects_what_is_not_a_stack(self, P):
+        with pytest.raises(InvalidArgumentError, match=re.escape("need a nonempty (B, k) stack")):
+            law_rows(P)
+
+    def test_clamps_tiny_negatives_into_a_new_array(self):
+        P = np.array([[1.0, -1e-16], [0.25, 0.75]])
+        out = law_rows(P)
+        assert out.tolist() == [[1.0, 0.0], [0.25, 0.75]] and P[0, 1] == -1e-16
+        assert out.dtype == float and not np.shares_memory(out, P)
+        assert product_law(P[0], 4).classes == {(4, 0): 1.0}
 
 
 class TestMassConservation:
     def test_all_constructors(self, rng):
         laws = [
-            product_law(Distribution(S3, (0.2, 0.3, 0.5)), 9),
+            product_law(np.array([0.2, 0.3, 0.5]), 9),
             random_symmetric_law(rng),
         ]
         laws.append(marginal_law(laws[0], 4))
@@ -395,6 +419,22 @@ class TestJsonFormat:
         assert law_from_json(text).classes == {(3, 1): 1.0}
         law = SymmetricLaw(S2, 4, np.array([(3, 1)], dtype=np.int32), [1.0])
         assert law.classes == {(3, 1): 1.0}
+
+    @pytest.mark.parametrize("labels", ['"ab"', '{"a":1,"b":2}', "[1,2]", '["a",2]', "null"])
+    def test_labels_must_be_an_array_of_strings(self, labels):
+        # An iterable of any kind used to pass: "ab" read as the labels a, b.
+        text = '{"labels":%s,"n":2,"classes":[{"m":[2,0],"mass":1.0}]}' % labels
+        with pytest.raises(InvalidArgumentError, match="must be a JSON array of strings"):
+            law_from_json(text)
+
+    @pytest.mark.parametrize("labels, message", [
+        ("[]", "state space needs at least one state"),
+        ('["a","a"]', "state labels must be distinct"),
+    ])
+    def test_labels_must_be_nonempty_and_distinct(self, labels, message):
+        text = '{"labels":%s,"n":2,"classes":[{"m":[2,0],"mass":1.0}]}' % labels
+        with pytest.raises(InvalidArgumentError, match=message):
+            law_from_json(text)
 
     def test_lexicographic_class_order(self, rng):
         import json

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoslab import (
-    Distribution,
     EnergyModel,
     StateSpace,
     SymmetricLaw,
@@ -32,7 +31,7 @@ from conftest import class_size, law_tv_distance, marginal_law, random_symmetric
 
 S2 = StateSpace.of_size(2)
 S3 = StateSpace.of_size(3)
-HALF = Distribution(S2, (0.5, 0.5))
+HALF = np.array([0.5, 0.5])
 
 
 def mixture_law(n):
@@ -41,12 +40,12 @@ def mixture_law(n):
 
 class TestPairGap:
     def test_product_is_exact_zero(self):
-        p = Distribution(S3, (0.2, 0.3, 0.5))
+        p = np.array([0.2, 0.3, 0.5])
         assert pair_gap(marginal(product_law(p, 25), 2), p) < 1e-14
 
     def test_point_class(self):
         law = SymmetricLaw(S2, 3, [(2, 1)], [1.0])
-        rho = Distribution(S2, (2 / 3, 1 / 3))
+        rho = np.array([2 / 3, 1 / 3])
         # pair marginal (1/3, 1/3, 1/3, 0) vs product (4/9, 2/9, 2/9, 1/9)
         assert pair_gap(marginal(law, 2), rho) == pytest.approx(2 / 9, abs=1e-14)
 
@@ -70,7 +69,7 @@ class TestKGap:
     general-order marginal of the oracle."""
 
     def test_product_zero_for_all_k(self):
-        p = Distribution(S2, (0.3, 0.7))
+        p = np.array([0.3, 0.7])
         law = product_law(p, 8)
         for k in range(2, 9):
             assert law_tv_distance(marginal_law(law, k), product_law(p, k)) < 1e-13
@@ -78,14 +77,14 @@ class TestKGap:
     def test_k2_equals_pair_gap(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng)
-            rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
+            rho = rng.dirichlet(np.ones(law.space.k))
             want = law_tv_distance(marginal_law(law, 2), product_law(rho, 2))
             assert abs(pair_gap(marginal(law, 2), rho) - want) < 1e-15
 
     def test_nondecreasing_in_k(self, rng):
         for _ in range(10):
             law = random_symmetric_law(rng, max_n=6)
-            rho = Distribution(law.space, tuple(rng.dirichlet(np.ones(law.space.k))))
+            rho = rng.dirichlet(np.ones(law.space.k))
             gaps = [law_tv_distance(marginal_law(law, k), product_law(rho, k))
                     for k in range(2, law.n + 1)]
             assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -94,7 +93,7 @@ class TestKGap:
 class TestChaosVerdict:
     def test_product_family_chaotic(self, rng):
         for _ in range(5):
-            p = Distribution(S3, tuple(rng.dirichlet(np.ones(3))))
+            p = rng.dirichlet(np.ones(3))
             report = chaos_verdict(lambda n: product_law(p, n), p, [4, 8, 16])
             assert report.verdict == "chaotic"
             assert all(r.pair_gap < 1e-13 for r in report.rows)
@@ -128,6 +127,16 @@ class TestChaosVerdict:
         with pytest.raises(InvalidArgumentError):
             chaos_verdict(mixture_law, HALF, [4, 8, 8])
 
+    def test_non_integral_grid_is_refused(self):
+        # int() used to truncate each n: rows for n = 10, 20 and 40 from a
+        # family called with 10.7, 20.2 and 40.9.
+        with pytest.raises(InvalidArgumentError, match="expected an integer, got 10.7"):
+            chaos_verdict(mixture_law, HALF, [10.7, 20.2, 40.9])
+        report = chaos_verdict(mixture_law, (0.5, 0.5), [4.0, np.int64(8), 16])
+        assert [r.n for r in report.rows] == [4, 8, 16]
+        assert all(type(r.n) is int for r in report.rows)
+        assert report.meta()["limit"] == [0.5, 0.5]
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.1])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(InvalidArgumentError, match="tol"):
@@ -155,7 +164,7 @@ class TestChaosVerdict:
         tol = 0.05
         model = EnergyModel(S3, (0, 1, 2), 0.8, 0.2)
         _, gamma = microcanonical_limit(model)
-        p = Distribution(S3, (0.2, 0.3, 0.5))
+        p = np.array([0.2, 0.3, 0.5])
         cases = [
             (lambda n: product_law(p, n), p),
             (mixture_law, HALF),
@@ -225,17 +234,17 @@ class TestFitGibbs:
     def test_symmetric_midpoint(self):
         beta, gamma = fit_gibbs(EnergyModel(S2, (0, 1), 0.5, 0.1))
         assert beta == pytest.approx(0.0, abs=1e-9)
-        assert gamma.p[0] == pytest.approx(0.5, abs=1e-10)
+        assert gamma[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_quarter(self):
         beta, gamma = fit_gibbs(EnergyModel(S2, (0, 1), 0.25, 0.1))
         assert beta == pytest.approx(math.log(3), abs=1e-9)
-        assert gamma.p == pytest.approx((0.75, 0.25), abs=1e-10)
+        assert gamma.tolist() == pytest.approx([0.75, 0.25], abs=1e-10)
 
     def test_three_state_residual(self):
         model = EnergyModel(S3, (0, 1, 2), 0.8, 0.2)
         beta, gamma = fit_gibbs(model)
-        mean = math.fsum(g * h for g, h in zip(gamma.p, model.H))
+        mean = math.fsum(g * h for g, h in zip(gamma.tolist(), model.H))
         assert abs(mean - 0.8) < 1e-10
 
     def test_beta_decreasing_in_E(self):
@@ -267,19 +276,19 @@ class TestMicrocanonicalLimit:
         # entropy-maximizing energy pins at 0.9.
         model = EnergyModel(S3, (0, 1, 2), 0.8, 0.2)
         _, gamma = microcanonical_limit(model)
-        mean = math.fsum(g * h for g, h in zip(gamma.p, model.H))
+        mean = math.fsum(g * h for g, h in zip(gamma.tolist(), model.H))
         assert mean == pytest.approx(0.9, abs=1e-9)
 
     def test_interior_window_is_uniform(self):
         model = EnergyModel(S3, (0, 1, 2), 1.0, 0.5)
         beta, gamma = microcanonical_limit(model)
         assert beta == pytest.approx(0.0, abs=1e-9)
-        assert gamma.p == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-10)
+        assert gamma.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-10)
 
 
 class TestEntropyConvergence:
     def test_product_family_zero_deviation(self):
-        p = Distribution(S2, (0.3, 0.7))
+        p = np.array([0.3, 0.7])
         rows = entropy_convergence(lambda n: product_law(p, n), p, [2, 4, 8])
         assert all(dev < 1e-12 for _, _, dev in rows)
 
@@ -304,3 +313,11 @@ class TestEntropyConvergence:
     def test_empty_grid(self):
         with pytest.raises(InvalidArgumentError):
             entropy_convergence(mixture_law, HALF, [])
+
+    def test_non_integral_grid_is_refused(self):
+        # int() used to truncate each n: rows for n = 2 and 4 from a family
+        # called with 2.5 and 4.5.
+        with pytest.raises(InvalidArgumentError, match="expected an integer, got 2.5"):
+            entropy_convergence(lambda n: product_law(HALF, n), HALF, [2.5, 4.5])
+        rows = entropy_convergence(lambda n: product_law(HALF, n), HALF, [2.0, np.int64(4)])
+        assert [n for n, _, _ in rows] == [2, 4] and all(type(n) is int for n, _, _ in rows)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from chaoslab import (
-    Distribution,
     EnergyModel,
     PairRule,
     ParticleState,
@@ -233,7 +232,7 @@ def test_window_occupancies_on_each_side_of_int64(weights, offset, dtype, monkey
 def test_product_law(shape, seed, zeros):
     k, n = shape
     p = random_p(np.random.default_rng(seed), k, zeros)
-    law = product_law(Distribution(StateSpace.of_size(k), p), n)
+    law = product_law(p, n)
     assert_same_classes(law.classes, oracle_product_law(p, n))
 
 
@@ -301,7 +300,7 @@ def test_specific_loglik_and_mean_empirical_tv(shape, seed, sparse):
     law = random_law(rng, k, n, sparse)
     p = random_p(rng, k, 0)
     assert abs(specific_loglik(law) - oracle_specific_loglik(law.classes, n)) < TOL
-    assert abs(mean_empirical_tv(law, Distribution(law.space, p))
+    assert abs(mean_empirical_tv(law, p)
                - oracle_mean_empirical_tv(law.classes, n, p)) < TOL
 
 
@@ -326,7 +325,7 @@ def class_laws(draw):
         n = draw(st.integers(PASCAL_ROWS - 2, PASCAL_ROWS + 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     space = StateSpace.of_size(k)
-    p = Distribution(space, random_p(rng, k, draw(st.integers(0, 2))))
+    p = np.array(random_p(rng, k, draw(st.integers(0, 2))))
     if kind == "product":
         law = product_law(p, n)
     elif kind == "dict":
@@ -351,7 +350,7 @@ def assert_same_law(got: SymmetricLaw, want: SymmetricLaw):
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 2))
 def test_product_law_is_the_rowwise_form(shape, seed, zeros):
     k, n = shape
-    p = Distribution(StateSpace.of_size(k), random_p(np.random.default_rng(seed), k, zeros))
+    p = np.array(random_p(np.random.default_rng(seed), k, zeros))
     assert_same_law(product_law(p, n), rowwise_product_law(p, n))
 
 
@@ -359,7 +358,7 @@ def test_product_law_is_the_rowwise_form(shape, seed, zeros):
 @pytest.mark.parametrize("zeros", [0, 1])
 def test_product_law_past_the_pascal_table_is_the_rowwise_form(k, n, zeros):
     # Every class size overflows the table's reach: the log-factorial path.
-    p = Distribution(StateSpace.of_size(k), random_p(np.random.default_rng(n), k, zeros))
+    p = np.array(random_p(np.random.default_rng(n), k, zeros))
     assert_same_law(product_law(p, n), rowwise_product_law(p, n))
 
 
@@ -419,7 +418,7 @@ def test_class_sizes_are_the_rowwise_form(k, n, seed):
 def test_point_class_at_large_n_builds_no_count_array():
     # A table over the counts 0..n would take 8 MB at n = 10^6.
     law = point_class(S3, (400_000, 350_001, 249_999))
-    rho = Distribution(S3, (0.4, 0.35, 0.25))
+    rho = np.array([0.4, 0.35, 0.25])
     tracemalloc.start()
     try:
         values = (pair_gap(marginal(law, 2), rho), mean_empirical_tv(law, rho),
@@ -438,9 +437,9 @@ def test_tv_distance(shape, seed, sparse):
     rng = np.random.default_rng(seed)
     a, b = random_law(rng, k, n, sparse), random_law(rng, k, n, True)
     assert abs(law_tv_distance(a, b) - oracle_tv_distance(a.classes, b.classes)) < TOL
-    p, q = (Distribution(a.space, random_p(rng, k, zeros)) for zeros in (0, 2))
-    assert abs(tv_distance(p, q) - oracle_tv_distance(dict(enumerate(p.p)),
-                                                      dict(enumerate(q.p)))) < TOL
+    p, q = (random_p(rng, k, zeros) for zeros in (0, 2))
+    assert abs(tv_distance(p, q) - oracle_tv_distance(dict(enumerate(p)),
+                                                      dict(enumerate(q)))) < TOL
 
 
 def test_class_index_ranks_every_class():
@@ -928,7 +927,7 @@ def test_probe_starts_are_generator_choice(k, n, replicas, kind, seed, data):
         law = point_class(space, tuple(occ[data.draw(st.integers(0, len(occ) - 1))]))
     elif kind == "product":
         w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
-        law = product_law(Distribution(space, tuple(w / w.sum())), n)
+        law = product_law(w / w.sum(), n)
     else:
         w = np.array(data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
                                         min_size=len(occ), max_size=len(occ))))
@@ -1072,7 +1071,7 @@ def test_microcanonical_sizes_sum_past_largest_double(k, n, E):
 # table, so every class size takes the log-factorial path.
 BIG_N = 1280
 S3 = StateSpace.of_size(3)
-P = Distribution(S3, (0.2, 0.3, 0.5))
+P = np.array([0.2, 0.3, 0.5])
 
 
 @pytest.fixture(scope="module")
@@ -1102,8 +1101,8 @@ def test_big_n_class_index():
 
 @pytest.mark.parametrize("m", [(1280, 0, 0), (640, 640, 0), (400, 500, 380), (1, 2, 1277)])
 def test_big_n_point_class_pair_gap(m):
-    q = Distribution(S3, tuple(mi / BIG_N for mi in m))
-    want = (1 - math.fsum(x * x for x in q.p)) / (BIG_N - 1)
+    q = [mi / BIG_N for mi in m]
+    want = (1 - math.fsum(x * x for x in q)) / (BIG_N - 1)
     assert abs(pair_gap(marginal(point_class(S3, m), 2), q) - want) < 1e-14
 
 
@@ -1112,7 +1111,7 @@ def test_big_n_product_pair_gap(big_product):
 
 
 def test_big_n_product_specific_loglik(big_product):
-    want = math.fsum(x * math.log(x) for x in P.p)
+    want = math.fsum(x * math.log(x) for x in P.tolist())
     assert abs(specific_loglik(big_product) - want) < 1e-12
 
 
@@ -1152,5 +1151,5 @@ def test_fit_gibbs_matches_the_dot_product_form(levels, scale, at):
     beta, gamma = fit_gibbs(EnergyModel(StateSpace.of_size(len(H)), H, E, 0.1))
     want_beta, want_gamma = oracle_fit_gibbs(H, E)
     assert abs(beta - want_beta) <= 1e-12
-    assert np.abs(gamma.as_array() - want_gamma).max() <= 1e-12
-    assert abs(math.fsum(g * h for g, h in zip(gamma.p, H)) - E) < GIBBS_RESIDUAL_TOL
+    assert np.abs(gamma - want_gamma).max() <= 1e-12
+    assert abs(math.fsum(g * h for g, h in zip(gamma.tolist(), H)) - E) < GIBBS_RESIDUAL_TOL

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chaoslab import (
-    Distribution,
     StateSpace,
     SumConservingRule,
     SymmetricLaw,
@@ -97,7 +96,7 @@ def assert_pair_marginals_close_to_exact(kernel, rho, replicas, seed):
     the kernel's sampler, lies within 4 standard errors per entry of the
     exact pair marginal of the law's image under the kernel's class matrix."""
     columns = column_laws(rho, kernel.n)
-    laws = laws_of(columns, rho.space, kernel.n)
+    laws = laws_of(columns, kernel.source, kernel.n)
     for law, result in zip(laws, monte_carlo_pair_marginals(columns, kernel, replicas, seed)):
         exact = marginal(propagate(law, kernel), 2)
         assert np.all(np.abs(result.estimate - exact) < 4 * result.std_error + 1e-9)
@@ -153,11 +152,11 @@ class TestSymmetrizedClassKernel:
 
     def test_sampled_estimation_close_to_exact(self):
         kernel = noisy_relabel_kernel(3)
-        assert_pair_marginals_close_to_exact(kernel, Distribution(S2, (0.7, 0.3)), 8000, seed=5)
+        assert_pair_marginals_close_to_exact(kernel, np.array([0.7, 0.3]), 8000, seed=5)
 
     def test_kac_sampled_rows_close_to_exact(self):
         kernel = kac_collision_kernel(S3, 1.0, 0.5, 5)
-        assert_pair_marginals_close_to_exact(kernel, Distribution(S3, (0.5, 0.3, 0.2)), 3000,
+        assert_pair_marginals_close_to_exact(kernel, np.array([0.5, 0.3, 0.2]), 3000,
                                              seed=9)
 
     def test_kac_sampler_uses_the_kernels_pair_rule(self):
@@ -166,7 +165,7 @@ class TestSymmetrizedClassKernel:
         # start class's, and a point law's estimate spreads only by roundoff.
         n = KAC_EXACT_MAX_N + 1
         kernel = kac_collision_kernel(S3, 1.0, 1.0, n, pair_rule=SwapRule())
-        for column in column_laws(Distribution(S3, (0.5, 0.3, 0.2)), n):
+        for column in column_laws(np.array([0.5, 0.3, 0.2]), n):
             [law] = laws_of([column], S3, n)
             [result] = monte_carlo_pair_marginals(column[None], kernel, 200, seed=2)
             exact = marginal(law, 2)
@@ -238,9 +237,9 @@ class TestInducedTransition:
 
 class TestPropagate:
     def test_map_kernel_preserves_products(self, rng):
-        p = Distribution(S3, (0.5, 0.2, 0.3))
+        p = np.array([0.5, 0.2, 0.3])
         fmap = [1, 1, 0]
-        q = Distribution(S3, tuple(pushforward([p.p], fmap, 3)[0]))
+        q = pushforward([p], fmap, 3)[0]
         for n in (2, 4, 5):
             out = propagate(product_law(p, n), map_kernel(fmap, n, S3))
             want = product_law(q, n)
@@ -248,7 +247,7 @@ class TestPropagate:
             dense = to_dense(out)
             for idx, s in enumerate(dense.tuples()):
                 assert dense.probs[idx] == pytest.approx(
-                    math.prod(q.p[si] for si in s), abs=1e-13
+                    math.prod(q[si] for si in s), abs=1e-13
                 )
 
     def test_counterexample_destroys_mixture(self):
@@ -259,7 +258,7 @@ class TestPropagate:
         assert out.classes[(0, n)] == pytest.approx(0.5)
 
     def test_counterexample_keeps_products_chaotic(self):
-        p = Distribution(S2, (0.9, 0.1))
+        p = np.array([0.9, 0.1])
         for n in (3, 6):
             out = propagate(product_law(p, n), counterexample_kernel(n))
             assert out.classes[(n, 0)] == pytest.approx(0.9**n)
@@ -366,7 +365,7 @@ class TestClassMapRows:
         assert np.abs(kernel.limit(occ / n) - images / n).max() <= 4 * 2.0**-53
         for row in np.random.default_rng(n).choice(len(occ), size=min(len(occ), 12),
                                                    replace=False):
-            q = Distribution(kernel.target, tuple(images[row] / n))
+            q = images[row] / n
             row_law = point_class(kernel.target, tuple(images[row]))
             gap = pair_gap(marginal(row_law, 2), q)
             want = Fraction(n * n - int(images[row] @ images[row]), n * n * (n - 1))
@@ -464,8 +463,9 @@ class TestLimit:
     @pytest.mark.parametrize("name, k", [("identity", 3), ("map:1,1,0", 3), ("map:0,2", 2),
                                          ("counterexample", 2), ("kac:1,1", 3), ("kac:1,0", 3)])
     def test_stack_in_new_float_stack_out(self, name, k):
-        # A Distribution used to come back as a Distribution from kac but as an
-        # array from the others, and kac at t = 0 handed back the caller's list.
+        # A law object used to come back as one from kac but as an array
+        # from the others, and kac at t = 0 handed back the caller's list.
+        # A single (k,) row is not a stack.
         kernel = make_kernel(name, StateSpace.of_size(k), 4)
         rows = [[1.0 / k] * k, [1] + [0] * (k - 1)]
         for P in (rows, np.array(rows), np.array(rows[1:], dtype=np.int64)):
@@ -474,7 +474,7 @@ class TestLimit:
             assert out.shape == (len(P), kernel.target.k)
             assert not np.shares_memory(out, P)
         with pytest.raises(InvalidArgumentError):
-            kernel.limit(Distribution(StateSpace.of_size(k), tuple(rows[1])))
+            kernel.limit(np.array(rows[1], dtype=float))
 
     def test_map_limit_is_pushforward(self):
         out = make_kernel("map:1,1,0", S3, 4).limit(self.STACK)

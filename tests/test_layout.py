@@ -17,7 +17,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "chaoslab"
 
 UNREFERENCED = {
-    "law_to_json": "writes the law format that `diagnose --family custom` reads",
     "entropy_convergence": "bench/tracer.py looks it up by name",
     "symmetrized_class_kernel": "bench/tracer.py looks it up by name",
     "simulate_kac": "bench/tracer.py looks it up by name",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import chaoslab.kernels
 from chaoslab import (
-    Distribution,
     PairRule,
     ParticleState,
     StateSpace,
@@ -116,18 +115,18 @@ class TestPairRuleCheck:
 
 class TestKacLimitRhs:
     def test_point_mass_fixed(self):
-        rhs = kac_limit_rhs(Distribution(S3, (1.0, 0.0, 0.0)), 1.0)
+        rhs = kac_limit_rhs(np.array([1.0, 0.0, 0.0]), 1.0)
         assert np.abs(rhs).max() == 0.0
 
     def test_sums_to_zero(self, rng):
         for _ in range(200):
-            p = Distribution(S3, tuple(rng.dirichlet(np.ones(3))))
+            p = rng.dirichlet(np.ones(3))
             assert abs(kac_limit_rhs(p, 1.3).sum()) < 1e-14
 
     def test_mean_label_conserved(self, rng):
         labels = np.arange(3)
         for _ in range(100):
-            p = Distribution(S3, tuple(rng.dirichlet(np.ones(3))))
+            p = rng.dirichlet(np.ones(3))
             assert abs(labels @ kac_limit_rhs(p, 2.0)) < 1e-13
 
 
@@ -202,7 +201,7 @@ class TestKacLimitEvolve:
 
     @pytest.mark.parametrize("P", [[0.6, 0.3, 0.1], np.zeros((0, 3)), [[0.5, 0.5, 0.5]],
                                    [[1.1, -0.1, 0.0]], [[np.nan, 0.5, 0.5]],
-                                   Distribution(S3, (0.6, 0.3, 0.1))])
+                                   np.array([0.6, 0.3, 0.1])])
     def test_not_a_stack_of_laws(self, P):
         for t in (0.0, 1.0):
             with pytest.raises(InvalidArgumentError):
@@ -225,8 +224,7 @@ class TestKacLimitEvolve:
 
     def test_entries_just_below_zero_read_as_zero(self):
         row = (0.5, 0.5 + 5e-16, -5e-16)
-        assert kac_limit_evolve([row], 1.0, 0.0)[0].tolist() == list(Distribution(S3, row).p)
-        assert Distribution(S3, row).p[2] == 0.0
+        assert kac_limit_evolve([row], 1.0, 0.0)[0].tolist() == [0.5, 0.5 + 5e-16, 0.0]
 
 
 @st.composite
@@ -282,7 +280,7 @@ class TestWildSum:
 
 
 class TestContinuityProbe:
-    P3 = Distribution(S3, (0.5, 0.3, 0.2))
+    P3 = np.array([0.5, 0.3, 0.2])
 
     def test_identity_is_isometry(self):
         F = make_kernel("identity", S3, 2).limit
@@ -303,34 +301,34 @@ class TestContinuityProbe:
 
     def test_counterexample_discontinuous_at_delta0(self):
         F = make_kernel("counterexample", S2, 2).limit
-        delta0 = Distribution(S2, (1.0, 0.0))
+        delta0 = np.array([1.0, 0.0])
         report = continuity_probe(F, delta0, radius=0.01)
         assert report.modulus == 1.0
 
     def test_bad_radius(self):
         F = make_kernel("identity", S2, 2).limit
         with pytest.raises(InvalidArgumentError):
-            continuity_probe(F, Distribution(S2, (0.5, 0.5)), 0.0)
+            continuity_probe(F, np.array([0.5, 0.5]), 0.0)
 
 
 class TestBatchedProbe:
     """One evaluation of F on [p, q_1, ..., q_k], q_i = (1 - r) p + r e_i:
     p and its r-contaminations by the point masses."""
 
-    P3 = Distribution(S3, (0.5, 0.3, 0.2))
+    P3 = np.array([0.5, 0.3, 0.2])
     CASES = [
         ("identity", P3, 0.1),
         ("map:1,1,1", P3, 0.5),
-        ("counterexample", Distribution(S2, (1.0, 0.0)), 0.01),
-        ("counterexample", Distribution(S2, (0.9, 0.1)), 0.3),
+        ("counterexample", np.array([1.0, 0.0]), 0.01),
+        ("counterexample", np.array([0.9, 0.1]), 0.3),
         ("kac:1,1", P3, 0.1),
-        ("identity", Distribution(S1, (1.0,)), 0.1),  # every contamination is p
+        ("identity", np.array([1.0]), 0.1),  # every contamination is p
         ("map:2,0,2", P3, 0.25),
     ]
 
     @pytest.mark.parametrize("name, p, radius", CASES)
     def test_one_call_on_p_and_its_contaminations(self, name, p, radius):
-        F = make_kernel(name, p.space, 2).limit
+        F = make_kernel(name, StateSpace.of_size(len(p)), 2).limit
         stacks = []
 
         def recording(P):
@@ -338,20 +336,19 @@ class TestBatchedProbe:
             return F(P)
 
         report = continuity_probe(recording, p, radius)
-        base = p.as_array()
         assert len(stacks) == 1
-        assert np.array_equal(stacks[0], np.vstack([base, (1 - radius) * base
-                                                    + radius * np.eye(p.space.k)]))
+        assert np.array_equal(stacks[0], np.vstack([p, (1 - radius) * p
+                                                    + radius * np.eye(len(p))]))
         assert np.array_equal(report.image, F(stacks[0]))
-        assert np.array_equal(report.image[0], F(base[None])[0])
+        assert np.array_equal(report.image[0], F(p[None])[0])
         assert report.radius == radius
 
     @pytest.mark.parametrize("name, p, radius",
                              [case for case in CASES if not case[0].startswith(("kac", "counter"))])
     def test_affine_limit_reads_radius_times_the_vertex_distance(self, name, p, radius):
         # tv(F(p), F((1 - r) p + r e_i)) = r tv(F(p), F(e_i)) for an affine F.
-        F = make_kernel(name, p.space, 2).limit
-        fp, vertices = F(p.as_array()[None])[0], F(np.eye(p.space.k))
+        F = make_kernel(name, StateSpace.of_size(len(p)), 2).limit
+        fp, vertices = F(p[None])[0], F(np.eye(len(p)))
         want = radius * max(0.5 * math.fsum(np.abs(row - fp)) for row in vertices)
         assert abs(continuity_probe(F, p, radius).modulus - want) <= 1e-15
 
@@ -362,7 +359,7 @@ class TestBatchedProbe:
     @pytest.mark.parametrize("p, modulus", [((1.0, 0.0), 1.0), ((0.9, 0.1), 0.0)])
     def test_counterexample(self, p, modulus):
         F = make_kernel("counterexample", S2, 2).limit
-        assert continuity_probe(F, Distribution(S2, p), 0.3).modulus == modulus
+        assert continuity_probe(F, np.array(p), 0.3).modulus == modulus
 
     def test_one_integrator_call_for_the_stack(self, monkeypatch):
         shapes = []

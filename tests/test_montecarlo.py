@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chaoslab import (
-    Distribution,
     ParticleState,
     StateSpace,
     SymmetricLaw,
@@ -287,9 +286,9 @@ class TestSimulateKacStack:
             assert [rng.bit_generator.state for rng in rngs] == before
 
     def test_iid_state_n_past_max(self):
-        p = Distribution(S2, (0.5, 0.5))
+        p = np.array([0.5, 0.5])
         with pytest.raises(InvalidArgumentError, match="MAX_N"):
-            iid_state(p.as_array(), montecarlo.MAX_N + 1, replica_rng(0, 0))
+            iid_state(p, montecarlo.MAX_N + 1, replica_rng(0, 0))
 
 
 class TestPairMarginalUstat:
@@ -328,10 +327,10 @@ class TestEstimatePairMarginal:
         assert res.estimate == pytest.approx(pair_marginal_ustat([(3, 3)])[0])
 
     def test_iid_unbiased(self):
-        p = Distribution(S3, (0.5, 0.3, 0.2))
+        p = np.array([0.5, 0.3, 0.2])
         [res] = estimate_pair_marginals(
-            lambda rngs: [iid_state(p.as_array(), 100, rng) for rng in rngs], 10_000, seed=7)
-        truth = np.outer(p.p, p.p)
+            lambda rngs: [iid_state(p, 100, rng) for rng in rngs], 10_000, seed=7)
+        truth = np.outer(p, p)
         z = np.abs(res.estimate - truth) / np.where(res.std_error > 0, res.std_error, 1.0)
         assert z.max() < 4.0
 
@@ -352,12 +351,12 @@ class TestEstimatePairMarginal:
             estimate_pair_marginals(lambda rngs: [(3, 3)] * len(rngs), 1, seed=0)
 
     def test_chunked_calls_equal_one_call(self, monkeypatch):
-        p = Distribution(S3, (0.5, 0.3, 0.2))
+        p = np.array([0.5, 0.3, 0.2])
         sizes = []
 
         def sampler(rngs):
             sizes.append(len(rngs))
-            starts = [iid_state(p.as_array(), 9, rng) for rng in rngs]
+            starts = [iid_state(p, 9, rng) for rng in rngs]
             return simulate_kac_stack(starts, 1.0, 0.7, rngs)
 
         [one] = estimate_pair_marginals(sampler, 50, seed=4)
