@@ -9,6 +9,7 @@ from .core import (
     law_from_json,
     marginal,
     mean_empirical_tv,
+    pair_marginals,
     product_law,
     specific_loglik,
     tv_distance,

@@ -29,11 +29,13 @@ from . import __version__
 from .core import (
     StateSpace,
     SymmetricLaw,
+    _product_masses,
     class_index,
     law_from_json,
     law_rows,
     marginal,
     occupancy_array,
+    pair_marginals,
     product_law,
     tv_distance,
 )
@@ -333,12 +335,13 @@ def cmd_counterexample(config: dict) -> int:
 
 
 def column_laws(rho: np.ndarray, n: int) -> np.ndarray:
-    """theorem-probe's column laws for a (k,) row rho, a (3, classes) array
-    of masses by class rank: the quota point class, the product law, and a
-    damped law, rho-chaotic but not product, the product law times 1 - 1/n
-    plus 1/n at reversed rho's quota class.  The product law comes first: at
-    too large an n it is a capacity error."""
-    product = product_law(rho, n).vector()
+    """theorem-probe's column laws for a (k,) row rho that `law_rows`
+    passed, a (3, classes) array of masses by class rank: the quota point
+    class, the product law, and a damped law, rho-chaotic but not product,
+    the product law times 1 - 1/n plus 1/n at reversed rho's quota class.
+    The product law's masses come first: at too large an n they are a
+    capacity error."""
+    product = _product_masses(rho, n)[0]
     quota, other = class_index([quota_occupancy(rho, n), quota_occupancy(rho[::-1], n)], n)
     columns = np.array([np.zeros_like(product), product, (1.0 - 1.0 / n) * product])
     columns[0, quota] = 1.0
@@ -349,7 +352,7 @@ def column_laws(rho: np.ndarray, n: int) -> np.ndarray:
 def monte_carlo_pair_marginals(columns: np.ndarray, kernel, replicas: int, seed: int) -> list:
     """`estimate_pair_marginals` of the kernel's images of the rows of
     `columns` (laws, masses by class rank): ordered k x k pair marginals,
-    as `marginal(image, 2)` gives them exactly.  Run r of each column
+    as `pair_marginals` gives them exactly.  Run r of each column
     starts from a class drawn on its stream from replica_rngs(seed, ...),
     which every column and n reuse, one sampler call per chunk for all
     columns; the class `rng.choice` over the masses picks from the same one
@@ -400,8 +403,7 @@ def cmd_theorem_probe(config: dict) -> int:
                  "classes": columns.shape[1]}
         if kernel.exact:
             occ = occupancy_array(kernel.target.k, n)
-            gaps = [pair_gap(marginal(SymmetricLaw(kernel.target, n, occ, image), 2), fp)
-                    for image in push(columns, kernel)]
+            gaps = [pair_gap(pair, fp) for pair in pair_marginals(occ, push(columns, kernel), n)]
         else:
             estimates = monte_carlo_pair_marginals(columns, kernel, replicas, seed)
             gaps = [pair_gap(result.estimate, fp) for result in estimates]

@@ -36,7 +36,9 @@ them.  Sums over classes that feed gaps and likelihoods go through
 `_sum`: numpy pairwise sums over blocks of SUM_BLOCK classes, then
 math.fsum over the block partials, and plain math.fsum up to one block.
 The one- and two-particle marginals are moments of the occupancy
-columns, a (k,) vector and a (k, k) matrix.
+columns, a (k,) vector and a (k, k) matrix; `pair_marginals` gives the
+(k, k) matrices of a stack of laws over one class array, each with the
+bits of its law's, without building the laws.
 The dense ordered and big-integer oracles that check these live with the
 tests, not here.
 """
@@ -377,16 +379,10 @@ class SymmetricLaw:
         if bad.any():
             raise _bad_key(occ[bad.argmax()].tolist(), n, space.k)
         occ = occ.astype(np.int64, copy=False)
-        least = p.min(initial=1.0)
-        if not (least >= NEG_CLAMP and p.max(initial=0.0) < np.inf):
-            i = (~(np.isfinite(p) & (p >= NEG_CLAMP))).argmax()
-            raise InvalidArgumentError(f"negative or non-finite class mass {float(p[i])} "
-                                       f"at {tuple(occ[i].tolist())}")
-        if least <= 0.0:
+        _check_masses(occ, p[None])
+        if p.min(initial=1.0) <= 0.0:
             keep = p > 0.0
             occ, p = occ[keep], p[keep]
-        if abs(float(p.sum()) - 1.0) > MASS_TOL:
-            raise InvalidArgumentError("class masses do not sum to 1")
         if not _strictly_decreasing(occ):
             # Canonical order is descending lexicographic order, exact at any n.
             order = np.lexsort(-occ.T[::-1])
@@ -414,6 +410,18 @@ class SymmetricLaw:
         sizes = _class_sizes(self.occ, self.n)
         sizes.flags.writeable = False
         return sizes
+
+
+def _check_masses(occ: np.ndarray, masses: np.ndarray) -> None:
+    """InvalidArgumentError unless every entry of the (B, S) stack of masses
+    over the S classes `occ` is finite and >= NEG_CLAMP, and each row's
+    masses above 0 add up, in numpy's pairwise sum, to within MASS_TOL of 1."""
+    if not (masses.min(initial=1.0) >= NEG_CLAMP and masses.max(initial=0.0) < np.inf):
+        b, i = np.argwhere(~(np.isfinite(masses) & (masses >= NEG_CLAMP)))[0]
+        raise InvalidArgumentError(f"negative or non-finite class mass {float(masses[b, i])} "
+                                   f"at {tuple(occ[i].tolist())}")
+    if (np.abs(np.maximum(masses, 0.0).sum(axis=1) - 1.0) > MASS_TOL).any():
+        raise InvalidArgumentError("class masses do not sum to 1")
 
 
 def _bad_key(m, n: int, k: int) -> InvalidArgumentError:
@@ -451,16 +459,26 @@ def _strictly_decreasing(occ: np.ndarray) -> bool:
 
 def product_law(p, n: int) -> SymmetricLaw:
     """The i.i.d. law p^(x)n in occupancy form: multinomial(n, p), for a
-    one-particle law p, a (k,) row checked by `law_rows`.
-
-    Class size times prod p_i^m_i in doubles; rows where the class size
-    overflows or a power underflows are redone in log space.  The whole law
-    is then renormalised, which also takes out the (1 - d)^n mass defect of
-    a p whose doubles sum to 1 - d.
-    """
+    one-particle law p, a (k,) row checked by `law_rows`; its masses are
+    `_product_masses`'."""
     if n < 1:
         raise InvalidArgumentError("particle count must be >= 1")
     q = law_rows([p])[0]
+    mass, sizes = _product_masses(q, n)
+    return _law_with_sizes(StateSpace.of_size(len(q)), n, occupancy_array(len(q), n), mass,
+                           sizes)
+
+
+def _product_masses(q: np.ndarray, n: int) -> tuple:
+    """The masses of multinomial(n, q), q a (k,) row that `law_rows` passed,
+    over every class of occupancy_array(k, n), by rank, and their class
+    sizes: two new arrays.
+
+    Class size times prod q_i^m_i in doubles; rows where the class size
+    overflows or a power underflows are redone in log space.  The masses
+    are then renormalised, which also takes out the (1 - d)^n mass defect
+    of a q whose doubles sum to 1 - d.
+    """
     occ = occupancy_array(len(q), n)
     sizes = _class_sizes(occ, n)
     mass = np.ones(len(occ))  # prod_i q_i^m_i, multiplied left to right, then sizes
@@ -479,7 +497,7 @@ def product_law(p, n: int) -> SymmetricLaw:
             log_q = np.where(q > 0.0, np.log(q), 0.0)
         mass[lost] = np.exp(_log_class_sizes(sub, n, sizes[lost]) + sub @ log_q)
     mass /= _sum(mass)
-    return _law_with_sizes(StateSpace.of_size(len(q)), n, occ, mass, sizes)
+    return mass, sizes
 
 
 def _uniform_on_classes(space: StateSpace, n: int, occ: np.ndarray) -> SymmetricLaw:
@@ -513,21 +531,52 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
     """Ordered law of the first j = 1 or 2 coordinates, as an array.
 
     j = 1: the (k,) vector sum_m mass(m) m_u / n.
-    j = 2: the symmetric (k, k) matrix
+    j = 2: the symmetric (k, k) matrix of `_pair_sums`,
         sum_m mass(m) m_u (m_w - [u = w]) / (n (n - 1)),
     the chance of drawing u then w without replacement from the class.
-    Each entry is one class sum of the masses times exact integer column
-    products, int64 while n(n - 1) < 2**63 and Python ints past that,
-    divided by the exact count of ordered draws.
     """
-    n, k = law.n, law.space.k
+    n = law.n
     if j not in (1, 2):
         raise InvalidArgumentError(f"marginal order {j} is not 1 or 2")
     if j > n:
         raise InvalidArgumentError(f"the {j}-particle marginal needs n >= {j}, got n={n}")
-    cols = law.occ.T
     if j == 1:
-        return np.array([_sum(law.p * m) for m in cols]) / n
+        return np.array([_sum(law.p * m) for m in law.occ.T]) / n
+    return _pair_sums(law.p, law.occ.T, n)
+
+
+def pair_marginals(occ, masses, n: int) -> np.ndarray:
+    """The (B, k, k) pair marginals of a (B, S) stack of laws over the S
+    distinct classes `occ` of n >= 2 particles, an (S, k) integer array in
+    canonical order such as occupancy_array(k, n): row b of `masses` gives
+    the bits of marginal(SymmetricLaw(space, n, occ, masses[b]), 2).
+
+    The stack is checked by `_check_masses`, as the constructor checks a
+    law's masses.  A row's classes of mass > 0, the ones its law keeps, go
+    to `_pair_sums`.
+    """
+    occ, masses = np.asarray(occ), np.asarray(masses, dtype=float)
+    if n < 2:
+        raise InvalidArgumentError(f"the 2-particle marginal needs n >= 2, got n={n}")
+    if not (occ.ndim == 2 and occ.dtype.kind in "iu" and masses.ndim == 2
+            and masses.shape[1] == len(occ)):
+        raise InvalidArgumentError(f"{occ.shape} occupancies for {masses.shape} masses")
+    _check_masses(occ, masses)
+    cols = occ.T.astype(np.int64, copy=False)
+    pairs = np.empty((len(masses), occ.shape[1], occ.shape[1]))
+    for b, row in enumerate(masses):
+        keep = row > 0.0
+        pairs[b] = _pair_sums(row[keep], cols[:, keep], n)
+    return pairs
+
+
+def _pair_sums(p: np.ndarray, cols, n: int) -> np.ndarray:
+    """The symmetric (k, k) matrix sum_m p(m) m_u (m_w - [u = w]) / (n (n - 1))
+    over classes m of n >= 2 particles, their masses p and their (k, S)
+    integer count columns `cols`.  Each entry is one `_sum` of the masses
+    times exact integer column products, int64 while n(n - 1) < 2**63 and
+    Python ints past that, divided by the exact count of ordered draws."""
+    k = len(cols)
     wide = n * (n - 1) >= 2**63
     if wide:
         cols = cols.astype(object)
@@ -535,15 +584,18 @@ def marginal(law: SymmetricLaw, j: int) -> np.ndarray:
     for u in range(k):
         for w in range(u, k):
             draws = cols[u] * (cols[w] - (u == w))
-            terms = law.p * (draws.astype(float) if wide else draws)
+            terms = p * (draws.astype(float) if wide else draws)
             pair[u, w] = pair[w, u] = _sum(terms) / (n * (n - 1))
     return pair
 
 
 def tv_distance(a, b) -> float:
     """Total variation distance between two one-particle laws, (k,) rows
-    of one length checked by `law_rows`."""
-    a, b = law_rows([a, b])
+    of one length, each checked by `law_rows`."""
+    a, b = (law_rows([x])[0] for x in (a, b))
+    if len(a) != len(b):
+        raise InvalidArgumentError(f"the two laws differ in length: {len(a)} and {len(b)} "
+                                   f"states")
     return 0.5 * math.fsum(np.abs(a - b).tolist())
 
 

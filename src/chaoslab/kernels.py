@@ -32,8 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (StateSpace, SymmetricLaw, class_index, enumerate_occupancies, law_rows,
-                   occupancy_array)
+from .core import (MAX_CLASSES, StateSpace, SymmetricLaw, class_index, enumerate_occupancies,
+                   law_rows, occupancy_array)
 from .errors import CapacityError, InvalidArgumentError
 from .meanfield import PairRule, check_rate_and_time, default_rule, kac_limit_evolve
 from .montecarlo import simulate_kac_stack
@@ -305,12 +305,27 @@ def _spec_values(name: str, text: str, convert) -> list:
         raise InvalidArgumentError(f"malformed kernel spec {name!r}") from None
 
 
+def _classes_past(k: int, n: int, budget: int) -> bool:
+    """Whether C(n + k - 1, k - 1), the occupancy classes of n particles over
+    k states, exceeds `budget`.  With j = min(n, k - 1) that is C(a + j, j),
+    a >= j, built up exactly as C(a + i, i) for i = 1, ..., j, each at least
+    twice the last, so it stops within log2(budget) + 2 steps."""
+    j = min(n, k - 1)
+    a, i, count = n + k - 1 - j, 0, 1
+    while count <= budget and i < j:
+        i += 1
+        count = count * (a + i) // i
+    return count > budget
+
+
 def make_kernel(name: str, space: StateSpace, n: int) -> ExchangeableKernel:
     """Kernel registry: identity, map:<i,j,...>, counterexample, kac:<lam>,<t>.
 
     The only parser of these names; any malformed name raises
     InvalidArgumentError.  A map's target is the source space when every
-    image fits in it, else the space of size max(image) + 1.
+    image fits in it, else the space of size k_t = max(image) + 1, which
+    must have at most MAX_CLASSES // k_t classes, else CapacityError before
+    anything of it is built.
     """
     kind, _, spec = name.partition(":")
     if name == "identity":
@@ -324,8 +339,15 @@ def make_kernel(name: str, space: StateSpace, n: int) -> ExchangeableKernel:
         if len(fmap) != space.k:
             raise InvalidArgumentError("map spec length != k")
         target_k = max(fmap) + 1
-        target = space if target_k <= space.k else StateSpace.of_size(target_k)
-        return map_kernel(fmap, n, space, target)
+        if target_k <= space.k:
+            return map_kernel(fmap, n, space)
+        # The target's occupancy array, which `push` enumerates, holds its
+        # classes times target_k int64 counts; past MAX_CLASSES no array can.
+        if _classes_past(target_k, n, MAX_CLASSES // target_k):
+            raise CapacityError(f"map target of {target_k} states: at n={n} its occupancy "
+                                f"array would pass the {MAX_CLASSES} int64 entries an array "
+                                f"can hold")
+        return map_kernel(fmap, n, space, StateSpace.of_size(target_k))
     if kind == "kac":
         values = _spec_values(name, spec, float)
         if len(values) != 2:

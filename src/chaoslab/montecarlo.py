@@ -24,12 +24,14 @@ JUMP_BLOCK picks, 16 bytes per jump (1 KB), and its k counts and D move
 rates, 8 (k + D) bytes; `replica_counts` bounds the rows of a stack.
 Replicas draw their RNG streams from a splittable (master seed, replica
 index) scheme, so reductions are reproducible and order-independent:
-`replica_rngs` builds a chunk's Generators in one pass, each equal in
-state to numpy's own SeedSequence(master seed, spawn_key=(replica,)).
+`replica_rngs` builds a chunk's Generators, and any copies of them, in
+one pass, each equal in state to numpy's own SeedSequence(master seed,
+spawn_key=(replica,)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -114,16 +116,26 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def replica_rngs(master_seed: int, first: int, last: int) -> list:
+@functools.cache
+def _pcg64():
+    """numpy's PCG64, once `_StateWords` is registered as a seed sequence it
+    takes: done on first use, not at import, so that a run that draws no
+    random number does not load numpy.random."""
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    return np.random.PCG64
+
+
+def replica_rngs(master_seed: int, first: int, last: int, copies: int = 1) -> list:
     """The private RNG streams of replicas first, ..., last - 1 < 2^63 of a
     seeded ensemble: replica r's Generator is, state for state,
-    default_rng(SeedSequence(master_seed, spawn_key=(r,))).
+    default_rng(SeedSequence(master_seed, spawn_key=(r,))).  The list holds
+    `copies` lists of them, one after another, each copy its own Generator.
 
     SeedSequence's entropy assembly, pool mixing and generate_state(4,
-    uint64) run here once for the whole range: the run entropy, the master
-    seed's 32-bit words padded to 4, is mixed in ints, and the words of r
-    (a second one from r = 2^32 on) on int64 columns, one entry per
-    replica."""
+    uint64) run here once for the whole range and every copy: the run
+    entropy, the master seed's 32-bit words padded to 4, is mixed in ints,
+    and the words of r (a second one from r = 2^32 on) on int64 columns,
+    one entry per replica."""
     seed = operator.index(master_seed)
     if seed < 0 or first < 0:
         raise InvalidArgumentError(f"need a master seed and replicas >= 0, got {seed} "
@@ -145,9 +157,8 @@ def replica_rngs(master_seed: int, first: int, last: int) -> list:
     consts = _hashes(0x8B51F9DD, 0x58F38DED)
     state = [_hash(pool[i % 4], consts) for i in range(8)]
     words = np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-    return [np.random.Generator(np.random.PCG64(_StateWords(row)))
-            for row in words.view(np.uint64)]
+    seeds, pcg64 = [_StateWords(row) for row in words.view(np.uint64)], _pcg64()
+    return [np.random.Generator(pcg64(row)) for _ in range(copies) for row in seeds]
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -301,15 +312,14 @@ def replica_counts(sampler: Callable[[list], np.ndarray], replicas: int, seed: i
                    columns: int = 1):
     """The sampler's end counts for replicas 0, ..., replicas - 1, in order:
     one stack per call of `sampler(rngs)` on a chunk of at most
-    KAC_CHUNK // columns replicas (at least one), whose rngs are `columns`
-    copies, one after another, of the chunk's Generators
-    replica_rngs(seed, first, last).  So a stack has at most KAC_CHUNK rows
-    (or `columns`, if more), its columns' runs column by column, each
-    column on the same streams."""
+    KAC_CHUNK // columns replicas (at least one), whose rngs are the
+    `columns` copies of the chunk's Generators, replica_rngs(seed, first,
+    last, columns), from one pass of the seed hashing.  So a stack has at
+    most KAC_CHUNK rows (or `columns`, if more), its columns' runs column
+    by column, each column on the same streams."""
     width = max(KAC_CHUNK // columns, 1)
     for first in range(0, replicas, width):
-        last = min(first + width, replicas)
-        yield sampler([rng for _ in range(columns) for rng in replica_rngs(seed, first, last)])
+        yield sampler(replica_rngs(seed, first, min(first + width, replicas), columns))
 
 
 def estimate_pair_marginals(

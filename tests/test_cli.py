@@ -504,6 +504,42 @@ class TestTheoremProbe:
                    "--out", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("replicas", [25, 700])
+    def test_reads_exact_gaps_off_class_stacks(self, tmp_path, monkeypatch, replicas):
+        # The bench argv: the exact points build no law, and each chunk of
+        # replicas hashes its seeds once for all three columns (at most
+        # KAC_CHUNK // 3 = 341 replicas a chunk).
+        laws, passes = [], []
+        init, rngs = SymmetricLaw.__init__, chaoslab.montecarlo.replica_rngs
+        monkeypatch.setattr(SymmetricLaw, "__init__",
+                            lambda self, space, n, *a: laws.append(n) or init(self, space, n, *a))
+        monkeypatch.setattr(chaoslab.montecarlo, "replica_rngs",
+                            lambda *a: passes.append(a) or rngs(*a))
+        rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.3,0.2",
+                   "--replicas", str(replicas), "--grid", "6,8,10,12,16", "--seed", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert laws == []
+        assert [a[1:] for a in passes] == [(first, min(first + 341, replicas), 3)
+                                           for first in range(0, replicas, 341)]
+
+    def test_huge_map_target_is_a_capacity_error(self, tmp_path, monkeypatch, capsys):
+        # A map onto 10^19 states used to build one label per state until
+        # the OS killed the process: no state space past 1000 states may be
+        # asked for here.
+        asked, of_size = [], StateSpace.of_size
+        monkeypatch.setattr(StateSpace, "of_size",
+                            staticmethod(lambda k: asked.append(k) or of_size(min(k, 1000))))
+        rc = main(["theorem-probe", "--kernel", "map:9999999999999999999,0", "--p", "0.5,0.5",
+                   "--grid", "2,3,4", "--out", str(tmp_path)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == ("capacity error: map target of 10000000000000000000 states: at n=2 its "
+                       "occupancy array would pass the 1152921504606846975 int64 entries an "
+                       "array can hold\n")
+        assert max(asked) <= 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_capacity_exit_code(self, tmp_path):
         # exact Kac rows stop at n = 12 and no seed means no MC fallback
         rc = main(["theorem-probe", "--kernel", "kac:1,1", "--p", "0.5,0.5",
@@ -1204,15 +1240,15 @@ class TestFileErrors:
     @pytest.mark.parametrize("message", ["", "Unable to allocate 372. TiB"])
     def test_out_of_memory_is_a_capacity_error(self, tmp_path, monkeypatch, capsys, argv,
                                                message):
-        # A grid n whose classes cannot be allocated, without allocating them.
-        real = chaoslab.cli.product_law
+        # A grid n whose classes cannot be allocated, without allocating them:
+        # diagnose builds product laws, theorem-probe their masses alone.
+        for name in ("product_law", "_product_masses"):
+            def build(p, n, real=getattr(chaoslab.cli, name)):
+                if n > 1000:
+                    raise MemoryError(message)
+                return real(p, n)
 
-        def product_law(p, n):
-            if n > 1000:
-                raise MemoryError(message)
-            return real(p, n)
-
-        monkeypatch.setattr(chaoslab.cli, "product_law", product_law)
+            monkeypatch.setattr(chaoslab.cli, name, build)
         rc = main(argv + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4

@@ -221,6 +221,14 @@ class TestTvDistance:
         with pytest.raises(InvalidArgumentError):
             tv_distance(np.array([1, 0]), np.array([1, 0, 0]))
 
+    def test_rows_of_different_lengths_say_so(self):
+        with pytest.raises(InvalidArgumentError,
+                           match="^the two laws differ in length: 2 and 3 states$"):
+            tv_distance([0.5, 0.5], [1, 0, 0])
+        # law_rows keeps its own message for a ragged stack.
+        with pytest.raises(InvalidArgumentError, match="^need a nonempty"):
+            law_rows([[0.5, 0.5], [1, 0, 0]])
+
     def test_distributions_only(self, rng):
         law = random_symmetric_law(rng)
         with pytest.raises(InvalidArgumentError):

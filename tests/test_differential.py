@@ -4,6 +4,7 @@ enumerate."""
 
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -41,7 +42,7 @@ from chaoslab import (
     tv_distance,
 )
 from chaoslab import core, montecarlo
-from chaoslab.cli import monte_carlo_pair_marginals
+from chaoslab.cli import column_laws, monte_carlo_pair_marginals
 from chaoslab.core import (
     PASCAL_ROWS,
     SUM_BLOCK,
@@ -50,7 +51,9 @@ from chaoslab.core import (
     _class_sizes,
     _sum,
     class_index,
+    law_rows,
     occupancy_array,
+    pair_marginals,
     window_occupancies,
 )
 from chaoslab.diagnostics import GIBBS_RESIDUAL_TOL, ZERO_GAP, _fit_slope
@@ -292,6 +295,101 @@ def test_marginals_are_fractions_to_int64_n(k, seed, classes, n):
             assert abs(Fraction(got) - exact) <= MARGINAL_REL_ERR * exact
 
 
+# Largest n per k for pair_marginals: class counts from 1 to past 2 SUM_BLOCK.
+PAIR_MAX_N = {1: 30, 2: 600, 3: 34, 4: 14, 5: 9}
+
+
+def mass_stack(rng, rows, size, zeros, layout):
+    """`rows` laws over `size` classes: a share `zeros` of each row's masses
+    0 or in [NEG_CLAMP, 0), which a law drops, and one row all but one class
+    0; laid out C-contiguous, Fortran-ordered or as a strided view."""
+    P = rng.dirichlet(np.ones(size), rows) * (rng.random((rows, size)) >= zeros)
+    P[np.arange(rows), rng.integers(size, size=rows)] += 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    P[-1] = np.eye(size)[rng.integers(size)]
+    P[P == 0.0] = rng.choice([0.0, -0.0, core.NEG_CLAMP / 3], np.count_nonzero(P == 0.0))
+    if layout == "F":
+        return np.asfortranarray(P)
+    if layout == "strided":
+        wide = np.zeros((2 * rows, 2 * size))
+        wide[::2, ::2] = P
+        return wide[::2, ::2]
+    return P
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 4), zeros=st.sampled_from([0.0, 0.3, 0.9]),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_pair_marginals_are_the_per_law_marginals(k, data, seed, rows, zeros, layout):
+    """Each row of pair_marginals == marginal(SymmetricLaw(...), 2) bit for
+    bit: the law drops zero masses before `_sum` blocks them, so a row's
+    blocks hold its classes of mass > 0 only."""
+    n = data.draw(st.integers(2, PAIR_MAX_N[k]))
+    occ = occupancy_array(k, n)
+    rng = np.random.default_rng(seed)
+    P = mass_stack(rng, rows, len(occ), zeros, layout)
+    got = pair_marginals(occ, P, n)
+    assert got.shape == (rows, k, k)
+    for row, pair in zip(P, got):
+        want = marginal(SymmetricLaw(StateSpace.of_size(k), n, occ, row), 2)
+        assert pair.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, n", [(2, 300), (3, 22), (3, 23), (4, 12), (5, 9)])
+def test_pair_marginals_past_one_block(k, n):
+    # Full-support rows beside rows with zero masses, past SUM_BLOCK classes.
+    occ = occupancy_array(k, n)
+    assert len(occ) > SUM_BLOCK
+    rng = np.random.default_rng(n)
+    P = np.vstack([mass_stack(rng, 2, len(occ), 0.0, "C"), mass_stack(rng, 2, len(occ), 0.5, "C")])
+    for row, pair in zip(P, pair_marginals(occ, P, n)):
+        want = marginal(SymmetricLaw(StateSpace.of_size(k), n, occ, row), 2)
+        assert pair.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 5), n=st.integers(3037000500, 2**63 - 1), seed=st.integers(0, 2**32 - 1),
+       classes=st.integers(1, 4), rows=st.integers(1, 3))
+@example(k=3, n=2**63 - 1, seed=0, classes=4, rows=3)
+def test_pair_marginals_on_the_python_int_path(k, n, seed, classes, rows):
+    """Past n(n - 1) = 2**63 the column products are Python ints in both."""
+    rnd = random.Random(seed)
+    occ = np.array(sorted({big_composition(rnd, k, n) for _ in range(classes)}, reverse=True),
+                   dtype=np.int64)
+    P = mass_stack(np.random.default_rng(seed), rows, len(occ), 0.3, "C")
+    for row, pair in zip(P, pair_marginals(occ, P, n)):
+        want = marginal(SymmetricLaw(StateSpace.of_size(k), n, occ, row), 2)
+        assert pair.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("P, message", [
+    ([[0.5, np.nan, 0.5]], "negative or non-finite class mass nan at (1, 1)"),
+    ([[0.5, 0.5, 0.0], [0.6, 0.4, -1e-3]], "negative or non-finite class mass -0.001 at (0, 2)"),
+    ([[0.5, 0.5, np.inf]], "negative or non-finite class mass inf at (0, 2)"),
+    ([[1.0, 0.0, 0.0], [0.5, 0.5, 1e-9]], "class masses do not sum to 1"),
+    ([[0.0, 0.0, 0.0]], "class masses do not sum to 1"),
+    ([[0.5, 0.5, -2e-15]], "negative or non-finite class mass -2e-15 at (0, 2)"),
+])
+def test_pair_marginals_check_masses_as_the_constructor(P, message):
+    occ = occupancy_array(2, 2)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        pair_marginals(occ, P, 2)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        SymmetricLaw(StateSpace.of_size(2), 2, occ, P[-1])
+
+
+@pytest.mark.parametrize("occ, P, n", [
+    (occupancy_array(2, 2), [0.5, 0.5, 0.0], 2),
+    (occupancy_array(2, 2), [[0.5, 0.5]], 2),
+    (occupancy_array(2, 2).astype(float), [[0.5, 0.5, 0.0]], 2),
+    (occupancy_array(2, 1), [[0.5, 0.5]], 1),
+])
+def test_pair_marginals_refuse_bad_shapes(occ, P, n):
+    with pytest.raises(InvalidArgumentError):
+        pair_marginals(occ, P, n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
 def test_specific_loglik_and_mean_empirical_tv(shape, seed, sparse):
@@ -344,6 +442,25 @@ def class_laws(draw):
 
 def assert_same_law(got: SymmetricLaw, want: SymmetricLaw):
     assert np.array_equal(got.occ, want.occ) and np.array_equal(got.p, want.p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       zeros=st.integers(0, 2), tiny=st.booleans())
+def test_product_column_is_the_law_vector(k, data, seed, zeros, tiny):
+    """theorem-probe's product column, from product_law's arithmetic alone,
+    == product_law(p, n).vector() bit for bit: with zero entries of p,
+    underflowing powers (tiny entries) and, at k <= 2, n past the Pascal
+    table, where every class size takes the log path."""
+    n = data.draw(st.integers(1, {1: 2000, 2: PASCAL_ROWS + 3, 3: 60, 4: 24, 5: 14}[k]))
+    p = np.array(random_p(np.random.default_rng(seed), k, zeros))
+    if tiny and k > 1:
+        p[-1] = 1e-300
+        p /= p.sum()
+    rho = law_rows([p])[0]
+    want = product_law(rho, n).vector()
+    assert core._product_masses(rho, n)[0].tobytes() == want.tobytes()
+    assert column_laws(rho, n)[1].tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -910,6 +1027,20 @@ def test_replica_rngs_are_seed_sequence_streams(seed, first, size, cut):
     assert states(got) == states(oracle_replica_rng(seed, r) for r in range(first, last))
     mid = first + min(cut, size)
     assert states(replica_rngs(seed, first, mid) + replica_rngs(seed, mid, last)) == states(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64), first=st.integers(0, 40) | st.integers(2**32 - 4, 2**32 + 2),
+       size=st.integers(0, 6), copies=st.integers(1, 4))
+def test_replica_rng_copies_are_separate_calls(seed, first, size, copies):
+    """replica_rngs(..., copies) == `copies` separate calls, state for
+    state, and each Generator its own: drawing on one moves no other."""
+    got = replica_rngs(seed, first, first + size, copies)
+    assert states(got) == copies * states(replica_rngs(seed, first, first + size))
+    assert len({id(rng.bit_generator) for rng in got}) == len(got)
+    if got:
+        got[0].random(3)
+        assert states(got[1:]) == states(replica_rngs(seed, first, first + size, copies))[1:]
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoslab import (
     StateSpace,
@@ -23,10 +25,10 @@ from chaoslab import (
     symmetrized_class_kernel,
 )
 from chaoslab.cli import column_laws, monte_carlo_pair_marginals
-from chaoslab.core import class_index, occupancy_array
+from chaoslab.core import MAX_CLASSES, class_index, occupancy_array
 from chaoslab.diagnostics import pair_gap
 from chaoslab.errors import CapacityError, InvalidArgumentError
-from chaoslab.kernels import KAC_EXACT_MAX_N, ExchangeableKernel
+from chaoslab.kernels import KAC_EXACT_MAX_N, ExchangeableKernel, _classes_past
 
 from conftest import (
     SwapRule,
@@ -447,6 +449,26 @@ class TestRegistry:
     def test_malformed(self, name):
         with pytest.raises(InvalidArgumentError):
             make_kernel(name, S2, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 60) | st.integers(1, 10**20), n=st.integers(0, 60)
+           | st.integers(0, 2**63 - 1), budget=st.integers(0, 2**62) | st.integers(0, 10**4))
+    @example(k=3, n=2, budget=5)
+    @example(k=3, n=2, budget=6)
+    @example(k=10**19, n=2, budget=MAX_CLASSES // 10**19)
+    def test_class_count_against_a_budget(self, k, n, budget):
+        # Exact at the edge, and quick where math.comb would not be: at most
+        # about 64 steps of big-integer work for any k and n.
+        want = math.comb(n + k - 1, min(n, k - 1)) > budget if min(n, k - 1) < 200 else True
+        assert _classes_past(k, n, budget) == want
+
+    def test_map_just_past_the_budget(self, monkeypatch):
+        # n = 2 over k_t states: k_t (k_t + 1) / 2 classes of k_t counts each.
+        k_t = next(k for k in itertools.count(10**6) if k * (k + 1) // 2 > MAX_CLASSES // k)
+        monkeypatch.setattr(StateSpace, "of_size", None)  # building one is a failure
+        with pytest.raises(CapacityError, match=f"map target of {k_t} states"):
+            make_kernel(f"map:{k_t - 1},0", S2, 2)
+        assert not _classes_past(k_t - 1, 2, MAX_CLASSES // (k_t - 1))
 
     @pytest.mark.parametrize("name, k", [("map:0,0", 2), ("map:0,2", 3)])
     def test_map_limit_lives_on_kernel_target(self, name, k):
